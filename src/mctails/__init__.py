@@ -8,7 +8,7 @@ each family so that results can be cross-checked, and a dense truncation
 solver acts as a slow reference for all of them.
 """
 
-from . import ldqbd, matkernel, models, oracle, qbd, skipfree
+from . import ldqbd, matkernel, models, oracle, qbd, registry, skipfree
 from .errors import (
     Divergent,
     NearCritical,
@@ -36,62 +36,16 @@ from .models import (
     vacation_tails,
 )
 from .oracle import truncate_and_solve
-from .qbd import QbdModel, boundary_solve, factorize, solve_G, solve_R
+from .qbd import QbdModel, boundary_solve, solve_G, solve_R
+from .registry import CheckReport, cross_check
 from .series import TailSeries
 from .skipfree import SkipFreeModel
 
-__all__ = [
-    "Divergent",
-    "LdQbdModel",
-    "MeanFieldResult",
-    "NearCritical",
-    "NoConvergence",
-    "QbdModel",
-    "Reducible",
-    "RepairableParams",
-    "RetrialParams",
-    "SingularMatrix",
-    "SizeLimit",
-    "SkipFreeModel",
-    "SolverError",
-    "StepUnstable",
-    "TailSeries",
-    "TruncationFailure",
-    "Unstable",
-    "VacationParams",
-    "ValidationError",
-    "boundary_solve",
-    "factorize",
-    "ldqbd",
-    "matkernel",
-    "meanfield_ode",
-    "mn_mn_1_tails",
-    "models",
-    "oracle",
-    "qbd",
-    "repairable_tails",
-    "retrial_tails",
-    "skipfree",
-    "solve_G",
-    "solve_R",
-    "solve_tails",
-    "supermarket_tails",
-    "truncate_and_solve",
-    "vacation_tails",
-]
-
-
 def solve_tails(model, levels: int, method: str | None = None,
-                tol: float = 1e-12) -> TailSeries:
-    """Solve any supported chain model, dispatching on its type.
+                tol: float = registry.DEFAULT_TOL) -> TailSeries:
+    """Solve a chain model by a route of its kind (see ``registry.REGISTRY``).
 
-    ``method`` picks among the routes the model's family offers; ``None``
-    takes that family's default.
+    ``method`` names the route; ``None`` takes the kind's default.
     """
-    if isinstance(model, QbdModel):
-        return qbd.solve_tails(model, levels, method=method or "mg", tol=tol)
-    if isinstance(model, LdQbdModel):
-        return ldqbd.solve_tails(model, levels, method=method or "product", tol=tol)
-    if isinstance(model, SkipFreeModel):
-        return skipfree.solve_tails(model, levels, method=method, tol=tol)
-    raise ValidationError(f"no tail solver for {type(model).__name__}")
+    kind = registry.kind_of(model)
+    return registry.solve(registry.Model(kind, model), levels, method, tol)

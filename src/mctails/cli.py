@@ -11,70 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import replace
 
 from .errors import SolverError, ValidationError
-from .ldqbd import LdQbdModel
-from .matkernel import inf_norm
-from .models import (
-    RepairableParams,
-    RetrialParams,
-    VacationParams,
-    meanfield_ode,
-    mn_mn_1_tails,
-    repairable_qbd,
-    repairable_tails,
-    retrial_chain,
-    retrial_tails,
-    supermarket_balance_residual,
-    supermarket_tail,
-    supermarket_tails,
-    vacation_qbd,
-    vacation_tails,
-)
-from .oracle import truncate_and_solve
-from .qbd import QbdModel
-from .qbd import solve_tails as qbd_tails
-from .ldqbd import solve_tails as ldqbd_tails
+from .models import meanfield_ode, supermarket_tail
+from .registry import DEFAULT_TOL, REGISTRY, Model, build, cross_check, solve
 from .series import TailSeries
-from .skipfree import SkipFreeModel
-from .skipfree import solve_tails as skipfree_tails
-
-KINDS = (
-    "qbd", "ldqbd", "gim1", "mg1",
-    "retrial", "mnmn1", "vacation", "repairable", "supermarket",
-)
-
-METHODS = {
-    "qbd": ("mg", "ul", "lu"),
-    "ldqbd": ("product", "lu"),
-    "gim1": ("mg", "ul"),
-    "mg1": ("iterative", "ul"),
-    "retrial": ("product",),
-    "mnmn1": ("closed",),
-    "vacation": ("closed",),
-    "repairable": ("iterative", "mg"),
-    "supermarket": ("closed",),
-}
-
-CHECK_TOL = 1e-6
-DEFAULT_SOLVE_TOL = 1e-12
 
 
 class ModelFileError(Exception):
     """A model file could not be read or does not match the schema."""
-
-
-@dataclass
-class LoadedModel:
-    kind: str
-    payload: object
-    horizon: int | None = None
-    tol: float | None = None
-    params: dict = field(default_factory=dict)
 
 
 def _fail(path: str, message: str):
@@ -142,63 +90,11 @@ def _reject_unknown(obj: dict, allowed, path: str) -> None:
         _fail(path, f"unknown key {extra[0]!r} (allowed: {', '.join(sorted(allowed))})")
 
 
-def _build_blocks(kind: str, blocks: dict, path: str):
-    if kind == "qbd":
-        _reject_unknown(blocks, ("B1", "B0", "B2", "A0", "A1", "A2"), path)
-        got = {}
-        for key in ("B1", "B0", "B2", "A0", "A1", "A2"):
-            value, sub = _take(blocks, key, path)
-            got[key] = _matrix(value, sub)
-        return QbdModel(got["B1"], got["B0"], got["B2"],
-                        got["A0"], got["A1"], got["A2"])
-    if kind == "ldqbd":
-        _reject_unknown(blocks, ("A0", "A1", "A2"), path)
-        tables = {}
-        for key in ("A0", "A1", "A2"):
-            value, sub = _take(blocks, key, path)
-            tables[key] = _matrix_list(value, sub)
-        if len(tables["A0"]) != len(tables["A1"]):
-            _fail(f"{path}.A0", "A0 and A1 must list the same levels 0..J")
-        if len(tables["A2"]) != len(tables["A1"]) - 1:
-            _fail(f"{path}.A2", "A2 lists levels 1..J, one entry fewer than A1")
-        return LdQbdModel(tuple(tables["A0"]), tuple(tables["A1"]),
-                          tuple(tables["A2"]))
-    # gim1 / mg1
-    _reject_unknown(blocks, ("A", "B"), path)
-    a_value, a_path = _take(blocks, "A", path)
-    b_value, b_path = _take(blocks, "B", path)
-    return SkipFreeModel(kind.upper(), _matrix_list(a_value, a_path),
-                         _matrix_list(b_value, b_path))
+_READERS = {"matrix": _matrix, "matrices": _matrix_list, "number": _number,
+            "integer": _integer, "rate": _rate_table}
 
 
-def _build_params(kind: str, params: dict, path: str):
-    def num(key):
-        value, sub = _take(params, key, path)
-        return _number(value, sub)
-
-    if kind == "retrial":
-        _reject_unknown(params, ("lam", "mu", "theta"), path)
-        return RetrialParams(num("lam"), num("mu"), num("theta"))
-    if kind == "mnmn1":
-        _reject_unknown(params, ("arrival", "service"), path)
-        arrival, a_path = _take(params, "arrival", path)
-        service, s_path = _take(params, "service", path)
-        return {"arrival": _rate_table(arrival, a_path),
-                "service": _rate_table(service, s_path)}
-    if kind == "vacation":
-        _reject_unknown(params, ("lam", "theta"), path)
-        return VacationParams(num("lam"), num("theta"))
-    if kind == "repairable":
-        _reject_unknown(params, ("lam", "mu", "alpha", "beta"), path)
-        return RepairableParams(num("lam"), num("mu"), num("alpha"), num("beta"))
-    # supermarket
-    _reject_unknown(params, ("rho", "d"), path)
-    rho = num("rho")
-    d_value, d_path = _take(params, "d", path)
-    return {"rho": rho, "d": _integer(d_value, d_path)}
-
-
-def load_model_file(path: str) -> LoadedModel:
+def load_model_file(path: str) -> Model:
     """Read and validate one model file, reporting errors by field path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -212,10 +108,9 @@ def load_model_file(path: str) -> LoadedModel:
 
     root = _object(data, "$")
     _reject_unknown(root, ("kind", "name", "blocks", "params", "horizon", "tol"), "$")
-    kind_value, kind_path = _take(root, "kind", "$")
-    if kind_value not in KINDS:
-        _fail(kind_path, f"unknown kind {kind_value!r} (one of: {', '.join(KINDS)})")
-    kind = kind_value
+    kind, kind_path = _take(root, "kind", "$")
+    if not isinstance(kind, str) or kind not in REGISTRY:
+        _fail(kind_path, f"unknown kind {kind!r} (one of: {', '.join(REGISTRY)})")
 
     horizon = None
     if "horizon" in root:
@@ -225,88 +120,22 @@ def load_model_file(path: str) -> LoadedModel:
     tol = None
     if "tol" in root:
         tol = _number(root["tol"], "$.tol")
-        if not tol > 0:
-            _fail("$.tol", "must be positive")
+        if not (math.isfinite(tol) and tol > 0):
+            _fail("$.tol", "must be a positive finite number")
 
+    spec = REGISTRY[kind]
+    value, section_path = _take(root, spec.section, "$")
+    section = _object(value, section_path)
+    _reject_unknown(section, spec.fields, section_path)
+    values = {}
+    for key, reader in spec.fields.items():
+        raw, field_path = _take(section, key, section_path)
+        values[key] = _READERS[reader](raw, field_path)
     try:
-        if kind in ("qbd", "ldqbd", "gim1", "mg1"):
-            value, path_ = _take(root, "blocks", "$")
-            payload = _build_blocks(kind, _object(value, path_), path_)
-        else:
-            value, path_ = _take(root, "params", "$")
-            payload = _build_params(kind, _object(value, path_), path_)
+        payload = build(kind, values)
     except ValidationError as exc:
-        raise ModelFileError(f"$.{'blocks' if kind in ('qbd', 'ldqbd', 'gim1', 'mg1') else 'params'}: {exc}") from exc
-    return LoadedModel(kind, payload, horizon=horizon, tol=tol)
-
-
-def solve_model(loaded: LoadedModel, method: str, levels: int,
-                tol: float) -> TailSeries:
-    """Run one solution route of the loaded model."""
-    kind, payload = loaded.kind, loaded.payload
-    if method not in METHODS[kind]:
-        raise ModelFileError(
-            f"method {method!r} not available for kind {kind!r} "
-            f"(choices: {', '.join(METHODS[kind])})"
-        )
-    if kind == "qbd":
-        return qbd_tails(payload, levels, method=method, tol=tol)
-    if kind == "ldqbd":
-        return ldqbd_tails(payload, levels, method=method, tol=tol)
-    if kind in ("gim1", "mg1"):
-        return skipfree_tails(payload, levels, method=method, tol=tol)
-    if kind == "retrial":
-        return retrial_tails(payload, levels, horizon=loaded.horizon or 200)
-    if kind == "mnmn1":
-        return mn_mn_1_tails(payload["arrival"], payload["service"], levels)
-    if kind == "vacation":
-        return vacation_tails(payload, levels)
-    if kind == "repairable":
-        return repairable_tails(payload, levels, method=method)
-    return supermarket_tails(payload["rho"], payload["d"], levels)
-
-
-def _reference_chain(loaded: LoadedModel, oracle_levels: int):
-    """The chain handed to the dense truncation solver, or None if the kind
-    has no finite-state counterpart."""
-    kind, payload = loaded.kind, loaded.payload
-    if kind in ("qbd", "ldqbd", "gim1", "mg1"):
-        return payload
-    if kind == "retrial":
-        return retrial_chain(payload, oracle_levels + 2)
-    if kind == "vacation":
-        return vacation_qbd(payload)
-    if kind == "repairable":
-        return repairable_qbd(payload)
-    if kind == "mnmn1":
-        return mnmn1_chain(payload["arrival"], payload["service"])
-    return None
-
-
-def mnmn1_chain(arrival, service) -> LdQbdModel:
-    """Birth-death generator matching the closed-form rates, rates repeating
-    their last entry forever."""
-    arr = list(arrival) if isinstance(arrival, list) else [float(arrival)]
-    srv = list(service) if isinstance(service, list) else [float(service)]
-
-    def lam(k):
-        return arr[min(k, len(arr) - 1)]
-
-    def mu(k):
-        return srv[min(k - 1, len(srv) - 1)]
-
-    def up(k):
-        return np.array([[lam(k)]])
-
-    def diag(k):
-        out = lam(k) + (mu(k) if k >= 1 else 0.0)
-        return np.array([[-out]])
-
-    def down(k):
-        return np.array([[mu(k)]])
-
-    horizon = max(len(arr), len(srv)) + 2
-    return LdQbdModel.from_rule(up, diag, down, horizon)
+        raise ModelFileError(f"{section_path}: {exc}") from exc
+    return Model(kind, payload, horizon=horizon, tol=tol)
 
 
 def _format_csv(series: TailSeries) -> str:
@@ -318,33 +147,21 @@ def _format_csv(series: TailSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_ready(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    return value
-
-
 def _format_json(kind: str, series: TailSeries) -> str:
     payload = {
         "kind": kind,
         "method": series.method,
         "first_level": series.first_level,
-        "x0": _json_ready(series.x0) if series.x0 is not None else None,
+        "x0": series.x0,
         "tails": [
-            {"k": series.first_level + i, "pi": _json_ready(row)}
+            {"k": series.first_level + i, "pi": row}
             for i, row in enumerate(series.pis)
         ],
-        "truncation_report": _json_ready(series.truncation_report),
+        "truncation_report": series.truncation_report,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # numpy arrays and scalars go out as the Python lists and numbers they hold
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=lambda value: value.tolist()) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -355,73 +172,52 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _levels(args) -> int:
+    if args.levels < 1:
+        raise ValidationError(f"--levels must be at least 1, got {args.levels}")
+    return args.levels
+
+
+def _tol(args, model: Model) -> float:
+    """--tol if given, else the model file's tol, else the default."""
+    if args.tol is None:
+        return model.tol or DEFAULT_TOL
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol must be a positive finite number, got {args.tol!r}")
+    return args.tol
+
+
 def _cmd_solve(args) -> int:
-    loaded = load_model_file(args.modelfile)
-    method = args.method or METHODS[loaded.kind][0]
-    tol = args.tol or loaded.tol or DEFAULT_SOLVE_TOL
-    series = solve_model(loaded, method, args.levels, tol)
+    model = load_model_file(args.modelfile)
+    series = solve(model, _levels(args), args.method, _tol(args, model))
     if args.output == "json":
-        text = _format_json(loaded.kind, series)
+        text = _format_json(model.kind, series)
     else:
         text = _format_csv(series)
     _emit(text, args.out)
     return 0
 
 
-def _series_diff(a: TailSeries, b: TailSeries) -> tuple:
-    lo = max(a.first_level, b.first_level)
-    hi = min(a.last_level, b.last_level)
-    if lo > hi:
-        raise ModelFileError("no overlapping levels to compare")
-    worst = max(inf_norm(a.level(k) - b.level(k)) for k in range(lo, hi + 1))
-    return worst, lo, hi
-
-
 def _cmd_check(args) -> int:
-    loaded = load_model_file(args.modelfile)
-    tol = args.tol or loaded.tol or DEFAULT_SOLVE_TOL
-    out = [f"kind: {loaded.kind}"]
-    failed = 0
-    compared = 0
-
-    if loaded.kind == "supermarket":
-        rho, d = loaded.payload["rho"], loaded.payload["d"]
-        worst = max(supermarket_balance_residual(rho, d, k)
-                    for k in range(1, args.levels + 1))
-        ok = worst < CHECK_TOL
-        failed += 0 if ok else 1
-        compared += 1
-        out.append("closed form vs balance equations (levels 1..%d): %.3e %s"
-                   % (args.levels, worst, "ok" if ok else "FAIL"))
-    else:
-        series = {name: solve_model(loaded, name, args.levels, tol)
-                  for name in METHODS[loaded.kind]}
-        chain = _reference_chain(loaded, args.oracle_levels)
-        if chain is not None:
-            series["oracle"] = truncate_and_solve(chain, args.oracle_levels)
-        names = list(series)
-        for i, left in enumerate(names):
-            for right in names[i + 1:]:
-                worst, lo, hi = _series_diff(series[left], series[right])
-                ok = worst < CHECK_TOL
-                failed += 0 if ok else 1
-                compared += 1
-                out.append("%s vs %s (levels %d..%d): %.3e %s"
-                           % (left, right, lo, hi, worst, "ok" if ok else "FAIL"))
-
+    model = load_model_file(args.modelfile)
+    model = replace(model, tol=_tol(args, model))
+    report = cross_check(model, _levels(args), args.oracle_levels)
+    out = [f"kind: {report.kind}"]
+    for c in report.comparisons:
+        out.append("%s vs %s (levels %d..%d): %.3e %s"
+                   % (c.left, c.right, c.first, c.last, c.gap, "ok" if c.ok else "FAIL"))
     verdict = ("check passed: %d comparisons within %.0e"
-               if not failed else "check FAILED: %d comparisons, tolerance %.0e")
-    out.append(verdict % (compared, CHECK_TOL))
+               if report.passed else "check FAILED: %d comparisons, tolerance %.0e")
+    out.append(verdict % (len(report.comparisons), report.tolerance))
     _emit("\n".join(out) + "\n", None)
-    return 0 if not failed else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_meanfield(args) -> int:
-    if args.levels < 1:
-        raise ModelFileError("--levels must be at least 1")
-    result = meanfield_ode(args.rho, args.d, args.levels, args.t_end, dt=args.dt)
+    levels = _levels(args)
+    result = meanfield_ode(args.rho, args.d, levels, args.t_end, dt=args.dt)
     lines = ["k,ode,fixed_point"]
-    for k in range(1, args.levels + 1):
+    for k in range(1, levels + 1):
         lines.append("%d,%.17g,%.17g"
                      % (k, result.values[k - 1],
                         supermarket_tail(args.rho, args.d, k)))
@@ -477,10 +273,7 @@ def run(argv) -> int:
     handlers = {"solve": _cmd_solve, "check": _cmd_check, "meanfield": _cmd_meanfield}
     try:
         return handlers[args.command](args)
-    except ModelFileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValidationError as exc:
+    except (ModelFileError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except SolverError as exc:

@@ -20,14 +20,9 @@ from .errors import (
     Unstable,
     ValidationError,
 )
-from .matkernel import as_matrix, inf_norm, inverse, solve_xa, stationary_row
+from .matkernel import _frozen, as_matrix, inf_norm, inverse, solve_xa, stationary_row
 from .qbd import ROWSUM_TOL, STABILITY_MARGIN, QbdModel, rate_matrix_radius, solve_R
 from .series import TailSeries
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -45,10 +40,12 @@ class LdQbdModel:
     down: tuple
 
     def __post_init__(self):
-        if len(self.diag) < 2 or len(self.up) != len(self.diag):
+        if len(self.diag) < 2:
             raise ValidationError("need blocks for level 0 and at least one level above")
+        if len(self.up) != len(self.diag):
+            raise ValidationError("A0 and A1 must list the same levels 0..J")
         if len(self.down) != len(self.diag) - 1:
-            raise ValidationError("down blocks run from level 1 to the horizon")
+            raise ValidationError("A2 lists levels 1..J, one entry fewer than A1")
         up = [as_matrix(a, f"A0({k})") for k, a in enumerate(self.up)]
         diag = [as_matrix(a, f"A1({k})") for k, a in enumerate(self.diag)]
         down = [as_matrix(a, f"A2({k + 1})") for k, a in enumerate(self.down)]
@@ -312,15 +309,3 @@ def tails_lu_ld(model: LdQbdModel, x0, levels: int, series_tol: float = 1e-12,
         )
     report = {"terms": terms, "last_term_norm": norm, "series_tol": series_tol}
     return TailSeries(acc[:levels], x0, method="lu-rg", truncation_report=report)
-
-
-def solve_tails(model: LdQbdModel, levels: int, method: str = "product",
-                tol: float = 1e-12) -> TailSeries:
-    """One-call driver: rate sequence, boundary row, chosen tail route."""
-    rates = solve_rate_sequence(model, tol=tol)
-    product = stationary_product(model, rates, levels)
-    if method in ("product", "matrix-product"):
-        return product
-    if method in ("lu", "lu-rg"):
-        return tails_lu_ld(model, product.x0, levels)
-    raise ValidationError(f"unknown ldqbd method {method!r}")

@@ -29,6 +29,20 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark an array read-only and return it."""
+    a.setflags(write=False)
+    return a
+
+
+def _powers(head, rate, levels: int) -> list:
+    """head, head R, head R^2, ...: the first `levels` rows."""
+    rows = [head] if levels >= 1 else []
+    for _ in range(1, levels):
+        rows.append(rows[-1] @ rate)
+    return rows
+
+
 def as_row(values, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-d float64 row vector."""
     try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Divergent, StepUnstable, TruncationFailure, Unstable, ValidationError
 from .ldqbd import LdQbdModel
-from .matkernel import inf_norm, solve_xa
+from .matkernel import _powers, inf_norm, solve_xa
 from .qbd import QbdModel, solve_R
 from .series import TailSeries
 
@@ -212,6 +212,32 @@ def mn_mn_1_tails(arrival, service, levels: int,
                       truncation_report={"terms": len(terms)}, first_level=0)
 
 
+def mnmn1_chain(arrival, service) -> LdQbdModel:
+    """Birth-death generator matching the rates of ``mn_mn_1_tails``, rates
+    repeating their last entry forever."""
+    arr = list(arrival) if isinstance(arrival, list) else [float(arrival)]
+    srv = list(service) if isinstance(service, list) else [float(service)]
+
+    def lam(k):
+        return arr[min(k, len(arr) - 1)]
+
+    def mu(k):
+        return srv[min(k - 1, len(srv) - 1)]
+
+    def up(k):
+        return np.array([[lam(k)]])
+
+    def diag(k):
+        out = lam(k) + (mu(k) if k >= 1 else 0.0)
+        return np.array([[-out]])
+
+    def down(k):
+        return np.array([[mu(k)]])
+
+    horizon = max(len(arr), len(srv)) + 2
+    return LdQbdModel.from_rule(up, diag, down, horizon)
+
+
 def vacation_qbd(params: VacationParams) -> QbdModel:
     """Level-independent blocks of the vacation queue, phases (vacation,
     serving), one boundary state (empty and on vacation)."""
@@ -269,15 +295,12 @@ def repairable_qbd(params: RepairableParams) -> QbdModel:
     )
 
 
-def repairable_tails(params: RepairableParams, levels: int,
-                     method: str = "iterative") -> TailSeries:
+def repairable_tails(params: RepairableParams, levels: int) -> TailSeries:
     """Tail vectors of the repairable-server queue over levels 0..levels.
 
-    Both routes share the exact boundary values pi_W,0 = 1 - (lam/mu)(alpha/beta),
-    pi_W,1 = lam/mu and pi_R,1 = (lam/mu)(alpha/beta).  The iterative route
-    continues with two coupled scalar recursions; the matrix-geometric route
-    solves the quadratic for the rate matrix of the upward blocks and applies
-    a fixed head row to its powers.
+    The boundary values are exact: pi_W,0 = 1 - (lam/mu)(alpha/beta),
+    pi_W,1 = lam/mu and pi_R,1 = (lam/mu)(alpha/beta).  This iterative route
+    continues with two coupled scalar recursions.
     """
     lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
     if params.load >= 1.0:
@@ -286,26 +309,29 @@ def repairable_tails(params: RepairableParams, levels: int,
     repair_share = alpha / beta
     srv = [1.0 - ratio * repair_share, ratio]
     rep = [ratio * repair_share, ratio * repair_share]
-    if method == "iterative":
-        for k in range(2, levels + 1):
-            srv.append(((lam + mu + alpha) / mu) * srv[k - 1]
-                       - (lam / mu) * srv[k - 2]
-                       - (beta / mu) * rep[k - 1])
-            rep.append((alpha / (lam + beta)) * srv[k]
-                       + (lam / (lam + beta)) * rep[k - 1])
-        pis = [np.array([srv[k], rep[k]]) for k in range(levels + 1)]
-        return TailSeries(pis, None, method="iterative", first_level=0)
-    if method not in ("mg", "matrix-geometric"):
-        raise ValidationError(f"unknown repairable method {method!r}")
+    for k in range(2, levels + 1):
+        srv.append(((lam + mu + alpha) / mu) * srv[k - 1]
+                   - (lam / mu) * srv[k - 2]
+                   - (beta / mu) * rep[k - 1])
+        rep.append((alpha / (lam + beta)) * srv[k]
+                   + (lam / (lam + beta)) * rep[k - 1])
+    pis = [np.array([srv[k], rep[k]]) for k in range(levels + 1)]
+    return TailSeries(pis, None, method="iterative", first_level=0)
+
+
+def repairable_mg_tails(params: RepairableParams, levels: int) -> TailSeries:
+    """Matrix-geometric tails of the repairable-server queue over levels
+    0..levels: the exact rows of levels 0 and 1 from ``repairable_tails``,
+    then a fixed head row applied to the powers of the rate matrix of the
+    upward blocks."""
+    lam, mu = params.lam, params.mu
+    pis = repairable_tails(params, 1).pis
     chain = repairable_qbd(params)
     rate = solve_R(chain.a0, chain.a1, chain.a2).matrix
     censored = chain.a1 + rate @ chain.a2
-    head = solve_xa(-censored,
-                    np.array([lam * lam / mu, (lam * lam / mu) * repair_share]))
-    pis = [np.array([srv[0], rep[0]]), np.array([srv[1], rep[1]])]
-    for k in range(2, levels + 1):
-        pis.append(head)
-        head = head @ rate
+    head = solve_xa(-censored, np.array([lam * lam / mu,
+                                         (lam * lam / mu) * (params.alpha / params.beta)]))
+    pis += _powers(head, rate, levels - 1)
     return TailSeries(pis[: levels + 1], None, method="matrix-geometric",
                       first_level=0)
 

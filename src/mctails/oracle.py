@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeLimit
+from .ldqbd import LdQbdModel
 from .matkernel import stationary_row
 from .qbd import QbdModel
 from .series import TailSeries
@@ -24,24 +25,6 @@ def _offsets(m0: int, m: int, levels: int):
     def start(level):
         return 0 if level == 0 else m0 + (level - 1) * m
     return start
-
-
-def _assemble_qbd(model: QbdModel, levels: int) -> np.ndarray:
-    m0, m = model.m0, model.m
-    start = _offsets(m0, m, levels)
-    n = start(levels) + m
-    q = np.zeros((n, n))
-    q[: m0, : m0] = model.b1
-    q[: m0, m0 : m0 + m] = model.b0
-    for k in range(1, levels + 1):
-        row = slice(start(k), start(k) + m)
-        below = model.b2 if k == 1 else model.a2
-        q[row, start(k - 1) : start(k - 1) + (m0 if k == 1 else m)] = below
-        diag = model.a1 + model.a0 if k == levels else model.a1
-        q[row, start(k) : start(k) + m] = diag
-        if k < levels:
-            q[row, start(k + 1) : start(k + 1) + m] = model.a0
-    return q
 
 
 def _assemble_ld(model, levels: int) -> np.ndarray:
@@ -124,13 +107,11 @@ def truncate_and_solve(model, levels: int) -> TailSeries:
     on the truncation level, which bounds how much the tails can be off; it
     shrinks geometrically as `levels` grows for any stable chain.
     """
-    if hasattr(model, "block_at"):
-        m0 = model.block_at("A1", 0).shape[0]
-        m = model.block_at("A1", 1).shape[0]
-        assemble, continuous = _assemble_ld, True
-    elif isinstance(model, QbdModel):
+    if isinstance(model, QbdModel):
+        model = LdQbdModel.from_qbd(model, 2)
+    if isinstance(model, LdQbdModel):
         m0, m = model.m0, model.m
-        assemble, continuous = _assemble_qbd, True
+        assemble, continuous = _assemble_ld, True
     elif isinstance(model, SkipFreeModel):
         m0, m = model.m0, model.m
         assemble = _assemble_gim1 if model.kind == "GIM1" else _assemble_mg1

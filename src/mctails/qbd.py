@@ -29,6 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .matkernel import (
+    _frozen,
+    _powers,
     as_matrix,
     inf_norm,
     inverse,
@@ -59,11 +61,6 @@ def _check_nonnegative(block: np.ndarray, name: str) -> None:
 def _check_zero_rowsums(rowsum: np.ndarray, name: str) -> None:
     if inf_norm(rowsum) > ROWSUM_TOL:
         raise ValidationError(f"{name}: row sums deviate by {inf_norm(rowsum):.3e}")
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -133,15 +130,20 @@ class BoundarySolution:
     x1: np.ndarray
 
 
-@dataclass(frozen=True)
-class RgFactorization:
-    """Blocks of (I - R)-diagonal-(I - G) factorizations over a level window."""
-
-    kind: str
-    r_blocks: list[np.ndarray]
-    u_blocks: list[np.ndarray]
-    g_blocks: list[np.ndarray]
-    window: int
+def _fixed_point(step, residual, start, tol: float, max_iter: int,
+                 what: str) -> RateSolveResult:
+    """Iterate x <- step(x) from `start` until the successive difference is
+    below tol and residual(x) below 10 tol."""
+    x = start
+    for iteration in range(1, max_iter + 1):
+        x_next = step(x)
+        delta = inf_norm(x_next - x)
+        x = x_next
+        if delta < tol:
+            res = residual(x)
+            if res < 10.0 * tol:
+                return RateSolveResult(_frozen(x), iteration, res)
+    raise NoConvergence(f"{what} did not reach {tol:.1e} in {max_iter} sweeps")
 
 
 def solve_R(a0, a1, a2, tol: float = 1e-12, max_iter: int = 100000) -> RateSolveResult:
@@ -155,16 +157,9 @@ def solve_R(a0, a1, a2, tol: float = 1e-12, max_iter: int = 100000) -> RateSolve
     a1 = as_matrix(a1, "A1")
     a2 = as_matrix(a2, "A2")
     neg_a1_inv = inverse(-a1)
-    r = np.zeros_like(a0)
-    for iteration in range(1, max_iter + 1):
-        r_next = (a0 + r @ r @ a2) @ neg_a1_inv
-        delta = inf_norm(r_next - r)
-        r = r_next
-        if delta < tol:
-            residual = inf_norm(a0 + r @ a1 + r @ r @ a2)
-            if residual < 10.0 * tol:
-                return RateSolveResult(_frozen(r), iteration, residual)
-    raise NoConvergence(f"R iteration did not reach {tol:.1e} in {max_iter} sweeps")
+    return _fixed_point(lambda r: (a0 + r @ r @ a2) @ neg_a1_inv,
+                        lambda r: inf_norm(a0 + r @ a1 + r @ r @ a2),
+                        np.zeros_like(a0), tol, max_iter, "R iteration")
 
 
 def solve_G(a0, a1, a2, tol: float = 1e-12, max_iter: int = 100000) -> RateSolveResult:
@@ -173,16 +168,9 @@ def solve_G(a0, a1, a2, tol: float = 1e-12, max_iter: int = 100000) -> RateSolve
     a1 = as_matrix(a1, "A1")
     a2 = as_matrix(a2, "A2")
     neg_a1_inv = inverse(-a1)
-    g = np.zeros_like(a2)
-    for iteration in range(1, max_iter + 1):
-        g_next = neg_a1_inv @ (a2 + a0 @ g @ g)
-        delta = inf_norm(g_next - g)
-        g = g_next
-        if delta < tol:
-            residual = inf_norm(a0 @ g @ g + a1 @ g + a2)
-            if residual < 10.0 * tol:
-                return RateSolveResult(_frozen(g), iteration, residual)
-    raise NoConvergence(f"G iteration did not reach {tol:.1e} in {max_iter} sweeps")
+    return _fixed_point(lambda g: neg_a1_inv @ (a2 + a0 @ g @ g),
+                        lambda g: inf_norm(a0 @ g @ g + a1 @ g + a2),
+                        np.zeros_like(a2), tol, max_iter, "G iteration")
 
 
 def rate_matrix_radius(r) -> float:
@@ -243,15 +231,9 @@ def tails_matrix_geometric(x1, r, levels: int, x0=None) -> TailSeries:
     """pi_k = x1 (I-R)^{-1} R^{k-1} for k = 1..levels."""
     r = as_matrix(r, "R")
     require_stable(r)
-    if levels == 0:
-        return TailSeries([], None if x0 is None else np.asarray(x0, dtype=float),
-                          method="matrix-geometric")
-    x1 = np.asarray(x1, dtype=float)
-    head = solve_xa(np.eye(r.shape[0]) - r, x1)
-    pis = [head]
-    for _ in range(1, levels):
-        pis.append(pis[-1] @ r)
-    return TailSeries(pis, None if x0 is None else np.asarray(x0, dtype=float),
+    head = solve_xa(np.eye(r.shape[0]) - r, np.asarray(x1, dtype=float))
+    return TailSeries(_powers(head, r, levels),
+                      None if x0 is None else np.asarray(x0, dtype=float),
                       method="matrix-geometric")
 
 
@@ -271,12 +253,8 @@ def tails_ul(model: QbdModel, r, x0, levels: int) -> TailSeries:
     boundary = boundary_solve(model, r)
     geometric_head = solve_xa(np.eye(model.m) - r, boundary.x1)
     report = {"identity_residual": inf_norm(head - geometric_head)}
-    if levels == 0:
-        return TailSeries([], x0, method="ul-rg", truncation_report=report)
-    pis = [head]
-    for _ in range(1, levels):
-        pis.append(pis[-1] @ r)
-    return TailSeries(pis, x0, method="ul-rg", truncation_report=report)
+    return TailSeries(_powers(head, r, levels), x0, method="ul-rg",
+                      truncation_report=report)
 
 
 def tails_lu(model: QbdModel, x0, levels: int, depth: int | None = None,
@@ -339,108 +317,3 @@ def tails_lu(model: QbdModel, x0, levels: int, depth: int | None = None,
     pis = [heads[n] + acc[n] for n in range(1, levels + 1)]
     report = {"terms": terms, "last_term_norm": max_term, "series_tol": tol}
     return TailSeries(pis, x0, method="lu-rg", truncation_report=report)
-
-
-def factorize(model: QbdModel, kind: str, window: int) -> RgFactorization:
-    """UL or LU factorization blocks of the shifted generator over a window.
-
-    The shifted generator covers the repeating part with corner block A0 + A1.
-    For kind "UL" the diagonal blocks are Phi0 = (A0+A1) + R A2 followed by
-    Phi = A1 + R A2, with constant R above and G below.  For kind "LU" the
-    forward recursion supplies level-varying blocks.
-    """
-    if window < 2:
-        raise ValidationError("factorize: window must cover at least two levels")
-    if kind == "UL":
-        r = solve_R(model.a0, model.a1, model.a2).matrix
-        g = solve_G(model.a0, model.a1, model.a2).matrix
-        phi0 = (model.a0 + model.a1) + r @ model.a2
-        phi = model.a1 + r @ model.a2
-        u_blocks = [phi0] + [phi] * (window - 1)
-        return RgFactorization("UL", [r] * (window - 1), u_blocks,
-                               [g] * (window - 1), window)
-    if kind == "LU":
-        psi = model.a0 + model.a1
-        u_blocks = [psi]
-        r_blocks: list[np.ndarray] = []
-        g_blocks: list[np.ndarray] = []
-        for _ in range(1, window):
-            minv = inverse(-psi)
-            r_blocks.append(model.a2 @ minv)
-            g_blocks.append(minv @ model.a0)
-            psi = model.a1 + r_blocks[-1] @ model.a0
-            u_blocks.append(psi)
-        return RgFactorization("LU", r_blocks, u_blocks, g_blocks, window)
-    raise ValidationError(f"factorize: unknown kind {kind!r} (use 'UL' or 'LU')")
-
-
-def reconstruction_residual(model: QbdModel, fact: RgFactorization) -> dict:
-    """Blockwise error of (I-R-part) U (I-G-part) against the shifted generator.
-
-    Interior rows must reconstruct A2 | A1 | A0 exactly (corner A0 + A1); the
-    last window row lacks its upper neighbour, so its error is reported
-    separately.
-    """
-    w = fact.window
-    m = model.m
-    u = fact.u_blocks
-
-    def target(i: int, j: int) -> np.ndarray:
-        if i == j:
-            return model.a0 + model.a1 if i == 0 else model.a1
-        if j == i + 1:
-            return model.a0
-        if j == i - 1:
-            return model.a2
-        return np.zeros((m, m))
-
-    def built(i: int, j: int) -> np.ndarray:
-        if fact.kind == "UL":
-            if i == j:
-                block = u[i].copy()
-                if i + 1 < w:
-                    block += fact.r_blocks[i] @ u[i + 1] @ fact.g_blocks[i]
-                return block
-            if j == i + 1:
-                return -fact.r_blocks[i] @ u[i + 1]
-            if j == i - 1:
-                return -u[i] @ fact.g_blocks[i - 1]
-            return np.zeros((m, m))
-        if i == j:
-            block = u[i].copy()
-            if i >= 1:
-                block += fact.r_blocks[i - 1] @ u[i - 1] @ fact.g_blocks[i - 1]
-            return block
-        if j == i + 1:
-            return -u[i] @ fact.g_blocks[i] if i < w - 1 else np.zeros((m, m))
-        if j == i - 1:
-            return -fact.r_blocks[i - 1] @ u[i - 1]
-        return np.zeros((m, m))
-
-    interior = 0.0
-    last_row = 0.0
-    for i in range(w):
-        row_err = 0.0
-        for j in range(max(0, i - 1), min(w, i + 2)):
-            row_err = max(row_err, float(np.max(np.abs(built(i, j) - target(i, j)))))
-        if i == w - 1:
-            last_row = row_err
-        else:
-            interior = max(interior, row_err)
-    return {"interior_residual": interior, "last_level_residual": last_row}
-
-
-def solve_tails(model: QbdModel, levels: int, method: str = "mg",
-                tol: float = 1e-12) -> TailSeries:
-    """One-call driver: R, boundary pair, then the chosen tail route."""
-    r = solve_R(model.a0, model.a1, model.a2, tol=tol).matrix
-    boundary = boundary_solve(model, r)
-    if method in ("mg", "matrix-geometric"):
-        series = tails_matrix_geometric(boundary.x1, r, levels, x0=boundary.x0)
-    elif method in ("ul", "ul-rg"):
-        series = tails_ul(model, r, boundary.x0, levels)
-    elif method in ("lu", "lu-rg"):
-        series = tails_lu(model, boundary.x0, levels)
-    else:
-        raise ValidationError(f"unknown qbd method {method!r}")
-    return series

@@ -32,10 +32,3 @@ class TailSeries:
         if not self.first_level <= k <= self.last_level:
             raise IndexError(f"level {k} outside [{self.first_level}, {self.last_level}]")
         return self.pis[k - self.first_level]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.pis) if self.pis else np.zeros((0, 0))
-
-    def masses(self) -> np.ndarray:
-        """Total tail mass per level (row sums)."""
-        return np.array([float(np.sum(p)) for p in self.pis])

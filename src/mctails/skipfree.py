@@ -37,14 +37,17 @@ from .errors import (
     Unstable,
     ValidationError,
 )
-from .matkernel import as_matrix, inf_norm, solve_linear, solve_xa, stationary_row
-from .qbd import ROWSUM_TOL, RateSolveResult, require_stable
+from .matkernel import (
+    _frozen,
+    _powers,
+    as_matrix,
+    inf_norm,
+    solve_linear,
+    solve_xa,
+    stationary_row,
+)
+from .qbd import ROWSUM_TOL, RateSolveResult, _fixed_point, require_stable
 from .series import TailSeries
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -178,23 +181,15 @@ def solve_R_series(a_blocks, tol: float = 1e-12,
     A_0 + R(A_1 + R(A_2 + ...)) so a sweep costs one pass over the list.
     """
     a = [np.asarray(blk, dtype=float) for blk in a_blocks]
-    r = np.zeros_like(a[0])
 
-    def series(r_cur):
+    def series(r):
         acc = a[-1]
         for k in range(len(a) - 2, -1, -1):
-            acc = a[k] + r_cur @ acc
+            acc = a[k] + r @ acc
         return acc
 
-    for iteration in range(1, max_iter + 1):
-        r_next = series(r)
-        delta = inf_norm(r_next - r)
-        r = r_next
-        if delta < tol:
-            residual = inf_norm(r - series(r))
-            if residual < 10.0 * tol:
-                return RateSolveResult(_frozen(r), iteration, residual)
-    raise NoConvergence(f"R series iteration did not reach {tol:.1e} in {max_iter} sweeps")
+    return _fixed_point(series, lambda r: inf_norm(r - series(r)),
+                        np.zeros_like(a[0]), tol, max_iter, "R series iteration")
 
 
 def solve_G_series(a_blocks, tol: float = 1e-12,
@@ -202,23 +197,15 @@ def solve_G_series(a_blocks, tol: float = 1e-12,
     """Minimal nonnegative solution of G = sum_{k>=0} A_k G^k, evaluated as
     A_0 + (A_1 + (A_2 + ...)G)G."""
     a = [np.asarray(blk, dtype=float) for blk in a_blocks]
-    g = np.zeros_like(a[0])
 
-    def series(g_cur):
+    def series(g):
         acc = a[-1]
         for k in range(len(a) - 2, -1, -1):
-            acc = a[k] + acc @ g_cur
+            acc = a[k] + acc @ g
         return acc
 
-    for iteration in range(1, max_iter + 1):
-        g_next = series(g)
-        delta = inf_norm(g_next - g)
-        g = g_next
-        if delta < tol:
-            residual = inf_norm(g - series(g))
-            if residual < 10.0 * tol:
-                return RateSolveResult(_frozen(g), iteration, residual)
-    raise NoConvergence(f"G series iteration did not reach {tol:.1e} in {max_iter} sweeps")
+    return _fixed_point(series, lambda g: inf_norm(g - series(g)),
+                        np.zeros_like(a[0]), tol, max_iter, "G series iteration")
 
 
 def _gim1_rows(model: SkipFreeModel, x0, entry, rate, count: int) -> list:
@@ -301,39 +288,34 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
     )
 
 
-def gim1_tails(model: SkipFreeModel, levels: int, method: str = "mg",
-               measures: Gim1Measures | None = None,
-               tol: float = 1e-12) -> TailSeries:
-    """Tail vectors of a GI/M/1-type chain.
+def _gim1_geometric_head(measures: Gim1Measures) -> np.ndarray:
+    eye = np.eye(measures.rate.shape[0])
+    return measures.x0 @ solve_xa(eye - measures.rate, measures.entry)
 
-    The matrix-geometric route sums the geometric levels directly,
-    pi_k = x0 R_1 (I - R)^{-1} R^{k-1}.  The factorization route censors
-    level 1 under the shifted kernel instead,
-    pi_k = x0 B_0 (I - shifted_kernel)^{-1} R^{k-1}; the heads agree exactly
-    because I minus the shifted kernel factors through I - R, and the report
-    carries their observed distance.
+
+def gim1_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailSeries:
+    """Matrix-geometric tails of a GI/M/1-type chain, summing the geometric
+    levels directly: pi_k = x0 R_1 (I - R)^{-1} R^{k-1}."""
+    measures = gim1_stationary(model, tol=tol)
+    head = _gim1_geometric_head(measures)
+    return TailSeries(_powers(head, measures.rate, levels), measures.x0,
+                      method="matrix-geometric")
+
+
+def gim1_ul_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailSeries:
+    """Factorization tails of a GI/M/1-type chain.
+
+    Level 1 is censored under the shifted kernel instead,
+    pi_k = x0 B_0 (I - shifted_kernel)^{-1} R^{k-1}; the head agrees exactly
+    with the matrix-geometric one because I minus the shifted kernel factors
+    through I - R, and the report carries their observed distance.
     """
-    if measures is None:
-        measures = gim1_stationary(model, tol=tol)
-    r = measures.rate
-    eye = np.eye(model.m)
-    geo_head = measures.x0 @ solve_xa(eye - r, measures.entry)
-    if method in ("mg", "matrix-geometric"):
-        head = geo_head
-        name = "matrix-geometric"
-        report = {}
-    elif method in ("ul", "ul-rg"):
-        head = solve_xa(eye - measures.shifted_kernel, measures.x0 @ model.b_blocks[0])
-        name = "ul-rg"
-        report = {"identity_residual": inf_norm(head - geo_head)}
-    else:
-        raise ValidationError(f"unknown gim1 method {method!r}")
-    pis = []
-    if levels >= 1:
-        pis.append(head)
-        for _ in range(1, levels):
-            pis.append(pis[-1] @ r)
-    return TailSeries(pis, measures.x0, method=name, truncation_report=report)
+    measures = gim1_stationary(model, tol=tol)
+    head = solve_xa(np.eye(model.m) - measures.shifted_kernel,
+                    measures.x0 @ model.b_blocks[0])
+    report = {"identity_residual": inf_norm(head - _gim1_geometric_head(measures))}
+    return TailSeries(_powers(head, measures.rate, levels), measures.x0,
+                      method="ul-rg", truncation_report=report)
 
 
 def _suffix_sums(blocks: list) -> list:
@@ -502,27 +484,25 @@ def _mg1_tail_heads(model: SkipFreeModel, measures: Mg1Measures, levels: int) ->
     return heads
 
 
-def mg1_tails(model: SkipFreeModel, levels: int, method: str = "iterative",
-              measures: Mg1Measures | None = None,
-              tol: float = 1e-12) -> TailSeries:
-    """Tail vectors of an M/G/1-type chain.
+def mg1_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailSeries:
+    """Iterative tails of an M/G/1-type chain: the stationary forward
+    recursion, suffix-summed."""
+    measures = mg1_stationary(model, tol=tol)
+    heads = _mg1_tail_heads(model, measures, levels)
+    report = {"levels_materialized": len(measures.visit_rows)}
+    return TailSeries(heads, measures.x0, method="iterative", truncation_report=report)
 
-    The iterative route suffix-sums the stationary forward recursion.  The
-    factorization route solves the tail system directly: with suffix sums
+
+def mg1_ul_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailSeries:
+    """Factorization tails of an M/G/1-type chain.
+
+    The tail system is solved directly: with suffix sums
     S_d = sum_{k>=d} A_k the tails obey
     pi_n = c_n + pi_1 S_n + sum_{i=2}^n pi_i A_{n-i+1} + pi_{n+1} A_0 with
     source c_n = x0 sum_{l>=n+1} B_l, handled backward through G and forward
     through the visit blocks of the S-shifted chain.
     """
-    if measures is None:
-        measures = mg1_stationary(model, tol=tol)
-    if method in ("iterative", "mg"):
-        heads = _mg1_tail_heads(model, measures, levels)
-        report = {"levels_materialized": len(measures.visit_rows)}
-        return TailSeries(heads, measures.x0, method="iterative",
-                          truncation_report=report)
-    if method not in ("ul", "ul-rg"):
-        raise ValidationError(f"unknown mg1 method {method!r}")
+    measures = mg1_stationary(model, tol=tol)
     a = list(model.a_blocks)
     b = list(model.b_blocks)
     g, kernel = measures.passage, measures.local_kernel
@@ -556,11 +536,3 @@ def mg1_tails(model: SkipFreeModel, levels: int, method: str = "iterative",
     head_iter = _mg1_tail_heads(model, measures, 1)[0]
     report = {"identity_residual": inf_norm(pis[0] - head_iter) if pis else 0.0}
     return TailSeries(pis, measures.x0, method="ul-rg", truncation_report=report)
-
-
-def solve_tails(model: SkipFreeModel, levels: int, method: str | None = None,
-                tol: float = 1e-12) -> TailSeries:
-    """One-call driver dispatching on the skip-free direction."""
-    if model.kind == "GIM1":
-        return gim1_tails(model, levels, method=method or "mg", tol=tol)
-    return mg1_tails(model, levels, method=method or "iterative", tol=tol)

@@ -6,6 +6,7 @@ contract, not suggestions.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from mctails import solve_tails
 from mctails.ldqbd import LdQbdModel
-from mctails.ldqbd import solve_tails as ldqbd_tails
 from mctails.matkernel import inf_norm
 from mctails.models import (
     RepairableParams,
@@ -23,6 +24,7 @@ from mctails.models import (
     VacationParams,
     meanfield_ode,
     repairable_qbd,
+    repairable_mg_tails,
     repairable_tails,
     retrial_chain,
     retrial_tails,
@@ -33,12 +35,10 @@ from mctails.models import (
 )
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import QbdModel, rate_matrix_radius, solve_R
-from mctails.qbd import solve_tails as qbd_tails
 from mctails.skipfree import (
     SkipFreeModel,
     gim1_stationary,
     solve_G_series,
-    solve_tails as skipfree_tails,
 )
 
 FILES = Path(__file__).resolve().parent.parent / "modelfiles"
@@ -62,7 +62,7 @@ def _elapsed(start: float) -> float:
 def test_criterion_01_mm1_geometric_tails():
     with criterion(1, "M/M/1 tails are powers of one half") as start:
         model = QbdModel([[-1.0]], [[1.0]], [[2.0]], [[1.0]], [[-3.0]], [[2.0]])
-        series = qbd_tails(model, 50, method="mg", tol=1e-14)
+        series = solve_tails(model, 50, method="mg", tol=1e-14)
         worst = max(abs(float(series.level(k)[0]) - 0.5 ** k)
                     for k in range(1, 51))
         assert worst < 1e-10, f"max deviation {worst:.3e}"
@@ -105,7 +105,7 @@ def test_criterion_03_random_qbd_routes_agree():
         rng = np.random.default_rng(20240817)
         for trial in range(25):
             model = _random_qbd(rng)
-            series = {name: qbd_tails(model, 20, method=name)
+            series = {name: solve_tails(model, 20, method=name)
                       for name in ("mg", "ul", "lu")}
             names = list(series)
             for i, left in enumerate(names):
@@ -148,8 +148,8 @@ def test_criterion_04_random_ld_routes_agree():
         rng = np.random.default_rng(20240818)
         for trial in range(10):
             model = _random_ld(rng)
-            prod = ldqbd_tails(model, 20, method="product")
-            lu = ldqbd_tails(model, 20, method="lu")
+            prod = solve_tails(model, 20, method="product")
+            lu = solve_tails(model, 20, method="lu")
             gap = max(inf_norm(prod.level(k) - lu.level(k)) for k in range(1, 21))
             assert gap < 1e-7, f"trial {trial}: gap {gap:.3e}"
         assert _elapsed(start) < 60.0
@@ -173,7 +173,7 @@ def test_criterion_05_skip_free_measures_and_laws():
         assert abs(float(transient.matrix[0, 0]) - third) < 1e-10
 
         for model in (gim1, mg1):
-            series = skipfree_tails(model, 20)
+            series = solve_tails(model, 20)
             reference = truncate_and_solve(model, 400)
             gap = max(inf_norm(series.level(k) - reference.level(k))
                       for k in range(1, 21))
@@ -209,8 +209,8 @@ def test_criterion_07_vacation_queue():
 def test_criterion_08_repairable_queue():
     with criterion(8, "repairable queue recursion, matrix route, reference"):
         params = RepairableParams(0.25, 1.0, 0.5, 1.0)
-        scalar = repairable_tails(params, 12, method="iterative")
-        matrix = repairable_tails(params, 12, method="mg")
+        scalar = repairable_tails(params, 12)
+        matrix = repairable_mg_tails(params, 12)
         assert inf_norm(scalar.level(0) - np.array([0.875, 0.125])) < 1e-12
         assert inf_norm(scalar.level(1) - np.array([0.25, 0.125])) < 1e-12
         route_gap = max(inf_norm(scalar.level(k) - matrix.level(k))
@@ -241,13 +241,17 @@ def test_criterion_09_truncation_estimate_bounds_refinement():
 
 
 def test_criterion_10_cli_check_is_green_and_deterministic():
+    # the subprocesses import mctails from this checkout, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     with criterion(10, "CLI cross-check passes twice, byte for byte"):
         for path in sorted(FILES.glob("*.json")):
             outputs = []
             for _ in range(2):
                 proc = subprocess.run(
                     [sys.executable, "-m", "mctails.cli", "check", str(path)],
-                    capture_output=True,
+                    capture_output=True, env=env,
                 )
                 assert proc.returncode == 0, f"{path.name}: {proc.stderr.decode()}"
                 outputs.append(proc.stdout)

@@ -137,3 +137,27 @@ def test_unknown_top_level_key_exits_two(tmp_path, capsys):
                    "blokcs": {}})
     assert run(["solve", path]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_levels_below_one_exit_two(command, capsys):
+    assert run([command, str(FILES / "retrial.json"), "--levels", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--levels" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_non_positive_or_non_finite_tol_exits_two(tol, capsys):
+    assert run(["solve", str(FILES / "mm1.json"), "--tol", tol]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_oracle_shallower_than_the_compared_levels_exits_two(capsys):
+    assert run(["check", str(FILES / "mm1.json"),
+                "--levels", "300", "--oracle-levels", "100"]) == 2
+    assert "oracle levels" in capsys.readouterr().err
+    # the supermarket model has no reference chain, so no depth to check
+    assert run(["check", str(FILES / "supermarket.json"),
+                "--levels", "30", "--oracle-levels", "10"]) == 0
+    capsys.readouterr()

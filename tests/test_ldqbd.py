@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
+from mctails import solve_tails
 from mctails.errors import Unstable, ValidationError
 from mctails.ldqbd import (
     LdQbdModel,
     lu_measures,
     solve_rate_sequence,
-    solve_tails,
     stationary_product,
     tails_lu_ld,
 )
 from mctails.matkernel import inf_norm
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import QbdModel
-from mctails.qbd import solve_tails as qbd_solve_tails
 
 MM1 = QbdModel([[-1.0]], [[1.0]], [[2.0]], [[1.0]], [[-3.0]], [[2.0]])
 
@@ -43,7 +42,7 @@ RAMP2 = LdQbdModel.from_rule(_ramp_up, _ramp_diag, _ramp_down, 12)
 
 def test_embedded_level_independent_chain_matches_flat_solver():
     ld = LdQbdModel.from_qbd(MM1, 40)
-    flat = qbd_solve_tails(MM1, 12, method="mg")
+    flat = solve_tails(MM1, 12, method="mg")
     prod = solve_tails(ld, 12, method="product")
     gap = max(inf_norm(flat.level(k) - prod.level(k)) for k in range(1, 13))
     assert gap < 1e-9

@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from mctails import solve_tails
 from mctails.errors import Divergent, Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
-from mctails.ldqbd import solve_tails as ldqbd_solve_tails
 from mctails.matkernel import inf_norm
 from mctails.models import (
     RepairableParams,
     RetrialParams,
     VacationParams,
     meanfield_ode,
+    mnmn1_chain,
     mn_mn_1_tails,
     repairable_qbd,
+    repairable_mg_tails,
     repairable_tails,
     retrial_chain,
     retrial_tails,
@@ -26,7 +28,6 @@ from mctails.models import (
     vacation_tails,
 )
 from mctails.oracle import truncate_and_solve
-from mctails.qbd import solve_tails as qbd_solve_tails
 
 RETRIAL = RetrialParams(1.0, 2.0, 1.0)
 VACATION = VacationParams(0.5, 1.0)
@@ -76,7 +77,7 @@ def test_retrial_fast_retrials_recover_the_simple_queue():
 
 def test_retrial_generator_through_the_generic_route():
     chain = retrial_chain(RETRIAL, 250)
-    generic = ldqbd_solve_tails(chain, 10, method="product")
+    generic = solve_tails(chain, 10, method="product")
     reference = truncate_and_solve(chain, 300)
     assert inf_norm(generic.x0 - reference.x0) < 1e-7
     gap = max(inf_norm(generic.level(k) - reference.level(k))
@@ -101,8 +102,6 @@ def test_state_dependent_queue_collapses_to_geometric():
 
 
 def test_state_dependent_queue_matches_its_generator():
-    from mctails.cli import mnmn1_chain
-
     series = mn_mn_1_tails([2.0, 1.5, 0.5], [1.0, 2.0, 3.0], 10)
     reference = truncate_and_solve(mnmn1_chain([2.0, 1.5, 0.5], [1.0, 2.0, 3.0]), 200)
     gap = max(abs(float(series.level(k)[0] - reference.level(k)[0]))
@@ -124,7 +123,7 @@ def test_state_dependent_rule_route_matches_the_series():
         return np.array([[1.0]])
 
     chain = LdQbdModel.from_rule(up, diag, down, 40)
-    product = ldqbd_solve_tails(chain, 10, method="product")
+    product = solve_tails(chain, 10, method="product")
     series = mn_mn_1_tails([1.0 / (n + 1.0) for n in range(60)], 1.0, 10)
     gap = max(abs(float(product.level(k)[0] - series.level(k)[0]))
               for k in range(1, 11))
@@ -174,7 +173,7 @@ def test_vacation_matches_dense_truncation():
 
 def test_vacation_generator_through_the_generic_route():
     series = vacation_tails(VACATION, 10)
-    generic = qbd_solve_tails(vacation_qbd(VACATION), 10, method="mg")
+    generic = solve_tails(vacation_qbd(VACATION), 10, method="mg")
     gap = max(inf_norm(series.level(k) - generic.level(k))
               for k in range(1, 11))
     assert gap < 1e-8
@@ -193,8 +192,8 @@ def test_repairable_boundary_and_first_levels():
 
 
 def test_repairable_routes_agree():
-    scalar = repairable_tails(REPAIRABLE, 12, method="iterative")
-    matrix = repairable_tails(REPAIRABLE, 12, method="mg")
+    scalar = repairable_tails(REPAIRABLE, 12)
+    matrix = repairable_mg_tails(REPAIRABLE, 12)
     gap = max(inf_norm(scalar.level(k) - matrix.level(k)) for k in range(13))
     assert gap < 1e-8
 

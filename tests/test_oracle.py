@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from mctails.errors import SizeLimit
+from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm
 from mctails.oracle import (
     MAX_STATES,
     _assemble_gim1,
+    _assemble_ld,
     _assemble_mg1,
-    _assemble_qbd,
     truncate_and_solve,
 )
 from mctails.qbd import QbdModel
@@ -23,7 +24,7 @@ MG1 = SkipFreeModel("MG1", [[[0.6]], [[0.1]], [[0.2]], [[0.1]]],
 
 
 def test_truncated_generator_rows_sum_to_zero():
-    q = _assemble_qbd(MM1, 30)
+    q = _assemble_ld(LdQbdModel.from_qbd(MM1, 2), 30)
     assert inf_norm(q.sum(axis=1)) < 1e-12
 
 

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
+from mctails import solve_tails
 from mctails.errors import Reducible, Unstable, ValidationError
 from mctails.matkernel import inf_norm, inverse
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import (
     QbdModel,
     boundary_solve,
-    factorize,
     rate_matrix_radius,
-    reconstruction_residual,
     solve_G,
     solve_R,
-    solve_tails,
     tails_lu,
     tails_matrix_geometric,
     tails_ul,
@@ -183,22 +181,6 @@ def test_geometric_route_accepts_explicit_head():
     series = tails_matrix_geometric(np.array([0.25]), np.array([[0.5]]), 5)
     assert abs(float(series.level(1)[0]) - 0.5) < 1e-12
     assert abs(float(series.level(5)[0]) - 0.03125) < 1e-12
-
-
-def test_lu_factorization_reconstructs_the_generator():
-    fact = factorize(TWOPHASE, "LU", 4)
-    res = reconstruction_residual(TWOPHASE, fact)
-    assert res["interior_residual"] < 1e-12
-    assert res["last_level_residual"] < 1e-12
-
-
-def test_ul_factorization_reconstructs_except_last_window_row():
-    fact = factorize(TWOPHASE, "UL", 4)
-    res = reconstruction_residual(TWOPHASE, fact)
-    assert res["interior_residual"] < 1e-12
-    r = solve_R(TWOPHASE.a0, TWOPHASE.a1, TWOPHASE.a2).matrix
-    expected = float(np.max(np.abs(r @ TWOPHASE.a2)))
-    assert abs(res["last_level_residual"] - expected) < 1e-10
 
 
 def test_model_validation_rejects_bad_sign_patterns():

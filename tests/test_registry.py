@@ -1,0 +1,79 @@
+"""The route registry: one table of kinds, routes, defaults and references."""
+
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+import mctails
+from mctails import qbd, registry
+from mctails.cli import load_model_file
+from mctails.errors import ValidationError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BUNDLED = {path.name: load_model_file(str(path))
+           for path in sorted((ROOT / "modelfiles").glob("*.json"))}
+CHAINS = ("mm1.json", "qbd22.json", "ldqbd.json", "gim1.json", "mg1.json")
+
+
+def test_every_kind_has_a_bundled_model_file():
+    assert {model.kind for model in BUNDLED.values()} == set(registry.REGISTRY)
+
+
+@pytest.mark.parametrize("name,route", [(name, route) for name, model in BUNDLED.items()
+                                        for route in registry.REGISTRY[model.kind].routes])
+def test_every_route_solves_its_bundled_model_file(name, route):
+    series = registry.solve(BUNDLED[name], 6, route)
+    assert series.last_level == 6
+    assert all(np.all(np.isfinite(row)) for row in series.pis)
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_solve_tails_takes_the_default_route_of_the_table(name):
+    model = BUNDLED[name]
+    default = next(iter(registry.REGISTRY[model.kind].routes))
+    got = mctails.solve_tails(model.payload, 6)
+    want = registry.solve(model, 6, default)
+    assert got.method == want.method
+    assert all(np.array_equal(a, b) for a, b in zip(got.pis, want.pis))
+
+
+def test_wrong_method_lists_the_choices():
+    with pytest.raises(ValidationError, match="choices: mg, ul"):
+        mctails.solve_tails(BUNDLED["gim1.json"].payload, 5, method="lu")
+
+
+def test_routes_call_the_solvers_through_their_modules(monkeypatch):
+    """A solver replaced on its module, as the benchmark's tracer does, is the
+    one a route runs."""
+    calls = []
+    original = qbd.tails_lu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qbd, "tails_lu", counted)
+    mctails.solve_tails(BUNDLED["mm1.json"].payload, 4, method="lu")
+    assert calls == [1]
+
+
+def test_cross_check_fails_against_a_too_shallow_reference():
+    report = mctails.cross_check(BUNDLED["mm1.json"], 4, 6)
+    assert not report.passed
+    failed = [c for c in report.comparisons if not c.ok]
+    assert failed and all("oracle" in (c.left, c.right) for c in failed)
+
+
+def test_readme_route_table_matches_the_registry():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").split("## Solver routes", 1)[1]
+    lines = lines.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        kind, routes = [cell.strip() for cell in line.strip("|").split("|")]
+        table[kind.strip("`")] = re.findall(r"`([^`]+)`", routes)
+    assert table == {kind: list(spec.routes) for kind, spec in registry.REGISTRY.items()}

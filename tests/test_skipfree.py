@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mctails import solve_tails
 from mctails.errors import NearCritical, Reducible, Unstable, ValidationError
 from mctails.matkernel import inf_norm, spectral_radius
 from mctails.oracle import truncate_and_solve
@@ -10,12 +11,13 @@ from mctails.skipfree import (
     SkipFreeModel,
     gim1_stationary,
     gim1_tails,
+    gim1_ul_tails,
     mg1_drift,
     mg1_stationary,
     mg1_tails,
+    mg1_ul_tails,
     solve_G_series,
     solve_R_series,
-    solve_tails,
 )
 
 # Scalar upward-skip-free walk: up 0.3, hold 0.3, down 0.4.  The geometric
@@ -86,7 +88,7 @@ def test_scalar_boundary_mass_is_one_quarter():
 
 
 def test_scalar_tails_are_pure_powers():
-    series = gim1_tails(GIM1_SCALAR, 10, method="mg")
+    series = gim1_tails(GIM1_SCALAR, 10)
     for k in range(1, 11):
         assert abs(float(series.level(k)[0]) - 0.75 ** k) < 1e-9
 
@@ -101,7 +103,7 @@ def test_gim1_uniformized_birth_death_is_geometric():
     )
     measures = gim1_stationary(model)
     assert abs(measures.tau - 0.5) < 1e-9
-    series = gim1_tails(model, 8, method="mg")
+    series = gim1_tails(model, 8)
     for k in range(1, 9):
         assert abs(float(series.level(k)[0]) - 0.5 ** k) < 1e-9
 
@@ -118,8 +120,8 @@ def test_gim1_boundary_without_entry_is_reducible():
 
 def test_gim1_routes_agree_and_report_the_factor_identity():
     for model in (GIM1_SCALAR, GIM1_PHASED):
-        mg = gim1_tails(model, 12, method="mg")
-        ul = gim1_tails(model, 12, method="ul")
+        mg = gim1_tails(model, 12)
+        ul = gim1_ul_tails(model, 12)
         gap = max(inf_norm(mg.level(k) - ul.level(k)) for k in range(1, 13))
         assert gap < 1e-9
         assert ul.truncation_report["identity_residual"] < 1e-9
@@ -170,15 +172,15 @@ def test_mg1_scalar_law_is_geometric_one_half():
     measures = mg1_stationary(MG1_SCALAR)
     assert abs(float(measures.passage[0, 0]) - 1.0) < 1e-9
     assert abs(float(measures.x0[0]) - 0.5) < 1e-9
-    for method in ("iterative", "ul"):
-        series = mg1_tails(MG1_SCALAR, 8, method=method)
+    for route in (mg1_tails, mg1_ul_tails):
+        series = route(MG1_SCALAR, 8)
         for k in range(1, 9):
             assert abs(float(series.level(k)[0]) - 0.5 ** k) < 1e-9
 
 
 def test_mg1_routes_agree_on_batch_jumps():
-    it = mg1_tails(MG1_BATCH, 12, method="iterative")
-    ul = mg1_tails(MG1_BATCH, 12, method="ul")
+    it = mg1_tails(MG1_BATCH, 12)
+    ul = mg1_ul_tails(MG1_BATCH, 12)
     gap = max(inf_norm(it.level(k) - ul.level(k)) for k in range(1, 13))
     assert gap < 1e-9
     assert ul.truncation_report["identity_residual"] < 1e-9
