@@ -15,7 +15,7 @@ class SolverError(RuntimeError):
 
 
 class SingularMatrix(SolverError):
-    """A pivot fell below the elimination threshold, or a rank pattern is wrong."""
+    """A system is singular or too ill-conditioned to solve, or a rank pattern is wrong."""
 
 
 class NoConvergence(SolverError):

@@ -17,11 +17,10 @@ from .errors import (
     NoConvergence,
     SingularMatrix,
     TruncationFailure,
-    Unstable,
     ValidationError,
 )
 from .matkernel import _frozen, as_matrix, inf_norm, inverse, solve_xa, stationary_row
-from .qbd import ROWSUM_TOL, STABILITY_MARGIN, QbdModel, rate_matrix_radius, solve_R
+from .qbd import ROWSUM_TOL, QbdModel, require_stable, solve_R
 from .series import TailSeries
 
 
@@ -194,9 +193,7 @@ def stationary_product(model: LdQbdModel, rates: RateSequence, levels: int,
     """
     h = model.horizon
     rs = rates.matrices
-    radius = rate_matrix_radius(rs[h])
-    if radius >= 1.0 - STABILITY_MARGIN:
-        raise Unstable(f"sp(R) = {radius:.12f} at the horizon is not below 1")
+    require_stable(rs[h])
     censored = model.block_at("A1", 0) + rs[0] @ model.block_at("A2", 1)
     v = stationary_row(censored)
     rows = []

@@ -1,19 +1,26 @@
-"""Dense real-matrix kernel used by every solver.
+"""Dense real-matrix kernel used by every solver, and the package's only
+user of numpy.linalg.
 
 Matrices are plain 2-d float64 numpy arrays; probability and rate vectors are
-1-d arrays treated as rows.  The two nontrivial operations are a
-partial-pivoting Gaussian elimination (so singularity is detected by an
-explicit pivot threshold rather than by whatever a library backend does) and a
-power-iteration spectral radius for nonnegative matrices.
+1-d arrays treated as rows.  Every linear solve is one LAPACK call followed by
+an explicit guard: an exactly singular matrix, a non-finite solution, or a
+1-norm reciprocal condition number below RCOND_MIN raises SingularMatrix
+instead of returning digits that mean nothing.  Spectral radii come from the
+eigenvalues.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, SingularMatrix, ValidationError
+from .errors import SingularMatrix, ValidationError
 
-PIVOT_TOL = 1e-14
+# Below this 1-norm reciprocal condition number a solve is refused: its
+# relative error bound, machine epsilon over the reciprocal condition number,
+# would pass 2%.
+RCOND_MIN = 1e-14
+# Relative balance residual and negative mass a stationary solve may leave.
+BALANCE_TOL = 1e-8
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -67,136 +74,91 @@ def inf_norm(a) -> float:
     return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
-def solve_linear(a, b, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
-    """Solve A X = B by Gaussian elimination with partial pivoting.
+def _square(a, caller: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"{caller}: matrix must be square, got shape {a.shape}")
+    return a
+
+
+def solve_linear(a, b) -> np.ndarray:
+    """Solve A X = B with one LAPACK call (numpy.linalg.solve).
+
+    The inverse of A is solved for alongside B, so the 1-norm reciprocal
+    condition number 1 / (||A||_1 ||A^-1||_1) is exact rather than estimated.
 
     Args:
         a: square coefficient matrix.
-        b: right-hand side, one or several columns (1-d input is treated as a
-           single column and returned 1-d).
-        pivot_tol: absolute pivot threshold below which A is declared singular.
+        b: right-hand side, one column (1-d, returned 1-d) or several.
 
     Raises:
-        SingularMatrix: if some pivot magnitude falls below pivot_tol.
+        SingularMatrix: if A is exactly singular, the solution is not finite,
+            or the reciprocal condition number is below RCOND_MIN.
     """
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"solve_linear: A must be square, got shape {a.shape}")
+    a = _square(a, "solve_linear")
+    b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    b_arr = np.array(b, dtype=float)
-    one_column = b_arr.ndim == 1
-    if one_column:
-        b_arr = b_arr.reshape(n, 1)
-    if b_arr.shape[0] != n:
-        raise ValidationError(
-            f"solve_linear: B has {b_arr.shape[0]} rows, expected {n}"
+    if b.shape[0] != n:
+        raise ValidationError(f"solve_linear: B has {b.shape[0]} rows, expected {n}")
+    columns = b.reshape(n, -1)
+    try:
+        both = np.linalg.solve(a, np.concatenate((columns, np.eye(n)), axis=1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"{n} x {n} system: {exc}") from None
+    if not np.isfinite(both).all():
+        raise SingularMatrix(f"{n} x {n} system: non-finite solution")
+    k = columns.shape[1]
+    rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(both[:, k:], 1))
+    if rcond < RCOND_MIN:
+        raise SingularMatrix(
+            f"{n} x {n} system: reciprocal condition number {rcond:.3e} "
+            f"below {RCOND_MIN:.1e}"
         )
-    aug = np.hstack([a, b_arr])
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(aug[k:, k])))
-        pivot = aug[p, k]
-        if abs(pivot) < pivot_tol:
-            raise SingularMatrix(
-                f"pivot {abs(pivot):.3e} below {pivot_tol:.1e} at column {k}"
-            )
-        if p != k:
-            aug[[k, p]] = aug[[p, k]]
-        factors = aug[k + 1:, k:k + 1] / pivot
-        aug[k + 1:, k:] -= factors * aug[k:k + 1, k:]
-    x = np.zeros((n, b_arr.shape[1]))
-    for k in range(n - 1, -1, -1):
-        x[k] = (aug[k, n:] - aug[k, k + 1:n] @ x[k + 1:]) / aug[k, k]
-    return x[:, 0] if one_column else x
+    # a copy, so that the result does not keep the inverse alive
+    return both[:, :k].reshape(b.shape).copy()
 
 
-def solve_xa(a, b, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def solve_xa(a, b) -> np.ndarray:
     """Solve X A = B (row-vector orientation) via the transposed system."""
-    b_arr = np.array(b, dtype=float)
-    if b_arr.ndim == 1:
-        return solve_linear(np.asarray(a, dtype=float).T, b_arr, pivot_tol)
-    return solve_linear(np.asarray(a, dtype=float).T, b_arr.T, pivot_tol).T
+    return solve_linear(np.transpose(a), np.transpose(b)).T
 
 
-def inverse(a, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    return solve_linear(a, np.eye(a.shape[0]), pivot_tol)
+def inverse(a) -> np.ndarray:
+    """A^-1, under the guard of solve_linear."""
+    return solve_linear(a, np.eye(len(a)))
 
 
-def spectral_radius(a, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Dominant eigenvalue magnitude of a nonnegative matrix by power iteration.
-
-    Starts from the all-ones vector and stops once the Rayleigh-style estimate
-    changes by less than tol between iterates.
-
-    Raises:
-        NoConvergence: if the estimate still oscillates after max_iter steps
-            (cyclic structure); callers may fall back on power_norm_bound.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"spectral_radius: matrix must be square, got {a.shape}")
+def spectral_radius(a) -> float:
+    """Largest eigenvalue magnitude of a nonnegative square matrix."""
+    a = _square(a, "spectral_radius")
     if np.any(a < 0):
         raise ValidationError("spectral_radius: matrix has negative entries")
-    v = np.ones(a.shape[0])
-    previous = None
-    for _ in range(max_iter):
-        w = a @ v
-        estimate = float(np.max(w))
-        if estimate == 0.0:
-            return 0.0
-        v = w / estimate
-        if previous is not None and abs(estimate - previous) <= tol * max(estimate, 1.0):
-            return estimate
-        previous = estimate
-    raise NoConvergence(
-        f"power iteration did not settle in {max_iter} steps (last {previous:.6e})"
-    )
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def power_norm_bound(a, power: int = 32) -> float:
-    """Upper bound on the spectral radius via the norm of a matrix power.
-
-    ||A^k||_inf ** (1/k) decreases toward the radius; used as a fallback when
-    power iteration cycles.
-    """
-    a = np.asarray(a, dtype=float)
-    p = np.linalg.matrix_power(a, power)
-    norm = inf_norm(p)
-    if norm == 0.0:
-        return 0.0
-    return float(norm ** (1.0 / power))
-
-
-def stationary_row(
-    m,
-    continuous: bool = True,
-    pivot_tol: float = PIVOT_TOL,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
+def stationary_row(m, continuous: bool = True) -> np.ndarray:
     """Stationary row vector of a generator (v M = 0) or kernel (v M = v).
 
     The last balance column is replaced by the normalization v e = 1; the full
     balance residual is re-checked afterwards so anything but a rank-one
     deficiency is rejected.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"stationary_row: matrix must be square, got {m.shape}")
+    m = _square(m, "stationary_row")
     n = m.shape[0]
     balance = m if continuous else m - np.eye(n)
     system = balance.copy()
     system[:, -1] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    v = solve_xa(system, rhs, pivot_tol)
-    scale = max(1.0, inf_norm(balance))
+    return _balanced(solve_xa(system, rhs), balance, "stationary solve")
+
+
+def _balanced(v: np.ndarray, balance: np.ndarray, what: str) -> np.ndarray:
+    """v clipped at zero, after checking that it solves v balance = 0 to
+    BALANCE_TOL relative and carries no negative mass beyond BALANCE_TOL."""
     residual = inf_norm(v @ balance)
-    if residual > residual_tol * scale:
-        raise SingularMatrix(
-            f"stationary solve left balance residual {residual:.3e}"
-        )
-    if np.min(v) < -residual_tol:
-        raise SingularMatrix(
-            f"stationary solve produced negative mass {np.min(v):.3e}"
-        )
+    if residual > BALANCE_TOL * max(1.0, inf_norm(balance)):
+        raise SingularMatrix(f"{what} left balance residual {residual:.3e}")
+    if np.min(v) < -BALANCE_TOL:
+        raise SingularMatrix(f"{what} produced negative mass {np.min(v):.3e}")
     return np.maximum(v, 0.0)

@@ -29,12 +29,12 @@ from .errors import (
     ValidationError,
 )
 from .matkernel import (
+    _balanced,
     _frozen,
     _powers,
     as_matrix,
     inf_norm,
     inverse,
-    power_norm_bound,
     solve_linear,
     solve_xa,
     spectral_radius,
@@ -173,17 +173,8 @@ def solve_G(a0, a1, a2, tol: float = 1e-12, max_iter: int = 100000) -> RateSolve
                         np.zeros_like(a2), tol, max_iter, "G iteration")
 
 
-def rate_matrix_radius(r) -> float:
-    """Spectral radius of a nonnegative rate matrix, with a norm-power fallback
-    for cyclic cases where power iteration oscillates."""
-    try:
-        return spectral_radius(r)
-    except NoConvergence:
-        return power_norm_bound(r)
-
-
 def require_stable(r) -> float:
-    radius = rate_matrix_radius(r)
+    radius = spectral_radius(r)
     if radius >= 1.0 - STABILITY_MARGIN:
         raise Unstable(f"sp(R) = {radius:.12f} is not below 1")
     return radius
@@ -214,16 +205,7 @@ def boundary_solve(model: QbdModel, r) -> BoundarySolution:
     system[m0:, -1] = geo_col
     rhs = np.zeros(m0 + m)
     rhs[-1] = 1.0
-    z = solve_xa(system, rhs)
-    scale = max(1.0, inf_norm(balance))
-    residual = inf_norm(z @ balance)
-    if residual > 1e-8 * scale:
-        raise SingularMatrix(
-            f"boundary system is not rank-one deficient (residual {residual:.3e})"
-        )
-    if np.min(z) < -1e-8:
-        raise SingularMatrix(f"boundary solve produced negative mass {np.min(z):.3e}")
-    z = np.maximum(z, 0.0)
+    z = _balanced(solve_xa(system, rhs), balance, "boundary solve")
     return BoundarySolution(_frozen(z[:m0]), _frozen(z[m0:]))
 
 
@@ -237,23 +219,22 @@ def tails_matrix_geometric(x1, r, levels: int, x0=None) -> TailSeries:
                       method="matrix-geometric")
 
 
-def tails_ul(model: QbdModel, r, x0, levels: int) -> TailSeries:
+def tails_ul(model: QbdModel, r, boundary: BoundarySolution, levels: int) -> TailSeries:
     """Tails from the UL factorization of the level-shifted generator.
 
     The censored corner block is Phi0 = (A0 + A1) + R A2 and
-    pi_1 = x0 B0 (-Phi0)^{-1}, pi_k = pi_1 R^{k-1}.  The report carries the
-    residual of the identity x0 B0 (-Phi0)^{-1} = x1 (I-R)^{-1}, with x1 taken
-    from an independent boundary solve.
+    pi_1 = x0 B0 (-Phi0)^{-1}, pi_k = pi_1 R^{k-1}, with x0 from `boundary`.
+    The report carries the residual of the identity
+    x0 B0 (-Phi0)^{-1} = x1 (I-R)^{-1}, which checks the UL head against the
+    matrix-geometric head of the same boundary solve.
     """
     r = as_matrix(r, "R")
-    x0 = np.asarray(x0, dtype=float)
     require_stable(r)
     phi0 = (model.a0 + model.a1) + r @ model.a2
-    head = solve_xa(-phi0, x0 @ model.b0)
-    boundary = boundary_solve(model, r)
+    head = solve_xa(-phi0, boundary.x0 @ model.b0)
     geometric_head = solve_xa(np.eye(model.m) - r, boundary.x1)
     report = {"identity_residual": inf_norm(head - geometric_head)}
-    return TailSeries(_powers(head, r, levels), x0, method="ul-rg",
+    return TailSeries(_powers(head, r, levels), boundary.x0, method="ul-rg",
                       truncation_report=report)
 
 

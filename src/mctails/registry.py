@@ -120,7 +120,7 @@ def _qbd_mg(model, levels, tol):
 
 def _qbd_ul(model, levels, tol):
     r, boundary = _qbd_boundary(model.payload, tol)
-    return qbd.tails_ul(model.payload, r, boundary.x0, levels)
+    return qbd.tails_ul(model.payload, r, boundary, levels)
 
 
 def _qbd_lu(model, levels, tol):

@@ -17,7 +17,7 @@ import numpy as np
 
 from mctails import solve_tails
 from mctails.ldqbd import LdQbdModel
-from mctails.matkernel import inf_norm
+from mctails.matkernel import inf_norm, spectral_radius
 from mctails.models import (
     RepairableParams,
     RetrialParams,
@@ -34,7 +34,7 @@ from mctails.models import (
     vacation_tails,
 )
 from mctails.oracle import truncate_and_solve
-from mctails.qbd import QbdModel, rate_matrix_radius, solve_R
+from mctails.qbd import QbdModel, solve_R
 from mctails.skipfree import (
     SkipFreeModel,
     gim1_stationary,
@@ -90,7 +90,7 @@ def _random_qbd(rng: np.random.Generator) -> QbdModel:
     # converges well inside its depth budget
     for _ in range(40):
         a1 = off - np.diag(a0.sum(axis=1) + a2.sum(axis=1) + off.sum(axis=1))
-        if rate_matrix_radius(solve_R(a0, a1, a2).matrix) < 0.8:
+        if spectral_radius(solve_R(a0, a1, a2).matrix) < 0.8:
             break
         a0 = 0.5 * a0
     off_b = rng.uniform(0.0, 0.4, (m, m))

@@ -1,4 +1,6 @@
-"""Dense kernel checks: elimination solves, spectra, stationary rows."""
+"""Dense kernel checks: guarded solves, spectra, stationary rows."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from mctails.matkernel import (
     as_row,
     inf_norm,
     inverse,
-    power_norm_bound,
     solve_linear,
     solve_xa,
     spectral_radius,
@@ -45,8 +46,13 @@ def test_pivoting_handles_zero_leading_entry():
 
 
 def test_singular_system_is_rejected():
-    with pytest.raises(SingularMatrix):
-        solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+    # exactly singular, then singular to working precision (1-norm
+    # reciprocal condition number about 3e-16)
+    for a in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]):
+        with pytest.raises(SingularMatrix):
+            solve_linear(a, [1.0, 1.0])
+        with pytest.raises(SingularMatrix):
+            inverse(a)
 
 
 def test_nonsquare_matrix_is_rejected():
@@ -57,6 +63,8 @@ def test_nonsquare_matrix_is_rejected():
 def test_spectral_radius_matches_hand_eigenvalues():
     # eigenvalues of [[.2,.3],[.1,.4]] are 0.5 and 0.1
     assert abs(spectral_radius([[0.2, 0.3], [0.1, 0.4]]) - 0.5) < 1e-10
+    # cyclic: eigenvalues +-0.5, so power iteration would oscillate
+    assert abs(spectral_radius([[0.0, 1.0], [0.25, 0.0]]) - 0.5) < 1e-10
 
 
 def test_spectral_radius_of_stochastic_matrix_is_one():
@@ -70,13 +78,6 @@ def test_spectral_radius_of_nilpotent_matrix_is_zero():
 def test_spectral_radius_rejects_negative_entries():
     with pytest.raises(ValidationError):
         spectral_radius([[0.5, -0.1], [0.2, 0.3]])
-
-
-def test_power_norm_bound_brackets_the_radius():
-    a = np.array([[0.2, 0.3], [0.1, 0.4]])
-    bound = power_norm_bound(a)
-    assert bound >= 0.5 - 1e-12
-    assert bound <= inf_norm(a) + 1e-12
 
 
 def test_stationary_row_of_a_generator():
@@ -108,3 +109,10 @@ def test_as_row_squeezes_single_row_matrices():
 def test_inf_norm_on_vectors_and_matrices():
     assert inf_norm([1.0, -4.0, 2.0]) == 4.0
     assert inf_norm([[1.0, -2.0], [0.5, 0.5]]) == 3.0
+
+
+def test_only_matkernel_uses_numpy_linalg():
+    package = Path(__file__).resolve().parents[1] / "src" / "mctails"
+    users = sorted(p.name for p in package.glob("*.py")
+                   if "linalg" in p.read_text() and p.name != "matkernel.py")
+    assert users == []

@@ -5,12 +5,11 @@ import pytest
 
 from mctails import solve_tails
 from mctails.errors import Reducible, Unstable, ValidationError
-from mctails.matkernel import inf_norm, inverse
+from mctails.matkernel import inf_norm, inverse, spectral_radius
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import (
     QbdModel,
     boundary_solve,
-    rate_matrix_radius,
     solve_G,
     solve_R,
     tails_lu,
@@ -132,7 +131,7 @@ def test_passage_matrix_without_upward_flow_is_one_jump():
 def test_rate_matrix_radius_is_below_one():
     for model in (MM1, TWOPHASE):
         r = solve_R(model.a0, model.a1, model.a2).matrix
-        assert rate_matrix_radius(r) < 1.0
+        assert spectral_radius(r) < 1.0
 
 
 def test_three_routes_agree_with_each_other():
@@ -165,7 +164,7 @@ def test_tail_levels_decrease_and_balance_total_mass():
 def test_ul_route_reports_its_identity_residual():
     r = solve_R(TWOPHASE.a0, TWOPHASE.a1, TWOPHASE.a2).matrix
     boundary = boundary_solve(TWOPHASE, r)
-    series = tails_ul(TWOPHASE, r, boundary.x0, 10)
+    series = tails_ul(TWOPHASE, r, boundary, 10)
     assert series.truncation_report["identity_residual"] < 1e-8
 
 

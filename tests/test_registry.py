@@ -44,18 +44,31 @@ def test_wrong_method_lists_the_choices():
         mctails.solve_tails(BUNDLED["gim1.json"].payload, 5, method="lu")
 
 
-def test_routes_call_the_solvers_through_their_modules(monkeypatch):
-    """A solver replaced on its module, as the benchmark's tracer does, is the
-    one a route runs."""
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that appends to the returned list."""
     calls = []
-    original = qbd.tails_lu
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qbd, "tails_lu", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_routes_call_the_solvers_through_their_modules(monkeypatch):
+    """A solver replaced on its module, as the benchmark's tracer does, is the
+    one a route runs."""
+    calls = _count_calls(monkeypatch, qbd, "tails_lu")
     mctails.solve_tails(BUNDLED["mm1.json"].payload, 4, method="lu")
+    assert calls == [1]
+
+
+def test_ul_route_solves_the_boundary_once(monkeypatch):
+    """The UL identity residual reuses the route's own boundary solution."""
+    calls = _count_calls(monkeypatch, qbd, "boundary_solve")
+    mctails.solve_tails(BUNDLED["qbd22.json"].payload, 6, method="ul")
     assert calls == [1]
 
 
