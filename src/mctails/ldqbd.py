@@ -148,38 +148,26 @@ class LdMeasures:
     down_blocks: tuple
 
 
-def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12,
-                        max_sweeps: int = 50) -> RateSequence:
+def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
     """Rate sequence R_l = -A0(l) [A1(l+1) + R_{l+1} A2(l+2)]^{-1}.
 
     R at the horizon comes from the level-independent solve on the frozen
-    blocks; a backward pass then fills the rest.  Sweeps repeat until the
-    sequence stops moving, which happens on the second pass since the horizon
-    matrix is already the fixed point.
+    blocks and is already the fixed point there, so one backward pass fills
+    the rest.
     """
     h = model.horizon
-    frozen = solve_R(model.block_at("A0", h), model.block_at("A1", h),
-                     model.block_at("A2", h), tol=tol)
     rs: list = [None] * (h + 1)
-    rs[h] = np.asarray(frozen.matrix)
-    for sweeps in range(1, max_sweeps + 1):
-        change = 0.0
-        for l in range(h - 1, -1, -1):
-            pivot = model.block_at("A1", l + 1) + rs[l + 1] @ model.block_at("A2", l + 2)
-            updated = solve_xa(pivot, -model.block_at("A0", l))
-            change = max(change, inf_norm(updated - rs[l]) if rs[l] is not None
-                         else inf_norm(updated) + 1.0)
-            rs[l] = updated
-        if change < tol:
-            break
-    else:
-        raise NoConvergence(f"rate sequence still moving after {max_sweeps} sweeps")
+    rs[h] = solve_R(model.block_at("A0", h), model.block_at("A1", h),
+                    model.block_at("A2", h), tol=tol).matrix
+    for l in range(h - 1, -1, -1):
+        pivot = model.block_at("A1", l + 1) + rs[l + 1] @ model.block_at("A2", l + 2)
+        rs[l] = solve_xa(pivot, -model.block_at("A0", l))
     residuals = []
     for l in range(0, h - 1):
         res = (model.block_at("A0", l) + rs[l] @ model.block_at("A1", l + 1)
                + rs[l] @ rs[l + 1] @ model.block_at("A2", l + 2))
         residuals.append(inf_norm(res))
-    return RateSequence(tuple(_frozen(r) for r in rs), tuple(residuals), sweeps)
+    return RateSequence(tuple(_frozen(r) for r in rs), tuple(residuals), 1)
 
 
 def stationary_product(model: LdQbdModel, rates: RateSequence, levels: int,

@@ -8,8 +8,9 @@ The generator is block tridiagonal,
     |       .. .. .. |
 
 with a boundary level of width m0 and repeating levels of width m.  The module
-computes the minimal rate matrices R and G, the boundary stationary pair
-(x0, x1), and tail vectors pi_k (mass at level k or above) by three routes:
+computes the minimal passage matrix G by logarithmic reduction and the rate
+matrix R from it, the boundary stationary pair (x0, x1), and tail vectors
+pi_k (mass at level k or above) by three routes:
 matrix-geometric accumulation, a UL-type factorization of the level-shifted
 generator, and a LU-type forward factorization whose measures vary by level.
 """
@@ -43,6 +44,8 @@ from .series import TailSeries
 
 ROWSUM_TOL = 1e-12
 STABILITY_MARGIN = 1e-9
+# Reduction steps solve_G may take; step k covers climbs of up to 2^k levels.
+MAX_DOUBLINGS = 64
 
 
 def _check_generator_block(diag: np.ndarray, name: str) -> None:
@@ -130,47 +133,51 @@ class BoundarySolution:
     x1: np.ndarray
 
 
-def _fixed_point(step, residual, start, tol: float, max_iter: int,
-                 what: str) -> RateSolveResult:
-    """Iterate x <- step(x) from `start` until the successive difference is
-    below tol and residual(x) below 10 tol."""
-    x = start
-    for iteration in range(1, max_iter + 1):
-        x_next = step(x)
-        delta = inf_norm(x_next - x)
-        x = x_next
-        if delta < tol:
-            res = residual(x)
-            if res < 10.0 * tol:
-                return RateSolveResult(_frozen(x), iteration, res)
-    raise NoConvergence(f"{what} did not reach {tol:.1e} in {max_iter} sweeps")
+def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
+    """Minimal nonnegative solution of A0 G^2 + A1 G + A2 = 0, by logarithmic
+    reduction (Latouche & Ramaswami 1993).
 
-
-def solve_R(a0, a1, a2, tol: float = 1e-12, max_iter: int = 100000) -> RateSolveResult:
-    """Minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0.
-
-    Fixed-point iteration R <- (A0 + R^2 A2)(-A1)^{-1} starting from zero,
-    which increases monotonically toward the minimal root.  Iteration stops on
-    successive-difference < tol and a defining-equation residual below 10 tol.
+    Censored on every 2^k-th level, the chain moves up by U_k and down by D_k,
+    starting from U_0 = (-A1)^{-1} A0 and D_0 = (-A1)^{-1} A2; each step
+    squares both, U_{k+1} = (I - U_k D_k - D_k U_k)^{-1} U_k^2 and likewise
+    D_{k+1}.  Then G = D_0 + U_0 D_1 + U_0 U_1 D_2 + ..., whose k-th term adds
+    the first passages that climb up to 2^k levels before they fall, so
+    near-critical chains need only O(log(1/(1-rho))) steps.  Iteration stops
+    once the added term is below tol and the defining-equation residual below
+    10 tol, and raises NoConvergence after MAX_DOUBLINGS steps.
     """
     a0 = as_matrix(a0, "A0")
     a1 = as_matrix(a1, "A1")
     a2 = as_matrix(a2, "A2")
-    neg_a1_inv = inverse(-a1)
-    return _fixed_point(lambda r: (a0 + r @ r @ a2) @ neg_a1_inv,
-                        lambda r: inf_norm(a0 + r @ a1 + r @ r @ a2),
-                        np.zeros_like(a0), tol, max_iter, "R iteration")
+    up, down = np.hsplit(solve_linear(-a1, np.hstack((a0, a2))), 2)
+    g = down
+    climb = up
+    for step in range(1, MAX_DOUBLINGS + 1):
+        stay = np.eye(len(a1)) - up @ down - down @ up
+        up, down = np.hsplit(solve_linear(stay, np.hstack((up @ up, down @ down))), 2)
+        term = climb @ down
+        g = g + term
+        climb = climb @ up
+        if inf_norm(term) < tol:
+            residual = inf_norm(a0 @ g @ g + a1 @ g + a2)
+            if residual < 10.0 * tol:
+                return RateSolveResult(_frozen(g), step, residual)
+    raise NoConvergence(f"G reduction did not reach {tol:.1e} in {MAX_DOUBLINGS} doublings")
 
 
-def solve_G(a0, a1, a2, tol: float = 1e-12, max_iter: int = 100000) -> RateSolveResult:
-    """Minimal nonnegative solution of A0 G^2 + A1 G + A2 = 0 (mirror of solve_R)."""
+def solve_R(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
+    """Minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0.
+
+    R = A0 (-(A1 + A0 G))^{-1} with G from solve_G; iterations are its
+    reduction steps, and the residual is that of the R equation.
+    """
     a0 = as_matrix(a0, "A0")
     a1 = as_matrix(a1, "A1")
     a2 = as_matrix(a2, "A2")
-    neg_a1_inv = inverse(-a1)
-    return _fixed_point(lambda g: neg_a1_inv @ (a2 + a0 @ g @ g),
-                        lambda g: inf_norm(a0 @ g @ g + a1 @ g + a2),
-                        np.zeros_like(a2), tol, max_iter, "G iteration")
+    solved = solve_G(a0, a1, a2, tol=tol)
+    r = solve_xa(-(a1 + a0 @ solved.matrix), a0)
+    residual = inf_norm(a0 + r @ a1 + r @ r @ a2)
+    return RateSolveResult(_frozen(r), solved.iterations, residual)
 
 
 def require_stable(r) -> float:
@@ -244,44 +251,39 @@ def tails_lu(model: QbdModel, x0, levels: int, depth: int | None = None,
 
     Builds the level-varying measures Psi_0 = A0 + A1,
     Psi_k = A1 + A2 (-Psi_{k-1})^{-1} A0, with up-blocks
-    Rk = A2 (-Psi_{k-1})^{-1} and down-blocks Gk = (-Psi_k)^{-1-ish} A0, and
-    accumulates
+    Rk = A2 (-Psi_{k-1})^{-1} and down-blocks G_{k-1} = (-Psi_{k-1})^{-1} A0,
+    and accumulates
 
         pi_n = x0 B0 [ Y_{n-1} (-Psi_{n-1})^{-1}
                        + sum_{k>=n} Y_k (-Psi_k)^{-1} Rk Rk-1 ... Rn ]
 
-    where Y_k is the ordered product G_0 G_1 ... G_{k-1}.  Each series stops
-    once the added term's inf-norm drops below tol; the depth cap defaults to
-    10*levels + 200.
+    where Y_k is the ordered product G_0 G_1 ... G_{k-1}; each -Psi_k is
+    inverted once and serves both its head and the next level.  Each series
+    stops once the added term's inf-norm drops below tol; the depth cap
+    defaults to 10*levels + 200.
     """
     x0 = np.asarray(x0, dtype=float)
     if levels == 0:
         return TailSeries([], x0, method="lu-rg")
     a0, a1, a2 = model.a0, model.a1, model.a2
     cap = depth if depth is not None else 10 * levels + 200
-    w = x0 @ model.b0
-    psi = a0 + a1
+    minv = inverse(-(a0 + a1))
     heads: list[np.ndarray | None] = [None] * (levels + 1)
     acc = [np.zeros(model.m) for _ in range(levels + 1)]
-    yrow = w
-    c = solve_xa(-psi, yrow)
-    heads[1] = c
+    yrow = x0 @ model.b0
+    heads[1] = yrow @ minv
     up_blocks: list[np.ndarray] = []
     max_term = float("inf")
     terms = 0
     for k in range(1, cap + 1):
-        minv = inverse(-psi)
         if np.min(minv) < -1e-9:
             raise SingularMatrix(f"level {k}: measure inverse is not nonnegative")
-        up_k = a2 @ minv
-        down_prev = minv @ a0
-        psi = a1 + up_k @ a0
-        up_blocks.append(up_k)
-        yrow = yrow @ down_prev
-        c = solve_xa(-psi, yrow)
+        up_blocks.append(a2 @ minv)
+        yrow = yrow @ minv @ a0
+        minv = inverse(-(a1 + up_blocks[-1] @ a0))
+        d = yrow @ minv
         if k < levels:
-            heads[k + 1] = c
-        d = c
+            heads[k + 1] = d
         max_term = 0.0
         for j in range(k, 0, -1):
             d = d @ up_blocks[j - 1]

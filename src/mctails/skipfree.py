@@ -19,7 +19,9 @@ arbitrarily far up:
 Both keep a finite list of nonzero blocks.  The GI/M/1 side has a
 matrix-geometric stationary vector driven by the minimal solution of
 R = sum_k R^k A_k; the M/G/1 side rests on the first-passage matrix
-G = sum_k A_k G^k and visit-count blocks fed into a forward recursion.
+G = sum_k A_k G^k and visit-count blocks fed into a forward recursion.  Seen
+max(1, len(A) - 2) levels at a time either chain is a QBD, and R and G are
+blocks of that QBD's matrices from qbd.solve_R and qbd.solve_G.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .matkernel import (
     solve_xa,
     stationary_row,
 )
-from .qbd import ROWSUM_TOL, RateSolveResult, _fixed_point, require_stable
+from .qbd import ROWSUM_TOL, RateSolveResult, require_stable, solve_G, solve_R
 from .series import TailSeries
 
 
@@ -173,39 +175,46 @@ class Mg1Measures:
     stationarity_residual: float
 
 
-def solve_R_series(a_blocks, tol: float = 1e-12,
-                   max_iter: int = 100000) -> RateSolveResult:
-    """Minimal nonnegative solution of R = sum_{k>=0} R^k A_k.
-
-    Fixed-point iteration from zero; the series is evaluated in Horner form
-    A_0 + R(A_1 + R(A_2 + ...)) so a sweep costs one pass over the list.
-    """
+def _grouped(a_blocks, sign: int) -> tuple:
+    """Generator blocks (up, local, down) of the chain watched
+    n = max(1, len(A) - 2) levels at a time, where a move of d levels takes
+    block A_{1 + sign d} (sign +1: M/G/1, -1: GI/M/1).  No jump spans two
+    groups, so this is a QBD; -I on the local block gives generator blocks
+    with the same R and G."""
     a = [np.asarray(blk, dtype=float) for blk in a_blocks]
+    n = max(1, len(a) - 2)
+    m = a[0].shape[0]
 
-    def series(r):
-        acc = a[-1]
-        for k in range(len(a) - 2, -1, -1):
-            acc = a[k] + r @ acc
-        return acc
+    def block(step):
+        out = np.zeros((n * m, n * m))
+        for i in range(n):
+            for j in range(n):
+                k = 1 + sign * (n * step + j - i)
+                if 0 <= k < len(a):
+                    out[i * m:(i + 1) * m, j * m:(j + 1) * m] = a[k]
+        return out
 
-    return _fixed_point(series, lambda r: inf_norm(r - series(r)),
-                        np.zeros_like(a[0]), tol, max_iter, "R series iteration")
+    return block(1), block(0) - np.eye(n * m), block(-1)
 
 
-def solve_G_series(a_blocks, tol: float = 1e-12,
-                   max_iter: int = 100000) -> RateSolveResult:
-    """Minimal nonnegative solution of G = sum_{k>=0} A_k G^k, evaluated as
-    A_0 + (A_1 + (A_2 + ...)G)G."""
-    a = [np.asarray(blk, dtype=float) for blk in a_blocks]
+def solve_R_series(a_blocks, tol: float = 1e-12) -> RateSolveResult:
+    """Minimal nonnegative solution of R = sum_{k>=0} R^k A_k: the last-row,
+    first-column block of the grouped chain's R, whose last block row is
+    R, R^2, ..., R^n.  Iterations and residual are the grouped solve's."""
+    m = np.shape(a_blocks[0])[0]
+    solved = solve_R(*_grouped(a_blocks, -1), tol=tol)
+    return RateSolveResult(_frozen(solved.matrix[-m:, :m].copy()),
+                           solved.iterations, solved.residual)
 
-    def series(g):
-        acc = a[-1]
-        for k in range(len(a) - 2, -1, -1):
-            acc = a[k] + acc @ g
-        return acc
 
-    return _fixed_point(series, lambda g: inf_norm(g - series(g)),
-                        np.zeros_like(a[0]), tol, max_iter, "G series iteration")
+def solve_G_series(a_blocks, tol: float = 1e-12) -> RateSolveResult:
+    """Minimal nonnegative solution of G = sum_{k>=0} A_k G^k: the
+    first-row, last-column block of the grouped chain's G, whose last block
+    column is G, G^2, ..., G^n."""
+    m = np.shape(a_blocks[0])[0]
+    solved = solve_G(*_grouped(a_blocks, 1), tol=tol)
+    return RateSolveResult(_frozen(solved.matrix[:m, -m:].copy()),
+                           solved.iterations, solved.residual)
 
 
 def _gim1_rows(model: SkipFreeModel, x0, entry, rate, count: int) -> list:

@@ -51,6 +51,20 @@ def test_mm1_censored_boundary_block_is_minus_one():
     assert abs(float(phi0[0, 0]) + 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("rho,x0_tol,pi_tol", [(0.999, 1e-9, 1e-10),
+                                               (0.9999, 1e-7, 1e-9)])
+def test_mm1_heavy_traffic_tails_are_geometric(rho, x0_tol, pi_tol):
+    """Near saturation the mg and ul routes still give x0 = 1 - rho and
+    pi_k = rho^k, from an R found in few reduction steps."""
+    model = QbdModel([[-rho]], [[rho]], [[1.0]], [[rho]], [[-rho - 1.0]], [[1.0]])
+    assert solve_R(model.a0, model.a1, model.a2).iterations < 40
+    for method in ("mg", "ul"):
+        series = solve_tails(model, 50, method=method)
+        assert abs(float(series.x0[0]) - (1.0 - rho)) < x0_tol * (1.0 - rho)
+        for k in range(1, 51):
+            assert abs(float(series.level(k)[0]) - rho ** k) < pi_tol * rho ** k
+
+
 def test_solve_r_residual_is_reported_small():
     result = solve_R(MM1.a0, MM1.a1, MM1.a2)
     assert result.residual < 1e-11
@@ -103,14 +117,16 @@ def test_rate_matrix_survives_newton_polish():
 
 
 def test_rate_matrix_agrees_with_passage_identity():
-    """R must equal A0 (-U)^-1 with U = A1 + A0 G, an independent route
-    through the downward-passage matrix."""
+    """solve_R goes through G, R = A0 (-(A1 + A0 G))^-1; at these light loads
+    the plain linear iteration R <- (A0 + R^2 A2)(-A1)^-1 from zero converges
+    and must land on the same matrix."""
     for model in (MM1, TWOPHASE):
         r = solve_R(model.a0, model.a1, model.a2).matrix
-        g = solve_G(model.a0, model.a1, model.a2).matrix
-        u = model.a1 + model.a0 @ g
-        r_alt = model.a0 @ inverse(-u)
-        assert inf_norm(r - r_alt) < 1e-10
+        neg_a1_inv = inverse(-model.a1)
+        r_linear = np.zeros_like(model.a0)
+        for _ in range(2000):
+            r_linear = (model.a0 + r_linear @ r_linear @ model.a2) @ neg_a1_inv
+        assert inf_norm(r - r_linear) < 1e-12
 
 
 def test_passage_matrix_is_stochastic_when_stable():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mctails
-from mctails import qbd, registry
+from mctails import matkernel, qbd, registry
 from mctails.cli import load_model_file
 from mctails.errors import ValidationError
 
@@ -70,6 +70,16 @@ def test_ul_route_solves_the_boundary_once(monkeypatch):
     calls = _count_calls(monkeypatch, qbd, "boundary_solve")
     mctails.solve_tails(BUNDLED["qbd22.json"].payload, 6, method="ul")
     assert calls == [1]
+
+
+def test_lu_route_factors_each_level_once(monkeypatch):
+    """tails_lu inverts each -Psi_k once, for its head and the next level."""
+    model = BUNDLED["qbd22.json"].payload
+    r = qbd.solve_R(model.a0, model.a1, model.a2).matrix
+    x0 = qbd.boundary_solve(model, r).x0
+    calls = _count_calls(monkeypatch, matkernel, "solve_linear")
+    series = qbd.tails_lu(model, x0, 20)
+    assert len(calls) <= series.truncation_report["terms"] + 2
 
 
 def test_cross_check_fails_against_a_too_shallow_reference():

@@ -67,6 +67,27 @@ def test_rate_series_satisfies_its_equation_in_phases():
     assert spectral_radius(r) < 1.0
 
 
+def test_series_solvers_group_two_levels_for_jumps_of_two():
+    """Four blocks put jumps of two levels in the chain, so the solvers group
+    levels in pairs; R and G must still solve their series equations and
+    match the plain linear iterations from zero."""
+    a = [np.array(blk) for blk in ([[0.2, 0.1], [0.1, 0.15]],
+                                   [[0.2, 0.1], [0.15, 0.2]],
+                                   [[0.15, 0.05], [0.1, 0.1]],
+                                   [[0.1, 0.1], [0.1, 0.1]])]
+    r = solve_R_series(a).matrix
+    g = solve_G_series(a).matrix
+    r_linear = np.zeros((2, 2))
+    g_linear = np.zeros((2, 2))
+    for _ in range(2000):
+        r_linear = a[0] + r_linear @ (a[1] + r_linear @ (a[2] + r_linear @ a[3]))
+        g_linear = a[0] + (a[1] + (a[2] + a[3] @ g_linear) @ g_linear) @ g_linear
+    assert inf_norm(r - (a[0] + r @ a[1] + r @ r @ a[2] + r @ r @ r @ a[3])) < 1e-12
+    assert inf_norm(g - (a[0] + a[1] @ g + a[2] @ g @ g + a[3] @ g @ g @ g)) < 1e-12
+    assert inf_norm(r - r_linear) < 1e-12
+    assert inf_norm(g - g_linear) < 1e-12
+
+
 def test_rate_series_closed_forms_at_the_edges():
     zero_up = solve_R_series([np.zeros((2, 2)),
                               np.array([[0.3, 0.2], [0.1, 0.4]]),
