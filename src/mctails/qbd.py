@@ -17,6 +17,8 @@ generator, and a LU-type forward factorization whose measures vary by level.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,11 @@ ROWSUM_TOL = 1e-12
 STABILITY_MARGIN = 1e-9
 # Reduction steps solve_G may take; step k covers climbs of up to 2^k levels.
 MAX_DOUBLINGS = 64
+# The lu series predicts its depth once successive deep terms shrink by a
+# ratio that moves by at most SETTLE times its distance from one; it must
+# settle within SETTLE_TERMS terms past the deepest requested level.
+SETTLE = 1e-2
+SETTLE_TERMS = 10000
 
 
 def _check_generator_block(diag: np.ndarray, name: str) -> None:
@@ -245,58 +252,88 @@ def tails_ul(model: QbdModel, r, boundary: BoundarySolution, levels: int) -> Tai
                       truncation_report=report)
 
 
+def _lu_steps(model: QbdModel, x0):
+    """(U_k, e_k) for k = 0, 1, 2, ... (U_0 is None) of the LU-type forward
+    factorization; see tails_lu."""
+    a0, a1, a2 = model.a0, model.a1, model.a2
+    minv = inverse(-(a0 + a1))
+    yrow = x0 @ model.b0
+    yield None, yrow @ minv
+    for k in itertools.count(1):
+        if np.min(minv) < -1e-9:
+            raise SingularMatrix(f"level {k}: measure inverse is not nonnegative")
+        up = a2 @ minv
+        yrow = yrow @ minv @ a0
+        minv = inverse(-(a1 + up @ a0))
+        yield up, yrow @ minv
+
+
 def tails_lu(model: QbdModel, x0, levels: int, depth: int | None = None,
              tol: float = 1e-14) -> TailSeries:
     """Tails from the LU-type forward factorization.
 
     Builds the level-varying measures Psi_0 = A0 + A1,
-    Psi_k = A1 + A2 (-Psi_{k-1})^{-1} A0, with up-blocks
-    Rk = A2 (-Psi_{k-1})^{-1} and down-blocks G_{k-1} = (-Psi_{k-1})^{-1} A0,
-    and accumulates
+    Psi_k = A1 + U_k A0 with M_k = (-Psi_k)^{-1} and up-blocks
+    U_k = A2 M_{k-1}, and the heads e_k = y_k M_k, where y_0 = x0 B0 and
+    y_k = y_{k-1} M_{k-1} A0.  The tails are
 
-        pi_n = x0 B0 [ Y_{n-1} (-Psi_{n-1})^{-1}
-                       + sum_{k>=n} Y_k (-Psi_k)^{-1} Rk Rk-1 ... Rn ]
+        pi_j = e_{j-1} + S_j,  S_j = sum_{k>=j} e_k U_k U_{k-1} ... U_j,
 
-    where Y_k is the ordered product G_0 G_1 ... G_{k-1}; each -Psi_k is
-    inverted once and serves both its head and the next level.  Each series
-    stops once the added term's inf-norm drops below tol; the depth cap
-    defaults to 10*levels + 200.
+    and S_j = (e_j + S_{j+1}) U_j.  One forward pass stores e_k and U_k up to
+    `levels` and adds up the deep part S_{levels+1} through the transfer
+    matrix T = U_k ... U_{levels+1}; one backward sweep then gives every
+    pi_j, so the work is linear in the depth.  Each -Psi_k is inverted once.
+
+    The pass stops once the deep term's share of pi_levels, e_k T U_levels,
+    is at most tol times the deepest head e_{levels-1} (inf-norms).  Once
+    successive deep terms shrink by a settled ratio, the depth cap is twice
+    the terms that ratio predicts; a ratio not below 1 - STABILITY_MARGIN, a
+    pass that outruns the cap, or a ratio that has not settled within
+    SETTLE_TERMS deep terms raises TruncationFailure.  `depth`, when given,
+    is the cap instead.
     """
     x0 = np.asarray(x0, dtype=float)
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
     if levels == 0:
         return TailSeries([], x0, method="lu-rg")
-    a0, a1, a2 = model.a0, model.a1, model.a2
-    cap = depth if depth is not None else 10 * levels + 200
-    minv = inverse(-(a0 + a1))
-    heads: list[np.ndarray | None] = [None] * (levels + 1)
-    acc = [np.zeros(model.m) for _ in range(levels + 1)]
-    yrow = x0 @ model.b0
-    heads[1] = yrow @ minv
-    up_blocks: list[np.ndarray] = []
-    max_term = float("inf")
-    terms = 0
-    for k in range(1, cap + 1):
-        if np.min(minv) < -1e-9:
-            raise SingularMatrix(f"level {k}: measure inverse is not nonnegative")
-        up_blocks.append(a2 @ minv)
-        yrow = yrow @ minv @ a0
-        minv = inverse(-(a1 + up_blocks[-1] @ a0))
-        d = yrow @ minv
-        if k < levels:
-            heads[k + 1] = d
-        max_term = 0.0
-        for j in range(k, 0, -1):
-            d = d @ up_blocks[j - 1]
-            if j <= levels:
-                acc[j] += d
-                max_term = max(max_term, inf_norm(d))
-        terms = k
-        if max_term < tol and k >= levels:
+    steps = _lu_steps(model, x0)
+    ups, heads = zip(*itertools.islice(steps, levels + 1))
+    scale = inf_norm(heads[levels - 1]) or 1.0
+    deep = np.zeros(model.m)
+    transfer = np.eye(model.m)
+    cap = depth
+    norm, ratio = math.inf, None
+    for k, (up, head) in enumerate(steps, start=levels + 1):
+        if cap is not None and k > cap:
+            raise TruncationFailure(
+                f"lu tail series still adding {norm:.3e} of the deepest head "
+                f"after {cap} terms"
+            )
+        if cap is None and k > levels + SETTLE_TERMS:
+            raise TruncationFailure(
+                f"lu tail terms did not settle to a decay ratio within {SETTLE_TERMS} "
+                "terms past the deepest level"
+            )
+        transfer = up @ transfer
+        term = head @ transfer
+        deep = deep + term
+        last, norm = norm, inf_norm(term @ ups[levels]) / scale
+        if norm <= tol:
             break
-    else:
-        raise TruncationFailure(
-            f"lu tail series still adding {max_term:.3e} after {cap} terms"
-        )
-    pis = [heads[n] + acc[n] for n in range(1, levels + 1)]
-    report = {"terms": terms, "last_term_norm": max_term, "series_tol": tol}
+        if depth is not None or last == math.inf:
+            continue
+        previous, ratio = ratio, norm / last
+        if previous is not None and abs(ratio - previous) <= SETTLE * abs(1.0 - ratio):
+            if ratio >= 1.0 - STABILITY_MARGIN:
+                raise TruncationFailure(
+                    f"lu tail terms shrink by a ratio of {ratio:.12f}, not below 1"
+                )
+            cap = k + 2 * math.ceil(math.log(tol / norm) / math.log(ratio))
+    pis: list = [None] * levels
+    tail = deep
+    for j in range(levels, 0, -1):
+        tail = (heads[j] + tail) @ ups[j]
+        pis[j - 1] = heads[j - 1] + tail
+    report = {"terms": k, "last_term_norm": norm, "series_tol": tol}
     return TailSeries(pis, x0, method="lu-rg", truncation_report=report)

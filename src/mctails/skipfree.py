@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (
     NearCritical,
-    NoConvergence,
     Reducible,
     SingularMatrix,
     Unstable,
@@ -158,8 +157,11 @@ class Mg1Measures:
 
     passage is the minimal solution of G = sum_k A_k G^k, boundary_passage
     the first-passage block from level 1 into the boundary, local_kernel the
-    visit kernel sum_{k>=1} A_k G^{k-1}.  visit_rows holds the unnormalized
-    stationary rows of the forward recursion; x0 = tau * visit_rows[0].
+    visit kernel sum_{k>=1} A_k G^{k-1}.  boundary_visits holds the visit
+    blocks V0_1, V0_2, ... out of the boundary and visits the blocks V_1,
+    V_2, ... between repeating levels; visit_rows holds the unnormalized
+    stationary rows of the forward recursion, as deep as they were asked
+    for; x0 = tau * visit_rows[0].
     """
 
     passage: np.ndarray
@@ -167,6 +169,8 @@ class Mg1Measures:
     local_kernel: np.ndarray
     boundary_chain: np.ndarray
     drift: float
+    boundary_visits: tuple
+    visits: tuple
     visit_rows: tuple
     tau: float
     x0: np.ndarray
@@ -351,12 +355,6 @@ def _visit_blocks(shifted: list, g: np.ndarray, kernel: np.ndarray) -> list:
     return out
 
 
-def _block_at(blocks: list, index: int, shape) -> np.ndarray:
-    if 1 <= index <= len(blocks):
-        return blocks[index - 1]
-    return np.zeros(shape)
-
-
 def mg1_drift(model: SkipFreeModel) -> float:
     """Mean level change per step under the stationary phase mix; negative
     for a positive recurrent repeating part."""
@@ -366,32 +364,40 @@ def mg1_drift(model: SkipFreeModel) -> float:
     return mean - 1.0
 
 
+def _mg1_window(model: SkipFreeModel) -> int:
+    """Rows the balance re-check reads: its window of levels, plus the
+    deepest jump into the last of them."""
+    a, b = model.a_blocks, model.b_blocks
+    return max(len(a), len(b)) + 5 + len(a)
+
+
 def _mg1_balance_residual(model: SkipFreeModel, x: list) -> float:
     a, b = model.a_blocks, model.b_blocks
-    window = min(len(x) - len(a), max(len(a), len(b)) + 5)
+    window = min(len(x), _mg1_window(model)) - len(a)
     if window < 1:
         return 0.0
     into = x[0] @ b[1] + x[1] @ b[0]
     worst = inf_norm(into - x[0])
     for j in range(1, window + 1):
-        into = x[0] @ _block_at(b[2:], j, (model.m0, model.m))
+        into = x[0] @ b[j + 1] if j + 1 < len(b) else np.zeros(model.m)
         for i in range(max(1, j - len(a) + 2), j + 2):
             into = into + x[i] @ a[j - i + 1]
         worst = max(worst, inf_norm(into - x[j]))
     return worst
 
 
-def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12,
-                   mass_tol: float = 1e-16,
-                   max_levels: int = 100000) -> Mg1Measures:
+def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12, levels: int = 0) -> Mg1Measures:
     """Boundary row and visit measures of a positive recurrent M/G/1-type chain.
 
     Censoring on the boundary through first passages gives the stochastic
-    boundary chain; the forward recursion then builds unnormalized rows
-    v_k = v_0 V0_k + sum_i v_i V_{k-i} out of the visit blocks
-    V0_j = (sum_{l>=j} B_{l+1} G^{l-j})(I - kernel)^{-1} and
-    V_d = (sum_{l>=d} A_{l+1} G^{l-d})(I - kernel)^{-1}.  The normalizer adds
-    a geometric estimate of the mass beyond the cut.
+    boundary chain with stationary row y0; the forward recursion then builds
+    unnormalized rows v_k = y0 V0_k + sum_{0<i<k} v_i V_{k-i} out of the visit
+    blocks V0_j = (sum_{l>=j} B_{l+1} G^{l-j})(I - kernel)^{-1} and
+    V_d = (sum_{l>=d} A_{l+1} G^{l-d})(I - kernel)^{-1}.  Summing the
+    recursion over k gives the normalizer in closed form (Ramaswami 1988):
+    tau = 1 / (y0 e + y0 W0 (I - W)^{-1} e) with W0 = sum_j V0_j and
+    W = sum_d V_d.  Only rows 0 .. max(levels, balance window) - 1 are
+    materialized, and the balance window is re-checked.
     """
     if model.kind != "MG1":
         raise ValidationError("mg1_stationary needs a MG1 model")
@@ -427,28 +433,15 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12,
     y0 = stationary_row(boundary_chain, continuous=False)
     from_boundary = _visit_blocks(b[2:], g, kernel)
     between = _visit_blocks(a[2:], g, kernel)
+    w0 = sum(from_boundary, np.zeros((m0, m)))
+    w = sum(between, np.zeros((m, m)))
+    tau = 1.0 / (float(y0.sum()) + float(y0 @ w0 @ solve_linear(eye - w, np.ones(m))))
     rows = [y0]
-    total = float(y0.sum())
-    prev_mass = 0.0
-    ratio = 0.0
-    for k in range(1, max_levels + 1):
-        row = y0 @ _block_at(from_boundary, k, (m0, m))
+    for k in range(1, max(levels, _mg1_window(model))):
+        row = y0 @ from_boundary[k - 1] if k <= len(from_boundary) else np.zeros(m)
         for i in range(max(1, k - len(between)), k):
             row = row + rows[i] @ between[k - i - 1]
         rows.append(row)
-        mass = float(row.sum())
-        total += mass
-        if prev_mass > 0.0:
-            ratio = mass / prev_mass
-        prev_mass = mass
-        if mass < mass_tol * total:
-            break
-    else:
-        raise NoConvergence(
-            f"stationary rows still carry mass after {max_levels} levels"
-        )
-    remainder = prev_mass * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else 0.0
-    tau = 1.0 / (total + remainder)
     x0 = tau * y0
     resid = _mg1_balance_residual(model, [tau * row for row in rows])
     if resid > 1e-8:
@@ -459,6 +452,8 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12,
         local_kernel=_frozen(kernel),
         boundary_chain=_frozen(boundary_chain),
         drift=drift,
+        boundary_visits=tuple(_frozen(v) for v in from_boundary),
+        visits=tuple(_frozen(v) for v in between),
         visit_rows=tuple(_frozen(row) for row in rows),
         tau=tau,
         x0=_frozen(x0),
@@ -470,33 +465,28 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12,
 
 def _mg1_tail_heads(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> list:
     """Tail rows by suffix-summing the forward recursion in closed form:
-    pi_n (I - W_1) = v_0 W0_n + sum_{i<n} v_i W_{n-i}, with W the suffix sums
-    of the visit blocks."""
-    g, kernel = measures.passage, measures.local_kernel
-    m, m0 = model.m, model.m0
-    from_boundary = _visit_blocks(list(model.b_blocks)[2:], g, kernel)
-    between = _visit_blocks(list(model.a_blocks)[2:], g, kernel)
-    w0 = _suffix_sums(from_boundary) if from_boundary else [np.zeros((m0, m))]
-    w = _suffix_sums(between) if between else [np.zeros((m, m))]
-    rows = list(measures.visit_rows)
-    while len(rows) < levels:
-        rows.append(np.zeros(m))
-    eye = np.eye(m)
-    heads = []
+    pi_n (I - W_1) = tau (v_0 W0_n + sum_{i<n} v_i W_{n-i}), with W0 and W
+    the suffix sums of the visit blocks; only the blocks' nonzero band is
+    visited, and one solve serves every level."""
+    w0 = _suffix_sums(list(measures.boundary_visits))
+    between = measures.visits
+    w = _suffix_sums(list(between)) if between else [np.zeros((model.m, model.m))]
+    rows = measures.visit_rows
+    accs = []
     for n in range(1, levels + 1):
-        acc = rows[0] @ (w0[n - 1] if n - 1 < len(w0) else np.zeros((m0, m)))
-        for i in range(1, n):
-            d = n - i
-            if d - 1 < len(w):
-                acc = acc + rows[i] @ w[d - 1]
-        heads.append(measures.tau * solve_xa(eye - w[0], acc))
-    return heads
+        acc = rows[0] @ w0[n - 1] if n < len(w0) else np.zeros(model.m)
+        for i in range(max(1, n - len(between)), n):
+            acc = acc + rows[i] @ w[n - i - 1]
+        accs.append(acc)
+    if not accs:
+        return []
+    return list(measures.tau * solve_xa(np.eye(model.m) - w[0], np.array(accs)))
 
 
 def mg1_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailSeries:
     """Iterative tails of an M/G/1-type chain: the stationary forward
-    recursion, suffix-summed."""
-    measures = mg1_stationary(model, tol=tol)
+    recursion, materialized to the requested depth and suffix-summed."""
+    measures = mg1_stationary(model, tol=tol, levels=levels)
     heads = _mg1_tail_heads(model, measures, levels)
     report = {"levels_materialized": len(measures.visit_rows)}
     return TailSeries(heads, measures.x0, method="iterative", truncation_report=report)
@@ -509,13 +499,14 @@ def mg1_ul_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailS
     S_d = sum_{k>=d} A_k the tails obey
     pi_n = c_n + pi_1 S_n + sum_{i=2}^n pi_i A_{n-i+1} + pi_{n+1} A_0 with
     source c_n = x0 sum_{l>=n+1} B_l, handled backward through G and forward
-    through the visit blocks of the S-shifted chain.
+    through the visit blocks of the S-shifted chain.  Each level visits only
+    the nonzero band of those blocks.
     """
     measures = mg1_stationary(model, tol=tol)
     a = list(model.a_blocks)
     b = list(model.b_blocks)
     g, kernel = measures.passage, measures.local_kernel
-    m, m0 = model.m, model.m0
+    m = model.m
     eye = np.eye(m)
     tail_a = _suffix_sums(a)
     shifted_chain = tail_a[1].copy()
@@ -523,24 +514,22 @@ def mg1_ul_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailS
     for k in range(2, len(a)):
         power = power @ g
         shifted_chain = shifted_chain + tail_a[k] @ power
-    tail_b = _suffix_sums(b[2:]) if len(b) > 2 else [np.zeros((m0, m))]
-    sources = [measures.x0 @ tail_b[j - 1] if j - 1 < len(tail_b) else np.zeros(m)
-               for j in range(1, len(b))]
-    backward = list(sources)
+    tail_b = _suffix_sums(b[2:])
+    backward = [measures.x0 @ tail_b[j] for j in range(len(b) - 1)]
     for j in range(len(backward) - 2, -1, -1):
         backward[j] = backward[j] + backward[j + 1] @ g
     shifted_visits = _visit_blocks(tail_a[2:], g, kernel)
-    up_visits = _visit_blocks(a[2:], g, kernel)
+    up_visits = measures.visits
     pis = []
     for n in range(1, levels + 1):
-        source = backward[n - 1] if n - 1 < len(backward) else np.zeros(m)
         if n == 1:
-            pis.append(solve_xa(eye - shifted_chain, source))
+            pis.append(solve_xa(eye - shifted_chain, backward[0]))
             continue
-        acc = solve_xa(eye - kernel, source) if np.any(source) else source
-        acc = acc + pis[0] @ _block_at(shifted_visits, n - 1, (m, m))
-        for i in range(2, n):
-            acc = acc + pis[i - 1] @ _block_at(up_visits, n - i, (m, m))
+        acc = solve_xa(eye - kernel, backward[n - 1]) if n <= len(backward) else np.zeros(m)
+        if n - 1 <= len(shifted_visits):
+            acc = acc + pis[0] @ shifted_visits[n - 2]
+        for i in range(max(2, n - len(up_visits)), n):
+            acc = acc + pis[i - 1] @ up_visits[n - i - 1]
         pis.append(acc)
     head_iter = _mg1_tail_heads(model, measures, 1)[0]
     report = {"identity_residual": inf_norm(pis[0] - head_iter) if pis else 0.0}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mctails import solve_tails
+from mctails import ldqbd, solve_tails
 from mctails.errors import Unstable, ValidationError
 from mctails.ldqbd import (
     LdQbdModel,
@@ -96,12 +96,19 @@ def test_level_one_tail_complements_the_boundary_mass():
     assert abs(float(series.level(1).sum()) + float(series.x0.sum()) - 1.0) < 1e-10
 
 
-def test_factored_route_reports_its_series():
+def test_factored_route_solves_through_the_factors_once(count_calls):
+    """One pass through the window factors gives the stationary rows; the
+    tails are their suffix sums, and the report carries the window width and
+    the edge row the cut leaves out."""
     rates = solve_rate_sequence(RAMP2)
     prod = stationary_product(RAMP2, rates, 6)
+    calls = count_calls(ldqbd, "_apply_inverse")
     series = tails_lu_ld(RAMP2, prod.x0, 6)
-    assert series.truncation_report["last_term_norm"] < series.truncation_report["series_tol"]
-    assert series.truncation_report["terms"] >= 2
+    assert calls == [1]
+    assert series.truncation_report["terms"] == 26
+    assert 0.0 < series.truncation_report["edge_row_norm"] < 1e-20
+    gap = max(inf_norm(prod.level(k) - series.level(k)) for k in range(1, 7))
+    assert gap < 1e-15
 
 
 def test_chain_unstable_beyond_the_horizon_is_refused():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mctails import solve_tails
-from mctails.errors import Reducible, Unstable, ValidationError
+from mctails.errors import Reducible, TruncationFailure, Unstable, ValidationError
 from mctails.matkernel import inf_norm, inverse, spectral_radius
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import (
@@ -30,6 +30,17 @@ TWOPHASE = QbdModel(
     [[1.0, 0.0], [0.0, 0.5]],
     [[-3.3, 0.3], [0.4, -2.9]],
     [[2.0, 0.0], [0.0, 2.0]],
+)
+
+# Two-phase chain at load 0.7: arrivals 1 and 0.3 by phase, whose time shares
+# are 4/7 and 3/7, and service 1.  Its tails decay by about 0.75 a level.
+LOAD07 = QbdModel(
+    [[-1.3, 0.3], [0.4, -0.7]],
+    [[1.0, 0.0], [0.0, 0.3]],
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, 0.3]],
+    [[-2.3, 0.3], [0.4, -1.7]],
+    [[1.0, 0.0], [0.0, 1.0]],
 )
 
 
@@ -208,3 +219,34 @@ def test_model_validation_rejects_bad_sign_patterns():
 def test_unknown_method_is_rejected():
     with pytest.raises(ValidationError):
         solve_tails(MM1, 5, method="qr")
+
+
+def test_lu_route_keeps_its_digits_deep_in_the_tail():
+    """The lu series stops relative to the deepest head, so at level 400,
+    where the tails are near 1e-50, it still matches the mg route."""
+    mg = solve_tails(LOAD07, 400, method="mg")
+    lu = solve_tails(LOAD07, 400, method="lu")
+    for k in range(1, 401):
+        assert np.max(np.abs(lu.level(k) - mg.level(k)) / mg.level(k)) < 1e-9
+
+
+def test_lu_depth_follows_the_decay_rate():
+    """At rho = 0.99 the deep terms shrink by 0.99 each, so the series runs
+    about log(1e-14) / log(0.99) = 3,208 terms past level 50; the cap comes
+    from that ratio, not from the number of levels."""
+    rho = 0.99
+    model = QbdModel([[-rho]], [[rho]], [[1.0]], [[rho]], [[-rho - 1.0]], [[1.0]])
+    series = solve_tails(model, 50, method="lu")
+    assert 3200 < series.truncation_report["terms"] < 3300
+    for k in range(1, 51):
+        assert abs(float(series.level(k)[0]) / rho ** k - 1.0) < 1e-10
+
+
+def test_lu_route_refuses_a_series_that_does_not_shrink():
+    """On a null-recurrent M/M/1 the deep terms settle at ratio one; a depth
+    given by the caller is a hard cap."""
+    null = QbdModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[-2.0]], [[1.0]])
+    with pytest.raises(TruncationFailure, match="not below 1"):
+        tails_lu(null, [0.5], 5)
+    with pytest.raises(TruncationFailure, match="after 20 terms"):
+        tails_lu(MM1, [0.5], 10, depth=20)

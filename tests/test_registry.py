@@ -44,40 +44,27 @@ def test_wrong_method_lists_the_choices():
         mctails.solve_tails(BUNDLED["gim1.json"].payload, 5, method="lu")
 
 
-def _count_calls(monkeypatch, module, name) -> list:
-    """Replace module.name by a wrapper that appends to the returned list."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_routes_call_the_solvers_through_their_modules(monkeypatch):
+def test_routes_call_the_solvers_through_their_modules(count_calls):
     """A solver replaced on its module, as the benchmark's tracer does, is the
     one a route runs."""
-    calls = _count_calls(monkeypatch, qbd, "tails_lu")
+    calls = count_calls(qbd, "tails_lu")
     mctails.solve_tails(BUNDLED["mm1.json"].payload, 4, method="lu")
     assert calls == [1]
 
 
-def test_ul_route_solves_the_boundary_once(monkeypatch):
+def test_ul_route_solves_the_boundary_once(count_calls):
     """The UL identity residual reuses the route's own boundary solution."""
-    calls = _count_calls(monkeypatch, qbd, "boundary_solve")
+    calls = count_calls(qbd, "boundary_solve")
     mctails.solve_tails(BUNDLED["qbd22.json"].payload, 6, method="ul")
     assert calls == [1]
 
 
-def test_lu_route_factors_each_level_once(monkeypatch):
+def test_lu_route_factors_each_level_once(count_calls):
     """tails_lu inverts each -Psi_k once, for its head and the next level."""
     model = BUNDLED["qbd22.json"].payload
     r = qbd.solve_R(model.a0, model.a1, model.a2).matrix
     x0 = qbd.boundary_solve(model, r).x0
-    calls = _count_calls(monkeypatch, matkernel, "solve_linear")
+    calls = count_calls(matkernel, "solve_linear")
     series = qbd.tails_lu(model, x0, 20)
     assert len(calls) <= series.truncation_report["terms"] + 2
 

@@ -53,6 +53,19 @@ MG1_BATCH = SkipFreeModel(
 )
 
 
+def _mg1_walk(rho, p=((1.0,),)):
+    """Walk that falls by one with probability 1/2 and rises by one or two
+    with rho/4 and rho/8, so its load is rho and x0 sums to 1 - rho; the
+    phase moves by the stochastic matrix p at every step."""
+    p = np.array(p)
+    up1, up2 = rho / 4.0, rho / 8.0
+    return SkipFreeModel(
+        "MG1",
+        [0.5 * p, (0.5 - up1 - up2) * p, up1 * p, up2 * p],
+        [0.5 * p, (1.0 - up1 - up2) * p, up1 * p, up2 * p],
+    )
+
+
 def test_scalar_rate_series_solution():
     result = solve_R_series([np.array(a) for a in ([[0.3]], [[0.3]], [[0.4]])])
     assert abs(float(result.matrix[0, 0]) - 0.75) < 1e-10
@@ -229,3 +242,25 @@ def test_model_validation_catches_mistakes():
         SkipFreeModel("GIM1", [[[0.6]], [[0.6]]], [[[0.6]], [[0.4]]])
     with pytest.raises(ValidationError):
         SkipFreeModel("GIM1", [[[0.5]], [[-0.5]]], [[[0.5]], [[0.5]]])
+
+
+def test_mg1_routes_agree_deep_in_the_tail():
+    """The iterative route materializes its rows to the requested depth, so
+    at 400 levels it still matches the factorization route."""
+    model = _mg1_walk(0.7, [[0.6, 0.4], [0.3, 0.7]])
+    it = mg1_tails(model, 400)
+    ul = mg1_ul_tails(model, 400)
+    for k in range(1, 401):
+        assert np.max(np.abs(it.level(k) - ul.level(k)) / ul.level(k)) < 1e-9
+
+
+def test_mg1_normalizer_is_closed_form_near_saturation():
+    """At rho = 0.995 the mass sits thousands of levels deep, yet only the
+    requested levels and the balance window are materialized."""
+    rho = 0.995
+    model = _mg1_walk(rho)
+    measures = mg1_stationary(model, levels=50)
+    window = max(len(model.a_blocks), len(model.b_blocks)) + 5 + len(model.a_blocks)
+    assert len(measures.visit_rows) <= 50 + window
+    assert abs(float(measures.x0[0]) / (1.0 - rho) - 1.0) < 1e-10
+    assert measures.stationarity_residual < 1e-9
