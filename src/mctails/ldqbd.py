@@ -4,16 +4,19 @@ Blocks may vary with the level up to a finite horizon and are frozen beyond
 it, so the chain is eventually level-independent.  Two tail routes are
 provided: a matrix-product accumulation driven by the level-dependent rate
 sequence R_l, and a forward LU-type factorization of the generator restricted
-to levels one and above.
+to levels one and above.  Past the horizon h the chain is matrix-geometric
+with R_h, so both routes work out levels 1..max(h, levels) and close the
+rest with one geometric remainder, sum_{j>n} x_j = x_n R_h (I - R_h)^{-1};
+neither has a stop rule or a cut-off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoConvergence, SingularMatrix, ValidationError
+from .errors import SingularMatrix, ValidationError
 from .matkernel import _frozen, as_matrix, inf_norm, inverse, solve_xa, stationary_row
 from .qbd import ROWSUM_TOL, QbdModel, require_stable, solve_R
 from .series import TailSeries
@@ -165,42 +168,44 @@ def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
     return RateSequence(tuple(_frozen(r) for r in rs), tuple(residuals), 1)
 
 
-def stationary_product(model: LdQbdModel, rates: RateSequence, levels: int,
-                       tol: float = 1e-14, max_terms: int = 100000) -> TailSeries:
-    """Tails by accumulating the matrix products x_{j+1} = x_j R_j.
+def _boundary_row(model: LdQbdModel, rates: RateSequence) -> np.ndarray:
+    """Unnormalized level-0 row: stationary for the censored boundary block
+    A1(0) + R_0 A2(1), once the frozen levels are known to be stable."""
+    require_stable(rates.matrices[-1])
+    return stationary_row(model.block_at("A1", 0) + rates.matrices[0] @ model.block_at("A2", 1))
 
-    The level-0 row is the stationary vector of the censored boundary block
-    A1(0) + R_0 A2(1); products continue with the frozen horizon matrix until
-    the running row norm drops below tol, then everything is normalized and
-    suffix-summed.
+
+def _closed_tails(v, rows: list, r, levels: int, method: str) -> TailSeries:
+    """Normalized tails from the level-0 row v and the rows x_1..x_n of
+    levels 1..n, all up to one common scale, with n at or past the horizon.
+
+    From level n on the blocks are frozen, so x_{j+1} = x_j R_h and the
+    levels past n hold x_n R_h (I - R_h)^{-1} in closed form.  Each tail is
+    that remainder plus a suffix sum of the rows.
+    """
+    remainder = solve_xa(np.eye(len(r)) - r, rows[-1] @ r)
+    tails = np.cumsum([remainder] + rows[::-1], axis=0)[:0:-1]
+    kappa = 1.0 / (float(v.sum()) + float(tails[0].sum()))
+    return TailSeries(list(kappa * tails[:levels]), kappa * v, method=method,
+                      truncation_report={"terms": len(rows)})
+
+
+def stationary_product(model: LdQbdModel, rates: RateSequence, levels: int) -> TailSeries:
+    """Tails by multiplying out the level rows x_{j+1} = x_j R_j.
+
+    The level-0 row is stationary for the censored boundary block
+    A1(0) + R_0 A2(1).  Rows 1..max(horizon, levels) are multiplied out, the
+    frozen levels past them are added in closed form, and the whole is
+    normalized and suffix-summed.  The report carries the rows multiplied
+    as `terms`.
     """
     h = model.horizon
     rs = rates.matrices
-    require_stable(rs[h])
-    censored = model.block_at("A1", 0) + rs[0] @ model.block_at("A2", 1)
-    v = stationary_row(censored)
-    rows = []
-    w = v
-    total = float(v.sum())
-    for j in range(max_terms):
-        w = w @ rs[min(j, h)]
-        rows.append(w)
-        total += float(w.sum())
-        if inf_norm(w) < tol:
-            break
-    else:
-        raise NoConvergence(f"level products still above {tol:.1e} after {max_terms} terms")
-    kappa = 1.0 / total
-    x0 = kappa * v
-    pis = [np.zeros(model.m) for _ in range(levels)]
-    suffix = np.zeros(model.m)
-    for j in range(len(rows), 0, -1):
-        suffix = suffix + kappa * rows[j - 1]
-        if j <= levels:
-            pis[j - 1] = suffix
-    report = {"terms": len(rows), "last_row_norm": kappa * inf_norm(rows[-1]),
-              "series_tol": tol}
-    return TailSeries(pis, x0, method="matrix-product", truncation_report=report)
+    v = _boundary_row(model, rates)
+    rows = [v @ rs[0]]
+    for j in range(1, max(h, levels)):
+        rows.append(rows[-1] @ rs[min(j, h)])
+    return _closed_tails(v, rows, rs[h], levels, "matrix-product")
 
 
 def lu_measures(model: LdQbdModel, count: int) -> LdMeasures:
@@ -208,8 +213,8 @@ def lu_measures(model: LdQbdModel, count: int) -> LdMeasures:
     removed: Psi_0 = A1(1), then Psi_k = A1(k+1) + Rk A0(k) with up factor
     Rk = A2(k+1) (-Psi_{k-1})^{-1} and down factor Gk-1 = (-Psi_{k-1})^{-1} A0(k).
     """
-    if count < 2:
-        raise ValidationError("need a window of at least two levels")
+    if count < 1:
+        raise ValidationError("need a window of at least one level")
     psis = [model.block_at("A1", 1)]
     ups: list = []
     downs: list = []
@@ -239,27 +244,23 @@ def _apply_inverse(measures: LdMeasures, rows: list) -> list:
     return out
 
 
-def tails_lu_ld(model: LdQbdModel, x0, levels: int) -> TailSeries:
+def tails_lu_ld(model: LdQbdModel, rates: RateSequence, levels: int) -> TailSeries:
     """Tails through the forward factorization of the level-1-and-up generator.
 
-    The window spans levels 1 up to the horizon plus one, widened as needed
-    so every requested level sits well below its edge (blocks repeat out
-    there, and the edge is where the cut-off mass re-enters).  The
-    stationary rows on the window solve t M = -(x0 A0(0), 0, ...) by one
-    pass through the factors, and the tails are their suffix sums over the
-    window, so the work is linear in its width.  The report carries the
-    window width as `terms` and the inf-norm of the edge row, the mass the
-    cut leaves out.
+    The window spans levels 1..n with n = max(horizon, levels).  Its last
+    block is censored to A1(n) + R_h A2(n+1), so the window generator M is
+    exact for the levels it holds.  With the boundary row v of the product
+    route, the level rows solve t M = -(v A0(0), 0, ...) by one pass through
+    the factors; the frozen levels past n are added in closed form, and the
+    tails are normalized suffix sums, so the work is linear in n.  The
+    report carries the window width as `terms`.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = max(model.horizon + 1, levels + 20)
+    h = model.horizon
+    n = max(h, levels)
+    r = rates.matrices[h]
+    v = _boundary_row(model, rates)
     measures = lu_measures(model, n)
-    source = [x0 @ model.block_at("A0", 0)] + [np.zeros(model.m) for _ in range(n - 1)]
-    rows = _apply_inverse(measures, source)
-    tails = [None] * n
-    tail = np.zeros(model.m)
-    for i in range(n - 1, -1, -1):
-        tail = tail - rows[i]
-        tails[i] = tail
-    report = {"terms": n, "edge_row_norm": inf_norm(rows[-1])}
-    return TailSeries(tails[:levels], x0, method="lu-rg", truncation_report=report)
+    closed = measures.psis[-1] + r @ model.block_at("A2", n + 1)
+    measures = replace(measures, psis=measures.psis[:-1] + (closed,))
+    source = [-(v @ model.block_at("A0", 0))] + [np.zeros(model.m)] * (n - 1)
+    return _closed_tails(v, _apply_inverse(measures, source), r, levels, "lu-rg")

@@ -170,15 +170,17 @@ def retrial_tails(params: RetrialParams, levels: int,
                       truncation_report=report, first_level=0)
 
 
-def mn_mn_1_tails(arrival, service, levels: int,
-                  max_terms: int = 1000000) -> TailSeries:
+def mn_mn_1_tails(arrival, service, levels: int) -> TailSeries:
     """Tails of a birth-death queue with state-dependent rates.
 
     arrival[k] drives level k to k+1 and service[k-1] drives k to k-1; either
     argument may be a scalar or a list, the last entry repeating forever.
-    The product terms t_k = prod arrival[j-1]/service[j] are summed until
-    they stop contributing; if they never do the chain has no stationary
-    distribution and the solve raises Divergent.
+    The product terms t_k = prod arrival[j-1]/service[j-1] are built up to
+    n = max(levels, len(arrival), len(service)).  Past n both rates are
+    frozen, so the terms go on geometrically with q = arrival[-1]/service[-1]
+    and sum to t_n q/(1 - q) there.  If q >= 1 while t_n > 0 that sum
+    diverges: the chain has no stationary distribution and the solve raises
+    Divergent.
     """
     arrivals = [float(x) for x in (arrival if np.ndim(arrival) else [arrival])]
     services = [float(x) for x in (service if np.ndim(service) else [service])]
@@ -188,28 +190,21 @@ def mn_mn_1_tails(arrival, service, levels: int,
     def rate(seq, k):
         return seq[k] if k < len(seq) else seq[-1]
 
+    n = max(levels, len(arrivals), len(services))
     terms = []
     t = 1.0
-    total = 0.0
-    for k in range(1, max_terms + 1):
-        t *= rate(arrivals, k - 1) / rate(services, k - 1)
+    for k in range(n):
+        t *= rate(arrivals, k) / rate(services, k)
         terms.append(t)
-        total += t
-        if t < 1e-18 * (1.0 + total):
-            break
-    else:
-        raise Divergent("level products did not settle; the queue is not ergodic")
-    norm = 1.0 + total
-    pis = [np.array([1.0])]
-    suffix = 0.0
-    tails = [0.0] * (len(terms) + 1)
-    for k in range(len(terms), 0, -1):
-        suffix += terms[k - 1]
-        tails[k] = suffix
-    for k in range(1, levels + 1):
-        pis.append(np.array([tails[k] / norm if k < len(tails) else 0.0]))
+    q = arrivals[-1] / services[-1]
+    if t > 0 and q >= 1:
+        raise Divergent(f"rates freeze at load {q:.6g}, not below 1; the queue is not ergodic")
+    remainder = t * q / (1.0 - q) if t > 0 else 0.0
+    tails = np.cumsum([remainder] + terms[::-1])[:0:-1]
+    norm = 1.0 + tails[0]
+    pis = [np.array([1.0])] + [np.array([x / norm]) for x in tails[:levels]]
     return TailSeries(pis, None, method="closed-form",
-                      truncation_report={"terms": len(terms)}, first_level=0)
+                      truncation_report={"terms": n}, first_level=0)
 
 
 def mnmn1_chain(arrival, service) -> LdQbdModel:

@@ -134,8 +134,8 @@ def _ldqbd_product(model, levels, tol):
 
 
 def _ldqbd_lu(model, levels, tol):
-    x0 = _ldqbd_product(model, levels, tol).x0
-    return ldqbd.tails_lu_ld(model.payload, x0, levels)
+    rates = ldqbd.solve_rate_sequence(model.payload, tol=tol)
+    return ldqbd.tails_lu_ld(model.payload, rates, levels)
 
 
 def _gim1_mg(model, levels, tol):

@@ -26,7 +26,6 @@ blocks of that QBD's matrices from qbd.solve_R and qbd.solve_G.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,8 +248,8 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
 
     The censored boundary chain is B_1 + R_1 sum_k R^{k-1} B_{k+1} with entry
     block R_1 = B_0 (I - visit_kernel)^{-1}; its stationary vector, scaled by
-    the mass of the matrix-geometric levels above, gives x0.  A window of the
-    full balance equations is re-checked and a miss beyond 1e-8 warns.
+    the mass of the matrix-geometric levels above, gives x0.  A balance miss
+    beyond 1e-8 on a window of levels raises SingularMatrix.
     """
     if model.kind != "GIM1":
         raise ValidationError("gim1_stationary needs a GIM1 model")
@@ -285,7 +284,7 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
     x0 = tau * y0
     resid = _gim1_balance_residual(model, x0, entry, r)
     if resid > 1e-8:
-        warnings.warn(f"stationary rows miss balance by {resid:.3e}", RuntimeWarning)
+        raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
     return Gim1Measures(
         rate=r,
         entry=_frozen(entry),
@@ -397,7 +396,7 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12, levels: int = 0) ->
     recursion over k gives the normalizer in closed form (Ramaswami 1988):
     tau = 1 / (y0 e + y0 W0 (I - W)^{-1} e) with W0 = sum_j V0_j and
     W = sum_d V_d.  Only rows 0 .. max(levels, balance window) - 1 are
-    materialized, and the balance window is re-checked.
+    materialized; a balance miss beyond 1e-8 on the window raises SingularMatrix.
     """
     if model.kind != "MG1":
         raise ValidationError("mg1_stationary needs a MG1 model")
@@ -445,7 +444,7 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12, levels: int = 0) ->
     x0 = tau * y0
     resid = _mg1_balance_residual(model, [tau * row for row in rows])
     if resid > 1e-8:
-        warnings.warn(f"stationary rows miss balance by {resid:.3e}", RuntimeWarning)
+        raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
     return Mg1Measures(
         passage=g,
         boundary_passage=_frozen(boundary_passage),

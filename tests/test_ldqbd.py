@@ -13,6 +13,7 @@ from mctails.ldqbd import (
     tails_lu_ld,
 )
 from mctails.matkernel import inf_norm
+from mctails.models import RetrialParams, mnmn1_chain, retrial_chain
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import QbdModel
 
@@ -97,18 +98,63 @@ def test_level_one_tail_complements_the_boundary_mass():
 
 
 def test_factored_route_solves_through_the_factors_once(count_calls):
-    """One pass through the window factors gives the stationary rows; the
-    tails are their suffix sums, and the report carries the window width and
-    the edge row the cut leaves out."""
+    """One pass through the factors of a window of max(horizon, levels)
+    levels gives the stationary rows; the frozen levels past it are added in
+    closed form, and the report carries the window width."""
     rates = solve_rate_sequence(RAMP2)
     prod = stationary_product(RAMP2, rates, 6)
     calls = count_calls(ldqbd, "_apply_inverse")
-    series = tails_lu_ld(RAMP2, prod.x0, 6)
+    series = tails_lu_ld(RAMP2, rates, 6)
     assert calls == [1]
-    assert series.truncation_report["terms"] == 26
-    assert 0.0 < series.truncation_report["edge_row_norm"] < 1e-20
+    assert series.truncation_report["terms"] == RAMP2.horizon
+    assert tails_lu_ld(RAMP2, rates, 20).truncation_report["terms"] == 20
+    assert inf_norm(prod.x0 - series.x0) < 1e-15
     gap = max(inf_norm(prod.level(k) - series.level(k)) for k in range(1, 7))
     assert gap < 1e-15
+
+
+def test_lu_route_solves_the_rate_sequence_once(count_calls):
+    """The factored route finds its own boundary row from the rate sequence
+    and does not run the product route."""
+    rates = count_calls(ldqbd, "solve_rate_sequence")
+    products = count_calls(ldqbd, "stationary_product")
+    solve_tails(RAMP2, 20, method="lu")
+    assert rates == [1]
+    assert products == []
+
+
+def _max_rel(got, want) -> float:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+@pytest.mark.parametrize("route", ["product", "lu"])
+def test_routes_close_a_birth_death_chain_at_its_horizon(route):
+    """Arrivals 2, 1.5, 0.5 and services 1, 2, 3, the last rates repeating:
+    t_1 = 2, t_2 = 1.5 and t_k = 0.25 (1/6)^(k-3) from k = 3, so
+    pi_k = sum_{j>=k} t_j / 4.8.  Every level down to 200 (pi_200 ~ 1e-154)
+    keeps its relative accuracy."""
+    series = solve_tails(mnmn1_chain([2.0, 1.5, 0.5], [1.0, 2.0, 3.0]), 200, method=route)
+    want = [3.8, 1.8] + [0.25 * 1.2 / 6.0 ** (k - 3) for k in range(3, 201)]
+    assert _max_rel(series.x0, [1.0 / 4.8]) < 1e-12
+    assert _max_rel([float(p[0]) for p in series.pis], [w / 4.8 for w in want]) < 1e-12
+
+
+def test_routes_agree_on_the_retrial_chain_to_its_horizon():
+    """Orbit size as level, phases (busy, idle), horizon 200: the two routes
+    agree at every level, and every level row is positive and balances the
+    idle state, mu x_busy,k = (lam + min(k, h) theta) x_idle,k."""
+    lam, mu, theta, h = 1.0, 2.0, 1.0, 200
+    chain = retrial_chain(RetrialParams(lam, mu, theta), h)
+    prod = solve_tails(chain, 201, method="product")
+    lu = solve_tails(chain, 201, method="lu")
+    for k in range(1, 201):
+        assert _max_rel(lu.level(k), prod.level(k)) < 1e-12
+    for series in (prod, lu):
+        rows = [series.x0] + [series.level(k) - series.level(k + 1) for k in range(1, 201)]
+        for k, (busy, idle) in enumerate(rows):
+            assert busy > 0 and idle > 0
+            assert abs(mu * busy - (lam + min(k, h) * theta) * idle) < 1e-12 * mu * busy
 
 
 def test_chain_unstable_beyond_the_horizon_is_refused():

@@ -130,9 +130,22 @@ def test_state_dependent_rule_route_matches_the_series():
     assert gap < 1e-9
 
 
+def test_state_dependent_queue_keeps_its_digits_deep_in_the_tail():
+    series = mn_mn_1_tails(1.0, 2.0, 100)
+    for k in range(0, 101):
+        assert abs(float(series.level(k)[0]) / 0.5 ** k - 1.0) < 1e-13
+
+
+def test_finite_room_queue_solves_past_a_critical_last_rate():
+    """No arrivals at level 1 end the chain there, so the last rate pair
+    (1 up, 1 down) is never reached and the queue has a distribution."""
+    series = mn_mn_1_tails([1.0, 0.0, 1.0], 1.0, 4)
+    assert [float(p[0]) for p in series.pis] == [1.0, 0.5, 0.0, 0.0, 0.0]
+
+
 def test_critical_state_dependent_queue_raises():
     with pytest.raises(Divergent):
-        mn_mn_1_tails(1.0, 1.0, 3, max_terms=10000)
+        mn_mn_1_tails(1.0, 1.0, 3)
 
 
 def test_negative_rates_are_rejected():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mctails import solve_tails
-from mctails.errors import NearCritical, Reducible, Unstable, ValidationError
+from mctails import skipfree, solve_tails
+from mctails.errors import NearCritical, Reducible, SingularMatrix, Unstable, ValidationError
 from mctails.matkernel import inf_norm, spectral_radius
 from mctails.oracle import truncate_and_solve
 from mctails.skipfree import (
@@ -233,6 +233,16 @@ def test_mg1_stationarity_residual_is_reported_small():
     measures = mg1_stationary(MG1_BATCH)
     assert measures.stationarity_residual < 1e-9
     assert measures.drift < 0
+
+
+@pytest.mark.parametrize("residual,stationary,model", [
+    ("_gim1_balance_residual", gim1_stationary, GIM1_PHASED),
+    ("_mg1_balance_residual", mg1_stationary, MG1_BATCH),
+], ids=["gim1", "mg1"])
+def test_balance_miss_raises(monkeypatch, residual, stationary, model):
+    monkeypatch.setattr(skipfree, residual, lambda *args: 1e-6)
+    with pytest.raises(SingularMatrix, match="miss balance by 1.000e-06"):
+        stationary(model)
 
 
 def test_model_validation_catches_mistakes():
