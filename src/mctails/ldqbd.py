@@ -133,7 +133,6 @@ class RateSequence:
     """Level-dependent rate matrices, x_{l+1} = x_l R_l, for l = 0..horizon."""
 
     matrices: tuple
-    residuals: tuple
     backward_sweeps: int
 
 
@@ -160,12 +159,7 @@ def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
     for l in range(h - 1, -1, -1):
         pivot = model.block_at("A1", l + 1) + rs[l + 1] @ model.block_at("A2", l + 2)
         rs[l] = solve_xa(pivot, -model.block_at("A0", l))
-    residuals = []
-    for l in range(0, h - 1):
-        res = (model.block_at("A0", l) + rs[l] @ model.block_at("A1", l + 1)
-               + rs[l] @ rs[l + 1] @ model.block_at("A2", l + 2))
-        residuals.append(inf_norm(res))
-    return RateSequence(tuple(_frozen(r) for r in rs), tuple(residuals), 1)
+    return RateSequence(tuple(_frozen(r) for r in rs), 1)
 
 
 def _boundary_row(model: LdQbdModel, rates: RateSequence) -> np.ndarray:

@@ -6,7 +6,10 @@ Matrices are plain 2-d float64 numpy arrays; probability and rate vectors are
 an explicit guard: an exactly singular matrix, a non-finite solution, or a
 1-norm reciprocal condition number below RCOND_MIN raises SingularMatrix
 instead of returning digits that mean nothing.  Spectral radii come from the
-eigenvalues.
+eigenvalues.  Stationary rows are the exception to LAPACK: stationary_row is
+GTH state reduction inside the matrix's band, which needs no subtraction, so
+each entry is accurate relative to its own size however small it is.  Its
+answer passes the same balance guard as every other stationary vector.
 """
 
 from __future__ import annotations
@@ -136,28 +139,76 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
+def _reach(nonzero: np.ndarray) -> int:
+    """Largest distance from a row index down to the row's first nonzero
+    column, over the rows that have one."""
+    drop = np.arange(len(nonzero)) - nonzero.argmax(axis=1)
+    drop[~nonzero.any(axis=1)] = 0
+    return int(drop.max())
+
+
 def stationary_row(m, continuous: bool = True) -> np.ndarray:
     """Stationary row vector of a generator (v M = 0) or kernel (v M = v).
 
-    The last balance column is replaced by the normalization v e = 1; the full
-    balance residual is re-checked afterwards so anything but a rank-one
-    deficiency is rejected.
+    GTH state reduction (Grassmann, Taksar & Heyman 1985) on the off-diagonal
+    entries, which M and M - I share.  The last state is folded into the
+    states below it, which renews their rates by additions only, then the
+    next, down to state 0; back-substitution and normalization give v, with
+    every entry accurate relative to its own size.  Folding a state touches
+    only the rows that reach it and the columns it reaches, so the work stays
+    inside the band of the off-diagonal nonzeros: O(n p q) for lower reach p
+    and upper reach q.  The balance residual is re-checked afterwards.
+
+    Raises:
+        ValidationError: on a negative off-diagonal entry beyond roundoff,
+            n machine epsilons of the largest off-diagonal entry.
+        SingularMatrix: if a state reaches no lower state once the states
+            above it are folded in (two closed classes, say), or if v misses
+            balance.
     """
     m = _square(m, "stationary_row")
     n = m.shape[0]
     balance = m if continuous else m - np.eye(n)
-    system = balance.copy()
-    system[:, -1] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    return _balanced(solve_xa(system, rhs), balance, "stationary solve")
+    a = m.copy()
+    np.fill_diagonal(a, 0.0)
+    low = a.min()
+    if low < 0.0:
+        # blocks built from solves may carry roundoff below an exact zero
+        if low < -n * np.finfo(float).eps * a.max():
+            raise ValidationError(f"stationary_row: negative off-diagonal entry {low:.3e}")
+        np.maximum(a, 0.0, out=a)
+    nonzero = a != 0.0
+    below, above = _reach(nonzero), _reach(nonzero.T)
+    # Folding k divides column k above the diagonal by k's outflow to the
+    # states below it, then adds the rates through k to the rows that reach
+    # it.  The diagonal of a collects junk and is never read.  One buffer
+    # holds every fold's rank-one update, so the loop allocates no arrays.
+    scratch = np.empty((above, below))
+    for k in range(n - 1, 0, -1):
+        first_row, first_col = max(0, k - above), max(0, k - below)
+        row = a[k, first_col:k]
+        out = row.sum()
+        if out == 0.0:
+            raise SingularMatrix(f"stationary solve: state {k} reaches no lower state")
+        col = a[first_row:k, k]
+        col /= out
+        block = a[first_row:k, first_col:k]
+        block += np.multiply.outer(col, row, out=scratch[: k - first_row, : k - first_col])
+    v = np.empty(n)
+    v[0] = 1.0
+    for k in range(1, n):
+        first_row = max(0, k - above)
+        v[k] = mass = v[first_row:k] @ a[first_row:k, k]
+        if mass > 1e250:  # a chain that climbs: keep the row finite
+            v[: k + 1] /= mass
+    return _balanced(v / v.sum(), balance, "stationary solve")
 
 
 def _balanced(v: np.ndarray, balance: np.ndarray, what: str) -> np.ndarray:
     """v clipped at zero, after checking that it solves v balance = 0 to
     BALANCE_TOL relative and carries no negative mass beyond BALANCE_TOL."""
     residual = inf_norm(v @ balance)
-    if residual > BALANCE_TOL * max(1.0, inf_norm(balance)):
+    if not residual <= BALANCE_TOL * max(1.0, inf_norm(balance)):  # NaN fails too
         raise SingularMatrix(f"{what} left balance residual {residual:.3e}")
     if np.min(v) < -BALANCE_TOL:
         raise SingularMatrix(f"{what} produced negative mass {np.min(v):.3e}")

@@ -1,10 +1,16 @@
-"""Cross-check solver that truncates a chain and solves it dense.
+"""Cross-check solver that truncates a chain and solves it as a scalar chain.
 
 Every structured solver in this package exploits the block pattern of its
 model.  This module deliberately does not: it materializes the generator or
 kernel up to a truncation level, repairs the last row so probability is
-conserved, and solves the finite system directly.  Agreement between the two
-is then evidence for both, since they share no intermediate quantities.
+conserved, and solves the finite system state by state with GTH state
+reduction (matkernel.stationary_row).  Agreement between the two is then
+evidence for both, since they share no intermediate quantities.  The
+reduction has no subtractions, so the oracle's tails keep their relative
+accuracy deep into the tail, where they are far below machine epsilon; it
+works inside the band of the assembled matrix, so a block-tridiagonal chain
+costs time linear in its state count.  Assembly stays dense, hence
+MAX_STATES.
 """
 
 from __future__ import annotations
@@ -76,25 +82,26 @@ def _assemble_mg1(model: SkipFreeModel, levels: int) -> np.ndarray:
     n = start(levels) + m
     p = np.zeros((n, n))
     p[: m0, : m0] = b[1]
-    for c in range(1, levels):
-        if c + 1 < len(b):
-            p[: m0, start(c) : start(c) + m] = b[c + 1]
+    for c in range(1, min(levels, len(b) - 1)):
+        p[: m0, start(c) : start(c) + m] = b[c + 1]
     overflow = sum((b[l] for l in range(levels + 1, len(b))),
                    np.zeros((m0, m)))
     p[: m0, start(levels) : start(levels) + m] = overflow
+    # tails[j] = a[j] + a[j+1] + ...: what a row j - 1 levels below the
+    # top sends to the top level or past it
+    tails = [np.zeros((m, m))]
+    for blk in reversed(a):
+        tails.append(blk + tails[-1])
+    tails.reverse()
     for k in range(1, levels + 1):
         row = slice(start(k), start(k) + m)
         if k == 1:
             p[row, : m0] = b[0]
         else:
             p[row, start(k - 1) : start(k - 1) + m] = a[0]
-        for c in range(k, levels):
-            j = c - k + 1
-            if j < len(a):
-                p[row, start(c) : start(c) + m] = a[j]
-        tail = sum((a[j] for j in range(levels - k + 1, len(a))),
-                   np.zeros((m, m)))
-        p[row, start(levels) : start(levels) + m] += tail
+        for c in range(k, min(levels, k + len(a) - 1)):
+            p[row, start(c) : start(c) + m] = a[c - k + 1]
+        p[row, start(levels) : start(levels) + m] += tails[min(levels - k + 1, len(a))]
     return p
 
 

@@ -95,6 +95,46 @@ def test_stationary_row_rejects_rank_deficiency_beyond_one():
         stationary_row(np.zeros((3, 3)))
 
 
+def test_stationary_row_rejects_two_closed_classes():
+    # states {0, 1} and {2, 3} never reach each other
+    q = np.array([[-1.0, 1.0, 0.0, 0.0],
+                  [2.0, -2.0, 0.0, 0.0],
+                  [0.0, 0.0, -3.0, 3.0],
+                  [0.0, 0.0, 1.0, -1.0]])
+    with pytest.raises(SingularMatrix):
+        stationary_row(q)
+
+
+def test_stationary_row_rejects_negative_off_diagonal_entries():
+    with pytest.raises(ValidationError):
+        stationary_row([[-1.0, 1.5, -0.5], [1.0, -2.0, 1.0], [0.5, 0.5, -1.0]])
+    # roundoff below an exact zero counts as zero
+    v = stationary_row([[-1.0, 1.0, -1e-20], [1.0, -2.0, 1.0], [0.0, 2.0, -2.0]])
+    assert inf_norm(v - np.array([2.0, 2.0, 1.0]) / 5.0) < 1e-15
+
+
+def test_stationary_row_of_an_unevenly_banded_kernel():
+    # lower reach 2, upper reach 5: every fold stays inside that band
+    rng = np.random.default_rng(11)
+    n = 40
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    p = np.where((offsets <= 2) & (offsets >= -5), rng.random((n, n)), 0.0)
+    p /= p.sum(axis=1, keepdims=True)
+    v = stationary_row(p, continuous=False)
+    assert abs(v.sum() - 1.0) < 1e-14
+    assert inf_norm(v @ p - v) < 1e-15
+
+
+def test_stationary_row_of_a_chain_that_climbs_past_the_float_range():
+    # birth rate 4, death rate 1 on 600 states: v_k is 4^k up to scale
+    n = 600
+    q = np.diag(np.full(n - 1, 4.0), 1) + np.diag(np.ones(n - 1), -1)
+    q -= np.diag(q.sum(axis=1))
+    v = stationary_row(q)
+    assert abs(v[-1] - 0.75) < 1e-15
+    assert abs(v[-2] / v[-1] - 0.25) < 1e-15
+
+
 def test_as_matrix_rejects_ragged_and_non_finite_input():
     with pytest.raises(ValidationError):
         as_matrix([[1.0, 2.0], [3.0]])

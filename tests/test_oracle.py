@@ -1,8 +1,13 @@
-"""Dense truncation reference: conservation, error estimates, size guard."""
+"""Dense truncation reference: conservation, error estimates, size guard,
+entrywise accuracy deep in the tail."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mctails import solve_tails
+from mctails.cli import load_model_file
 from mctails.errors import SizeLimit
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm
@@ -49,6 +54,27 @@ def test_doubling_the_depth_moves_less_than_the_estimate():
         fine = truncate_and_solve(model, 60)
         moved = max(inf_norm(coarse.level(k) - fine.level(k)) for k in range(1, 11))
         assert moved <= 10.0 * coarse.truncation_report["error_estimate"] + 1e-15
+
+
+def test_deep_tails_match_the_truncated_closed_form():
+    """Truncated at L levels, M/M/1 has pi_k = (rho^k - rho^(L+1)) /
+    (1 - rho^(L+1)); the oracle must hold every level to 1e-13 relative,
+    down to pi_200 near 1e-60."""
+    rho, levels = 0.5, 200
+    series = truncate_and_solve(MM1, levels)
+    for k in range(1, levels + 1):
+        exact = (rho**k - rho ** (levels + 1)) / (1.0 - rho ** (levels + 1))
+        assert abs(float(series.level(k)[0]) - exact) <= 1e-13 * exact
+
+
+def test_deep_oracle_matches_the_matrix_geometric_route():
+    path = Path(__file__).resolve().parents[1] / "modelfiles" / "qbd22.json"
+    model = load_model_file(str(path)).payload
+    oracle = truncate_and_solve(model, 1000)
+    mg = solve_tails(model, 60, method="mg")
+    for k in (20, 40, 60):
+        gap = inf_norm(oracle.level(k) - mg.level(k))
+        assert gap <= 1e-12 * inf_norm(mg.level(k))
 
 
 def test_error_estimate_shrinks_with_depth():
