@@ -132,11 +132,27 @@ def inverse(a) -> np.ndarray:
 
 
 def spectral_radius(a) -> float:
-    """Largest eigenvalue magnitude of a nonnegative square matrix."""
-    a = _square(a, "spectral_radius")
-    if np.any(a < 0):
-        raise ValidationError("spectral_radius: matrix has negative entries")
+    """Largest eigenvalue magnitude of a nonnegative square matrix.
+
+    Raises:
+        ValidationError: on a negative entry beyond roundoff, n machine
+            epsilons of the largest entry; those within it are clipped.
+    """
+    a = _nonnegative(_square(a, "spectral_radius"), "spectral_radius: negative entry")
     return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def _nonnegative(a: np.ndarray, what: str) -> np.ndarray:
+    """a, or a copy with its negative entries set to zero when they are
+    roundoff: within n machine epsilons of the largest entry of the n x n
+    matrix.  Matrices built from solves may carry roundoff below an exact
+    zero; a negative entry beyond it raises ValidationError(what)."""
+    low = a.min()
+    if low < 0.0:
+        if low < -len(a) * np.finfo(float).eps * a.max():
+            raise ValidationError(f"{what} {low:.3e}")
+        return np.maximum(a, 0.0)
+    return a
 
 
 def _reach(nonzero: np.ndarray) -> int:
@@ -171,12 +187,7 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     balance = m if continuous else m - np.eye(n)
     a = m.copy()
     np.fill_diagonal(a, 0.0)
-    low = a.min()
-    if low < 0.0:
-        # blocks built from solves may carry roundoff below an exact zero
-        if low < -n * np.finfo(float).eps * a.max():
-            raise ValidationError(f"stationary_row: negative off-diagonal entry {low:.3e}")
-        np.maximum(a, 0.0, out=a)
+    a = _nonnegative(a, "stationary_row: negative off-diagonal entry")
     nonzero = a != 0.0
     below, above = _reach(nonzero), _reach(nonzero.T)
     # Folding k divides column k above the diagonal by k's outflow to the

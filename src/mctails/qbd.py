@@ -17,7 +17,6 @@ generator, and a LU-type forward factorization whose measures vary by level.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,11 +47,10 @@ ROWSUM_TOL = 1e-12
 STABILITY_MARGIN = 1e-9
 # Reduction steps solve_G may take; step k covers climbs of up to 2^k levels.
 MAX_DOUBLINGS = 64
-# The lu series predicts its depth once successive deep terms shrink by a
-# ratio that moves by at most SETTLE times its distance from one; it must
-# settle within SETTLE_TERMS terms past the deepest requested level.
-SETTLE = 1e-2
-SETTLE_TERMS = 10000
+# The lu up-blocks count as settled once their change stops shrinking within
+# this many machine epsilons, per phase and per unit of the measure's
+# condition number, of the blocks themselves (see tails_lu).
+ROUNDOFF_FLOOR = 16
 
 
 def _check_generator_block(diag: np.ndarray, name: str) -> None:
@@ -253,87 +251,86 @@ def tails_ul(model: QbdModel, r, boundary: BoundarySolution, levels: int) -> Tai
 
 
 def _lu_steps(model: QbdModel, x0):
-    """(U_k, e_k) for k = 0, 1, 2, ... (U_0 is None) of the LU-type forward
-    factorization; see tails_lu."""
+    """The LU-type forward factorization up to the step s at which its
+    up-blocks settle: the heads [e_0, ..., e_s], the up-blocks
+    [None, U_1, ..., U_s], and the settled U = A2 M_s and M_s (see tails_lu)."""
     a0, a1, a2 = model.a0, model.a1, model.a2
-    minv = inverse(-(a0 + a1))
-    yrow = x0 @ model.b0
-    yield None, yrow @ minv
-    for k in itertools.count(1):
+    psi, yrow = a0 + a1, x0 @ model.b0
+    heads, ups = [], [None]
+    change = math.inf
+    while True:
+        minv = inverse(-psi)
         if np.min(minv) < -1e-9:
-            raise SingularMatrix(f"level {k}: measure inverse is not nonnegative")
+            raise SingularMatrix(f"level {len(heads)}: measure inverse is not nonnegative")
+        heads.append(yrow @ minv)
         up = a2 @ minv
-        yrow = yrow @ minv @ a0
-        minv = inverse(-(a1 + up @ a0))
-        yield up, yrow @ minv
+        if len(ups) > 1:
+            last, change = change, inf_norm(up - ups[-1])
+            # the roundoff one step leaves in U, relative to U
+            floor = (ROUNDOFF_FLOOR * len(psi) * np.finfo(float).eps
+                     * inf_norm(psi) * inf_norm(minv))
+            if change <= floor * inf_norm(up) and not change < last:
+                return heads, ups, up, minv
+        ups.append(up)
+        yrow = heads[-1] @ a0
+        psi = a1 + up @ a0
 
 
-def tails_lu(model: QbdModel, x0, levels: int, depth: int | None = None,
-             tol: float = 1e-14) -> TailSeries:
+def _deep_sum(step, up):
+    """Y = sum_{j>=1} N^j U^j for N = `step`, U = `up`, by Smith's doubling
+    on Y = N U + N Y U: Y <- Y + N^(2^i) Y U^(2^i) doubles the terms covered.
+    Every entry is a sum of nonnegative products, so no digits cancel; the
+    doubling stops once the added terms are below roundoff entrywise."""
+    y = step @ up
+    for _ in range(MAX_DOUBLINGS):
+        term = step @ y @ up
+        y = y + term
+        if np.all(term <= np.finfo(float).eps * y):
+            return y
+        step, up = step @ step, up @ up
+    raise TruncationFailure(
+        f"lu deep terms N^j U^j did not shrink in {MAX_DOUBLINGS} doublings: "
+        "their ratio is not below 1"
+    )
+
+
+def tails_lu(model: QbdModel, x0, levels: int) -> TailSeries:
     """Tails from the LU-type forward factorization.
 
     Builds the level-varying measures Psi_0 = A0 + A1,
     Psi_k = A1 + U_k A0 with M_k = (-Psi_k)^{-1} and up-blocks
     U_k = A2 M_{k-1}, and the heads e_k = y_k M_k, where y_0 = x0 B0 and
-    y_k = y_{k-1} M_{k-1} A0.  The tails are
+    y_k = e_{k-1} A0.  The tails are
 
         pi_j = e_{j-1} + S_j,  S_j = sum_{k>=j} e_k U_k U_{k-1} ... U_j,
 
-    and S_j = (e_j + S_{j+1}) U_j.  One forward pass stores e_k and U_k up to
-    `levels` and adds up the deep part S_{levels+1} through the transfer
-    matrix T = U_k ... U_{levels+1}; one backward sweep then gives every
-    pi_j, so the work is linear in the depth.  Each -Psi_k is inverted once.
+    and S_j = (e_j + S_{j+1}) U_j.
 
-    The pass stops once the deep term's share of pi_levels, e_k T U_levels,
-    is at most tol times the deepest head e_{levels-1} (inf-norms).  Once
-    successive deep terms shrink by a settled ratio, the depth cap is twice
-    the terms that ratio predicts; a ratio not below 1 - STABILITY_MARGIN, a
-    pass that outruns the cap, or a ratio that has not settled within
-    SETTLE_TERMS deep terms raises TruncationFailure.  `depth`, when given,
-    is the cap instead.
+    The up-blocks converge to a fixed point U = A2 M.  The forward pass
+    inverts -Psi_k only until step s, where the change of U_k stops
+    shrinking within its roundoff: ROUNDOFF_FLOOR * m machine epsilons times
+    the condition number of Psi_k, relative to U_k.  A change that stops
+    shrinking above that floor does not end the pass, since on chains whose
+    rates differ by phase it can grow for a dozen levels before it falls.
+    Past s every level shares the settled U and M, and the heads follow
+    e_{k+1} = e_k N with N = A0 M, one product per level.  With
+    top = max(levels, s) the deep part is in closed form,
+    S_{top+1} = e_top Y with Y = sum_{j>=1} N^j U^j (see _deep_sum), and
+    one backward sweep from top gives every pi_j.  A chain that is not
+    positive recurrent makes that sum diverge and raises TruncationFailure.
+    The report's `terms` is top.
     """
     x0 = np.asarray(x0, dtype=float)
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if levels == 0:
-        return TailSeries([], x0, method="lu-rg")
-    steps = _lu_steps(model, x0)
-    ups, heads = zip(*itertools.islice(steps, levels + 1))
-    scale = inf_norm(heads[levels - 1]) or 1.0
-    deep = np.zeros(model.m)
-    transfer = np.eye(model.m)
-    cap = depth
-    norm, ratio = math.inf, None
-    for k, (up, head) in enumerate(steps, start=levels + 1):
-        if cap is not None and k > cap:
-            raise TruncationFailure(
-                f"lu tail series still adding {norm:.3e} of the deepest head "
-                f"after {cap} terms"
-            )
-        if cap is None and k > levels + SETTLE_TERMS:
-            raise TruncationFailure(
-                f"lu tail terms did not settle to a decay ratio within {SETTLE_TERMS} "
-                "terms past the deepest level"
-            )
-        transfer = up @ transfer
-        term = head @ transfer
-        deep = deep + term
-        last, norm = norm, inf_norm(term @ ups[levels]) / scale
-        if norm <= tol:
-            break
-        if depth is not None or last == math.inf:
-            continue
-        previous, ratio = ratio, norm / last
-        if previous is not None and abs(ratio - previous) <= SETTLE * abs(1.0 - ratio):
-            if ratio >= 1.0 - STABILITY_MARGIN:
-                raise TruncationFailure(
-                    f"lu tail terms shrink by a ratio of {ratio:.12f}, not below 1"
-                )
-            cap = k + 2 * math.ceil(math.log(tol / norm) / math.log(ratio))
+    heads, ups, up, minv = _lu_steps(model, x0)
+    top = max(levels, len(heads) - 1)
+    step = model.a0 @ minv
+    while len(heads) <= top:
+        heads.append(heads[-1] @ step)
+        ups.append(up)
+    tail = heads[top] @ _deep_sum(step, up)
     pis: list = [None] * levels
-    tail = deep
-    for j in range(levels, 0, -1):
+    for j in range(top, 0, -1):
         tail = (heads[j] + tail) @ ups[j]
-        pis[j - 1] = heads[j - 1] + tail
-    report = {"terms": k, "last_term_norm": norm, "series_tol": tol}
-    return TailSeries(pis, x0, method="lu-rg", truncation_report=report)
+        if j <= levels:
+            pis[j - 1] = heads[j - 1] + tail
+    return TailSeries(pis, x0, method="lu-rg", truncation_report={"terms": top})

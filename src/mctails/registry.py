@@ -15,6 +15,7 @@ its module, by a tracer or a test, is the one that runs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from . import ldqbd, models, oracle, qbd, skipfree
@@ -222,8 +223,10 @@ def build(kind: str, values: dict):
 
 def solve(model: Model, levels: int, method: str | None = None,
           tol: float = DEFAULT_TOL) -> TailSeries:
-    """Tails of `model` by the named route of its kind; None takes the
-    kind's default route."""
+    """Tails of `model` at levels 1..`levels` by the named route of its kind;
+    None takes the kind's default route."""
+    if not isinstance(levels, numbers.Integral) or levels < 0:
+        raise ValidationError(f"levels must be a nonnegative integer, got {levels!r}")
     routes = REGISTRY[model.kind].routes
     name = next(iter(routes)) if method is None else method
     if name not in routes:

@@ -78,6 +78,14 @@ def test_spectral_radius_of_nilpotent_matrix_is_zero():
 def test_spectral_radius_rejects_negative_entries():
     with pytest.raises(ValidationError):
         spectral_radius([[0.5, -0.1], [0.2, 0.3]])
+    # beyond roundoff: 2 machine epsilons of the largest entry are 2.2e-16
+    with pytest.raises(ValidationError, match="negative entry"):
+        spectral_radius([[0.5, -1e-15], [0.0, 0.1]])
+
+
+def test_spectral_radius_clips_roundoff_below_zero():
+    """A rate matrix from a solve may carry roundoff below an exact zero."""
+    assert spectral_radius([[0.5, -3.9e-22], [0.0, 0.1]]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_stationary_row_of_a_generator():

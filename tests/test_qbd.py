@@ -181,6 +181,23 @@ def test_tails_agree_with_dense_truncation():
         assert inf_norm(series.x0 - reference.x0) < 1e-8
 
 
+def test_boundary_solve_takes_a_rate_matrix_with_roundoff_below_zero():
+    """Two M/M/1 queues that swap only when empty have a diagonal R; a
+    -3.9e-22 where it is exactly zero is roundoff, and the boundary pair does
+    not move."""
+    eye = np.eye(2)
+    lam = np.diag([1.0, 0.5])
+    swap = np.array([[-0.1, 0.1], [0.1, -0.1]])
+    model = QbdModel(swap - lam, lam, 2.0 * eye, lam, -lam - 2.0 * eye, 2.0 * eye)
+    r = solve_R(model.a0, model.a1, model.a2).matrix
+    assert r[0, 1] == 0.0
+    noisy = r.copy()
+    noisy[0, 1] = -3.9e-22
+    exact, got = boundary_solve(model, r), boundary_solve(model, noisy)
+    assert inf_norm(got.x0 - exact.x0) < 1e-15
+    assert inf_norm(got.x1 - exact.x1) < 1e-15
+
+
 def test_tail_levels_decrease_and_balance_total_mass():
     series = solve_tails(TWOPHASE, 30, method="mg")
     for k in range(1, 30):
@@ -231,22 +248,44 @@ def test_lu_route_keeps_its_digits_deep_in_the_tail():
 
 
 def test_lu_depth_follows_the_decay_rate():
-    """At rho = 0.99 the deep terms shrink by 0.99 each, so the series runs
-    about log(1e-14) / log(0.99) = 3,208 terms past level 50; the cap comes
-    from that ratio, not from the number of levels."""
-    rho = 0.99
-    model = QbdModel([[-rho]], [[rho]], [[1.0]], [[rho]], [[-rho - 1.0]], [[1.0]])
-    series = solve_tails(model, 50, method="lu")
-    assert 3200 < series.truncation_report["terms"] < 3300
-    for k in range(1, 51):
-        assert abs(float(series.level(k)[0]) / rho ** k - 1.0) < 1e-10
+    """The M/M/1 up-blocks settle at once, so the forward pass stops at the
+    deepest requested level and the closed-form deep sum adds the rest,
+    however slowly the tails decay.  At rho = 0.999 x0 from R is itself off
+    by 2e-10 relative."""
+    for rho, tol in ((0.99, 1e-10), (0.999, 1e-9)):
+        model = QbdModel([[-rho]], [[rho]], [[1.0]], [[rho]], [[-rho - 1.0]], [[1.0]])
+        series = solve_tails(model, 50, method="lu")
+        assert series.truncation_report["terms"] == 50
+        for k in range(1, 51):
+            assert abs(float(series.level(k)[0]) / rho ** k - 1.0) < tol
+
+
+SLOW_PHASES = np.array([[-1e-3, 1e-3], [2e-3, -2e-3]])
+
+
+@pytest.mark.parametrize("arrivals,services", [
+    ([0.9, 0.3], [1.0, 1.0]),
+    # overloaded in its first phase: the change of U_k grows for six levels
+    # before it falls, which must not end the pass
+    ([1.2, 0.2], [0.6, 1.8]),
+])
+def test_lu_route_settles_past_the_requested_levels(arrivals, services):
+    """Phase changes near 1e-3 keep the up-blocks moving for dozens of
+    levels, so the pass runs to where they settle, past the few levels asked
+    for, and its tails still match the matrix-geometric route."""
+    lam, mu = np.diag(arrivals), np.diag(services)
+    model = QbdModel(SLOW_PHASES - lam, lam, mu, lam, SLOW_PHASES - lam - mu, mu)
+    for levels in (1, 2, 3):
+        lu = solve_tails(model, levels, method="lu")
+        mg = solve_tails(model, levels, method="mg")
+        assert lu.truncation_report["terms"] > levels
+        for k in range(1, levels + 1):
+            assert np.max(np.abs(lu.level(k) - mg.level(k)) / mg.level(k)) < 1e-10
 
 
 def test_lu_route_refuses_a_series_that_does_not_shrink():
-    """On a null-recurrent M/M/1 the deep terms settle at ratio one; a depth
-    given by the caller is a hard cap."""
+    """On a null-recurrent M/M/1 the deep terms N^j U^j do not shrink, so the
+    doubling of their sum does not converge."""
     null = QbdModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[-2.0]], [[1.0]])
     with pytest.raises(TruncationFailure, match="not below 1"):
         tails_lu(null, [0.5], 5)
-    with pytest.raises(TruncationFailure, match="after 20 terms"):
-        tails_lu(MM1, [0.5], 10, depth=20)

@@ -15,14 +15,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 BUNDLED = {path.name: load_model_file(str(path))
            for path in sorted((ROOT / "modelfiles").glob("*.json"))}
 CHAINS = ("mm1.json", "qbd22.json", "ldqbd.json", "gim1.json", "mg1.json")
+ROUTES = [(name, route) for name, model in BUNDLED.items()
+          for route in registry.REGISTRY[model.kind].routes]
 
 
 def test_every_kind_has_a_bundled_model_file():
     assert {model.kind for model in BUNDLED.values()} == set(registry.REGISTRY)
 
 
-@pytest.mark.parametrize("name,route", [(name, route) for name, model in BUNDLED.items()
-                                        for route in registry.REGISTRY[model.kind].routes])
+@pytest.mark.parametrize("name,route", ROUTES)
 def test_every_route_solves_its_bundled_model_file(name, route):
     series = registry.solve(BUNDLED[name], 6, route)
     assert series.last_level == 6
@@ -37,6 +38,14 @@ def test_solve_tails_takes_the_default_route_of_the_table(name):
     want = registry.solve(model, 6, default)
     assert got.method == want.method
     assert all(np.array_equal(a, b) for a, b in zip(got.pis, want.pis))
+
+
+@pytest.mark.parametrize("name,route", ROUTES)
+def test_every_route_rejects_bad_levels(name, route):
+    for levels in (-3, 2.5):
+        with pytest.raises(ValidationError, match="levels"):
+            registry.solve(BUNDLED[name], levels, route)
+    assert registry.solve(BUNDLED[name], 0, route).last_level == 0
 
 
 def test_wrong_method_lists_the_choices():
@@ -60,13 +69,18 @@ def test_ul_route_solves_the_boundary_once(count_calls):
 
 
 def test_lu_route_factors_each_level_once(count_calls):
-    """tails_lu inverts each -Psi_k once, for its head and the next level."""
+    """tails_lu inverts -Psi_k only until the up-blocks settle; deeper levels
+    cost products only, so 400 levels take as many solves as 20."""
     model = BUNDLED["qbd22.json"].payload
     r = qbd.solve_R(model.a0, model.a1, model.a2).matrix
     x0 = qbd.boundary_solve(model, r).x0
-    calls = count_calls(matkernel, "solve_linear")
-    series = qbd.tails_lu(model, x0, 20)
-    assert len(calls) <= series.truncation_report["terms"] + 2
+    solves = []
+    for levels in (20, 400):
+        calls = count_calls(matkernel, "solve_linear")
+        series = qbd.tails_lu(model, x0, levels)
+        solves.append(len(calls))
+    assert series.truncation_report["terms"] == 400
+    assert solves[0] == solves[1] < 400
 
 
 def test_cross_check_fails_against_a_too_shallow_reference():
