@@ -163,6 +163,19 @@ def _reach(nonzero: np.ndarray) -> int:
     return int(drop.max())
 
 
+def _all_reach_last(nonzero: np.ndarray) -> bool:
+    """Whether every state reaches the last one along the nonzero entries,
+    row to column; the diagonal adds no path."""
+    reached = np.zeros(len(nonzero), dtype=bool)
+    reached[-1] = True
+    stack = [len(nonzero) - 1]
+    while stack:
+        into = nonzero[:, stack.pop()] & ~reached
+        reached |= into
+        stack.extend(np.flatnonzero(into))
+    return bool(reached.all())
+
+
 def stationary_row(m, continuous: bool = True) -> np.ndarray:
     """Stationary row vector of a generator (v M = 0) or kernel (v M = v).
 
@@ -173,14 +186,18 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     every entry accurate relative to its own size.  Folding a state touches
     only the rows that reach it and the columns it reaches, so the work stays
     inside the band of the off-diagonal nonzeros: O(n p q) for lower reach p
-    and upper reach q.  The balance residual is re-checked afterwards.
+    and upper reach q.  A state k that reaches no lower state once the
+    states above it are folded in is closed in the folded chain; if every
+    lower state reaches it there, they are transient, carry no mass, and
+    back-substitution starts at k.  The balance residual is re-checked
+    afterwards.
 
     Raises:
         ValidationError: on a negative off-diagonal entry beyond roundoff,
             n machine epsilons of the largest off-diagonal entry.
         SingularMatrix: if a state reaches no lower state once the states
-            above it are folded in (two closed classes, say), or if v misses
-            balance.
+            above it are folded in and some lower state does not reach it
+            (two closed classes, say), or if v misses balance.
     """
     m = _square(m, "stationary_row")
     n = m.shape[0]
@@ -195,19 +212,23 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     # it.  The diagonal of a collects junk and is never read.  One buffer
     # holds every fold's rank-one update, so the loop allocates no arrays.
     scratch = np.empty((above, below))
+    start = 0
     for k in range(n - 1, 0, -1):
         first_row, first_col = max(0, k - above), max(0, k - below)
         row = a[k, first_col:k]
         out = row.sum()
         if out == 0.0:
-            raise SingularMatrix(f"stationary solve: state {k} reaches no lower state")
+            if not _all_reach_last(a[: k + 1, : k + 1] != 0.0):
+                raise SingularMatrix(f"stationary solve: state {k} reaches no lower state")
+            start = k
+            break
         col = a[first_row:k, k]
         col /= out
         block = a[first_row:k, first_col:k]
         block += np.multiply.outer(col, row, out=scratch[: k - first_row, : k - first_col])
-    v = np.empty(n)
-    v[0] = 1.0
-    for k in range(1, n):
+    v = np.zeros(n)
+    v[start] = 1.0
+    for k in range(start + 1, n):
         first_row = max(0, k - above)
         v[k] = mass = v[first_row:k] @ a[first_row:k, k]
         if mass > 1e250:  # a chain that climbs: keep the row finite

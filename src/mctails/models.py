@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import Divergent, StepUnstable, TruncationFailure, Unstable, ValidationError
 from .ldqbd import LdQbdModel
-from .matkernel import _powers, inf_norm, solve_xa
-from .qbd import QbdModel, solve_R
+from .matkernel import inf_norm, solve_xa
+from .qbd import QbdModel, boundary_solve, solve_R, tails_matrix_geometric
 from .series import TailSeries
 
 
@@ -316,18 +316,14 @@ def repairable_tails(params: RepairableParams, levels: int) -> TailSeries:
 
 def repairable_mg_tails(params: RepairableParams, levels: int) -> TailSeries:
     """Matrix-geometric tails of the repairable-server queue over levels
-    0..levels: the exact rows of levels 0 and 1 from ``repairable_tails``,
-    then a fixed head row applied to the powers of the rate matrix of the
-    upward blocks."""
-    lam, mu = params.lam, params.mu
-    pis = repairable_tails(params, 1).pis
+    0..levels, from R and the boundary pair of ``repairable_qbd``.  Level 0
+    adds the empty state, whose server is up, to the serving phase of pi_1."""
     chain = repairable_qbd(params)
     rate = solve_R(chain.a0, chain.a1, chain.a2).matrix
-    censored = chain.a1 + rate @ chain.a2
-    head = solve_xa(-censored, np.array([lam * lam / mu,
-                                         (lam * lam / mu) * (params.alpha / params.beta)]))
-    pis += _powers(head, rate, levels - 1)
-    return TailSeries(pis[: levels + 1], None, method="matrix-geometric",
+    boundary = boundary_solve(chain, rate)
+    pis = tails_matrix_geometric(boundary.x1, rate, max(levels, 1)).pis
+    empty = np.array([boundary.x0[0], 0.0])
+    return TailSeries([pis[0] + empty] + pis[:levels], None, method="matrix-geometric",
                       first_level=0)
 
 

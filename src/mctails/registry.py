@@ -1,22 +1,22 @@
 """The model kinds in one table: how each is read, solved and checked.
 
 For every kind the table gives the model-file section that describes it and
-the builder that turns that section into a model, its tail routes (the first
-is the default), and the builder of the chain that the dense truncation
-oracle solves as its reference, or None when the kind has no finite-state
+the builder that turns that section into a model, the stage that solves
+what every route of the kind reads, its tail routes (the first is the
+default), and the builder of the chain that the dense truncation oracle
+solves as its reference, or None when the kind has no finite-state
 counterpart.  ``mctails.solve_tails``, the command line and ``cross_check``
-all read it.
-
-The table names its functions instead of holding them, and a name is looked
-up in this module only when it is called.  The route functions call the
-solvers through their modules (``qbd.tails_lu``), so a function replaced on
-its module, by a tracer or a test, is the one that runs.
+all read it.  The stage and route functions call the solvers through their
+modules (``qbd.tails_lu``), so a function replaced on its module, by a
+tracer or a test, is the one that runs.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from . import ldqbd, models, oracle, qbd, skipfree
 from .errors import ValidationError
@@ -34,19 +34,21 @@ class Kind:
     ``section`` is the model-file key holding the model and ``fields`` maps
     each key of that section to how its value is read: ``matrix``,
     ``matrices``, ``number``, ``integer`` or ``rate`` (a number or a list of
-    numbers).  ``build`` names the constructor that takes those values in
-    order, or is None when the values themselves are the model.  ``routes``
-    maps each route name to its function (model, levels, tol), the default
-    first; ``reference`` names the function (model, oracle levels) that
-    builds the oracle's chain, or is None.  A name without a module is one
-    of this module's.
+    numbers).  ``build`` is the constructor that takes those values in
+    order, or None when the values themselves are the model.  ``stage`` is
+    the function (model, tol) that solves what every route of the kind
+    reads, such as R and the boundary pair of a QBD; the closed forms read
+    nothing.  ``routes`` maps each route name to its function
+    (model, stage, levels), the default first; ``reference`` is the function
+    (model, oracle levels) that builds the oracle's chain, or None.
     """
 
     section: str
     fields: dict
-    build: str | None
+    build: Callable | None
+    stage: Callable
     routes: dict
-    reference: str | None
+    reference: Callable | None
 
 
 @dataclass(frozen=True)
@@ -63,119 +65,90 @@ class Model:
     tol: float | None = None
 
 
-_SKIP_FREE = {"A": "matrices", "B": "matrices"}
+# --- stages (model, tol) and the routes (model, stage, levels) that read them
 
-REGISTRY = {
-    "qbd": Kind("blocks", dict.fromkeys(("B1", "B0", "B2", "A0", "A1", "A2"), "matrix"),
-                "qbd.QbdModel", {"mg": "_qbd_mg", "ul": "_qbd_ul", "lu": "_qbd_lu"},
-                "_chain"),
-    "ldqbd": Kind("blocks", dict.fromkeys(("A0", "A1", "A2"), "matrices"),
-                  "ldqbd.LdQbdModel", {"product": "_ldqbd_product", "lu": "_ldqbd_lu"},
-                  "_chain"),
-    "gim1": Kind("blocks", _SKIP_FREE, "_gim1",
-                 {"mg": "_gim1_mg", "ul": "_gim1_ul"}, "_chain"),
-    "mg1": Kind("blocks", _SKIP_FREE, "_mg1",
-                {"iterative": "_mg1_iterative", "ul": "_mg1_ul"}, "_chain"),
-    "retrial": Kind("params", dict.fromkeys(("lam", "mu", "theta"), "number"),
-                    "models.RetrialParams", {"product": "_retrial_product"},
-                    "_retrial_chain"),
-    "mnmn1": Kind("params", dict.fromkeys(("arrival", "service"), "rate"),
-                  None, {"closed": "_mnmn1_closed"}, "_mnmn1_chain"),
-    "vacation": Kind("params", dict.fromkeys(("lam", "theta"), "number"),
-                     "models.VacationParams", {"closed": "_vacation_closed"},
-                     "_vacation_chain"),
-    "repairable": Kind("params", dict.fromkeys(("lam", "mu", "alpha", "beta"), "number"),
-                       "models.RepairableParams",
-                       {"iterative": "_repairable_iterative", "mg": "_repairable_mg"},
-                       "_repairable_chain"),
-    "supermarket": Kind("params", {"rho": "number", "d": "integer"},
-                        None, {"closed": "_supermarket_closed"}, None),
-}
+def _no_stage(model, tol):
+    return None
 
 
-def _named(name: str):
-    """The function a table entry names, looked up now."""
-    module, _, attr = name.rpartition(".")
-    return getattr(globals()[module], attr) if module else globals()[attr]
-
-
-def _gim1(a_blocks, b_blocks):
-    return skipfree.SkipFreeModel("GIM1", a_blocks, b_blocks)
-
-
-def _mg1(a_blocks, b_blocks):
-    return skipfree.SkipFreeModel("MG1", a_blocks, b_blocks)
-
-
-# --- routes: (model, levels, tol) to a TailSeries -------------------------
-
-def _qbd_boundary(chain, tol):
+def _qbd_stage(model, tol):
+    chain = model.payload
     r = qbd.solve_R(chain.a0, chain.a1, chain.a2, tol=tol).matrix
     return r, qbd.boundary_solve(chain, r)
 
 
-def _qbd_mg(model, levels, tol):
-    r, boundary = _qbd_boundary(model.payload, tol)
+def _ldqbd_stage(model, tol):
+    return ldqbd.solve_rate_sequence(model.payload, tol=tol)
+
+
+def _gim1_stage(model, tol):
+    return skipfree.gim1_stationary(model.payload, tol=tol)
+
+
+def _mg1_stage(model, tol):
+    return skipfree.mg1_stationary(model.payload, tol=tol)
+
+
+def _qbd_mg(model, stage, levels):
+    r, boundary = stage
     return qbd.tails_matrix_geometric(boundary.x1, r, levels, x0=boundary.x0)
 
 
-def _qbd_ul(model, levels, tol):
-    r, boundary = _qbd_boundary(model.payload, tol)
+def _qbd_ul(model, stage, levels):
+    r, boundary = stage
     return qbd.tails_ul(model.payload, r, boundary, levels)
 
 
-def _qbd_lu(model, levels, tol):
-    _, boundary = _qbd_boundary(model.payload, tol)
+def _qbd_lu(model, stage, levels):
+    _, boundary = stage
     return qbd.tails_lu(model.payload, boundary.x0, levels)
 
 
-def _ldqbd_product(model, levels, tol):
-    rates = ldqbd.solve_rate_sequence(model.payload, tol=tol)
-    return ldqbd.stationary_product(model.payload, rates, levels)
+def _ldqbd_product(model, stage, levels):
+    return ldqbd.stationary_product(model.payload, stage, levels)
 
 
-def _ldqbd_lu(model, levels, tol):
-    rates = ldqbd.solve_rate_sequence(model.payload, tol=tol)
-    return ldqbd.tails_lu_ld(model.payload, rates, levels)
+def _ldqbd_lu(model, stage, levels):
+    return ldqbd.tails_lu_ld(model.payload, stage, levels)
 
 
-def _gim1_mg(model, levels, tol):
-    return skipfree.gim1_tails(model.payload, levels, tol=tol)
+def _gim1_mg(model, stage, levels):
+    return skipfree.gim1_tails(stage, levels)
 
 
-def _gim1_ul(model, levels, tol):
-    return skipfree.gim1_ul_tails(model.payload, levels, tol=tol)
+def _gim1_ul(model, stage, levels):
+    return skipfree.gim1_ul_tails(model.payload, stage, levels)
 
 
-def _mg1_iterative(model, levels, tol):
-    return skipfree.mg1_tails(model.payload, levels, tol=tol)
+def _mg1_iterative(model, stage, levels):
+    return skipfree.mg1_tails(model.payload, stage, levels)
 
 
-def _mg1_ul(model, levels, tol):
-    return skipfree.mg1_ul_tails(model.payload, levels, tol=tol)
+def _mg1_ul(model, stage, levels):
+    return skipfree.mg1_ul_tails(model.payload, stage, levels)
 
 
-def _retrial_product(model, levels, tol):
+def _retrial_product(model, stage, levels):
     return models.retrial_tails(model.payload, levels, horizon=model.horizon or 200)
 
 
-def _mnmn1_closed(model, levels, tol):
+def _mnmn1_closed(model, stage, levels):
     return models.mn_mn_1_tails(model.payload["arrival"], model.payload["service"], levels)
 
 
-def _vacation_closed(model, levels, tol):
+def _vacation_closed(model, stage, levels):
     return models.vacation_tails(model.payload, levels)
 
 
-def _repairable_iterative(model, levels, tol):
+def _repairable_iterative(model, stage, levels):
     return models.repairable_tails(model.payload, levels)
 
 
-def _repairable_mg(model, levels, tol):
+def _repairable_mg(model, stage, levels):
     return models.repairable_mg_tails(model.payload, levels)
 
 
-def _supermarket_closed(model, levels, tol):
+def _supermarket_closed(model, stage, levels):
     return models.supermarket_tails(model.payload["rho"], model.payload["d"], levels)
 
 
@@ -201,6 +174,36 @@ def _repairable_chain(model, oracle_levels):
     return models.repairable_qbd(model.payload)
 
 
+_SKIP_FREE = {"A": "matrices", "B": "matrices"}
+
+REGISTRY = {
+    "qbd": Kind("blocks", dict.fromkeys(("B1", "B0", "B2", "A0", "A1", "A2"), "matrix"),
+                qbd.QbdModel, _qbd_stage,
+                {"mg": _qbd_mg, "ul": _qbd_ul, "lu": _qbd_lu}, _chain),
+    "ldqbd": Kind("blocks", dict.fromkeys(("A0", "A1", "A2"), "matrices"),
+                  ldqbd.LdQbdModel, _ldqbd_stage,
+                  {"product": _ldqbd_product, "lu": _ldqbd_lu}, _chain),
+    "gim1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "GIM1"),
+                 _gim1_stage, {"mg": _gim1_mg, "ul": _gim1_ul}, _chain),
+    "mg1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "MG1"),
+                _mg1_stage, {"iterative": _mg1_iterative, "ul": _mg1_ul}, _chain),
+    "retrial": Kind("params", dict.fromkeys(("lam", "mu", "theta"), "number"),
+                    models.RetrialParams, _no_stage,
+                    {"product": _retrial_product}, _retrial_chain),
+    "mnmn1": Kind("params", dict.fromkeys(("arrival", "service"), "rate"),
+                  None, _no_stage, {"closed": _mnmn1_closed}, _mnmn1_chain),
+    "vacation": Kind("params", dict.fromkeys(("lam", "theta"), "number"),
+                     models.VacationParams, _no_stage,
+                     {"closed": _vacation_closed}, _vacation_chain),
+    "repairable": Kind("params", dict.fromkeys(("lam", "mu", "alpha", "beta"), "number"),
+                       models.RepairableParams, _no_stage,
+                       {"iterative": _repairable_iterative, "mg": _repairable_mg},
+                       _repairable_chain),
+    "supermarket": Kind("params", {"rho": "number", "d": "integer"},
+                        None, _no_stage, {"closed": _supermarket_closed}, None),
+}
+
+
 # --- entry points ---------------------------------------------------------
 
 def kind_of(chain) -> str:
@@ -217,14 +220,15 @@ def kind_of(chain) -> str:
 def build(kind: str, values: dict):
     """The model of `kind` made from the values of its model-file section,
     given in the table's field order."""
-    name = REGISTRY[kind].build
-    return values if name is None else _named(name)(*values.values())
+    builder = REGISTRY[kind].build
+    return values if builder is None else builder(*values.values())
 
 
 def solve(model: Model, levels: int, method: str | None = None,
           tol: float = DEFAULT_TOL) -> TailSeries:
     """Tails of `model` at levels 1..`levels` by the named route of its kind;
-    None takes the kind's default route."""
+    None takes the kind's default route.  The arguments are checked before
+    the kind's stage is solved."""
     if not isinstance(levels, numbers.Integral) or levels < 0:
         raise ValidationError(f"levels must be a nonnegative integer, got {levels!r}")
     routes = REGISTRY[model.kind].routes
@@ -234,7 +238,7 @@ def solve(model: Model, levels: int, method: str | None = None,
             f"method {name!r} not available for kind {model.kind!r} "
             f"(choices: {', '.join(routes)})"
         )
-    return _named(routes[name])(model, levels, tol)
+    return routes[name](model, REGISTRY[model.kind].stage(model, tol), levels)
 
 
 @dataclass(frozen=True)
@@ -275,9 +279,10 @@ def cross_check(model: Model, levels: int, oracle_levels: int) -> CheckReport:
     reference chain, by the dense oracle truncated at `oracle_levels`; then
     compare every pair over levels up to `levels`.
 
-    Routes run at ``model.tol``, or at DEFAULT_TOL when that is None.  The
-    supermarket model has no finite chain, so its closed form is checked
-    against its balance equations instead.  A gap below CHECK_TOL passes.
+    The kind's stage is solved once, at ``model.tol`` or at DEFAULT_TOL when
+    that is None, and every route reads it.  The supermarket model has no
+    finite chain, so its closed form is checked against its balance
+    equations instead.  A gap below CHECK_TOL passes.
     """
     kind = REGISTRY[model.kind]
     if levels < 1:
@@ -294,9 +299,9 @@ def cross_check(model: Model, levels: int, oracle_levels: int) -> CheckReport:
         comparisons = [Comparison("closed form", "balance equations", 1, levels,
                                   gap, gap < CHECK_TOL)]
     else:
-        tol = model.tol or DEFAULT_TOL
-        series = {name: solve(model, levels, name, tol) for name in kind.routes}
-        chain = _named(kind.reference)(model, oracle_levels)
+        stage = kind.stage(model, model.tol or DEFAULT_TOL)
+        series = {name: route(model, stage, levels) for name, route in kind.routes.items()}
+        chain = kind.reference(model, oracle_levels)
         series["oracle"] = oracle.truncate_and_solve(chain, oracle_levels)
         names = list(series)
         comparisons = [_compare(left, right, series[left], series[right])

@@ -132,17 +132,14 @@ class Gim1Measures:
     rate is the minimal solution of R = sum_k R^k A_k; entry maps the
     boundary into level 1; visit_kernel is sum_{k>=1} R^{k-1} A_k and
     shifted_kernel adds A_0 to it, so that I minus the shifted kernel factors
-    as (I - R)(I - visit_kernel).  boundary_chain is the chain censored on
-    the boundary, boundary_row its stationary vector, and
-    x0 = tau * boundary_row the stationary boundary probabilities.
+    as (I - R)(I - visit_kernel).  x0 holds the stationary boundary
+    probabilities, tau times the stationary row of the censored boundary chain.
     """
 
     rate: np.ndarray
     entry: np.ndarray
     visit_kernel: np.ndarray
     shifted_kernel: np.ndarray
-    boundary_chain: np.ndarray
-    boundary_row: np.ndarray
     tau: float
     x0: np.ndarray
     iterations: int
@@ -154,19 +151,16 @@ class Gim1Measures:
 class Mg1Measures:
     """Solved quantities for an M/G/1-type chain.
 
-    passage is the minimal solution of G = sum_k A_k G^k, boundary_passage
-    the first-passage block from level 1 into the boundary, local_kernel the
-    visit kernel sum_{k>=1} A_k G^{k-1}.  boundary_visits holds the visit
+    passage is the minimal solution of G = sum_k A_k G^k and local_kernel
+    the visit kernel sum_{k>=1} A_k G^{k-1}.  boundary_visits holds the visit
     blocks V0_1, V0_2, ... out of the boundary and visits the blocks V_1,
     V_2, ... between repeating levels; visit_rows holds the unnormalized
-    stationary rows of the forward recursion, as deep as they were asked
-    for; x0 = tau * visit_rows[0].
+    stationary rows of the forward recursion over the balance window;
+    x0 = tau * visit_rows[0].
     """
 
     passage: np.ndarray
-    boundary_passage: np.ndarray
     local_kernel: np.ndarray
-    boundary_chain: np.ndarray
     drift: float
     boundary_visits: tuple
     visits: tuple
@@ -290,8 +284,6 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
         entry=_frozen(entry),
         visit_kernel=_frozen(visit),
         shifted_kernel=_frozen(a[0] + visit),
-        boundary_chain=_frozen(boundary_chain),
-        boundary_row=_frozen(y0),
         tau=tau,
         x0=_frozen(x0),
         iterations=solved.iterations,
@@ -305,24 +297,22 @@ def _gim1_geometric_head(measures: Gim1Measures) -> np.ndarray:
     return measures.x0 @ solve_xa(eye - measures.rate, measures.entry)
 
 
-def gim1_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailSeries:
-    """Matrix-geometric tails of a GI/M/1-type chain, summing the geometric
-    levels directly: pi_k = x0 R_1 (I - R)^{-1} R^{k-1}."""
-    measures = gim1_stationary(model, tol=tol)
+def gim1_tails(measures: Gim1Measures, levels: int) -> TailSeries:
+    """Matrix-geometric tails of a GI/M/1-type chain from its measures,
+    summing the geometric levels directly: pi_k = x0 R_1 (I - R)^{-1} R^{k-1}."""
     head = _gim1_geometric_head(measures)
     return TailSeries(_powers(head, measures.rate, levels), measures.x0,
                       method="matrix-geometric")
 
 
-def gim1_ul_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailSeries:
-    """Factorization tails of a GI/M/1-type chain.
+def gim1_ul_tails(model: SkipFreeModel, measures: Gim1Measures, levels: int) -> TailSeries:
+    """Factorization tails of a GI/M/1-type chain from its measures.
 
     Level 1 is censored under the shifted kernel instead,
     pi_k = x0 B_0 (I - shifted_kernel)^{-1} R^{k-1}; the head agrees exactly
     with the matrix-geometric one because I minus the shifted kernel factors
     through I - R, and the report carries their observed distance.
     """
-    measures = gim1_stationary(model, tol=tol)
     head = solve_xa(np.eye(model.m) - measures.shifted_kernel,
                     measures.x0 @ model.b_blocks[0])
     report = {"identity_residual": inf_norm(head - _gim1_geometric_head(measures))}
@@ -370,6 +360,18 @@ def _mg1_window(model: SkipFreeModel) -> int:
     return max(len(a), len(b)) + 5 + len(a)
 
 
+def _mg1_row(model: SkipFreeModel, rows, first, blocks, k: int) -> np.ndarray:
+    """rows[0] first[k-1] + sum_{0<i<k} rows[i] blocks[k-i-1], with blocks
+    past the end of either list zero, so only their nonzero band is visited.
+    On the visit blocks this is row k of the forward recursion
+    v_k = y0 V0_k + sum_{0<i<k} v_i V_{k-i}; on their suffix sums it is the
+    level-k tail sum."""
+    row = rows[0] @ first[k - 1] if k <= len(first) else np.zeros(model.m)
+    for i in range(max(1, k - len(blocks)), k):
+        row = row + rows[i] @ blocks[k - i - 1]
+    return row
+
+
 def _mg1_balance_residual(model: SkipFreeModel, x: list) -> float:
     a, b = model.a_blocks, model.b_blocks
     window = min(len(x), _mg1_window(model)) - len(a)
@@ -385,7 +387,7 @@ def _mg1_balance_residual(model: SkipFreeModel, x: list) -> float:
     return worst
 
 
-def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12, levels: int = 0) -> Mg1Measures:
+def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     """Boundary row and visit measures of a positive recurrent M/G/1-type chain.
 
     Censoring on the boundary through first passages gives the stochastic
@@ -395,13 +397,12 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12, levels: int = 0) ->
     V_d = (sum_{l>=d} A_{l+1} G^{l-d})(I - kernel)^{-1}.  Summing the
     recursion over k gives the normalizer in closed form (Ramaswami 1988):
     tau = 1 / (y0 e + y0 W0 (I - W)^{-1} e) with W0 = sum_j V0_j and
-    W = sum_d V_d.  Only rows 0 .. max(levels, balance window) - 1 are
-    materialized; a balance miss beyond 1e-8 on the window raises SingularMatrix.
+    W = sum_d V_d.  Only the rows of the balance window are materialized; a
+    balance miss beyond 1e-8 on the window raises SingularMatrix.
     """
     if model.kind != "MG1":
         raise ValidationError("mg1_stationary needs a MG1 model")
-    a = list(model.a_blocks)
-    b = list(model.b_blocks)
+    a, b = model.a_blocks, model.b_blocks
     if not any(np.any(blk) for blk in b[2:]):
         raise Reducible("boundary cannot reach the repeating levels")
     drift = mg1_drift(model)
@@ -436,20 +437,15 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12, levels: int = 0) ->
     w = sum(between, np.zeros((m, m)))
     tau = 1.0 / (float(y0.sum()) + float(y0 @ w0 @ solve_linear(eye - w, np.ones(m))))
     rows = [y0]
-    for k in range(1, max(levels, _mg1_window(model))):
-        row = y0 @ from_boundary[k - 1] if k <= len(from_boundary) else np.zeros(m)
-        for i in range(max(1, k - len(between)), k):
-            row = row + rows[i] @ between[k - i - 1]
-        rows.append(row)
+    for k in range(1, _mg1_window(model)):
+        rows.append(_mg1_row(model, rows, from_boundary, between, k))
     x0 = tau * y0
     resid = _mg1_balance_residual(model, [tau * row for row in rows])
     if resid > 1e-8:
         raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
     return Mg1Measures(
         passage=g,
-        boundary_passage=_frozen(boundary_passage),
         local_kernel=_frozen(kernel),
-        boundary_chain=_frozen(boundary_chain),
         drift=drift,
         boundary_visits=tuple(_frozen(v) for v in from_boundary),
         visits=tuple(_frozen(v) for v in between),
@@ -463,36 +459,33 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12, levels: int = 0) ->
 
 
 def _mg1_tail_heads(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> list:
-    """Tail rows by suffix-summing the forward recursion in closed form:
+    """Tail rows by suffix-summing the forward recursion, extended past the
+    balance window to the requested depth, in closed form:
     pi_n (I - W_1) = tau (v_0 W0_n + sum_{i<n} v_i W_{n-i}), with W0 and W
-    the suffix sums of the visit blocks; only the blocks' nonzero band is
-    visited, and one solve serves every level."""
+    the suffix sums of the visit blocks; one solve serves every level."""
     w0 = _suffix_sums(list(measures.boundary_visits))
     between = measures.visits
     w = _suffix_sums(list(between)) if between else [np.zeros((model.m, model.m))]
-    rows = measures.visit_rows
-    accs = []
-    for n in range(1, levels + 1):
-        acc = rows[0] @ w0[n - 1] if n < len(w0) else np.zeros(model.m)
-        for i in range(max(1, n - len(between)), n):
-            acc = acc + rows[i] @ w[n - i - 1]
-        accs.append(acc)
+    rows = list(measures.visit_rows)
+    for k in range(len(rows), levels):
+        rows.append(_mg1_row(model, rows, measures.boundary_visits, between, k))
+    accs = [_mg1_row(model, rows, w0[:-1], w[:-1], n) for n in range(1, levels + 1)]
     if not accs:
         return []
     return list(measures.tau * solve_xa(np.eye(model.m) - w[0], np.array(accs)))
 
 
-def mg1_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailSeries:
-    """Iterative tails of an M/G/1-type chain: the stationary forward
-    recursion, materialized to the requested depth and suffix-summed."""
-    measures = mg1_stationary(model, tol=tol, levels=levels)
+def mg1_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> TailSeries:
+    """Iterative tails of an M/G/1-type chain from its measures: the
+    stationary forward recursion, extended past the balance window to the
+    requested depth and suffix-summed."""
     heads = _mg1_tail_heads(model, measures, levels)
-    report = {"levels_materialized": len(measures.visit_rows)}
+    report = {"levels_materialized": max(levels, len(measures.visit_rows))}
     return TailSeries(heads, measures.x0, method="iterative", truncation_report=report)
 
 
-def mg1_ul_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailSeries:
-    """Factorization tails of an M/G/1-type chain.
+def mg1_ul_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> TailSeries:
+    """Factorization tails of an M/G/1-type chain from its measures.
 
     The tail system is solved directly: with suffix sums
     S_d = sum_{k>=d} A_k the tails obey
@@ -501,9 +494,7 @@ def mg1_ul_tails(model: SkipFreeModel, levels: int, tol: float = 1e-12) -> TailS
     through the visit blocks of the S-shifted chain.  Each level visits only
     the nonzero band of those blocks.
     """
-    measures = mg1_stationary(model, tol=tol)
-    a = list(model.a_blocks)
-    b = list(model.b_blocks)
+    a, b = model.a_blocks, model.b_blocks
     g, kernel = measures.passage, measures.local_kernel
     m = model.m
     eye = np.eye(m)

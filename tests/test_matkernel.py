@@ -113,6 +113,14 @@ def test_stationary_row_rejects_two_closed_classes():
         stationary_row(q)
 
 
+def test_stationary_row_gives_transient_low_states_no_mass():
+    # state 0 leaves for state 1, which never returns: the row is unique
+    assert np.array_equal(stationary_row([[-1.0, 1.0], [0.0, 0.0]]), [0.0, 1.0])
+    # two absorbing states above a transient one still have no unique row
+    with pytest.raises(SingularMatrix, match="state 2 reaches no lower state"):
+        stationary_row([[-1.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
 def test_stationary_row_rejects_negative_off_diagonal_entries():
     with pytest.raises(ValidationError):
         stationary_row([[-1.0, 1.5, -0.5], [1.0, -2.0, 1.0], [0.5, 0.5, -1.0]])

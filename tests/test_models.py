@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mctails import solve_tails
+from mctails import models, solve_tails
 from mctails.errors import Divergent, Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm
@@ -209,6 +209,17 @@ def test_repairable_routes_agree():
     matrix = repairable_mg_tails(REPAIRABLE, 12)
     gap = max(inf_norm(scalar.level(k) - matrix.level(k)) for k in range(13))
     assert gap < 1e-8
+
+
+def test_repairable_mg_route_solves_its_own_boundary(count_calls):
+    """Levels 0 and 1 of the matrix-geometric route come from the QBD
+    boundary solve, not from the iterative route it is checked against."""
+    calls = count_calls(models, "repairable_tails")
+    matrix = repairable_mg_tails(REPAIRABLE, 1)
+    assert calls == []
+    assert inf_norm(matrix.level(0) - np.array([0.875, 0.125])) < 1e-15
+    assert inf_norm(matrix.level(1) - np.array([0.25, 0.125])) < 1e-15
+    assert len(repairable_mg_tails(REPAIRABLE, 0).pis) == 1
 
 
 def test_repairable_matches_dense_truncation():

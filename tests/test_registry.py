@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mctails
-from mctails import matkernel, qbd, registry
+from mctails import ldqbd, matkernel, qbd, registry, skipfree
 from mctails.cli import load_model_file
 from mctails.errors import ValidationError
 
@@ -83,6 +83,31 @@ def test_lu_route_factors_each_level_once(count_calls):
     assert solves[0] == solves[1] < 400
 
 
+@pytest.mark.parametrize("name,module,solvers", [
+    ("qbd22.json", qbd, ("solve_R", "boundary_solve")),
+    ("ldqbd.json", ldqbd, ("solve_rate_sequence",)),
+    ("gim1.json", skipfree, ("gim1_stationary",)),
+    ("mg1.json", skipfree, ("mg1_stationary",)),
+], ids=["qbd", "ldqbd", "gim1", "mg1"])
+def test_cross_check_solves_the_stage_once_for_every_route(count_calls, name, module,
+                                                           solvers):
+    """Every route reads the stage that cross_check solves once; a solve
+    call solves it once more, for its one route."""
+    calls = [count_calls(module, solver) for solver in solvers]
+    assert mctails.cross_check(BUNDLED[name], 20, 200).passed
+    assert calls == [[1]] * len(solvers)
+    registry.solve(BUNDLED[name], 6)
+    assert calls == [[1, 1]] * len(solvers)
+
+
+def test_solve_checks_its_arguments_before_the_stage(count_calls):
+    calls = count_calls(qbd, "solve_R")
+    for levels, method in ((-1, "mg"), (6, "product")):
+        with pytest.raises(ValidationError):
+            registry.solve(BUNDLED["qbd22.json"], levels, method)
+    assert calls == []
+
+
 def test_cross_check_fails_against_a_too_shallow_reference():
     report = mctails.cross_check(BUNDLED["mm1.json"], 4, 6)
     assert not report.passed
@@ -101,3 +126,16 @@ def test_readme_route_table_matches_the_registry():
         kind, routes = [cell.strip() for cell in line.strip("|").split("|")]
         table[kind.strip("`")] = re.findall(r"`([^`]+)`", routes)
     assert table == {kind: list(spec.routes) for kind, spec in registry.REGISTRY.items()}
+
+
+def test_readme_python_blocks_run(monkeypatch):
+    """The README's Python examples run in order, sharing one namespace, from
+    the repository root as a reader would run them."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert len(blocks) >= 4
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].passed

@@ -122,7 +122,7 @@ def test_scalar_boundary_mass_is_one_quarter():
 
 
 def test_scalar_tails_are_pure_powers():
-    series = gim1_tails(GIM1_SCALAR, 10)
+    series = gim1_tails(gim1_stationary(GIM1_SCALAR), 10)
     for k in range(1, 11):
         assert abs(float(series.level(k)[0]) - 0.75 ** k) < 1e-9
 
@@ -137,7 +137,7 @@ def test_gim1_uniformized_birth_death_is_geometric():
     )
     measures = gim1_stationary(model)
     assert abs(measures.tau - 0.5) < 1e-9
-    series = gim1_tails(model, 8)
+    series = gim1_tails(measures, 8)
     for k in range(1, 9):
         assert abs(float(series.level(k)[0]) - 0.5 ** k) < 1e-9
 
@@ -154,8 +154,9 @@ def test_gim1_boundary_without_entry_is_reducible():
 
 def test_gim1_routes_agree_and_report_the_factor_identity():
     for model in (GIM1_SCALAR, GIM1_PHASED):
-        mg = gim1_tails(model, 12)
-        ul = gim1_ul_tails(model, 12)
+        measures = gim1_stationary(model)
+        mg = gim1_tails(measures, 12)
+        ul = gim1_ul_tails(model, measures, 12)
         gap = max(inf_norm(mg.level(k) - ul.level(k)) for k in range(1, 13))
         assert gap < 1e-9
         assert ul.truncation_report["identity_residual"] < 1e-9
@@ -207,14 +208,15 @@ def test_mg1_scalar_law_is_geometric_one_half():
     assert abs(float(measures.passage[0, 0]) - 1.0) < 1e-9
     assert abs(float(measures.x0[0]) - 0.5) < 1e-9
     for route in (mg1_tails, mg1_ul_tails):
-        series = route(MG1_SCALAR, 8)
+        series = route(MG1_SCALAR, measures, 8)
         for k in range(1, 9):
             assert abs(float(series.level(k)[0]) - 0.5 ** k) < 1e-9
 
 
 def test_mg1_routes_agree_on_batch_jumps():
-    it = mg1_tails(MG1_BATCH, 12)
-    ul = mg1_ul_tails(MG1_BATCH, 12)
+    measures = mg1_stationary(MG1_BATCH)
+    it = mg1_tails(MG1_BATCH, measures, 12)
+    ul = mg1_ul_tails(MG1_BATCH, measures, 12)
     gap = max(inf_norm(it.level(k) - ul.level(k)) for k in range(1, 13))
     assert gap < 1e-9
     assert ul.truncation_report["identity_residual"] < 1e-9
@@ -258,19 +260,38 @@ def test_mg1_routes_agree_deep_in_the_tail():
     """The iterative route materializes its rows to the requested depth, so
     at 400 levels it still matches the factorization route."""
     model = _mg1_walk(0.7, [[0.6, 0.4], [0.3, 0.7]])
-    it = mg1_tails(model, 400)
-    ul = mg1_ul_tails(model, 400)
+    measures = mg1_stationary(model)
+    it = mg1_tails(model, measures, 400)
+    ul = mg1_ul_tails(model, measures, 400)
     for k in range(1, 401):
         assert np.max(np.abs(it.level(k) - ul.level(k)) / ul.level(k)) < 1e-9
 
 
+def test_mg1_walk_with_a_transient_phase_matches_its_swapped_twin():
+    """Phase 0 leaks into the absorbing phase 1, so the boundary chain has a
+    transient low state; the twin lists the phases the other way round."""
+    p = np.array([[0.5, 0.5], [0.0, 1.0]])
+    walk, twin = _mg1_walk(0.5, p), _mg1_walk(0.5, p[::-1, ::-1])
+    pairs = [(solve_tails(walk, 20, method), solve_tails(twin, 20, method))
+             for method in ("iterative", "ul")]
+    pairs.append((truncate_and_solve(walk, 200), truncate_and_solve(twin, 200)))
+    for got, want in pairs:
+        assert inf_norm(want.x0 - np.array([0.5, 0.0])) < 1e-12
+        assert inf_norm(got.x0 - want.x0[::-1]) < 1e-15
+        for k in range(1, 21):
+            assert inf_norm(got.level(k) - want.level(k)[::-1]) < 1e-15
+
+
 def test_mg1_normalizer_is_closed_form_near_saturation():
-    """At rho = 0.995 the mass sits thousands of levels deep, yet only the
-    requested levels and the balance window are materialized."""
+    """At rho = 0.995 the mass sits thousands of levels deep, yet the
+    measures hold only the balance window, and the iterative route extends
+    it to the requested levels alone."""
     rho = 0.995
     model = _mg1_walk(rho)
-    measures = mg1_stationary(model, levels=50)
+    measures = mg1_stationary(model)
     window = max(len(model.a_blocks), len(model.b_blocks)) + 5 + len(model.a_blocks)
-    assert len(measures.visit_rows) <= 50 + window
+    assert len(measures.visit_rows) == window
+    series = mg1_tails(model, measures, 50)
+    assert series.truncation_report["levels_materialized"] == 50
     assert abs(float(measures.x0[0]) / (1.0 - rho) - 1.0) < 1e-10
     assert measures.stationarity_residual < 1e-9
