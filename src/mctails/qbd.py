@@ -8,9 +8,9 @@ The generator is block tridiagonal,
     |       .. .. .. |
 
 with a boundary level of width m0 and repeating levels of width m.  The module
-computes the minimal passage matrix G by logarithmic reduction and the rate
-matrix R from it, the boundary stationary pair (x0, x1), and tail vectors
-pi_k (mass at level k or above) by three routes:
+computes the minimal passage matrix G by shifted logarithmic reduction and
+the rate matrix R from it, the boundary stationary pair (x0, x1), and tail
+vectors pi_k (mass at level k or above) by three routes:
 matrix-geometric accumulation, a UL-type factorization of the level-shifted
 generator, and a LU-type forward factorization whose measures vary by level.
 """
@@ -40,6 +40,7 @@ from .matkernel import (
     solve_linear,
     solve_xa,
     spectral_radius,
+    stationary_row,
 )
 from .series import TailSeries
 
@@ -139,34 +140,58 @@ class BoundarySolution:
 
 
 def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
-    """Minimal nonnegative solution of A0 G^2 + A1 G + A2 = 0, by logarithmic
-    reduction (Latouche & Ramaswami 1993).
+    """Minimal nonnegative solution of A0 G^2 + A1 G + A2 = 0, by shifted
+    logarithmic reduction (Latouche & Ramaswami 1993; He, Meini & Rhee 2001;
+    Bini, Latouche & Meini 2005).
 
     Censored on every 2^k-th level, the chain moves up by U_k and down by D_k,
     starting from U_0 = (-A1)^{-1} A0 and D_0 = (-A1)^{-1} A2; each step
     squares both, U_{k+1} = (I - U_k D_k - D_k U_k)^{-1} U_k^2 and likewise
     D_{k+1}.  Then G = D_0 + U_0 D_1 + U_0 U_1 D_2 + ..., whose k-th term adds
-    the first passages that climb up to 2^k levels before they fall, so
-    near-critical chains need only O(log(1/(1-rho))) steps.  Iteration stops
-    once the added term is below tol and the defining-equation residual below
-    10 tol, and raises NoConvergence after MAX_DOUBLINGS steps.
+    the first passages that climb up to 2^k levels before they fall.
+
+    Plain, the reduction converges like rho^(2^k): G's eigenvalue 1 holds it
+    back, about log2(1/(1-rho)) steps.  When the chain is positive recurrent
+    G e = e, so G - Q with Q = e u^T, u = e/m, has that eigenvalue moved to
+    0 and solves the same equation with A1 + A0 Q for A1 and A2 - A2 Q for
+    A2.  The reduction runs on those blocks and returns G = (G - Q) + Q, in
+    a few steps at any load: one for M/M/1.  Positive recurrence is read from
+    the mean drift, p A0 e < p A2 e with p the stationary row of
+    A = A0 + A1 + A2, and is asked only of a conservative A (rows summing to
+    zero within ROWSUM_TOL) with one closed class, the A whose p is unique.
+    On a transient, null-recurrent, non-conservative or multi-class A, Q = 0
+    and the reduction is the plain one.  Iteration stops once the added term
+    is below tol and the residual of the unshifted equation below 10 tol, and
+    raises NoConvergence after MAX_DOUBLINGS steps.
     """
     a0 = as_matrix(a0, "A0")
     a1 = as_matrix(a1, "A1")
     a2 = as_matrix(a2, "A2")
-    up, down = np.hsplit(solve_linear(-a1, np.hstack((a0, a2))), 2)
+    m = len(a1)
+    shift = np.zeros((m, m))
+    phases = a0 + a1 + a2
+    if inf_norm(phases.sum(axis=1)) <= ROWSUM_TOL:
+        try:
+            p = stationary_row(phases)
+        except (SingularMatrix, ValidationError):
+            p = None  # not a generator with one closed class
+        if p is not None and p @ a0.sum(axis=1) < p @ a2.sum(axis=1):
+            shift[:] = 1.0 / m
+    up, down = np.hsplit(solve_linear(-(a1 + a0 @ shift),
+                                      np.hstack((a0, a2 - a2 @ shift))), 2)
     g = down
     climb = up
     for step in range(1, MAX_DOUBLINGS + 1):
-        stay = np.eye(len(a1)) - up @ down - down @ up
+        stay = np.eye(m) - up @ down - down @ up
         up, down = np.hsplit(solve_linear(stay, np.hstack((up @ up, down @ down))), 2)
         term = climb @ down
         g = g + term
         climb = climb @ up
         if inf_norm(term) < tol:
-            residual = inf_norm(a0 @ g @ g + a1 @ g + a2)
+            passage = g + shift
+            residual = inf_norm(a0 @ passage @ passage + a1 @ passage + a2)
             if residual < 10.0 * tol:
-                return RateSolveResult(_frozen(g), step, residual)
+                return RateSolveResult(_frozen(passage), step, residual)
     raise NoConvergence(f"G reduction did not reach {tol:.1e} in {MAX_DOUBLINGS} doublings")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from mctails import solve_tails
 from mctails.errors import Reducible, TruncationFailure, Unstable, ValidationError
-from mctails.matkernel import inf_norm, inverse, spectral_radius
+from mctails.matkernel import inf_norm, inverse, spectral_radius, stationary_row
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import (
     QbdModel,
@@ -76,10 +76,63 @@ def test_mm1_heavy_traffic_tails_are_geometric(rho, x0_tol, pi_tol):
             assert abs(float(series.level(k)[0]) - rho ** k) < pi_tol * rho ** k
 
 
+def modulated_mm1(rho, phases):
+    """M/M/1 with arrival rate rho and service rate 1 whose phase runs by the
+    generator `phases` independently of the level; its stationary law is
+    x_k = (1 - rho) rho^k p, p stationary for `phases`."""
+    eye = np.eye(len(phases))
+    return QbdModel(phases - rho * eye, rho * eye, eye, rho * eye,
+                    phases - (rho + 1.0) * eye, eye)
+
+
+def four_phase_generator():
+    rates = np.random.default_rng(1).uniform(0.2, 1.0, size=(4, 4))
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return rates
+
+
+PHASES = pytest.mark.parametrize("phases", [np.zeros((1, 1)), four_phase_generator()],
+                                 ids=["mm1", "four-phase"])
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, 0.999, 0.9999])
+@PHASES
+def test_shifted_reduction_takes_few_steps_at_any_load(rho, phases):
+    """G's eigenvalue 1 is shifted to 0, so the step count does not grow
+    with 1/(1-rho)."""
+    model = modulated_mm1(rho, phases)
+    solved = solve_G(model.a0, model.a1, model.a2)
+    assert solved.iterations <= 6
+    assert inf_norm(solved.matrix.sum(axis=1) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("method", ["mg", "ul", "lu"])
+@PHASES
+def test_routes_meet_the_exact_law_at_rho_0_9999(method, phases):
+    """x0 and every pi_k within 1e-10 relative of (1 - rho) p and rho^k p."""
+    rho = 0.9999
+    law = np.ones(1) if len(phases) == 1 else stationary_row(phases)
+    series = solve_tails(modulated_mm1(rho, phases), 50, method=method)
+    assert np.max(np.abs(series.x0 / ((1.0 - rho) * law) - 1.0)) < 1e-10
+    for k in range(1, 51):
+        assert np.max(np.abs(series.level(k) / (rho ** k * law) - 1.0)) < 1e-10
+
+
+def test_shift_leaves_a_transient_chain_alone():
+    """At load 2 the minimal G is 0.5, not the stochastic solution 1."""
+    solved = solve_G([[2.0]], [[-3.0]], [[1.0]])
+    assert abs(float(solved.matrix[0, 0]) - 0.5) < 1e-12
+
+
 def test_solve_r_residual_is_reported_small():
+    """The shifted reduction leaves M/M/1 nothing to reduce: G = 1 after one
+    step."""
     result = solve_R(MM1.a0, MM1.a1, MM1.a2)
     assert result.residual < 1e-11
-    assert result.iterations > 1
+    assert result.iterations == 1
+    g = solve_G(MM1.a0, MM1.a1, MM1.a2).matrix
+    assert inf_norm(g.sum(axis=1) - 1.0) <= 1e-15
 
 
 def test_rate_matrix_is_zero_without_upward_flow():
@@ -143,7 +196,7 @@ def test_rate_matrix_agrees_with_passage_identity():
 def test_passage_matrix_is_stochastic_when_stable():
     for model in (MM1, TWOPHASE):
         g = solve_G(model.a0, model.a1, model.a2).matrix
-        assert inf_norm(g.sum(axis=1) - 1.0) < 1e-9
+        assert inf_norm(g.sum(axis=1) - 1.0) < 1e-14
 
 
 def test_passage_matrix_without_upward_flow_is_one_jump():
@@ -250,8 +303,7 @@ def test_lu_route_keeps_its_digits_deep_in_the_tail():
 def test_lu_depth_follows_the_decay_rate():
     """The M/M/1 up-blocks settle at once, so the forward pass stops at the
     deepest requested level and the closed-form deep sum adds the rest,
-    however slowly the tails decay.  At rho = 0.999 x0 from R is itself off
-    by 2e-10 relative."""
+    however slowly the tails decay."""
     for rho, tol in ((0.99, 1e-10), (0.999, 1e-9)):
         model = QbdModel([[-rho]], [[rho]], [[1.0]], [[rho]], [[-rho - 1.0]], [[1.0]])
         series = solve_tails(model, 50, method="lu")
