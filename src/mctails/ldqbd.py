@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SingularMatrix, ValidationError
 from .matkernel import _frozen, as_matrix, inf_norm, inverse, solve_xa, stationary_row
-from .qbd import ROWSUM_TOL, QbdModel, require_stable, solve_R
+from .qbd import ROWSUM_TOL, QbdModel, geometric_mass, solve_R
 from .series import TailSeries
 
 
@@ -165,7 +165,7 @@ def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
 def _boundary_row(model: LdQbdModel, rates: RateSequence) -> np.ndarray:
     """Unnormalized level-0 row: stationary for the censored boundary block
     A1(0) + R_0 A2(1), once the frozen levels are known to be stable."""
-    require_stable(rates.matrices[-1])
+    geometric_mass(rates.matrices[-1])
     return stationary_row(model.block_at("A1", 0) + rates.matrices[0] @ model.block_at("A2", 1))
 
 

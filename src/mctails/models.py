@@ -250,30 +250,28 @@ def vacation_qbd(params: VacationParams) -> QbdModel:
 def vacation_tails(params: VacationParams, levels: int) -> TailSeries:
     """Tail vectors of the vacation queue over levels 0..levels.
 
-    The vacation phase is geometric, pi_V,k = (lam/(lam+theta))^k (1-lam).
-    The serving phase starts from pi_W,1 = lam and
-    pi_W,2 = lam - lam theta (1-lam)/(lam+theta), then follows the three-term
-    recursion produced by summing the balance equations.  A one-shot closed
-    form for pi_W,k circulates alongside this recursion; it disagrees with
-    the recursion from level 3 on, so it is only evaluated into the report,
-    never returned.
+    The vacation phase is geometric, pi_V,k = d^k (1-lam) with
+    d = lam/(lam+theta).  The serving phase is
+
+        pi_W,k = c1 lam^k + c2 d^k,  c1 = theta/(lam+theta-1),
+                                     c2 = (1-lam)(lam+theta)/(1-lam-theta),
+
+    or (lam + (1-lam) k) lam^k when lam + theta = 1 and the roots coincide.
+    As c1 and c2 cancel near there, it is evaluated as the nonnegative sum
+    lam^k + lam (1-lam) d h^(k-2) (1-q^(k-1))/(1-q), with h and q h the larger
+    and smaller of lam and d.
     """
     lam, theta = params.lam, params.theta
     decay = lam / (lam + theta)
-    vac = [(decay ** k) * (1.0 - lam) for k in range(levels + 1)]
-    srv = [lam, lam]
-    if levels >= 2:
-        srv.append(lam - lam * theta * (1.0 - lam) / (lam + theta))
-    for k in range(3, levels + 1):
-        srv.append(srv[k - 1] - lam * (srv[k - 2] - srv[k - 1]) - theta * vac[k - 1])
-    gap = 0.0
-    for k in range(2, levels + 1):
-        alt = lam ** k + (1.0 - lam) * (lam * lam / theta) * (1.0 - decay ** (k - 1))
-        gap = max(gap, abs(alt - srv[k]))
-    pis = [np.array([vac[k], srv[k]]) for k in range(levels + 1)]
-    report = {"alternative_form_max_gap": gap}
-    return TailSeries(pis, None, method="closed-form",
-                      truncation_report=report, first_level=0)
+    high = max(lam, decay)
+    log_q = math.log(min(lam, decay) / high)
+    k = np.arange(1, levels + 1)
+    # (1 - q^(k-1)) / (1 - q), which is k - 1 when the roots coincide
+    ratio = k - 1.0 if log_q == 0.0 else np.expm1((k - 1) * log_q) / math.expm1(log_q)
+    busy = lam ** k + lam * (1.0 - lam) * decay * high ** (k - 2.0) * ratio
+    pis = [np.array([1.0 - lam, lam])]
+    pis += list(np.column_stack(((1.0 - lam) * decay ** k, busy)))
+    return TailSeries(pis, None, method="closed-form", first_level=0)
 
 
 def repairable_qbd(params: RepairableParams) -> QbdModel:

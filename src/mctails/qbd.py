@@ -31,7 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .matkernel import (
-    _balanced,
     _frozen,
     _powers,
     as_matrix,
@@ -39,7 +38,6 @@ from .matkernel import (
     inverse,
     solve_linear,
     solve_xa,
-    spectral_radius,
     stationary_row,
 )
 from .series import TailSeries
@@ -50,7 +48,8 @@ STABILITY_MARGIN = 1e-9
 MAX_DOUBLINGS = 64
 # The lu up-blocks count as settled once their change stops shrinking within
 # this many machine epsilons, per phase and per unit of the measure's
-# condition number, of the blocks themselves (see tails_lu).
+# condition number, of the blocks themselves (see tails_lu); geometric_mass
+# lets (I - R)^{-1} e fall as far below 1, relative to its largest entry.
 ROUNDOFF_FLOOR = 16
 
 
@@ -210,46 +209,49 @@ def solve_R(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     return RateSolveResult(_frozen(r), solved.iterations, residual)
 
 
-def require_stable(r) -> float:
-    radius = spectral_radius(r)
-    if radius >= 1.0 - STABILITY_MARGIN:
-        raise Unstable(f"sp(R) = {radius:.12f} is not below 1")
-    return radius
+def geometric_mass(r) -> np.ndarray:
+    """y = (I - R)^{-1} e = sum_k R^k e, the mass of the matrix-geometric
+    levels per unit of their first row, or Unstable when the series diverges.
+
+    For R >= 0 it converges exactly when I - R is a nonsingular M-matrix;
+    then y >= e and max y >= 1/(1 - sp(R)).  So a singular I - R, an entry of
+    y below 1 beyond roundoff, or max y >= 1/STABILITY_MARGIN is refused,
+    which refuses every R with sp(R) >= 1 - STABILITY_MARGIN.
+    """
+    try:
+        y = solve_linear(np.eye(len(r)) - r, np.ones(len(r)))
+    except SingularMatrix as exc:
+        raise Unstable(f"I - R is singular: {exc}") from None
+    slack = ROUNDOFF_FLOOR * len(y) * np.finfo(float).eps * np.max(np.abs(y))
+    if not (np.min(y) >= 1.0 - slack and np.max(y) < 1.0 / STABILITY_MARGIN):
+        raise Unstable(f"(I - R)^-1 e spans [{np.min(y):.6g}, {np.max(y):.6g}]: "
+                       f"sp(R) is not below 1 - {STABILITY_MARGIN:g}")
+    return y
 
 
 def boundary_solve(model: QbdModel, r) -> BoundarySolution:
     """Boundary stationary pair (x0, x1) given the rate matrix R.
 
-    Solves x0 B1 + x1 B2 = 0 and x0 B0 + x1 (A1 + R A2) = 0 jointly with the
-    normalization x0 e + x1 (I-R)^{-1} e = 1.  The balance system is singular
-    by exactly one rank, so its last column is replaced by the normalization
-    column; the dropped equation is re-checked afterwards.
+    Level 1 balances when x1 = x0 R0, R0 = B0 (-(A1 + R A2))^{-1}, so level
+    0 censored on itself has the generator B1 + R0 B2, whose stationary row
+    (matkernel.stationary_row, by GTH) is x0.  Both rows are then scaled by
+    1 / (x0 e + x1 (I-R)^{-1} e), the mass of all levels.
     """
     r = as_matrix(r, "R")
     if not np.any(model.b0):
         raise Reducible("B0 = 0: no upward flow out of the boundary level")
-    require_stable(r)
-    m0, m = model.m0, model.m
-    eye_minus_r = np.eye(m) - r
-    geo_col = solve_linear(eye_minus_r, np.ones(m))
-    balance = np.zeros((m0 + m, m0 + m))
-    balance[:m0, :m0] = model.b1
-    balance[m0:, :m0] = model.b2
-    balance[:m0, m0:] = model.b0
-    balance[m0:, m0:] = model.a1 + r @ model.a2
-    system = balance.copy()
-    system[:m0, -1] = 1.0
-    system[m0:, -1] = geo_col
-    rhs = np.zeros(m0 + m)
-    rhs[-1] = 1.0
-    z = _balanced(solve_xa(system, rhs), balance, "boundary solve")
-    return BoundarySolution(_frozen(z[:m0]), _frozen(z[m0:]))
+    mass = geometric_mass(r)
+    entry = solve_xa(-(model.a1 + r @ model.a2), model.b0)
+    x0 = stationary_row(model.b1 + entry @ model.b2)
+    x1 = x0 @ entry
+    scale = 1.0 / (x0.sum() + x1 @ mass)
+    return BoundarySolution(_frozen(scale * x0), _frozen(scale * x1))
 
 
 def tails_matrix_geometric(x1, r, levels: int, x0=None) -> TailSeries:
     """pi_k = x1 (I-R)^{-1} R^{k-1} for k = 1..levels."""
     r = as_matrix(r, "R")
-    require_stable(r)
+    geometric_mass(r)
     head = solve_xa(np.eye(r.shape[0]) - r, np.asarray(x1, dtype=float))
     return TailSeries(_powers(head, r, levels),
                       None if x0 is None else np.asarray(x0, dtype=float),
@@ -266,7 +268,7 @@ def tails_ul(model: QbdModel, r, boundary: BoundarySolution, levels: int) -> Tai
     matrix-geometric head of the same boundary solve.
     """
     r = as_matrix(r, "R")
-    require_stable(r)
+    geometric_mass(r)
     phi0 = (model.a0 + model.a1) + r @ model.a2
     head = solve_xa(-phi0, boundary.x0 @ model.b0)
     geometric_head = solve_xa(np.eye(model.m) - r, boundary.x1)

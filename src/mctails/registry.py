@@ -13,6 +13,7 @@ tracer or a test, is the one that runs.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -224,6 +225,11 @@ def build(kind: str, values: dict):
     return values if builder is None else builder(*values.values())
 
 
+def _check_tol(tol) -> None:
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
+
+
 def solve(model: Model, levels: int, method: str | None = None,
           tol: float = DEFAULT_TOL) -> TailSeries:
     """Tails of `model` at levels 1..`levels` by the named route of its kind;
@@ -231,6 +237,7 @@ def solve(model: Model, levels: int, method: str | None = None,
     the kind's stage is solved."""
     if not isinstance(levels, numbers.Integral) or levels < 0:
         raise ValidationError(f"levels must be a nonnegative integer, got {levels!r}")
+    _check_tol(tol)
     routes = REGISTRY[model.kind].routes
     name = next(iter(routes)) if method is None else method
     if name not in routes:
@@ -287,6 +294,8 @@ def cross_check(model: Model, levels: int, oracle_levels: int) -> CheckReport:
     kind = REGISTRY[model.kind]
     if levels < 1:
         raise ValidationError(f"levels must be at least 1, got {levels}")
+    tol = DEFAULT_TOL if model.tol is None else model.tol
+    _check_tol(tol)
     if kind.reference is not None and oracle_levels < levels:
         raise ValidationError(
             f"oracle levels ({oracle_levels}) must reach levels ({levels}): "
@@ -299,7 +308,7 @@ def cross_check(model: Model, levels: int, oracle_levels: int) -> CheckReport:
         comparisons = [Comparison("closed form", "balance equations", 1, levels,
                                   gap, gap < CHECK_TOL)]
     else:
-        stage = kind.stage(model, model.tol or DEFAULT_TOL)
+        stage = kind.stage(model, tol)
         series = {name: route(model, stage, levels) for name, route in kind.routes.items()}
         chain = kind.reference(model, oracle_levels)
         series["oracle"] = oracle.truncate_and_solve(chain, oracle_levels)

@@ -46,7 +46,7 @@ from .matkernel import (
     solve_xa,
     stationary_row,
 )
-from .qbd import ROWSUM_TOL, RateSolveResult, require_stable, solve_G, solve_R
+from .qbd import ROWSUM_TOL, RateSolveResult, geometric_mass, solve_G, solve_R
 from .series import TailSeries
 
 
@@ -252,7 +252,7 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
         raise Reducible("B0 = 0: boundary cannot reach the repeating levels")
     solved = solve_R_series(a, tol=tol)
     r = solved.matrix
-    require_stable(r)
+    level_mass = geometric_mass(r)
     m = model.m
     eye = np.eye(m)
     visit = np.zeros((m, m))
@@ -273,7 +273,7 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
             f"censored boundary chain rows sum to 1 +/- {stochastic_err:.3e}"
         )
     y0 = stationary_row(boundary_chain, continuous=False)
-    mass = float((y0 @ entry) @ solve_linear(eye - r, np.ones(m)))
+    mass = float((y0 @ entry) @ level_mass)
     tau = 1.0 / (1.0 + mass)
     x0 = tau * y0
     resid = _gim1_balance_residual(model, x0, entry, r)

@@ -1,4 +1,4 @@
-"""Dense kernel checks: guarded solves, spectra, stationary rows."""
+"""Dense kernel checks: guarded solves and stationary rows."""
 
 from pathlib import Path
 
@@ -13,7 +13,6 @@ from mctails.matkernel import (
     inverse,
     solve_linear,
     solve_xa,
-    spectral_radius,
     stationary_row,
 )
 
@@ -58,34 +57,6 @@ def test_singular_system_is_rejected():
 def test_nonsquare_matrix_is_rejected():
     with pytest.raises(ValidationError):
         solve_linear([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 1.0])
-
-
-def test_spectral_radius_matches_hand_eigenvalues():
-    # eigenvalues of [[.2,.3],[.1,.4]] are 0.5 and 0.1
-    assert abs(spectral_radius([[0.2, 0.3], [0.1, 0.4]]) - 0.5) < 1e-10
-    # cyclic: eigenvalues +-0.5, so power iteration would oscillate
-    assert abs(spectral_radius([[0.0, 1.0], [0.25, 0.0]]) - 0.5) < 1e-10
-
-
-def test_spectral_radius_of_stochastic_matrix_is_one():
-    assert abs(spectral_radius([[0.6, 0.4], [0.2, 0.8]]) - 1.0) < 1e-10
-
-
-def test_spectral_radius_of_nilpotent_matrix_is_zero():
-    assert spectral_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
-
-
-def test_spectral_radius_rejects_negative_entries():
-    with pytest.raises(ValidationError):
-        spectral_radius([[0.5, -0.1], [0.2, 0.3]])
-    # beyond roundoff: 2 machine epsilons of the largest entry are 2.2e-16
-    with pytest.raises(ValidationError, match="negative entry"):
-        spectral_radius([[0.5, -1e-15], [0.0, 0.1]])
-
-
-def test_spectral_radius_clips_roundoff_below_zero():
-    """A rate matrix from a solve may carry roundoff below an exact zero."""
-    assert spectral_radius([[0.5, -3.9e-22], [0.0, 0.1]]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_stationary_row_of_a_generator():

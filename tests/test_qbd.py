@@ -5,11 +5,12 @@ import pytest
 
 from mctails import solve_tails
 from mctails.errors import Reducible, TruncationFailure, Unstable, ValidationError
-from mctails.matkernel import inf_norm, inverse, spectral_radius, stationary_row
+from mctails.matkernel import inf_norm, inverse, stationary_row
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import (
     QbdModel,
     boundary_solve,
+    geometric_mass,
     solve_G,
     solve_R,
     tails_lu,
@@ -41,6 +42,17 @@ LOAD07 = QbdModel(
     [[1.0, 0.0], [0.0, 0.3]],
     [[-2.3, 0.3], [0.4, -1.7]],
     [[1.0, 0.0], [0.0, 1.0]],
+)
+
+# Two M/M/1 queues, arrivals 1 and 0.5, service 2, that swap phase only when
+# empty: A = A0 + A1 + A2 = 0 has two closed classes, and R is diagonal.
+SWAP_WHEN_EMPTY = QbdModel(
+    np.array([[-0.1, 0.1], [0.1, -0.1]]) - np.diag([1.0, 0.5]),
+    np.diag([1.0, 0.5]),
+    2.0 * np.eye(2),
+    np.diag([1.0, 0.5]),
+    -np.diag([1.0, 0.5]) - 2.0 * np.eye(2),
+    2.0 * np.eye(2),
 )
 
 
@@ -159,6 +171,45 @@ def test_unstable_chain_is_refused():
         boundary_solve(model, r)
 
 
+@pytest.mark.parametrize("r", [
+    solve_R([[2.0]], [[-3.0]], [[1.0]]).matrix,  # load 2: R = 1, I - R singular
+    [[0.5, 0.2], [0.0, 1.1]],  # the class of the second phase has sp 1.1
+    [[1.0 - 1e-10]],
+], ids=["mm1-load-2", "reducible", "within-margin"])
+def test_geometric_mass_refuses_a_divergent_series(r):
+    with pytest.raises(Unstable):
+        geometric_mass(r)
+
+
+def test_geometric_mass_accepts_a_convergent_series():
+    assert geometric_mass([[1.0 - 1e-8]])[0] == pytest.approx(1e8, rel=1e-7)
+    model = SWAP_WHEN_EMPTY
+    r = solve_R(model.a0, model.a1, model.a2).matrix
+    assert np.allclose(geometric_mass(r), [2.0, 4.0 / 3.0], rtol=1e-14, atol=0.0)
+
+
+def test_boundary_pair_of_a_modulated_queue_in_heavy_traffic():
+    """M/M/1 at rho = 0.995 whose 4 phases switch independently of the
+    level has the product form x0 = (1-rho) p and x1 = (1-rho) rho p, with p
+    stationary for the phase generator; the boundary pair meets it entrywise
+    to 5e-14 relative."""
+    t = np.array([
+        [0.0, 0.43879291473129867, 0.8513805924754243, 0.27353275370807756],
+        [0.6800804207725233, 0.0, 0.3503208586932828, 0.24411730186645456],
+        [0.4199754943248305, 0.7259464119004742, 0.0, 0.3200498106442689],
+        [0.5461046326438297, 0.7354378388596163, 0.5382277386161023, 0.0],
+    ])
+    np.fill_diagonal(t, -t.sum(axis=1))
+    rho, eye = 0.995, np.eye(4)
+    model = QbdModel(t - rho * eye, rho * eye, eye, rho * eye, t - (rho + 1.0) * eye, eye)
+    system = t.T.copy()
+    system[-1] = 1.0
+    p = np.linalg.solve(system, np.eye(4)[-1])
+    boundary = boundary_solve(model, solve_R(model.a0, model.a1, model.a2).matrix)
+    assert np.max(np.abs(boundary.x0 / ((1.0 - rho) * p) - 1.0)) < 5e-14
+    assert np.max(np.abs(boundary.x1 / ((1.0 - rho) * rho * p) - 1.0)) < 5e-14
+
+
 def test_rate_matrix_survives_newton_polish():
     """Repairable-server blocks: one kron-linearized Newton step must leave
     the fixed point in place, or the iteration stopped short of the root."""
@@ -211,7 +262,7 @@ def test_passage_matrix_without_upward_flow_is_one_jump():
 def test_rate_matrix_radius_is_below_one():
     for model in (MM1, TWOPHASE):
         r = solve_R(model.a0, model.a1, model.a2).matrix
-        assert spectral_radius(r) < 1.0
+        assert max(abs(np.linalg.eigvals(r))) < 1.0
 
 
 def test_three_routes_agree_with_each_other():
@@ -238,10 +289,7 @@ def test_boundary_solve_takes_a_rate_matrix_with_roundoff_below_zero():
     """Two M/M/1 queues that swap only when empty have a diagonal R; a
     -3.9e-22 where it is exactly zero is roundoff, and the boundary pair does
     not move."""
-    eye = np.eye(2)
-    lam = np.diag([1.0, 0.5])
-    swap = np.array([[-0.1, 0.1], [0.1, -0.1]])
-    model = QbdModel(swap - lam, lam, 2.0 * eye, lam, -lam - 2.0 * eye, 2.0 * eye)
+    model = SWAP_WHEN_EMPTY
     r = solve_R(model.a0, model.a1, model.a2).matrix
     assert r[0, 1] == 0.0
     noisy = r.copy()

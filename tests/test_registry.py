@@ -1,5 +1,6 @@
 """The route registry: one table of kinds, routes, defaults and references."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -105,6 +106,17 @@ def test_solve_checks_its_arguments_before_the_stage(count_calls):
     for levels, method in ((-1, "mg"), (6, "product")):
         with pytest.raises(ValidationError):
             registry.solve(BUNDLED["qbd22.json"], levels, method)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tol_is_refused_before_the_stage(count_calls, tol):
+    calls = count_calls(qbd, "solve_R")
+    model = BUNDLED["mm1.json"]
+    with pytest.raises(ValidationError, match="tol"):
+        mctails.solve_tails(model.payload, 5, tol=tol)
+    with pytest.raises(ValidationError, match="tol"):
+        mctails.cross_check(dataclasses.replace(model, tol=tol), 5, 20)
     assert calls == []
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from mctails import skipfree, solve_tails
 from mctails.errors import NearCritical, Reducible, SingularMatrix, Unstable, ValidationError
-from mctails.matkernel import inf_norm, spectral_radius
+from mctails.matkernel import inf_norm
 from mctails.oracle import truncate_and_solve
 from mctails.skipfree import (
     SkipFreeModel,
@@ -77,7 +77,7 @@ def test_rate_series_satisfies_its_equation_in_phases():
     a = GIM1_PHASED.a_blocks
     residual = r - (a[0] + r @ a[1] + r @ r @ a[2])
     assert inf_norm(residual) < 1e-11
-    assert spectral_radius(r) < 1.0
+    assert max(abs(np.linalg.eigvals(r))) < 1.0
 
 
 def test_series_solvers_group_two_levels_for_jumps_of_two():
