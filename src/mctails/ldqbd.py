@@ -7,7 +7,9 @@ sequence R_l, and a forward LU-type factorization of the generator restricted
 to levels one and above.  Past the horizon h the chain is matrix-geometric
 with R_h, so both routes work out levels 1..max(h, levels) and close the
 rest with one geometric remainder, sum_{j>n} x_j = x_n R_h (I - R_h)^{-1};
-neither has a stop rule or a cut-off.
+neither has a stop rule or a cut-off.  truncated_generator lays the blocks
+out as one dense generator on a finite range of levels, which the oracle
+solves.
 """
 
 from __future__ import annotations
@@ -17,8 +19,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularMatrix, ValidationError
-from .matkernel import _frozen, as_matrix, inf_norm, inverse, solve_xa, stationary_row
-from .qbd import ROWSUM_TOL, QbdModel, geometric_mass, solve_R
+from .matkernel import _frozen, as_matrix, inverse, solve_xa, stationary_row
+from .qbd import (
+    QbdModel,
+    _check_generator_block,
+    _check_nonnegative,
+    _check_zero_rowsums,
+    geometric_mass,
+    solve_R,
+)
 from .series import TailSeries
 
 
@@ -56,28 +65,23 @@ class LdQbdModel:
             want = (m0, m0) if k == 0 else (m, m)
             if blk.shape != want:
                 raise ValidationError(f"A1({k}): expected shape {want}")
-            off = blk - np.diag(np.diag(blk))
-            if np.any(off < 0) or np.any(np.diag(blk) > 0):
-                raise ValidationError(f"A1({k}): wrong sign pattern for a diagonal block")
+            _check_generator_block(blk, f"A1({k})")
         for k, blk in enumerate(up):
             want = (m0, m) if k == 0 else (m, m)
             if blk.shape != want:
                 raise ValidationError(f"A0({k}): expected shape {want}")
-            if np.any(blk < 0):
-                raise ValidationError(f"A0({k}): negative entry")
+            _check_nonnegative(blk, f"A0({k})")
         for k, blk in enumerate(down):
             want = (m, m0) if k == 0 else (m, m)
             if blk.shape != want:
                 raise ValidationError(f"A2({k + 1}): expected shape {want}")
-            if np.any(blk < 0):
-                raise ValidationError(f"A2({k + 1}): negative entry")
-        rowsum = diag[0].sum(axis=1) + up[0].sum(axis=1)
-        if inf_norm(rowsum) > ROWSUM_TOL:
-            raise ValidationError("level-0 row sums are not zero")
+            _check_nonnegative(blk, f"A2({k + 1})")
+        _check_zero_rowsums(diag[0].sum(axis=1) + up[0].sum(axis=1), "level-0 row")
         for k in range(1, len(diag)):
-            rowsum = down[k - 1].sum(axis=1) + diag[k].sum(axis=1) + up[k].sum(axis=1)
-            if inf_norm(rowsum) > ROWSUM_TOL:
-                raise ValidationError(f"level-{k} row sums are not zero")
+            _check_zero_rowsums(
+                down[k - 1].sum(axis=1) + diag[k].sum(axis=1) + up[k].sum(axis=1),
+                f"level-{k} row",
+            )
         object.__setattr__(self, "up", tuple(_frozen(a) for a in up))
         object.__setattr__(self, "diag", tuple(_frozen(a) for a in diag))
         object.__setattr__(self, "down", tuple(_frozen(a) for a in down))
@@ -126,6 +130,32 @@ class LdQbdModel:
         diag = tuple(diag_fn(k) for k in range(horizon + 1))
         down = tuple(down_fn(k) for k in range(1, horizon + 1))
         return cls(up, diag, down)
+
+
+def truncated_generator(model: LdQbdModel, levels: int) -> np.ndarray:
+    """The generator on levels 0..`levels` as one dense matrix: level 0
+    takes the first m0 states and level k >= 1 the m states after it.  The
+    last level keeps its upward flow on its own diagonal block, so every row
+    still sums to zero."""
+    m0, m = model.m0, model.m
+
+    def start(level):
+        return 0 if level == 0 else m0 + (level - 1) * m
+
+    q = np.zeros((start(levels) + m, start(levels) + m))
+    q[:m0, :m0] = model.block_at("A1", 0)
+    q[:m0, m0:m0 + m] = model.block_at("A0", 0)
+    for k in range(1, levels + 1):
+        row = slice(start(k), start(k) + m)
+        width = m0 if k == 1 else m
+        q[row, start(k - 1):start(k - 1) + width] = model.block_at("A2", k)
+        diag = model.block_at("A1", k)
+        if k == levels:
+            diag = diag + model.block_at("A0", k)
+        q[row, start(k):start(k) + m] = diag
+        if k < levels:
+            q[row, start(k + 1):start(k + 1) + m] = model.block_at("A0", k)
+    return q
 
 
 @dataclass(frozen=True)

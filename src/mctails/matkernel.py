@@ -53,20 +53,6 @@ def _powers(head, rate, levels: int) -> list:
     return rows
 
 
-def as_row(values, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-d float64 row vector."""
-    try:
-        v = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: not a numeric vector ({exc})") from None
-    v = np.atleast_1d(np.squeeze(v))
-    if v.ndim != 1 or v.size == 0:
-        raise ValidationError(f"{name}: expected a nonempty 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name}: contains non-finite entries")
-    return v
-
-
 def inf_norm(a) -> float:
     """Max absolute row sum for matrices, max |entry| for vectors."""
     a = np.asarray(a, dtype=float)

@@ -22,7 +22,7 @@ from functools import partial
 from . import ldqbd, models, oracle, qbd, skipfree
 from .errors import ValidationError
 from .matkernel import inf_norm
-from .series import TailSeries
+from .series import TailSeries, _check_levels
 
 DEFAULT_TOL = 1e-12
 CHECK_TOL = 1e-6
@@ -235,8 +235,7 @@ def solve(model: Model, levels: int, method: str | None = None,
     """Tails of `model` at levels 1..`levels` by the named route of its kind;
     None takes the kind's default route.  The arguments are checked before
     the kind's stage is solved."""
-    if not isinstance(levels, numbers.Integral) or levels < 0:
-        raise ValidationError(f"levels must be a nonnegative integer, got {levels!r}")
+    _check_levels(levels, 0)
     _check_tol(tol)
     routes = REGISTRY[model.kind].routes
     name = next(iter(routes)) if method is None else method
@@ -292,8 +291,8 @@ def cross_check(model: Model, levels: int, oracle_levels: int) -> CheckReport:
     equations instead.  A gap below CHECK_TOL passes.
     """
     kind = REGISTRY[model.kind]
-    if levels < 1:
-        raise ValidationError(f"levels must be at least 1, got {levels}")
+    _check_levels(levels, 1)
+    _check_levels(oracle_levels, 1, "oracle_levels")
     tol = DEFAULT_TOL if model.tol is None else model.tol
     _check_tol(tol)
     if kind.reference is not None and oracle_levels < levels:

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ValidationError
+
+
+def _check_levels(value, least: int, name: str = "levels") -> None:
+    """Refuse a level count that is not an integer of at least `least`."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass

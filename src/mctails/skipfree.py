@@ -16,7 +16,10 @@ arbitrarily far up:
     |     A0  A1  A2 .. |
     |         A0  A1 .. |
 
-Both keep a finite list of nonzero blocks.  The GI/M/1 side has a
+Both keep a finite list of nonzero blocks.  truncated_kernel is the one
+place that lays these blocks out by level: model validation checks its row
+sums, the balance re-check of both stationary solvers multiplies by it, and
+the oracle solves it.  The GI/M/1 side has a
 matrix-geometric stationary vector driven by the minimal solution of
 R = sum_k R^k A_k; the M/G/1 side rests on the first-passage matrix
 G = sum_k A_k G^k and visit-count blocks fed into a forward recursion.  Seen
@@ -57,8 +60,9 @@ class SkipFreeModel:
     a_blocks holds A_0, A_1, ... of the repeating part; b_blocks holds
     B_0, B_1, B_2, ... around the boundary, in the layouts drawn above.
     Blocks absent from the lists are zero.  Every row of the kernel must sum
-    to one, which ties the two lists together; construction checks each
-    distinct row pattern.
+    to one, which ties the two lists together; construction checks the rows
+    of the kernel truncated past the longer list, which hold every distinct
+    row pattern.
     """
 
     kind: str
@@ -90,31 +94,16 @@ class SkipFreeModel:
                 raise ValidationError(f"B{k}: expected shape {want}, got {blk.shape}")
             if np.any(blk < 0):
                 raise ValidationError(f"B{k}: negative entry")
-        self._check_rows(a, b, m0)
         object.__setattr__(self, "a_blocks", tuple(_frozen(x) for x in a))
         object.__setattr__(self, "b_blocks", tuple(_frozen(x) for x in b))
-
-    def _check_rows(self, a, b, m0):
-        total_a = sum(blk.sum(axis=1) for blk in a)
-        if inf_norm(total_a - 1.0) > ROWSUM_TOL:
-            raise ValidationError("repeating-part blocks must sum to a stochastic matrix")
-        if self.kind == "GIM1":
-            row0 = b[1].sum(axis=1) + b[0].sum(axis=1)
-            if inf_norm(row0 - 1.0) > ROWSUM_TOL:
-                raise ValidationError("boundary row must sum to one")
-            for k in range(1, max(len(a), len(b))):
-                total = sum(a[i].sum(axis=1) for i in range(min(k, len(a) - 1) + 1))
-                if k + 1 < len(b):
-                    total = total + b[k + 1].sum(axis=1)
-                if inf_norm(total - 1.0) > ROWSUM_TOL:
-                    raise ValidationError(f"level-{k} row must sum to one")
-        else:
-            row0 = sum((blk.sum(axis=1) for blk in b[2:]), b[1].sum(axis=1))
-            if inf_norm(row0 - 1.0) > ROWSUM_TOL:
-                raise ValidationError("boundary row must sum to one")
-            row1 = sum((blk.sum(axis=1) for blk in a[1:]), b[0].sum(axis=1))
-            if inf_norm(row1 - 1.0) > ROWSUM_TOL:
-                raise ValidationError("level-1 row must sum to one")
+        kernel = truncated_kernel(self, max(len(a), len(b)) + 1)
+        miss = np.abs(kernel.sum(axis=1) - 1.0)
+        if np.any(miss > ROWSUM_TOL):
+            state = int(np.argmax(miss > ROWSUM_TOL))
+            level = 0 if state < m0 else (state - m0) // m + 1
+            raise ValidationError(
+                f"level-{level} row must sum to one, off by {float(miss[state]):.3e}"
+            )
 
     @property
     def m(self) -> int:
@@ -123,6 +112,44 @@ class SkipFreeModel:
     @property
     def m0(self) -> int:
         return self.b_blocks[1].shape[0]
+
+
+def truncated_kernel(model: SkipFreeModel, levels: int) -> np.ndarray:
+    """The kernel on levels 0..`levels`, drawn above, as one dense matrix:
+    level 0 takes the first m0 states and level k >= 1 the m states after
+    it.  The last level absorbs every move past it, so each row keeps its
+    sum.  This is the one place that decides which block a move of the chain
+    takes.
+
+    In the GI/M/1 picture B_0 and B_1 take level 0 to levels 1 and 0,
+    B_k (k >= 2) takes level k - 1 to level 0, and A_d takes level
+    i >= max(1, d) to level i + 1 - d; the M/G/1 picture is its block
+    transpose.  The A blocks go in from the last, so a folded column adds
+    them up in the same order as their suffix sums.
+    """
+    a, b = model.a_blocks, model.b_blocks
+    m0, m = model.m0, model.m
+    mg1 = model.kind == "MG1"
+    p = np.zeros((m0 + levels * m, m0 + levels * m))
+
+    def states(level):
+        return slice(0, m0) if level == 0 else slice(m0 + (level - 1) * m, m0 + level * m)
+
+    for k, blk in enumerate(b):
+        i, j = (0, 1 - k) if k < 2 else (k - 1, 0)
+        if mg1:
+            i, j = j, i
+        if i <= levels:
+            p[states(i), states(min(j, levels))] += blk
+    # levels 1..levels as a (level, phase, level, phase) view of p; A_d moves
+    # band level r to r + 1 - d (GI/M/1) or r + d - 1 (M/G/1)
+    band = p[m0:, m0:].reshape(levels, m, levels, m)
+    rows = np.arange(levels)
+    for d in range(len(a) - 1, -1, -1):
+        step = d - 1 if mg1 else 1 - d
+        keep = rows[rows + step >= 0]
+        band[keep, :, np.minimum(keep + step, levels - 1), :] += a[d]
+    return p
 
 
 @dataclass(frozen=True)
@@ -214,29 +241,6 @@ def solve_G_series(a_blocks, tol: float = 1e-12) -> RateSolveResult:
                            solved.iterations, solved.residual)
 
 
-def _gim1_rows(model: SkipFreeModel, x0, entry, rate, count: int) -> list:
-    rows = [x0, x0 @ entry]
-    for _ in range(2, count + 1):
-        rows.append(rows[-1] @ rate)
-    return rows
-
-
-def _gim1_balance_residual(model: SkipFreeModel, x0, entry, rate) -> float:
-    a, b = model.a_blocks, model.b_blocks
-    window = max(len(a), len(b)) + 5
-    x = _gim1_rows(model, x0, entry, rate, window + len(a))
-    into = x[0] @ b[1]
-    for k in range(1, len(b) - 1):
-        into = into + x[k] @ b[k + 1]
-    worst = inf_norm(into - x[0])
-    for j in range(1, window + 1):
-        into = x[j - 1] @ (a[0] if j > 1 else b[0])
-        for i in range(j, j + len(a) - 1):
-            into = into + x[i] @ a[i + 1 - j]
-        worst = max(worst, inf_norm(into - x[j]))
-    return worst
-
-
 def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
     """Boundary row and rate measures of a positive recurrent GI/M/1-type chain.
 
@@ -276,7 +280,7 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
     mass = float((y0 @ entry) @ level_mass)
     tau = 1.0 / (1.0 + mass)
     x0 = tau * y0
-    resid = _gim1_balance_residual(model, x0, entry, r)
+    resid = _balance_residual(model, [x0] + _powers(x0 @ entry, r, _balance_window(model) - 1))
     if resid > 1e-8:
         raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
     return Gim1Measures(
@@ -353,11 +357,22 @@ def mg1_drift(model: SkipFreeModel) -> float:
     return mean - 1.0
 
 
-def _mg1_window(model: SkipFreeModel) -> int:
-    """Rows the balance re-check reads: its window of levels, plus the
-    deepest jump into the last of them."""
+def _balance_window(model: SkipFreeModel) -> int:
+    """Rows the balance re-check reads: its window of levels 0..W with
+    W = max(len(A), len(B)) + 5, plus the deepest jump into level W."""
     a, b = model.a_blocks, model.b_blocks
     return max(len(a), len(b)) + 5 + len(a)
+
+
+def _balance_residual(model: SkipFreeModel, rows: list) -> float:
+    """Largest entry of x K - x over the window levels, where x stacks the
+    normalized rows of levels 0.._balance_window - 1 and K is the kernel
+    truncated at the last of them.  No row past it moves into the window and
+    the truncation folds only the last column, so the window's columns of
+    x K are exact."""
+    x = np.concatenate(rows)
+    width = model.m0 + (len(rows) - len(model.a_blocks)) * model.m
+    return inf_norm((x @ truncated_kernel(model, len(rows) - 1) - x)[:width])
 
 
 def _mg1_row(model: SkipFreeModel, rows, first, blocks, k: int) -> np.ndarray:
@@ -370,21 +385,6 @@ def _mg1_row(model: SkipFreeModel, rows, first, blocks, k: int) -> np.ndarray:
     for i in range(max(1, k - len(blocks)), k):
         row = row + rows[i] @ blocks[k - i - 1]
     return row
-
-
-def _mg1_balance_residual(model: SkipFreeModel, x: list) -> float:
-    a, b = model.a_blocks, model.b_blocks
-    window = min(len(x), _mg1_window(model)) - len(a)
-    if window < 1:
-        return 0.0
-    into = x[0] @ b[1] + x[1] @ b[0]
-    worst = inf_norm(into - x[0])
-    for j in range(1, window + 1):
-        into = x[0] @ b[j + 1] if j + 1 < len(b) else np.zeros(model.m)
-        for i in range(max(1, j - len(a) + 2), j + 2):
-            into = into + x[i] @ a[j - i + 1]
-        worst = max(worst, inf_norm(into - x[j]))
-    return worst
 
 
 def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
@@ -437,10 +437,10 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     w = sum(between, np.zeros((m, m)))
     tau = 1.0 / (float(y0.sum()) + float(y0 @ w0 @ solve_linear(eye - w, np.ones(m))))
     rows = [y0]
-    for k in range(1, _mg1_window(model)):
+    for k in range(1, _balance_window(model)):
         rows.append(_mg1_row(model, rows, from_boundary, between, k))
     x0 = tau * y0
-    resid = _mg1_balance_residual(model, [tau * row for row in rows])
+    resid = _balance_residual(model, [tau * row for row in rows])
     if resid > 1e-8:
         raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
     return Mg1Measures(

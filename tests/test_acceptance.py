@@ -5,7 +5,6 @@ failure pinpoints itself.  Tolerances and time budgets are part of the
 contract, not suggestions.
 """
 
-import json
 import os
 import subprocess
 import sys

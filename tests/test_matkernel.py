@@ -8,7 +8,6 @@ import pytest
 from mctails.errors import SingularMatrix, ValidationError
 from mctails.matkernel import (
     as_matrix,
-    as_row,
     inf_norm,
     inverse,
     solve_linear,
@@ -127,10 +126,6 @@ def test_as_matrix_rejects_ragged_and_non_finite_input():
         as_matrix([[1.0, 2.0], [3.0]])
     with pytest.raises(ValidationError):
         as_matrix([[np.inf, 1.0], [0.0, 1.0]])
-
-
-def test_as_row_squeezes_single_row_matrices():
-    assert as_row([[1.0, 2.0, 3.0]]).shape == (3,)
 
 
 def test_inf_norm_on_vectors_and_matrices():

@@ -1,7 +1,5 @@
 """Queueing models: frozen hand values, balance identities, dense references."""
 
-import math
-
 import numpy as np
 import pytest
 

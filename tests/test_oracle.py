@@ -8,18 +8,12 @@ import pytest
 
 from mctails import solve_tails
 from mctails.cli import load_model_file
-from mctails.errors import SizeLimit
-from mctails.ldqbd import LdQbdModel
+from mctails.errors import SizeLimit, ValidationError
+from mctails.ldqbd import LdQbdModel, truncated_generator
 from mctails.matkernel import inf_norm
-from mctails.oracle import (
-    MAX_STATES,
-    _assemble_gim1,
-    _assemble_ld,
-    _assemble_mg1,
-    truncate_and_solve,
-)
+from mctails.oracle import MAX_STATES, truncate_and_solve
 from mctails.qbd import QbdModel
-from mctails.skipfree import SkipFreeModel
+from mctails.skipfree import SkipFreeModel, truncated_kernel
 
 MM1 = QbdModel([[-1.0]], [[1.0]], [[2.0]], [[1.0]], [[-3.0]], [[2.0]])
 GIM1 = SkipFreeModel("GIM1", [[[0.3]], [[0.3]], [[0.4]]],
@@ -29,13 +23,13 @@ MG1 = SkipFreeModel("MG1", [[[0.6]], [[0.1]], [[0.2]], [[0.1]]],
 
 
 def test_truncated_generator_rows_sum_to_zero():
-    q = _assemble_ld(LdQbdModel.from_qbd(MM1, 2), 30)
+    q = truncated_generator(LdQbdModel.from_qbd(MM1, 2), 30)
     assert inf_norm(q.sum(axis=1)) < 1e-12
 
 
 def test_truncated_kernels_stay_stochastic():
-    for model, assemble in ((GIM1, _assemble_gim1), (MG1, _assemble_mg1)):
-        p = assemble(model, 25)
+    for model in (GIM1, MG1):
+        p = truncated_kernel(model, 25)
         assert np.all(p >= -1e-15)
         assert inf_norm(p.sum(axis=1) - 1.0) < 1e-12
 
@@ -86,6 +80,19 @@ def test_error_estimate_shrinks_with_depth():
 def test_state_count_guard():
     with pytest.raises(SizeLimit):
         truncate_and_solve(MM1, MAX_STATES + 1)
+
+
+@pytest.mark.parametrize("levels", [0, -1, 2.5])
+def test_levels_must_be_a_positive_integer(levels):
+    with pytest.raises(ValidationError, match="levels"):
+        truncate_and_solve(MM1, levels)
+
+
+def test_oracle_never_places_blocks_itself():
+    """Which block a move takes is decided by each model's own module; the
+    oracle only solves the truncated matrix it is given."""
+    source = (Path(__file__).resolve().parents[1] / "src" / "mctails" / "oracle.py").read_text()
+    assert [name for name in ("a_blocks", "b_blocks", "block_at") if name in source] == []
 
 
 def test_unsupported_model_type_is_rejected():

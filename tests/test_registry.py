@@ -120,6 +120,14 @@ def test_bad_tol_is_refused_before_the_stage(count_calls, tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("levels,oracle_levels", [(2.5, 200), (20, 200.0)])
+def test_cross_check_refuses_bad_level_counts(count_calls, levels, oracle_levels):
+    calls = count_calls(qbd, "solve_R")
+    with pytest.raises(ValidationError, match="levels"):
+        mctails.cross_check(BUNDLED["mm1.json"], levels, oracle_levels)
+    assert calls == []
+
+
 def test_cross_check_fails_against_a_too_shallow_reference():
     report = mctails.cross_check(BUNDLED["mm1.json"], 4, 6)
     assert not report.passed

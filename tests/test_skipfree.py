@@ -5,7 +5,7 @@ import pytest
 
 from mctails import skipfree, solve_tails
 from mctails.errors import NearCritical, Reducible, SingularMatrix, Unstable, ValidationError
-from mctails.matkernel import inf_norm
+from mctails.matkernel import inf_norm, stationary_row
 from mctails.oracle import truncate_and_solve
 from mctails.skipfree import (
     SkipFreeModel,
@@ -237,14 +237,27 @@ def test_mg1_stationarity_residual_is_reported_small():
     assert measures.drift < 0
 
 
-@pytest.mark.parametrize("residual,stationary,model", [
-    ("_gim1_balance_residual", gim1_stationary, GIM1_PHASED),
-    ("_mg1_balance_residual", mg1_stationary, MG1_BATCH),
+@pytest.mark.parametrize("stationary,model", [
+    (gim1_stationary, GIM1_PHASED),
+    (mg1_stationary, MG1_BATCH),
 ], ids=["gim1", "mg1"])
-def test_balance_miss_raises(monkeypatch, residual, stationary, model):
-    monkeypatch.setattr(skipfree, residual, lambda *args: 1e-6)
+def test_balance_miss_raises(monkeypatch, stationary, model):
+    monkeypatch.setattr(skipfree, "_balance_residual", lambda *args: 1e-6)
     with pytest.raises(SingularMatrix, match="miss balance by 1.000e-06"):
         stationary(model)
+
+
+@pytest.mark.parametrize("model", [GIM1_PHASED, MG1_BATCH], ids=["gim1", "mg1"])
+def test_balance_residual_sees_a_moved_row(model):
+    """Rows of the stationary vector of a deep truncation balance on the
+    window to roundoff; adding 1e-6 to one row of the window shows."""
+    x = stationary_row(skipfree.truncated_kernel(model, 200), continuous=False)
+    m0, m = model.m0, model.m
+    rows = [x[:m0]] + [x[m0 + (k - 1) * m:m0 + k * m]
+                       for k in range(1, skipfree._balance_window(model))]
+    assert skipfree._balance_residual(model, rows) < 1e-14
+    rows[2] = rows[2] + 1e-6
+    assert skipfree._balance_residual(model, rows) > 5e-7
 
 
 def test_model_validation_catches_mistakes():
