@@ -87,7 +87,7 @@ def _take(obj: dict, key: str, path: str):
 def _reject_unknown(obj: dict, allowed, path: str) -> None:
     extra = sorted(set(obj) - set(allowed))
     if extra:
-        _fail(path, f"unknown key {extra[0]!r} (allowed: {', '.join(sorted(allowed))})")
+        _fail(f"{path}.{extra[0]}", f"unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
 _READERS = {"matrix": _matrix, "matrices": _matrix_list, "number": _number,
@@ -107,16 +107,11 @@ def load_model_file(path: str) -> Model:
         ) from exc
 
     root = _object(data, "$")
-    _reject_unknown(root, ("kind", "name", "blocks", "params", "horizon", "tol"), "$")
+    _reject_unknown(root, ("kind", "name", "blocks", "params", "tol"), "$")
     kind, kind_path = _take(root, "kind", "$")
     if not isinstance(kind, str) or kind not in REGISTRY:
         _fail(kind_path, f"unknown kind {kind!r} (one of: {', '.join(REGISTRY)})")
 
-    horizon = None
-    if "horizon" in root:
-        horizon = _integer(root["horizon"], "$.horizon")
-        if horizon < 1:
-            _fail("$.horizon", "must be at least 1")
     tol = None
     if "tol" in root:
         tol = _number(root["tol"], "$.tol")
@@ -135,7 +130,7 @@ def load_model_file(path: str) -> Model:
         payload = build(kind, values)
     except ValidationError as exc:
         raise ModelFileError(f"{section_path}: {exc}") from exc
-    return Model(kind, payload, horizon=horizon, tol=tol)
+    return Model(kind, payload, tol=tol)
 
 
 def _format_csv(series: TailSeries) -> str:

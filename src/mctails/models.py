@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergent, StepUnstable, TruncationFailure, Unstable, ValidationError
+from .errors import Divergent, StepUnstable, Unstable, ValidationError
 from .ldqbd import LdQbdModel
-from .matkernel import inf_norm, solve_xa
-from .qbd import QbdModel, boundary_solve, solve_R, tails_matrix_geometric
-from .series import TailSeries
+from .matkernel import inf_norm
+from .qbd import QbdModel, tails_matrix_geometric
+from .series import TailSeries, _check_levels
 
 
 def _require_positive(value: float, name: str) -> float:
@@ -72,7 +72,8 @@ class VacationParams:
 @dataclass(frozen=True)
 class RepairableParams:
     """M/M/1 queue whose busy server fails at rate alpha and is repaired at
-    rate beta; lam and mu are the arrival and service rates."""
+    rate beta; lam and mu are the arrival and service rates.  Stable when
+    the effective load (lam/mu)(1 + alpha/beta) is below 1."""
 
     lam: float
     mu: float
@@ -84,6 +85,8 @@ class RepairableParams:
         _require_positive(self.mu, "mu")
         _require_positive(self.alpha, "alpha")
         _require_positive(self.beta, "beta")
+        if self.load >= 1.0:
+            raise Unstable(f"effective load {self.load} is not below 1")
 
     @property
     def load(self) -> float:
@@ -108,73 +111,67 @@ def retrial_chain(params: RetrialParams, horizon: int) -> LdQbdModel:
     return LdQbdModel.from_rule(up, diag, down, horizon)
 
 
-def _retrial_series(params: RetrialParams, horizon: int, levels: int) -> list:
-    """Tail rows pi_0..pi_levels by the backward horizon recursion.
-
-    Summing the balance equations over levels j >= k couples pi_{k-1}, pi_k,
-    pi_{k+1} and the remaining suffix sum through four fixed blocks; closing
-    the recursion at the horizon with zero matrices and sweeping down yields
-    per-level ratio matrices r_k with pi_{k+1} = pi_k r_k.
-    """
-    lam, mu, theta = params.lam, params.mu, params.theta
-    rho = params.rho
-    push = np.array([[lam, 0.0], [0.0, 0.0]])
-    drain = np.array([[0.0, 0.0], [theta, -theta]])
-    eye = np.eye(2)
-
-    def local(k):
-        return np.array([[-(lam + mu), mu], [lam, -(lam + k * theta)]])
-
-    def from_above(k):
-        return np.array([[0.0, 0.0], [k * theta, -theta]])
-
-    ratios = [None] * (horizon + 1)
-    r_up = np.zeros((2, 2))
-    v_up = np.zeros((2, 2))
-    for k in range(horizon, 0, -1):
-        pivot = local(k + 1) + r_up @ (from_above(k + 2) + v_up @ drain)
-        r_k = solve_xa(pivot, -push)
-        v_up = r_up @ (eye + v_up)
-        r_up = r_k
-        ratios[k] = r_k
-    censored = local(1) + r_up @ (from_above(2) + v_up @ drain)
-    head = np.array([rho, 1.0 - rho])
-    pis = [head]
-    if levels >= 1:
-        pis.append(solve_xa(-censored, head @ push))
-        for k in range(2, levels + 1):
-            pis.append(pis[-1] @ ratios[k - 1])
-    return pis
-
-
-def retrial_tails(params: RetrialParams, levels: int,
-                  horizon: int = 200) -> TailSeries:
+def retrial_tails(params: RetrialParams, levels: int) -> TailSeries:
     """Tail vectors of the retrial queue over orbit sizes 0..levels.
 
-    The backward recursion is rerun at half the horizon; if the two runs
-    disagree beyond 1e-9 the horizon was too short and the solve fails rather
-    than return drifted numbers.
+    The cut balance lam x_busy,n = (n+1) theta x_idle,n+1 and the idle
+    balance mu x_busy,n = (lam + n theta) x_idle,n give the rows one after
+    another from x_0, proportional to (rho, 1), with products and quotients
+    of positive numbers only.  Past row N both phase ratios are at most
+    q_N = rho (1 + lam/((N+1) theta)), which falls toward rho, so the rows
+    stop at the first N >= levels where q_N < 1 and x_N q_N/(1 - q_N) is
+    below machine epsilon times the sum of rows levels..N in each phase.
     """
-    if params.rho >= 1.0:
-        raise Unstable(f"utilization {params.rho} is not below 1")
-    span = max(horizon, 2 * levels + 20)
-    pis = _retrial_series(params, span, levels)
-    halved = _retrial_series(params, span // 2, levels)
-    delta = max(inf_norm(a - b) for a, b in zip(pis, halved))
-    if delta > 1e-9:
-        raise TruncationFailure(
-            f"horizon self-check moved by {delta:.3e}; raise the horizon"
-        )
-    report = {"horizon": span, "halved_horizon_delta": delta}
+    _check_levels(levels, 0)
+    lam, mu, theta = params.lam, params.mu, params.theta
+    rho = params.rho
+    if rho >= 1.0:
+        raise Unstable(f"utilization {rho} is not below 1")
+    eps = np.finfo(float).eps
+    busy, idle = [rho], [1.0]
+    deep_busy = deep_idle = 0.0
+    n = 0
+    while True:
+        if n >= levels:
+            deep_busy += busy[n]
+            deep_idle += idle[n]
+            q = rho * (1.0 + lam / ((n + 1) * theta))
+            if q < 1.0 and (busy[n] * q / (1.0 - q) <= eps * deep_busy
+                            and idle[n] * q / (1.0 - q) <= eps * deep_idle):
+                break
+        n += 1
+        idle.append(lam * busy[n - 1] / (n * theta))
+        busy.append(idle[n] * (lam + n * theta) / mu)
+        if busy[n] > 1e250:  # slow retrials make the rows climb before they fall
+            busy = [x * 1e-250 for x in busy]
+            idle = [x * 1e-250 for x in idle]
+            deep_busy *= 1e-250
+            deep_idle *= 1e-250
+    tails = np.cumsum(np.column_stack((busy, idle))[::-1], axis=0)[::-1]
+    pis = list(tails[: levels + 1] / tails[0].sum())
     return TailSeries(pis, None, method="matrix-product",
-                      truncation_report=report, first_level=0)
+                      truncation_report={"terms": n}, first_level=0)
+
+
+def _rates(rate) -> list:
+    """A rate given as a number or as a sequence of per-level numbers, as a
+    list of floats."""
+    rates = [float(x) for x in np.atleast_1d(rate)]
+    if not rates:
+        raise ValidationError("a rate list must not be empty")
+    return rates
+
+
+def _rate_at(rates: list, k: int) -> float:
+    """Entry k of a rate list whose last entry repeats forever."""
+    return rates[min(k, len(rates) - 1)]
 
 
 def mn_mn_1_tails(arrival, service, levels: int) -> TailSeries:
     """Tails of a birth-death queue with state-dependent rates.
 
     arrival[k] drives level k to k+1 and service[k-1] drives k to k-1; either
-    argument may be a scalar or a list, the last entry repeating forever.
+    argument may be a scalar or a sequence, the last entry repeating forever.
     The product terms t_k = prod arrival[j-1]/service[j-1] are built up to
     n = max(levels, len(arrival), len(service)).  Past n both rates are
     frozen, so the terms go on geometrically with q = arrival[-1]/service[-1]
@@ -182,19 +179,14 @@ def mn_mn_1_tails(arrival, service, levels: int) -> TailSeries:
     diverges: the chain has no stationary distribution and the solve raises
     Divergent.
     """
-    arrivals = [float(x) for x in (arrival if np.ndim(arrival) else [arrival])]
-    services = [float(x) for x in (service if np.ndim(service) else [service])]
+    arrivals, services = _rates(arrival), _rates(service)
     if any(x < 0 for x in arrivals) or any(x <= 0 for x in services):
         raise ValidationError("arrival rates must be >= 0 and service rates > 0")
-
-    def rate(seq, k):
-        return seq[k] if k < len(seq) else seq[-1]
-
     n = max(levels, len(arrivals), len(services))
     terms = []
     t = 1.0
     for k in range(n):
-        t *= rate(arrivals, k) / rate(services, k)
+        t *= _rate_at(arrivals, k) / _rate_at(services, k)
         terms.append(t)
     q = arrivals[-1] / services[-1]
     if t > 0 and q >= 1:
@@ -210,14 +202,13 @@ def mn_mn_1_tails(arrival, service, levels: int) -> TailSeries:
 def mnmn1_chain(arrival, service) -> LdQbdModel:
     """Birth-death generator matching the rates of ``mn_mn_1_tails``, rates
     repeating their last entry forever."""
-    arr = list(arrival) if isinstance(arrival, list) else [float(arrival)]
-    srv = list(service) if isinstance(service, list) else [float(service)]
+    arr, srv = _rates(arrival), _rates(service)
 
     def lam(k):
-        return arr[min(k, len(arr) - 1)]
+        return _rate_at(arr, k)
 
     def mu(k):
-        return srv[min(k - 1, len(srv) - 1)]
+        return _rate_at(srv, k - 1)
 
     def up(k):
         return np.array([[lam(k)]])
@@ -296,8 +287,6 @@ def repairable_tails(params: RepairableParams, levels: int) -> TailSeries:
     continues with two coupled scalar recursions.
     """
     lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
-    if params.load >= 1.0:
-        raise Unstable(f"effective load {params.load} is not below 1")
     ratio = lam / mu
     repair_share = alpha / beta
     srv = [1.0 - ratio * repair_share, ratio]
@@ -312,13 +301,11 @@ def repairable_tails(params: RepairableParams, levels: int) -> TailSeries:
     return TailSeries(pis, None, method="iterative", first_level=0)
 
 
-def repairable_mg_tails(params: RepairableParams, levels: int) -> TailSeries:
+def repairable_mg_tails(rate, boundary, levels: int) -> TailSeries:
     """Matrix-geometric tails of the repairable-server queue over levels
-    0..levels, from R and the boundary pair of ``repairable_qbd``.  Level 0
-    adds the empty state, whose server is up, to the serving phase of pi_1."""
-    chain = repairable_qbd(params)
-    rate = solve_R(chain.a0, chain.a1, chain.a2).matrix
-    boundary = boundary_solve(chain, rate)
+    0..levels, from the rate matrix and boundary pair of ``repairable_qbd``.
+    Level 0 adds the empty state, whose server is up, to the serving phase
+    of pi_1."""
     pis = tails_matrix_geometric(boundary.x1, rate, max(levels, 1)).pis
     empty = np.array([boundary.x0[0], 0.0])
     return TailSeries([pis[0] + empty] + pis[:levels], None, method="matrix-geometric",

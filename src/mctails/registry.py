@@ -54,15 +54,11 @@ class Kind:
 
 @dataclass(frozen=True)
 class Model:
-    """A model of a known kind: a chain, or a queue's parameters.
-
-    ``horizon`` is the level-dependent expansion depth of a retrial queue
-    and ``tol`` the solver tolerance; both are None when not given.
-    """
+    """A model of a known kind: a chain, or a queue's parameters, with the
+    solver tolerance ``tol``, None when not given."""
 
     kind: str
     payload: object
-    horizon: int | None = None
     tol: float | None = None
 
 
@@ -72,10 +68,17 @@ def _no_stage(model, tol):
     return None
 
 
-def _qbd_stage(model, tol):
-    chain = model.payload
+def _solve_qbd(chain, tol):
     r = qbd.solve_R(chain.a0, chain.a1, chain.a2, tol=tol).matrix
     return r, qbd.boundary_solve(chain, r)
+
+
+def _qbd_stage(model, tol):
+    return _solve_qbd(model.payload, tol)
+
+
+def _repairable_stage(model, tol):
+    return _solve_qbd(models.repairable_qbd(model.payload), tol)
 
 
 def _ldqbd_stage(model, tol):
@@ -130,7 +133,7 @@ def _mg1_ul(model, stage, levels):
 
 
 def _retrial_product(model, stage, levels):
-    return models.retrial_tails(model.payload, levels, horizon=model.horizon or 200)
+    return models.retrial_tails(model.payload, levels)
 
 
 def _mnmn1_closed(model, stage, levels):
@@ -146,7 +149,7 @@ def _repairable_iterative(model, stage, levels):
 
 
 def _repairable_mg(model, stage, levels):
-    return models.repairable_mg_tails(model.payload, levels)
+    return models.repairable_mg_tails(*stage, levels)
 
 
 def _supermarket_closed(model, stage, levels):
@@ -197,7 +200,7 @@ REGISTRY = {
                      models.VacationParams, _no_stage,
                      {"closed": _vacation_closed}, _vacation_chain),
     "repairable": Kind("params", dict.fromkeys(("lam", "mu", "alpha", "beta"), "number"),
-                       models.RepairableParams, _no_stage,
+                       models.RepairableParams, _repairable_stage,
                        {"iterative": _repairable_iterative, "mg": _repairable_mg},
                        _repairable_chain),
     "supermarket": Kind("params", {"rho": "number", "d": "integer"},

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mctails import solve_tails
+from mctails import registry, solve_tails
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm
 from mctails.models import (
@@ -23,7 +23,6 @@ from mctails.models import (
     VacationParams,
     meanfield_ode,
     repairable_qbd,
-    repairable_mg_tails,
     repairable_tails,
     retrial_chain,
     retrial_tails,
@@ -208,7 +207,7 @@ def test_criterion_08_repairable_queue():
     with criterion(8, "repairable queue recursion, matrix route, reference"):
         params = RepairableParams(0.25, 1.0, 0.5, 1.0)
         scalar = repairable_tails(params, 12)
-        matrix = repairable_mg_tails(params, 12)
+        matrix = registry.solve(registry.Model("repairable", params), 12, "mg")
         assert inf_norm(scalar.level(0) - np.array([0.875, 0.125])) < 1e-12
         assert inf_norm(scalar.level(1) - np.array([0.25, 0.125])) < 1e-12
         route_gap = max(inf_norm(scalar.level(k) - matrix.level(k))

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from mctails.cli import run
+from mctails.cli import load_model_file, run
 
 FILES = pathlib.Path(__file__).resolve().parent.parent / "modelfiles"
 
@@ -137,6 +137,23 @@ def test_unknown_top_level_key_exits_two(tmp_path, capsys):
                    "blokcs": {}})
     assert run(["solve", path]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_retrial_horizon_key_exits_two(tmp_path, capsys):
+    """The retrial route picks its own depth, so a file may not set one."""
+    model = json.loads((FILES / "retrial.json").read_text())
+    path = _write(tmp_path, "retrial.json", dict(model, horizon=200))
+    assert run(["solve", path]) == 2
+    assert "$.horizon" in capsys.readouterr().err
+
+
+def test_ldqbd_horizon_is_its_block_list_length(tmp_path, capsys):
+    model = json.loads((FILES / "ldqbd.json").read_text())
+    assert load_model_file(str(FILES / "ldqbd.json")).payload.horizon == \
+        len(model["blocks"]["A1"]) - 1
+    path = _write(tmp_path, "ldqbd.json", dict(model, horizon=10))
+    assert run(["solve", path]) == 2
+    assert "$.horizon" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "check"])

@@ -1,9 +1,12 @@
 """Queueing models: frozen hand values, balance identities, dense references."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-from mctails import models, solve_tails
+from mctails import models, registry, solve_tails
 from mctails.errors import Divergent, Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm
@@ -15,7 +18,6 @@ from mctails.models import (
     mnmn1_chain,
     mn_mn_1_tails,
     repairable_qbd,
-    repairable_mg_tails,
     repairable_tails,
     retrial_chain,
     retrial_tails,
@@ -30,6 +32,13 @@ from mctails.oracle import truncate_and_solve
 RETRIAL = RetrialParams(1.0, 2.0, 1.0)
 VACATION = VacationParams(0.5, 1.0)
 REPAIRABLE = RepairableParams(1.0, 4.0, 2.0, 4.0)
+# pi_0..pi_100 of four retrial queues, summed in 50-digit decimal arithmetic
+RETRIAL_DIGITS = json.loads((pathlib.Path(__file__).parent / "data" / "retrial_tails.json")
+                            .read_text())["cases"]
+
+
+def _repairable_mg(params, levels):
+    return registry.solve(registry.Model("repairable", params), levels, "mg")
 
 
 def test_retrial_boundary_row_is_exact():
@@ -53,10 +62,33 @@ def test_retrial_matches_dense_truncation():
     assert gap < 1e-7
 
 
-def test_retrial_reports_its_horizon_self_check():
-    series = retrial_tails(RETRIAL, 4)
-    assert series.truncation_report["horizon"] >= 28
-    assert series.truncation_report["halved_horizon_delta"] < 1e-9
+def test_retrial_reports_the_rows_it_summed():
+    """The rows stop where the rest, bounded by x_N q_N/(1 - q_N), is below
+    machine epsilon of the deepest requested tail: 59 rows at half load,
+    about 4,000 at load 0.99, where q_N falls toward 0.99."""
+    assert retrial_tails(RETRIAL, 4).truncation_report == {"terms": 59}
+    assert retrial_tails(RETRIAL, 200).truncation_report == {"terms": 252}
+    busy = retrial_tails(RetrialParams(0.99, 1.0, 1.0), 100)
+    assert 3_900 < busy.truncation_report["terms"] < 4_100
+
+
+@pytest.mark.parametrize("case", RETRIAL_DIGITS,
+                         ids=lambda c: f"lam{c['lam']}-mu{c['mu']}-theta{c['theta']}")
+def test_retrial_tails_hold_their_relative_accuracy_at_depth(case):
+    """Near saturation, with slow retrials and with retrials so slow that the
+    rows climb past 1e250 before they fall, every tail up to level 100 is
+    right to a few hundred machine epsilons relative."""
+    want = np.array(case["tails"])
+    series = retrial_tails(RetrialParams(case["lam"], case["mu"], case["theta"]), 100)
+    got = np.array(series.pis)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / want) < 5e-14
+
+
+@pytest.mark.parametrize("levels", [-3, 2.5])
+def test_retrial_refuses_a_bad_level_count(levels):
+    with pytest.raises(ValidationError, match="levels"):
+        retrial_tails(RETRIAL, levels)
 
 
 def test_retrial_overload_is_refused():
@@ -105,6 +137,22 @@ def test_state_dependent_queue_matches_its_generator():
     gap = max(abs(float(series.level(k)[0] - reference.level(k)[0]))
               for k in range(1, 11))
     assert gap < 1e-10
+
+
+@pytest.mark.parametrize("arrival,service", [
+    (0.5, 2.0),
+    ([1.0, 0.5], [2.0]),
+    ((1.0, 0.5), (2.0,)),
+    (np.array([1.0, 0.5]), np.array([2.0])),
+], ids=["scalar", "list", "tuple", "array"])
+def test_state_dependent_rates_read_alike_in_series_and_chain(arrival, service):
+    """Both the series and the generator take a rate as a number or as any
+    sequence, the last entry repeating."""
+    series = mn_mn_1_tails(arrival, service, 10)
+    reference = truncate_and_solve(mnmn1_chain(arrival, service), 200)
+    for k in range(1, 11):
+        want = float(reference.level(k)[0])
+        assert abs(float(series.level(k)[0]) - want) < 1e-12 * want
 
 
 def test_state_dependent_rule_route_matches_the_series():
@@ -217,7 +265,7 @@ def test_repairable_boundary_and_first_levels():
 
 def test_repairable_routes_agree():
     scalar = repairable_tails(REPAIRABLE, 12)
-    matrix = repairable_mg_tails(REPAIRABLE, 12)
+    matrix = _repairable_mg(REPAIRABLE, 12)
     gap = max(inf_norm(scalar.level(k) - matrix.level(k)) for k in range(13))
     assert gap < 1e-8
 
@@ -226,11 +274,11 @@ def test_repairable_mg_route_solves_its_own_boundary(count_calls):
     """Levels 0 and 1 of the matrix-geometric route come from the QBD
     boundary solve, not from the iterative route it is checked against."""
     calls = count_calls(models, "repairable_tails")
-    matrix = repairable_mg_tails(REPAIRABLE, 1)
+    matrix = _repairable_mg(REPAIRABLE, 1)
     assert calls == []
     assert inf_norm(matrix.level(0) - np.array([0.875, 0.125])) < 1e-15
     assert inf_norm(matrix.level(1) - np.array([0.25, 0.125])) < 1e-15
-    assert len(repairable_mg_tails(REPAIRABLE, 0).pis) == 1
+    assert len(_repairable_mg(REPAIRABLE, 0).pis) == 1
 
 
 def test_repairable_matches_dense_truncation():

@@ -109,6 +109,21 @@ def test_solve_checks_its_arguments_before_the_stage(count_calls):
     assert calls == []
 
 
+def test_repairable_mg_solves_its_stage_at_the_run_tol(monkeypatch):
+    """The repairable `mg` route reads a stage solved through qbd.solve_R at
+    the tol of the run, not a default."""
+    tols = []
+    original = qbd.solve_R
+
+    def traced(*args, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qbd, "solve_R", traced)
+    registry.solve(BUNDLED["repairable.json"], 5, "mg", tol=1e-5)
+    assert tols == [1e-5]
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_tol_is_refused_before_the_stage(count_calls, tol):
     calls = count_calls(qbd, "solve_R")
