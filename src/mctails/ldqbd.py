@@ -7,20 +7,26 @@ sequence R_l, and a forward LU-type factorization of the generator restricted
 to levels one and above.  Past the horizon h the chain is matrix-geometric
 with R_h, so both routes work out levels 1..max(h, levels) and close the
 rest with one geometric remainder, sum_{j>n} x_j = x_n R_h (I - R_h)^{-1};
-neither has a stop rule or a cut-off.  truncated_generator lays the blocks
+neither has a stop rule or a cut-off.  The per-level solves of both routes,
+the backward pass for R_l and the forward inversions of the pivots, are
+level sweeps (matkernel.solve_sweep): one LAPACK call per level and one
+guard over the stacked pivots, which names the first failing level.  The
+model checks its blocks the same way, as one stack per table, and walks
+the levels only to name an offender.  truncated_generator lays the blocks
 out as one dense generator on a finite range of levels, which the oracle
 solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrix, ValidationError
-from .matkernel import _frozen, as_matrix, inverse, solve_xa, stationary_row
+from .errors import ValidationError
+from .matkernel import _frozen, as_matrix, solve_sweep, solve_xa, stationary_row
 from .qbd import (
+    ROWSUM_TOL,
     QbdModel,
     _check_generator_block,
     _check_nonnegative,
@@ -29,6 +35,53 @@ from .qbd import (
     solve_R,
 )
 from .series import TailSeries
+
+
+def _as_blocks(blocks, name: str, first: int) -> tuple:
+    """A block table as (first block, the rest), each block coerced by
+    as_matrix's rules.  The rest go through one np.array call and come back
+    stacked; only when they do not stack into finite matrices does
+    as_matrix walk them, naming the first offender, and they come back as a
+    list."""
+    head = as_matrix(blocks[0], name.format(first))
+    try:
+        rest = np.array(blocks[1:], dtype=float)
+        if rest.ndim == 3 and rest.size and np.isfinite(rest).all():
+            return head, rest
+    except (TypeError, ValueError):
+        pass
+    return head, [as_matrix(a, name.format(k)) for k, a in enumerate(blocks[1:], first + 1)]
+
+
+def _check_blocks(table: tuple, name: str, first: int, shapes: tuple, check, holds) -> tuple:
+    """Shape and sign checks of a block table from _as_blocks, whose first
+    block has shape shapes[0] and the rest shapes[1].  check(block, name)
+    raises on a bad sign and holds(blocks) tells whether a block or a stack
+    of them is free of one.  The checks run on the stack at once; only when
+    one fails do they walk the levels in order, each level's shape before
+    its sign, to name the first offender.  Returns (first block, stack of
+    the rest)."""
+    head, rest = table
+    if (isinstance(rest, np.ndarray) and head.shape == shapes[0]
+            and rest.shape[1:] == shapes[1] and holds(head) and holds(rest)):
+        return head, rest
+    for k, blk in enumerate([head, *rest], first):
+        want = shapes[0] if k == first else shapes[1]
+        if blk.shape != want:
+            raise ValidationError(f"{name.format(k)}: expected shape {want}")
+        check(blk, name.format(k))
+    return head, np.array(rest).reshape(-1, *shapes[1])
+
+
+def _is_generator(blocks) -> bool:
+    """No negative off-diagonal and no positive diagonal entry, in a block
+    or a stack of them."""
+    on = np.eye(blocks.shape[-1], dtype=bool)
+    return not (np.any(blocks[..., ~on] < 0) or np.any(blocks[..., on] > 0))
+
+
+def _is_nonnegative(blocks) -> bool:
+    return not np.any(blocks < 0)
 
 
 @dataclass(frozen=True)
@@ -52,39 +105,29 @@ class LdQbdModel:
             raise ValidationError("A0 and A1 must list the same levels 0..J")
         if len(self.down) != len(self.diag) - 1:
             raise ValidationError("A2 lists levels 1..J, one entry fewer than A1")
-        up = [as_matrix(a, f"A0({k})") for k, a in enumerate(self.up)]
-        diag = [as_matrix(a, f"A1({k})") for k, a in enumerate(self.diag)]
-        down = [as_matrix(a, f"A2({k + 1})") for k, a in enumerate(self.down)]
+        up = _as_blocks(self.up, "A0({})", 0)
+        diag = _as_blocks(self.diag, "A1({})", 0)
+        down = _as_blocks(self.down, "A2({})", 1)
         m0 = diag[0].shape[0]
-        m = diag[1].shape[0]
-        if m0 != m and len(diag) < 3:
+        m = diag[1][0].shape[0]
+        if m0 != m and len(self.diag) < 3:
             raise ValidationError(
                 "a distinct boundary width needs at least two levels above it"
             )
-        for k, blk in enumerate(diag):
-            want = (m0, m0) if k == 0 else (m, m)
-            if blk.shape != want:
-                raise ValidationError(f"A1({k}): expected shape {want}")
-            _check_generator_block(blk, f"A1({k})")
-        for k, blk in enumerate(up):
-            want = (m0, m) if k == 0 else (m, m)
-            if blk.shape != want:
-                raise ValidationError(f"A0({k}): expected shape {want}")
-            _check_nonnegative(blk, f"A0({k})")
-        for k, blk in enumerate(down):
-            want = (m, m0) if k == 0 else (m, m)
-            if blk.shape != want:
-                raise ValidationError(f"A2({k + 1}): expected shape {want}")
-            _check_nonnegative(blk, f"A2({k + 1})")
+        diag = _check_blocks(diag, "A1({})", 0, ((m0, m0), (m, m)),
+                             _check_generator_block, _is_generator)
+        up = _check_blocks(up, "A0({})", 0, ((m0, m), (m, m)),
+                           _check_nonnegative, _is_nonnegative)
+        down = _check_blocks(down, "A2({})", 1, ((m, m0), (m, m)),
+                             _check_nonnegative, _is_nonnegative)
         _check_zero_rowsums(diag[0].sum(axis=1) + up[0].sum(axis=1), "level-0 row")
-        for k in range(1, len(diag)):
-            _check_zero_rowsums(
-                down[k - 1].sum(axis=1) + diag[k].sum(axis=1) + up[k].sum(axis=1),
-                f"level-{k} row",
-            )
-        object.__setattr__(self, "up", tuple(_frozen(a) for a in up))
-        object.__setattr__(self, "diag", tuple(_frozen(a) for a in diag))
-        object.__setattr__(self, "down", tuple(_frozen(a) for a in down))
+        below = np.concatenate((down[0].sum(axis=1)[None], down[1].sum(axis=2)))
+        rowsums = below + diag[1].sum(axis=2) + up[1].sum(axis=2)
+        if np.max(np.abs(rowsums)) > ROWSUM_TOL:
+            for k, rowsum in enumerate(rowsums, 1):
+                _check_zero_rowsums(rowsum, f"level-{k} row")
+        for name, (head, rest) in (("up", up), ("diag", diag), ("down", down)):
+            object.__setattr__(self, name, (_frozen(head), *_frozen(rest)))
 
     @property
     def horizon(self) -> int:
@@ -168,11 +211,15 @@ class RateSequence:
 
 @dataclass(frozen=True)
 class LdMeasures:
-    """Forward-factorization blocks over a window of levels starting at 1."""
+    """Forward-factorization blocks over a window of levels 1..count, each
+    field a stack: the pivots Psi (count of them), the up and down factors
+    and the inverses (-Psi_k)^{-1} of every pivot but the last (count - 1
+    each)."""
 
-    psis: tuple
-    up_blocks: tuple
-    down_blocks: tuple
+    psis: np.ndarray
+    up_blocks: np.ndarray
+    down_blocks: np.ndarray
+    inverses: np.ndarray
 
 
 def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
@@ -180,16 +227,30 @@ def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
 
     R at the horizon comes from the level-independent solve on the frozen
     blocks and is already the fixed point there, so one backward pass fills
-    the rest.
+    the rest.  The pass is a matkernel.solve_sweep: each R_l is one LAPACK
+    solve (not a product with an inverse, which loses digits), and the
+    guard runs once over the pivots, naming the pivot of R_l as level l + 1,
+    whose block it censors.  R_0 has the m0 rows of the boundary and is the
+    one system of a second sweep.
     """
-    h = model.horizon
-    rs: list = [None] * (h + 1)
-    rs[h] = solve_R(model.block_at("A0", h), model.block_at("A1", h),
-                    model.block_at("A2", h), tol=tol).matrix
-    for l in range(h - 1, -1, -1):
-        pivot = model.block_at("A1", l + 1) + rs[l + 1] @ model.block_at("A2", l + 2)
-        rs[l] = solve_xa(pivot, -model.block_at("A0", l))
-    return RateSequence(tuple(_frozen(r) for r in rs), 1)
+    h, m = model.horizon, model.m
+    diag, down = model.diag, model.down
+    r_h = solve_R(model.block_at("A0", h), model.block_at("A1", h),
+                  model.block_at("A2", h), tol=tol).matrix
+
+    def pivot(l, r_next):
+        # transposed, as R_l pivot = -A0(l) is solved for R_l^T
+        return (diag[l + 1] + r_next @ down[min(l + 1, h - 1)]).T
+
+    # system i gives R_l^T for l = h - 1 - i, down to l = 1
+    rhs = -np.array(model.up[h - 1:0:-1]).reshape(h - 1, m, m).transpose(0, 2, 1)
+    inner, _ = solve_sweep(lambda i, x, inv: pivot(h - 1 - i, r_h if x is None else x.T),
+                           rhs, lambda i: f"level {h - i}")
+    rs = np.ascontiguousarray(inner[::-1].transpose(0, 2, 1))
+    r_1 = rs[0] if h > 1 else r_h
+    first, _ = solve_sweep(lambda i, x, inv: pivot(0, r_1), -model.up[0].T[None],
+                           lambda i: "level 1")
+    return RateSequence((_frozen(first[0].T.copy()), *_frozen(rs), _frozen(r_h)), 1)
 
 
 def _boundary_row(model: LdQbdModel, rates: RateSequence) -> np.ndarray:
@@ -236,36 +297,59 @@ def lu_measures(model: LdQbdModel, count: int) -> LdMeasures:
     """Forward elimination over levels 1..count of the generator with level 0
     removed: Psi_0 = A1(1), then Psi_k = A1(k+1) + Rk A0(k) with up factor
     Rk = A2(k+1) (-Psi_{k-1})^{-1} and down factor Gk-1 = (-Psi_{k-1})^{-1} A0(k).
+
+    The inversions are one matkernel.solve_sweep: one LAPACK call per level,
+    and the guard, with the check that each inverse is nonnegative (-Psi_k
+    is an M-matrix), runs once after the sweep; the pivot Psi_{k-1} is named
+    level k.  The inverses are kept for _apply_inverse.
     """
     if count < 1:
         raise ValidationError("need a window of at least one level")
-    psis = [model.block_at("A1", 1)]
-    ups: list = []
-    downs: list = []
-    for k in range(1, count):
-        minv = inverse(-psis[k - 1])
-        if np.min(minv) < -1e-9:
-            raise SingularMatrix(f"window level {k}: pivot inverse has negative entries")
-        up_k = model.block_at("A2", k + 1) @ minv
-        downs.append(minv @ model.block_at("A0", k))
-        psis.append(model.block_at("A1", k + 1) + up_k @ model.block_at("A0", k))
-        ups.append(up_k)
-    return LdMeasures(tuple(psis), tuple(ups), tuple(downs))
+    m = model.m
+    a0 = [model.block_at("A0", k) for k in range(1, count)]
+    a1 = [model.block_at("A1", k) for k in range(1, count + 1)]
+    a2 = [model.block_at("A2", k) for k in range(2, count + 1)]
+    psis = np.empty((count, m, m))
+    ups = np.empty((count - 1, m, m))
+    psis[0] = a1[0]
+
+    def advance(k, inv):
+        """Psi_k and up factor k from the inverse of -Psi_{k-1}."""
+        ups[k - 1] = a2[k - 1] @ inv
+        psis[k] = a1[k] + ups[k - 1] @ a0[k - 1]
+
+    def negated_pivot(i, x, inv):
+        if i:
+            advance(i, inv)
+        return -psis[i]
+
+    _, inverses = solve_sweep(
+        negated_pivot, np.empty((count - 1, m, 0)), lambda i: f"level {i + 1}",
+        refuse=("pivot inverse has negative entries",
+                lambda inv: inv.min(axis=(1, 2)) < -1e-9),
+    )
+    if count > 1:
+        advance(count - 1, inverses[-1])
+    downs = inverses @ np.array(a0).reshape(-1, m, m)
+    return LdMeasures(_frozen(psis), _frozen(ups), _frozen(downs),
+                      _frozen(np.ascontiguousarray(inverses)))
 
 
-def _apply_inverse(measures: LdMeasures, rows: list) -> list:
-    """Row-block solve t M = w through the factored window generator M."""
+def _apply_inverse(measures: LdMeasures, last, rows: list) -> list:
+    """Row-block solve t M = w through the factored window generator M
+    whose last pivot is replaced by `last`.  The pivots before it are
+    applied through the kept inverses, Psi_k^{-1} = -(-Psi_k)^{-1}; only
+    `last` is solved."""
     n = len(measures.psis)
-    forward = [None] * n
-    forward[0] = rows[0]
+    forward = [rows[0]]
     for i in range(1, n):
-        forward[i] = rows[i] + forward[i - 1] @ measures.down_blocks[i - 1]
-    middle = [solve_xa(measures.psis[i], forward[i]) for i in range(n)]
-    out = [None] * n
-    out[n - 1] = middle[n - 1]
+        forward.append(rows[i] + forward[-1] @ measures.down_blocks[i - 1])
+    heads = np.array(forward[:-1]).reshape(n - 1, 1, len(last))
+    middle = -np.matmul(heads, measures.inverses)[:, 0]
+    out = [solve_xa(last, forward[-1])]
     for i in range(n - 2, -1, -1):
-        out[i] = middle[i] + out[i + 1] @ measures.up_blocks[i]
-    return out
+        out.append(middle[i] + out[-1] @ measures.up_blocks[i])
+    return out[::-1]
 
 
 def tails_lu_ld(model: LdQbdModel, rates: RateSequence, levels: int) -> TailSeries:
@@ -277,14 +361,16 @@ def tails_lu_ld(model: LdQbdModel, rates: RateSequence, levels: int) -> TailSeri
     route, the level rows solve t M = -(v A0(0), 0, ...) by one pass through
     the factors; the frozen levels past n are added in closed form, and the
     tails are normalized suffix sums, so the work is linear in n.  The
-    report carries the window width as `terms`.
+    pivots are inverted in one sweep (lu_measures), and the pass multiplies
+    by those inverses, so the route makes a fixed number of guarded solves
+    at any depth: the censored last block, the stability check and the
+    closed remainder.  The report carries the window width as `terms`.
     """
     h = model.horizon
     n = max(h, levels)
     r = rates.matrices[h]
     v = _boundary_row(model, rates)
     measures = lu_measures(model, n)
-    closed = measures.psis[-1] + r @ model.block_at("A2", n + 1)
-    measures = replace(measures, psis=measures.psis[:-1] + (closed,))
+    last = measures.psis[-1] + r @ model.block_at("A2", n + 1)
     source = [-(v @ model.block_at("A0", 0))] + [np.zeros(model.m)] * (n - 1)
-    return _closed_tails(v, _apply_inverse(measures, source), r, levels, "lu-rg")
+    return _closed_tails(v, _apply_inverse(measures, last, source), r, levels, "lu-rg")

@@ -2,10 +2,15 @@
 user of numpy.linalg.
 
 Matrices are plain 2-d float64 numpy arrays; probability and rate vectors are
-1-d arrays treated as rows.  Every linear solve is one LAPACK call followed by
-an explicit guard: an exactly singular matrix, a non-finite solution, or a
-1-norm reciprocal condition number below RCOND_MIN raises SingularMatrix
-instead of returning digits that mean nothing.  Stationary rows are the
+1-d arrays treated as rows.  Every linear solve is one LAPACK call that
+returns the solution and the inverse together, and every solve passes one
+guard: an exactly singular matrix, a non-finite solution, or a 1-norm
+reciprocal condition number below RCOND_MIN raises SingularMatrix instead of
+returning digits that mean nothing.  The guard takes one system or a stack
+of them: solve_linear applies it to its system, and solve_sweep, which runs
+a chain of solves each built from the one before (a level-by-level sweep),
+applies it once to the whole stack after the sweep and names the first
+system that fails.  Stationary rows are the
 exception to LAPACK: stationary_row is GTH state reduction inside the
 matrix's band, which needs no subtraction, so each entry is accurate
 relative to its own size however small it is.  Its answer is re-checked
@@ -70,6 +75,49 @@ def _square(a, caller: str) -> np.ndarray:
     return a
 
 
+def _norm1(a) -> np.ndarray:
+    """1-norm, the largest absolute column sum, of a matrix or of each
+    matrix in a stack."""
+    return np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=-1)
+
+
+def _guard(a, solved, where=None, refuse=None) -> None:
+    """The check every solve passes.  a is the coefficient matrix A of one
+    system (2-d) or a stack of them (3-d); solved holds [X | A^-1] for each,
+    as the LAPACK call returned it.
+
+    A system fails if [X | A^-1] is not finite or its 1-norm reciprocal
+    condition number 1 / (||A||_1 ||A^-1||_1) is below RCOND_MIN.  refuse,
+    if given, is a (reason, test) pair: test maps the stacked inverses to
+    one bool per system, and a system it marks fails with that reason.  The
+    first failing system raises SingularMatrix; in a stack, where(i) names
+    system i.
+    """
+    stacked = a.ndim == 3
+    if not stacked:
+        a, solved = a[None], solved[None]
+    n = a.shape[-1]
+    inverses = solved[..., -n:]
+    finite = np.isfinite(solved).all(axis=(1, 2))
+    # divided in turn, so that huge norms underflow to 0 rather than overflow
+    rcond = 1.0 / _norm1(a) / _norm1(inverses)
+    passed = finite & (rcond >= RCOND_MIN)
+    if refuse is not None:
+        passed &= ~refuse[1](inverses)
+    if passed.all():
+        return
+    i = int(passed.argmin())
+    name = f"{where(i)}: " if stacked else ""
+    if not finite[i]:
+        raise SingularMatrix(f"{name}{n} x {n} system: non-finite solution")
+    if not rcond[i] >= RCOND_MIN:
+        raise SingularMatrix(
+            f"{name}{n} x {n} system: reciprocal condition number {rcond[i]:.3e} "
+            f"below {RCOND_MIN:.1e}"
+        )
+    raise SingularMatrix(f"{name}{refuse[0]}")
+
+
 def solve_linear(a, b) -> np.ndarray:
     """Solve A X = B with one LAPACK call (numpy.linalg.solve).
 
@@ -94,17 +142,52 @@ def solve_linear(a, b) -> np.ndarray:
         both = np.linalg.solve(a, np.concatenate((columns, np.eye(n)), axis=1))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"{n} x {n} system: {exc}") from None
-    if not np.isfinite(both).all():
-        raise SingularMatrix(f"{n} x {n} system: non-finite solution")
-    k = columns.shape[1]
-    rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(both[:, k:], 1))
-    if rcond < RCOND_MIN:
-        raise SingularMatrix(
-            f"{n} x {n} system: reciprocal condition number {rcond:.3e} "
-            f"below {RCOND_MIN:.1e}"
-        )
+    _guard(a, both)
     # a copy, so that the result does not keep the inverse alive
-    return both[:, :k].reshape(b.shape).copy()
+    return both[:, :columns.shape[1]].reshape(b.shape).copy()
+
+
+def solve_sweep(coefficient, rhs, where, refuse=None) -> tuple:
+    """Solve the chain A_i X_i = B_i, i = 0..count-1, in which each A_i may
+    be built from the system before it: A_i = coefficient(i, X, Ainv) with
+    X = X_{i-1} and Ainv = A_{i-1}^-1 (both None for i = 0).
+
+    Each system is one LAPACK call that solves for X_i and A_i^-1 together,
+    as solve_linear does.  The guard of solve_linear runs once over the
+    stacked systems after the sweep, so a sweep of many small systems pays
+    it once; refuse adds a (reason, test) check on the stacked inverses (see
+    _guard).  The first failing system raises SingularMatrix named by
+    where(i), even when a later one is exactly singular.  Floating-point
+    warnings are off during the sweep: the systems after a failing one may
+    overflow, and only the guard speaks.
+
+    Args:
+        coefficient: callable (i, X, Ainv) -> the n x n matrix A_i.
+        rhs: the right-hand sides B_i stacked, shape (count, n, k); k may be
+            0, which makes the sweep a chain of inversions.
+        where: callable i -> the name of system i in an error message.
+        refuse: optional (reason, test) pair, as for the guard.
+
+    Returns:
+        (X, inverses): the solutions, shape (count, n, k), and the inverses
+        A_i^-1, shape (count, n, n).
+    """
+    count, n, k = rhs.shape
+    both = np.concatenate((rhs, np.broadcast_to(np.eye(n), (count, n, n))), axis=2)
+    pivots = np.empty((count, n, n))
+    solved = np.empty_like(both)
+    x = inv = None
+    with np.errstate(all="ignore"):
+        for i in range(count):
+            pivots[i] = coefficient(i, x, inv)
+            try:
+                solved[i] = np.linalg.solve(pivots[i], both[i])
+            except np.linalg.LinAlgError as exc:
+                _guard(pivots[:i], solved[:i], where, refuse)
+                raise SingularMatrix(f"{where(i)}: {n} x {n} system: {exc}") from None
+            x, inv = solved[i, :, :k], solved[i, :, k:]
+        _guard(pivots, solved, where, refuse)
+    return solved[:, :, :k], solved[:, :, k:]
 
 
 def solve_xa(a, b) -> np.ndarray:

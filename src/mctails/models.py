@@ -179,6 +179,7 @@ def mn_mn_1_tails(arrival, service, levels: int) -> TailSeries:
     diverges: the chain has no stationary distribution and the solve raises
     Divergent.
     """
+    _check_levels(levels, 0)
     arrivals, services = _rates(arrival), _rates(service)
     if any(x < 0 for x in arrivals) or any(x <= 0 for x in services):
         raise ValidationError("arrival rates must be >= 0 and service rates > 0")
@@ -252,6 +253,7 @@ def vacation_tails(params: VacationParams, levels: int) -> TailSeries:
     lam^k + lam (1-lam) d h^(k-2) (1-q^(k-1))/(1-q), with h and q h the larger
     and smaller of lam and d.
     """
+    _check_levels(levels, 0)
     lam, theta = params.lam, params.theta
     decay = lam / (lam + theta)
     high = max(lam, decay)
@@ -286,6 +288,7 @@ def repairable_tails(params: RepairableParams, levels: int) -> TailSeries:
     pi_W,1 = lam/mu and pi_R,1 = (lam/mu)(alpha/beta).  This iterative route
     continues with two coupled scalar recursions.
     """
+    _check_levels(levels, 0)
     lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
     ratio = lam / mu
     repair_share = alpha / beta
@@ -331,6 +334,7 @@ def supermarket_tail(rho: float, d: int, k: int) -> float:
 
 
 def supermarket_tails(rho: float, d: int, levels: int) -> TailSeries:
+    _check_levels(levels, 0)
     pis = [np.array([supermarket_tail(rho, d, k)]) for k in range(levels + 1)]
     return TailSeries(pis, None, method="closed-form", first_level=0)
 

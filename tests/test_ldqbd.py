@@ -1,10 +1,15 @@
 """Level-dependent QBD: rate sequences, product form, forward factorization."""
 
+import json
+import pathlib
+import re
+import warnings
+
 import numpy as np
 import pytest
 
-from mctails import ldqbd, solve_tails
-from mctails.errors import Unstable, ValidationError
+from mctails import ldqbd, matkernel, solve_tails
+from mctails.errors import SingularMatrix, Unstable, ValidationError
 from mctails.ldqbd import (
     LdQbdModel,
     lu_measures,
@@ -196,3 +201,127 @@ def test_row_sum_violations_are_rejected():
             (np.array([[-1.0]]), np.array([[-4.0]])),
             (np.array([[2.0]]),),
         )
+
+
+def _retrial_with(*edits):
+    """The retrial chain (lam 1, mu 2, theta 1) with 200 levels, with each
+    edit (table, index, block) putting block at that index of up, diag or
+    down (down[k] is A2(k+1)), or (table, index, entry, value) changing one
+    entry."""
+    chain = retrial_chain(RetrialParams(1.0, 2.0, 1.0), 200)
+    tables = {name: [np.array(b) for b in getattr(chain, name)]
+              for name in ("up", "diag", "down")}
+    for table, index, *change in edits:
+        if len(change) == 1:
+            tables[table][index] = change[0]
+        else:
+            tables[table][index][change[0]] = change[1]
+    return LdQbdModel(tuple(tables["up"]), tuple(tables["diag"]), tuple(tables["down"]))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("up", 150, [[1.0, 0.0], [0.0]]), "A0(150): not a rectangular numeric matrix ("),
+    (("diag", 150, [1.0, 2.0]), "A1(150): expected a nonempty 2-d matrix, got shape (2,)"),
+    (("down", 149, (0, 0), np.inf), "A2(150): contains non-finite entries"),
+    (("diag", 150, np.zeros((3, 3))), "A1(150): expected shape (2, 2)"),
+    (("diag", 150, (0, 0), 1.0), "A1(150): positive diagonal entry"),
+    (("diag", 150, (1, 0), -1.0), "A1(150): negative off-diagonal entry"),
+    (("up", 150, (0, 0), -1.0), "A0(150): negative entry in an off-diagonal block"),
+    (("down", 149, (1, 0), -150.0), "A2(150): negative entry in an off-diagonal block"),
+    (("diag", 150, (0, 0), -3.0 - 2.0 ** -20), "level-150 row: row sums deviate by 9.537e-07"),
+], ids=["ragged", "flat", "non-finite", "shape", "diagonal", "off-diagonal", "up", "down",
+        "row-sum"])
+def test_validation_names_the_offending_level(edit, message):
+    """The blocks are checked as stacks; a failing check names the level."""
+    with pytest.raises(ValidationError) as caught:
+        _retrial_with(edit)
+    assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize("edits,message", [
+    ((("diag", 170, (0, 0), 1.0), ("diag", 150, (1, 0), -1.0)), "A1(150): negative off-diagonal"),
+    ((("diag", 150, (0, 0), 1.0), ("diag", 120, np.zeros((3, 3)))), "A1(120): expected shape"),
+    ((("diag", 170, (0, 0), 1.0), ("up", 150, (0, 0), -1.0)), "A1(170): positive diagonal"),
+    ((("up", 170, (0, 0), np.nan), ("diag", 150, [1.0])), "A0(170): contains non-finite"),
+    ((("down", 169, (1, 0), -170.0), ("diag", 160, (0, 0), -4.0)), "A2(170): negative entry"),
+], ids=["lower-level", "shape-first", "tables-in-order", "coercion-first", "signs-first"])
+def test_validation_keeps_its_order(edits, message):
+    """With two offenders the message is the one the level-by-level checks
+    met first: every table is coerced before any is checked, A1 before A0
+    before A2, lower levels first, shape before sign, row sums last."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        _retrial_with(*edits)
+
+
+def _stiff_chain(level: int, horizon: int = 12) -> LdQbdModel:
+    """Two phases with dyadic rates, so rows sum to zero exactly.  Level
+    `level` switches phase at rate c = 2^-950 and leaves up or down at
+    c 2^-50, so the pivots that hold its block have a reciprocal condition
+    number near 2^-50 and inverses near 2^998.  Arrivals at the level below
+    and services at the level above run at 2^40, so the solves overflow
+    from there on: R at the level below and the lu up factor at the level
+    above reach 2^1038, and the pivots after them are inf times 0."""
+    c, eps, fast = 2.0 ** -950, 2.0 ** -50, 2.0 ** 40
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def up(k):
+        return np.eye(2) * (c * eps if k == level else fast if k == level - 1 else 0.5)
+
+    def down(k):
+        return np.eye(2) * (c * eps if k == level else fast if k == level + 1 else 1.0)
+
+    def diag(k):
+        switch = swap * (c if k == level else 0.25)
+        out = up(k).sum(axis=1) + (down(k).sum(axis=1) if k else 0.0) + switch.sum(axis=1)
+        return switch - np.diag(out)
+
+    return LdQbdModel.from_rule(up, diag, down, horizon)
+
+
+@pytest.mark.parametrize("sweep,failure", [
+    # R_5 = -A0(5) pivot^-1 overflows in the stiff level's own solve
+    (solve_rate_sequence, "non-finite solution"),
+    (lambda chain: lu_measures(chain, 12), "reciprocal condition number .+ below 1.0e-14"),
+], ids=["rate-sequence", "lu-measures"])
+def test_deferred_guard_names_the_near_singular_level(sweep, failure):
+    """The sweep runs on past the stiff level into overflow and NaN, yet the
+    guard after it names the stiff level, and no RuntimeWarning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix, match=f"^level 6: 2 x 2 system: {failure}$"):
+            sweep(_stiff_chain(6))
+
+
+def test_lu_route_makes_a_fixed_number_of_solves_at_any_depth(count_calls):
+    """lu_measures inverts every pivot in one sweep and the pass through the
+    factors multiplies by those inverses, so the route's guarded solves
+    (solve_xa and inverse go through solve_linear) are the censored last
+    block and the closed remainder, at 20 levels and at 200 alike."""
+    rates = solve_rate_sequence(RAMP2)
+    counts = []
+    for levels in (20, 200):
+        solves = count_calls(matkernel, "solve_linear")
+        sweeps = count_calls(ldqbd, "solve_sweep")
+        series = tails_lu_ld(RAMP2, rates, levels)
+        counts.append((len(solves), len(sweeps)))
+    assert series.truncation_report["terms"] == 200
+    assert counts == [(2, 1), (2, 1)]
+
+
+RETRIAL_3_4_HALF = next(
+    case for case in json.loads((pathlib.Path(__file__).parent / "data" / "retrial_tails.json")
+                                .read_text())["cases"]
+    if (case["lam"], case["mu"], case["theta"]) == (3.0, 4.0, 0.5)
+)
+
+
+@pytest.mark.parametrize("route", ["product", "lu"])
+def test_routes_keep_the_retrial_digits_to_level_100(route):
+    """Retrial chain (lam 3, mu 4, theta 0.5) with horizon 400 against its
+    tails summed in 50-digit arithmetic: levels 0..100 within 2e-14
+    relative.  The rate matrices come from solves; products with explicit
+    inverses reach 2.2e-14 here."""
+    chain = retrial_chain(RetrialParams(3.0, 4.0, 0.5), 400)
+    series = solve_tails(chain, 100, method=route)
+    got = np.array([series.x0 + series.pis[0]] + series.pis)
+    assert _max_rel(got, RETRIAL_3_4_HALF["tails"]) < 2e-14

@@ -11,6 +11,7 @@ from mctails.matkernel import (
     inf_norm,
     inverse,
     solve_linear,
+    solve_sweep,
     solve_xa,
     stationary_row,
 )
@@ -51,6 +52,49 @@ def test_singular_system_is_rejected():
             solve_linear(a, [1.0, 1.0])
         with pytest.raises(SingularMatrix):
             inverse(a)
+
+
+# the systems test_singular_system_is_rejected refuses one at a time
+SINGULAR = ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+WELL_POSED = [[2.0, 1.0], [1.0, 3.0]]
+
+
+def _sweep(stack):
+    """A sweep whose systems do not depend on each other: stack[i] X = e."""
+    return solve_sweep(lambda i, x, inv: np.array(stack[i]), np.ones((len(stack), 2, 1)),
+                       lambda i: f"system {i}")
+
+
+@pytest.mark.parametrize("singular", SINGULAR, ids=["exact", "to-working-precision"])
+def test_sweep_guard_refuses_the_singular_systems(singular):
+    """The guard runs once after the sweep and names the first system it
+    refuses, however the systems after it fare."""
+    with pytest.raises(SingularMatrix, match="^system 1: 2 x 2 system: "):
+        _sweep([WELL_POSED, singular, WELL_POSED])
+    with pytest.raises(SingularMatrix, match="^system 1: "):
+        _sweep([WELL_POSED, singular] + list(SINGULAR))
+
+
+def test_sweep_solves_and_inverts_each_system():
+    x, inverses = _sweep([WELL_POSED] * 3)
+    assert x.shape == (3, 2, 1) and inverses.shape == (3, 2, 2)
+    for got, inv in zip(x, inverses):
+        assert inf_norm(np.array(WELL_POSED) @ got[:, 0] - 1.0) < 1e-15
+        assert inf_norm(np.array(WELL_POSED) @ inv - np.eye(2)) < 1e-15
+
+
+def test_sweep_passes_each_system_the_one_before():
+    """A_i = A_{i-1}^-1 + I, built from the inverse the sweep passed on."""
+    seen = []
+
+    def coefficient(i, x, inv):
+        seen.append(inv)
+        return np.eye(2) * 2.0 if inv is None else inv + np.eye(2)
+
+    _, inverses = solve_sweep(coefficient, np.empty((3, 2, 0)), str)
+    assert seen[0] is None
+    for i in (1, 2):
+        assert inf_norm(inverses[i] @ (inverses[i - 1] + np.eye(2)) - np.eye(2)) < 1e-15
 
 
 def test_nonsquare_matrix_is_rejected():

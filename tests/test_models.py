@@ -91,6 +91,18 @@ def test_retrial_refuses_a_bad_level_count(levels):
         retrial_tails(RETRIAL, levels)
 
 
+@pytest.mark.parametrize("levels", [-3, 2.5])
+@pytest.mark.parametrize("closed_form", [
+    lambda levels: vacation_tails(VACATION, levels),
+    lambda levels: repairable_tails(REPAIRABLE, levels),
+    lambda levels: supermarket_tails(0.5, 2, levels),
+    lambda levels: mn_mn_1_tails(1.0, 2.0, levels),
+], ids=["vacation", "repairable", "supermarket", "mnmn1"])
+def test_closed_forms_refuse_a_bad_level_count(closed_form, levels):
+    with pytest.raises(ValidationError, match="levels"):
+        closed_form(levels)
+
+
 def test_retrial_overload_is_refused():
     with pytest.raises(Unstable):
         retrial_tails(RetrialParams(3.0, 2.0, 1.0), 4)
