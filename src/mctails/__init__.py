@@ -43,9 +43,10 @@ from .skipfree import SkipFreeModel
 
 def solve_tails(model, levels: int, method: str | None = None,
                 tol: float = registry.DEFAULT_TOL) -> TailSeries:
-    """Solve a chain model by a route of its kind (see ``registry.REGISTRY``).
+    """Solve a chain model by a route of its kind (see ``registry.REGISTRY``)
+    at the solver tolerance ``tol``.
 
     ``method`` names the route; ``None`` takes the kind's default.
     """
     kind = registry.kind_of(model)
-    return registry.solve(registry.Model(kind, model), levels, method, tol)
+    return registry.solve(registry.Model(kind, model, tol), levels, method)

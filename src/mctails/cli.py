@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from .errors import SolverError, ValidationError
 from .models import meanfield_ode, supermarket_tail
-from .registry import DEFAULT_TOL, REGISTRY, Model, build, cross_check, solve
+from .registry import REGISTRY, Model, build, cross_check, solve
 from .series import TailSeries
 
 
@@ -173,18 +173,20 @@ def _levels(args) -> int:
     return args.levels
 
 
-def _tol(args, model: Model) -> float:
-    """--tol if given, else the model file's tol, else the default."""
+def _load(args) -> Model:
+    """The model file, with --tol in place of its tol when given; a tol
+    left None is resolved by the registry."""
+    model = load_model_file(args.modelfile)
     if args.tol is None:
-        return model.tol or DEFAULT_TOL
+        return model
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValidationError(f"--tol must be a positive finite number, got {args.tol!r}")
-    return args.tol
+    return replace(model, tol=args.tol)
 
 
 def _cmd_solve(args) -> int:
-    model = load_model_file(args.modelfile)
-    series = solve(model, _levels(args), args.method, _tol(args, model))
+    model = _load(args)
+    series = solve(model, _levels(args), args.method)
     if args.output == "json":
         text = _format_json(model.kind, series)
     else:
@@ -194,8 +196,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    model = load_model_file(args.modelfile)
-    model = replace(model, tol=_tol(args, model))
+    model = _load(args)
     report = cross_check(model, _levels(args), args.oracle_levels)
     out = [f"kind: {report.kind}"]
     for c in report.comparisons:

@@ -7,14 +7,15 @@ sequence R_l, and a forward LU-type factorization of the generator restricted
 to levels one and above.  Past the horizon h the chain is matrix-geometric
 with R_h, so both routes work out levels 1..max(h, levels) and close the
 rest with one geometric remainder, sum_{j>n} x_j = x_n R_h (I - R_h)^{-1};
-neither has a stop rule or a cut-off.  The per-level solves of both routes,
-the backward pass for R_l and the forward inversions of the pivots, are
-level sweeps (matkernel.solve_sweep): one LAPACK call per level and one
-guard over the stacked pivots, which names the first failing level.  The
-model checks its blocks the same way, as one stack per table, and walks
-the levels only to name an offender.  truncated_generator lays the blocks
-out as one dense generator on a finite range of levels, which the oracle
-solves.
+neither has a stop rule or a cut-off.  Both read the rate sequence and the
+level-0 row from solve_rate_sequence, which checks the frozen levels for
+stability once.  The per-level solves of both routes, the backward pass
+for R_l and the forward inversions of the pivots, are level sweeps
+(matkernel.solve_sweep): one LAPACK call per level and one guard over the
+stacked pivots, which names the first failing level.  The model checks its
+blocks the same way, as one stack per table, and walks the levels only to
+name an offender.  truncated_generator lays the blocks out as one dense
+generator on a finite range of levels, which the oracle solves.
 """
 
 from __future__ import annotations
@@ -203,9 +204,11 @@ def truncated_generator(model: LdQbdModel, levels: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RateSequence:
-    """Level-dependent rate matrices, x_{l+1} = x_l R_l, for l = 0..horizon."""
+    """Level-dependent rate matrices, x_{l+1} = x_l R_l, for l = 0..horizon,
+    and the unnormalized level-0 row they make stationary."""
 
     matrices: tuple
+    boundary_row: np.ndarray
     backward_sweeps: int
 
 
@@ -223,20 +226,24 @@ class LdMeasures:
 
 
 def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
-    """Rate sequence R_l = -A0(l) [A1(l+1) + R_{l+1} A2(l+2)]^{-1}.
+    """Rate sequence R_l = -A0(l) [A1(l+1) + R_{l+1} A2(l+2)]^{-1} and the
+    level-0 row.
 
     R at the horizon comes from the level-independent solve on the frozen
-    blocks and is already the fixed point there, so one backward pass fills
+    blocks and is already the fixed point there; qbd.geometric_mass checks
+    it for stability, once for every route, and one backward pass fills
     the rest.  The pass is a matkernel.solve_sweep: each R_l is one LAPACK
     solve (not a product with an inverse, which loses digits), and the
     guard runs once over the pivots, naming the pivot of R_l as level l + 1,
     whose block it censors.  R_0 has the m0 rows of the boundary and is the
-    one system of a second sweep.
+    one system of a second sweep.  The unnormalized level-0 row is
+    stationary for the censored boundary block A1(0) + R_0 A2(1).
     """
     h, m = model.horizon, model.m
     diag, down = model.diag, model.down
     r_h = solve_R(model.block_at("A0", h), model.block_at("A1", h),
                   model.block_at("A2", h), tol=tol).matrix
+    geometric_mass(r_h)
 
     def pivot(l, r_next):
         # transposed, as R_l pivot = -A0(l) is solved for R_l^T
@@ -250,14 +257,9 @@ def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
     r_1 = rs[0] if h > 1 else r_h
     first, _ = solve_sweep(lambda i, x, inv: pivot(0, r_1), -model.up[0].T[None],
                            lambda i: "level 1")
-    return RateSequence((_frozen(first[0].T.copy()), *_frozen(rs), _frozen(r_h)), 1)
-
-
-def _boundary_row(model: LdQbdModel, rates: RateSequence) -> np.ndarray:
-    """Unnormalized level-0 row: stationary for the censored boundary block
-    A1(0) + R_0 A2(1), once the frozen levels are known to be stable."""
-    geometric_mass(rates.matrices[-1])
-    return stationary_row(model.block_at("A1", 0) + rates.matrices[0] @ model.block_at("A2", 1))
+    r_0 = first[0].T.copy()
+    row = stationary_row(diag[0] + r_0 @ down[0])
+    return RateSequence((_frozen(r_0), *_frozen(rs), _frozen(r_h)), _frozen(row), 1)
 
 
 def _closed_tails(v, rows: list, r, levels: int, method: str) -> TailSeries:
@@ -278,15 +280,14 @@ def _closed_tails(v, rows: list, r, levels: int, method: str) -> TailSeries:
 def stationary_product(model: LdQbdModel, rates: RateSequence, levels: int) -> TailSeries:
     """Tails by multiplying out the level rows x_{j+1} = x_j R_j.
 
-    The level-0 row is stationary for the censored boundary block
-    A1(0) + R_0 A2(1).  Rows 1..max(horizon, levels) are multiplied out, the
-    frozen levels past them are added in closed form, and the whole is
-    normalized and suffix-summed.  The report carries the rows multiplied
-    as `terms`.
+    The level-0 row v is the one `rates` carries.  Rows 1..max(horizon,
+    levels) are multiplied out, the frozen levels past them are added in
+    closed form, and the whole is normalized and suffix-summed.  The report
+    carries the rows multiplied as `terms`.
     """
     h = model.horizon
     rs = rates.matrices
-    v = _boundary_row(model, rates)
+    v = rates.boundary_row
     rows = [v @ rs[0]]
     for j in range(1, max(h, levels)):
         rows.append(rows[-1] @ rs[min(j, h)])
@@ -357,19 +358,19 @@ def tails_lu_ld(model: LdQbdModel, rates: RateSequence, levels: int) -> TailSeri
 
     The window spans levels 1..n with n = max(horizon, levels).  Its last
     block is censored to A1(n) + R_h A2(n+1), so the window generator M is
-    exact for the levels it holds.  With the boundary row v of the product
-    route, the level rows solve t M = -(v A0(0), 0, ...) by one pass through
-    the factors; the frozen levels past n are added in closed form, and the
+    exact for the levels it holds.  With the level-0 row v from `rates`, the
+    level rows solve t M = -(v A0(0), 0, ...) by one pass through the
+    factors; the frozen levels past n are added in closed form, and the
     tails are normalized suffix sums, so the work is linear in n.  The
     pivots are inverted in one sweep (lu_measures), and the pass multiplies
     by those inverses, so the route makes a fixed number of guarded solves
-    at any depth: the censored last block, the stability check and the
-    closed remainder.  The report carries the window width as `terms`.
+    at any depth: the censored last block and the closed remainder.  The
+    report carries the window width as `terms`.
     """
     h = model.horizon
     n = max(h, levels)
     r = rates.matrices[h]
-    v = _boundary_row(model, rates)
+    v = rates.boundary_row
     measures = lu_measures(model, n)
     last = measures.psis[-1] + r @ model.block_at("A2", n + 1)
     source = [-(v @ model.block_at("A0", 0))] + [np.zeros(model.m)] * (n - 1)

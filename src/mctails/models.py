@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Divergent, StepUnstable, Unstable, ValidationError
 from .ldqbd import LdQbdModel
-from .matkernel import inf_norm
+from .matkernel import _powers, inf_norm
 from .qbd import QbdModel, tails_matrix_geometric
 from .series import TailSeries, _check_levels
 
@@ -284,32 +284,32 @@ def repairable_qbd(params: RepairableParams) -> QbdModel:
 def repairable_tails(params: RepairableParams, levels: int) -> TailSeries:
     """Tail vectors of the repairable-server queue over levels 0..levels.
 
-    The boundary values are exact: pi_W,0 = 1 - (lam/mu)(alpha/beta),
-    pi_W,1 = lam/mu and pi_R,1 = (lam/mu)(alpha/beta).  This iterative route
-    continues with two coupled scalar recursions.
+    The boundary values are exact: pi_0 = (1 - (lam/mu)(alpha/beta),
+    (lam/mu)(alpha/beta)) and pi_1 = (lam/mu, (lam/mu)(alpha/beta)), phases
+    (serving, under repair).  A2 of ``repairable_qbd`` has rank one, so
+    G = e (1, 0) and its rate matrix is explicit,
+
+        R = lam / (mu (lam + beta)) [[lam + beta, alpha], [lam + beta, mu + alpha]],
+
+    with no negative entry; deeper tails follow pi_k = pi_{k-1} R, products
+    of nonnegative numbers that keep their relative accuracy at any depth.
     """
     _check_levels(levels, 0)
     lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
     ratio = lam / mu
-    repair_share = alpha / beta
-    srv = [1.0 - ratio * repair_share, ratio]
-    rep = [ratio * repair_share, ratio * repair_share]
-    for k in range(2, levels + 1):
-        srv.append(((lam + mu + alpha) / mu) * srv[k - 1]
-                   - (lam / mu) * srv[k - 2]
-                   - (beta / mu) * rep[k - 1])
-        rep.append((alpha / (lam + beta)) * srv[k]
-                   + (lam / (lam + beta)) * rep[k - 1])
-    pis = [np.array([srv[k], rep[k]]) for k in range(levels + 1)]
+    repair_share = ratio * alpha / beta
+    rate = (lam / (mu * (lam + beta))) * np.array([[lam + beta, alpha],
+                                                   [lam + beta, mu + alpha]])
+    pis = [np.array([1.0 - repair_share, repair_share])]
+    pis += _powers(np.array([ratio, repair_share]), rate, levels)
     return TailSeries(pis, None, method="iterative", first_level=0)
 
 
-def repairable_mg_tails(rate, boundary, levels: int) -> TailSeries:
+def repairable_mg_tails(boundary, levels: int) -> TailSeries:
     """Matrix-geometric tails of the repairable-server queue over levels
-    0..levels, from the rate matrix and boundary pair of ``repairable_qbd``.
-    Level 0 adds the empty state, whose server is up, to the serving phase
-    of pi_1."""
-    pis = tails_matrix_geometric(boundary.x1, rate, max(levels, 1)).pis
+    0..levels, from the boundary solution of ``repairable_qbd``.  Level 0
+    adds the empty state, whose server is up, to the serving phase of pi_1."""
+    pis = tails_matrix_geometric(boundary, max(levels, 1)).pis
     empty = np.array([boundary.x0[0], 0.0])
     return TailSeries([pis[0] + empty] + pis[:levels], None, method="matrix-geometric",
                       first_level=0)

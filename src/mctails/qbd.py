@@ -13,6 +13,8 @@ the rate matrix R from it, the boundary stationary pair (x0, x1), and tail
 vectors pi_k (mass at level k or above) by three routes:
 matrix-geometric accumulation, a UL-type factorization of the level-shifted
 generator, and a LU-type forward factorization whose measures vary by level.
+boundary_solve checks that R is stable and returns it with the pair; the
+routes read R from that solution and do not check it again.
 """
 
 from __future__ import annotations
@@ -134,8 +136,12 @@ class RateSolveResult:
 
 @dataclass(frozen=True)
 class BoundarySolution:
+    """The boundary pair (x0, x1) and the rate matrix R they were solved
+    with, which boundary_solve has checked for stability."""
+
     x0: np.ndarray
     x1: np.ndarray
+    r: np.ndarray
 
 
 def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
@@ -230,7 +236,8 @@ def geometric_mass(r) -> np.ndarray:
 
 
 def boundary_solve(model: QbdModel, r) -> BoundarySolution:
-    """Boundary stationary pair (x0, x1) given the rate matrix R.
+    """Boundary stationary pair (x0, x1) given the rate matrix R, which
+    geometric_mass checks for stability and the solution carries.
 
     Level 1 balances when x1 = x0 R0, R0 = B0 (-(A1 + R A2))^{-1}, so level
     0 censored on itself has the generator B1 + R0 B2, whose stationary row
@@ -245,36 +252,28 @@ def boundary_solve(model: QbdModel, r) -> BoundarySolution:
     x0 = stationary_row(model.b1 + entry @ model.b2)
     x1 = x0 @ entry
     scale = 1.0 / (x0.sum() + x1 @ mass)
-    return BoundarySolution(_frozen(scale * x0), _frozen(scale * x1))
+    return BoundarySolution(_frozen(scale * x0), _frozen(scale * x1), _frozen(r))
 
 
-def tails_matrix_geometric(x1, r, levels: int, x0=None) -> TailSeries:
+def tails_matrix_geometric(boundary: BoundarySolution, levels: int) -> TailSeries:
     """pi_k = x1 (I-R)^{-1} R^{k-1} for k = 1..levels."""
-    r = as_matrix(r, "R")
-    geometric_mass(r)
-    head = solve_xa(np.eye(r.shape[0]) - r, np.asarray(x1, dtype=float))
-    return TailSeries(_powers(head, r, levels),
-                      None if x0 is None else np.asarray(x0, dtype=float),
-                      method="matrix-geometric")
+    r = boundary.r
+    head = solve_xa(np.eye(len(r)) - r, boundary.x1)
+    return TailSeries(_powers(head, r, levels), boundary.x0, method="matrix-geometric")
 
 
-def tails_ul(model: QbdModel, r, boundary: BoundarySolution, levels: int) -> TailSeries:
+def tails_ul(model: QbdModel, boundary: BoundarySolution, levels: int) -> TailSeries:
     """Tails from the UL factorization of the level-shifted generator.
 
     The censored corner block is Phi0 = (A0 + A1) + R A2 and
-    pi_1 = x0 B0 (-Phi0)^{-1}, pi_k = pi_1 R^{k-1}, with x0 from `boundary`.
-    The report carries the residual of the identity
-    x0 B0 (-Phi0)^{-1} = x1 (I-R)^{-1}, which checks the UL head against the
-    matrix-geometric head of the same boundary solve.
+    pi_1 = x0 B0 (-Phi0)^{-1}, pi_k = pi_1 R^{k-1}, with x0 and R from
+    `boundary`.  The head equals the matrix-geometric one,
+    x1 (I-R)^{-1}, in exact arithmetic; the two routes reach it by
+    different solves.
     """
-    r = as_matrix(r, "R")
-    geometric_mass(r)
-    phi0 = (model.a0 + model.a1) + r @ model.a2
-    head = solve_xa(-phi0, boundary.x0 @ model.b0)
-    geometric_head = solve_xa(np.eye(model.m) - r, boundary.x1)
-    report = {"identity_residual": inf_norm(head - geometric_head)}
-    return TailSeries(_powers(head, r, levels), boundary.x0, method="ul-rg",
-                      truncation_report=report)
+    r = boundary.r
+    head = solve_xa(-((model.a0 + model.a1) + r @ model.a2), boundary.x0 @ model.b0)
+    return TailSeries(_powers(head, r, levels), boundary.x0, method="ul-rg")
 
 
 def _lu_steps(model: QbdModel, x0):

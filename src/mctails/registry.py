@@ -2,13 +2,16 @@
 
 For every kind the table gives the model-file section that describes it and
 the builder that turns that section into a model, the stage that solves
-what every route of the kind reads, its tail routes (the first is the
-default), and the builder of the chain that the dense truncation oracle
-solves as its reference, or None when the kind has no finite-state
-counterpart.  ``mctails.solve_tails``, the command line and ``cross_check``
-all read it.  The stage and route functions call the solvers through their
-modules (``qbd.tails_lu``), so a function replaced on its module, by a
-tracer or a test, is the one that runs.
+and checks, once, what every route of the kind reads, its tail routes (the
+first is the default), and the builder of the chain that the dense
+truncation oracle solves as its reference, or None when the kind has no
+finite-state counterpart.  ``mctails.solve_tails``, the command line and
+``cross_check`` all read it.  The solver tolerance rides on the ``Model``:
+``solve`` and ``cross_check`` turn a ``tol`` of None into DEFAULT_TOL,
+check any other value, and the stages read it from there.  The stage and
+route functions call the solvers through their modules
+(``qbd.tails_lu``), so a function replaced on its module, by a tracer or a
+test, is the one that runs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from . import ldqbd, models, oracle, qbd, skipfree
@@ -37,9 +40,11 @@ class Kind:
     ``matrices``, ``number``, ``integer`` or ``rate`` (a number or a list of
     numbers).  ``build`` is the constructor that takes those values in
     order, or None when the values themselves are the model.  ``stage`` is
-    the function (model, tol) that solves what every route of the kind
-    reads, such as R and the boundary pair of a QBD; the closed forms read
-    nothing.  ``routes`` maps each route name to its function
+    the function (model) that solves what every route of the kind reads at
+    the model's tol, such as the boundary solution of a QBD, which carries
+    its checked R; the routes trust it and check nothing again.  Kinds whose
+    routes share nothing, the closed forms and the repairable queue, have
+    no stage.  ``routes`` maps each route name to its function
     (model, stage, levels), the default first; ``reference`` is the function
     (model, oracle levels) that builds the oracle's chain, or None.
     """
@@ -55,57 +60,50 @@ class Kind:
 @dataclass(frozen=True)
 class Model:
     """A model of a known kind: a chain, or a queue's parameters, with the
-    solver tolerance ``tol``, None when not given."""
+    solver tolerance ``tol``; None takes DEFAULT_TOL."""
 
     kind: str
     payload: object
     tol: float | None = None
 
 
-# --- stages (model, tol) and the routes (model, stage, levels) that read them
+# --- stages (model) and the routes (model, stage, levels) that read them
 
-def _no_stage(model, tol):
+def _no_stage(model):
     return None
 
 
 def _solve_qbd(chain, tol):
     r = qbd.solve_R(chain.a0, chain.a1, chain.a2, tol=tol).matrix
-    return r, qbd.boundary_solve(chain, r)
+    return qbd.boundary_solve(chain, r)
 
 
-def _qbd_stage(model, tol):
-    return _solve_qbd(model.payload, tol)
+def _qbd_stage(model):
+    return _solve_qbd(model.payload, model.tol)
 
 
-def _repairable_stage(model, tol):
-    return _solve_qbd(models.repairable_qbd(model.payload), tol)
+def _ldqbd_stage(model):
+    return ldqbd.solve_rate_sequence(model.payload, tol=model.tol)
 
 
-def _ldqbd_stage(model, tol):
-    return ldqbd.solve_rate_sequence(model.payload, tol=tol)
+def _gim1_stage(model):
+    return skipfree.gim1_stationary(model.payload, tol=model.tol)
 
 
-def _gim1_stage(model, tol):
-    return skipfree.gim1_stationary(model.payload, tol=tol)
-
-
-def _mg1_stage(model, tol):
-    return skipfree.mg1_stationary(model.payload, tol=tol)
+def _mg1_stage(model):
+    return skipfree.mg1_stationary(model.payload, tol=model.tol)
 
 
 def _qbd_mg(model, stage, levels):
-    r, boundary = stage
-    return qbd.tails_matrix_geometric(boundary.x1, r, levels, x0=boundary.x0)
+    return qbd.tails_matrix_geometric(stage, levels)
 
 
 def _qbd_ul(model, stage, levels):
-    r, boundary = stage
-    return qbd.tails_ul(model.payload, r, boundary, levels)
+    return qbd.tails_ul(model.payload, stage, levels)
 
 
 def _qbd_lu(model, stage, levels):
-    _, boundary = stage
-    return qbd.tails_lu(model.payload, boundary.x0, levels)
+    return qbd.tails_lu(model.payload, stage.x0, levels)
 
 
 def _ldqbd_product(model, stage, levels):
@@ -149,7 +147,8 @@ def _repairable_iterative(model, stage, levels):
 
 
 def _repairable_mg(model, stage, levels):
-    return models.repairable_mg_tails(*stage, levels)
+    boundary = _solve_qbd(models.repairable_qbd(model.payload), model.tol)
+    return models.repairable_mg_tails(boundary, levels)
 
 
 def _supermarket_closed(model, stage, levels):
@@ -200,7 +199,7 @@ REGISTRY = {
                      models.VacationParams, _no_stage,
                      {"closed": _vacation_closed}, _vacation_chain),
     "repairable": Kind("params", dict.fromkeys(("lam", "mu", "alpha", "beta"), "number"),
-                       models.RepairableParams, _repairable_stage,
+                       models.RepairableParams, _no_stage,
                        {"iterative": _repairable_iterative, "mg": _repairable_mg},
                        _repairable_chain),
     "supermarket": Kind("params", {"rho": "number", "d": "integer"},
@@ -228,26 +227,31 @@ def build(kind: str, values: dict):
     return values if builder is None else builder(*values.values())
 
 
-def _check_tol(tol) -> None:
+def _with_tol(model: Model) -> Model:
+    """`model` with its tol resolved: None becomes DEFAULT_TOL, and any other
+    value must be a positive finite number."""
+    tol = model.tol
+    if tol is None:
+        return replace(model, tol=DEFAULT_TOL)
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
+    return model
 
 
-def solve(model: Model, levels: int, method: str | None = None,
-          tol: float = DEFAULT_TOL) -> TailSeries:
-    """Tails of `model` at levels 1..`levels` by the named route of its kind;
-    None takes the kind's default route.  The arguments are checked before
-    the kind's stage is solved."""
+def solve(model: Model, levels: int, method: str | None = None) -> TailSeries:
+    """Tails of `model` at levels 1..`levels` by the named route of its kind,
+    at ``model.tol``; None takes the kind's default route.  The arguments
+    are checked before the kind's stage is solved."""
     _check_levels(levels, 0)
-    _check_tol(tol)
-    routes = REGISTRY[model.kind].routes
-    name = next(iter(routes)) if method is None else method
-    if name not in routes:
+    model = _with_tol(model)
+    kind = REGISTRY[model.kind]
+    name = next(iter(kind.routes)) if method is None else method
+    if name not in kind.routes:
         raise ValidationError(
             f"method {name!r} not available for kind {model.kind!r} "
-            f"(choices: {', '.join(routes)})"
+            f"(choices: {', '.join(kind.routes)})"
         )
-    return routes[name](model, REGISTRY[model.kind].stage(model, tol), levels)
+    return kind.routes[name](model, kind.stage(model), levels)
 
 
 @dataclass(frozen=True)
@@ -288,16 +292,15 @@ def cross_check(model: Model, levels: int, oracle_levels: int) -> CheckReport:
     reference chain, by the dense oracle truncated at `oracle_levels`; then
     compare every pair over levels up to `levels`.
 
-    The kind's stage is solved once, at ``model.tol`` or at DEFAULT_TOL when
-    that is None, and every route reads it.  The supermarket model has no
+    The kind's stage is solved once, at ``model.tol`` resolved as ``solve``
+    does, and every route reads it.  The supermarket model has no
     finite chain, so its closed form is checked against its balance
     equations instead.  A gap below CHECK_TOL passes.
     """
     kind = REGISTRY[model.kind]
     _check_levels(levels, 1)
     _check_levels(oracle_levels, 1, "oracle_levels")
-    tol = DEFAULT_TOL if model.tol is None else model.tol
-    _check_tol(tol)
+    model = _with_tol(model)
     if kind.reference is not None and oracle_levels < levels:
         raise ValidationError(
             f"oracle levels ({oracle_levels}) must reach levels ({levels}): "
@@ -310,7 +313,7 @@ def cross_check(model: Model, levels: int, oracle_levels: int) -> CheckReport:
         comparisons = [Comparison("closed form", "balance equations", 1, levels,
                                   gap, gap < CHECK_TOL)]
     else:
-        stage = kind.stage(model, tol)
+        stage = kind.stage(model)
         series = {name: route(model, stage, levels) for name, route in kind.routes.items()}
         chain = kind.reference(model, oracle_levels)
         series["oracle"] = oracle.truncate_and_solve(chain, oracle_levels)

@@ -296,15 +296,11 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
     )
 
 
-def _gim1_geometric_head(measures: Gim1Measures) -> np.ndarray:
-    eye = np.eye(measures.rate.shape[0])
-    return measures.x0 @ solve_xa(eye - measures.rate, measures.entry)
-
-
 def gim1_tails(measures: Gim1Measures, levels: int) -> TailSeries:
     """Matrix-geometric tails of a GI/M/1-type chain from its measures,
     summing the geometric levels directly: pi_k = x0 R_1 (I - R)^{-1} R^{k-1}."""
-    head = _gim1_geometric_head(measures)
+    eye = np.eye(measures.rate.shape[0])
+    head = measures.x0 @ solve_xa(eye - measures.rate, measures.entry)
     return TailSeries(_powers(head, measures.rate, levels), measures.x0,
                       method="matrix-geometric")
 
@@ -315,13 +311,11 @@ def gim1_ul_tails(model: SkipFreeModel, measures: Gim1Measures, levels: int) -> 
     Level 1 is censored under the shifted kernel instead,
     pi_k = x0 B_0 (I - shifted_kernel)^{-1} R^{k-1}; the head agrees exactly
     with the matrix-geometric one because I minus the shifted kernel factors
-    through I - R, and the report carries their observed distance.
+    through I - R.
     """
     head = solve_xa(np.eye(model.m) - measures.shifted_kernel,
                     measures.x0 @ model.b_blocks[0])
-    report = {"identity_residual": inf_norm(head - _gim1_geometric_head(measures))}
-    return TailSeries(_powers(head, measures.rate, levels), measures.x0,
-                      method="ul-rg", truncation_report=report)
+    return TailSeries(_powers(head, measures.rate, levels), measures.x0, method="ul-rg")
 
 
 def _suffix_sums(blocks: list) -> list:
@@ -521,6 +515,4 @@ def mg1_ul_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> Ta
         for i in range(max(2, n - len(up_visits)), n):
             acc = acc + pis[i - 1] @ up_visits[n - i - 1]
         pis.append(acc)
-    head_iter = _mg1_tail_heads(model, measures, 1)[0]
-    report = {"identity_residual": inf_norm(pis[0] - head_iter) if pis else 0.0}
-    return TailSeries(pis, measures.x0, method="ul-rg", truncation_report=report)
+    return TailSeries(pis, measures.x0, method="ul-rg")

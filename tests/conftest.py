@@ -2,6 +2,8 @@
 
 import pytest
 
+from mctails import qbd
+
 
 @pytest.fixture
 def count_calls(monkeypatch):
@@ -19,3 +21,17 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def rate_solve_tols(monkeypatch):
+    """The tol of every qbd.solve_R call, in order."""
+    tols = []
+    original = qbd.solve_R
+
+    def traced(*args, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qbd, "solve_R", traced)
+    return tols

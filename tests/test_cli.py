@@ -170,6 +170,23 @@ def test_non_positive_or_non_finite_tol_exits_two(tol, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_tol_flag_reaches_the_rate_solve(command, rate_solve_tols, capsys):
+    assert run([command, str(FILES / "qbd22.json"), "--tol", "1e-5"]) == 0
+    assert rate_solve_tols == [1e-5]
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_model_file_tol_reaches_the_rate_solve_unless_the_flag_overrides_it(
+        tmp_path, command, rate_solve_tols, capsys):
+    model = json.loads((FILES / "qbd22.json").read_text())
+    path = _write(tmp_path, "tol.json", {**model, "tol": 1e-5})
+    assert load_model_file(path).tol == 1e-5
+    assert run([command, path]) == 0
+    assert run([command, path, "--tol", "1e-7"]) == 0
+    assert rate_solve_tols == [1e-5, 1e-7]
+
+
 def test_oracle_shallower_than_the_compared_levels_exits_two(capsys):
     assert run(["check", str(FILES / "mm1.json"),
                 "--levels", "300", "--oracle-levels", "100"]) == 2

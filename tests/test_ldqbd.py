@@ -173,9 +173,8 @@ def test_chain_unstable_beyond_the_horizon_is_refused():
         lambda k: np.array([[1.0]]),
         3,
     )
-    rates = solve_rate_sequence(ld)
     with pytest.raises(Unstable):
-        stationary_product(ld, rates, 5)
+        solve_rate_sequence(ld)
 
 
 def test_blocks_clamp_past_the_horizon():

@@ -8,6 +8,7 @@ from mctails.errors import Reducible, TruncationFailure, Unstable, ValidationErr
 from mctails.matkernel import inf_norm, inverse, stationary_row
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import (
+    BoundarySolution,
     QbdModel,
     boundary_solve,
     geometric_mass,
@@ -306,11 +307,15 @@ def test_tail_levels_decrease_and_balance_total_mass():
     assert abs(float(series.level(1).sum()) - (1.0 - float(series.x0.sum()))) < 1e-9
 
 
-def test_ul_route_reports_its_identity_residual():
+def test_ul_and_geometric_heads_agree():
+    """x0 B0 (-Phi0)^{-1} = x1 (I-R)^{-1}: the UL head reaches the
+    matrix-geometric one by a different solve."""
     r = solve_R(TWOPHASE.a0, TWOPHASE.a1, TWOPHASE.a2).matrix
     boundary = boundary_solve(TWOPHASE, r)
-    series = tails_ul(TWOPHASE, r, boundary, 10)
-    assert series.truncation_report["identity_residual"] < 1e-8
+    ul = tails_ul(TWOPHASE, boundary, 10)
+    mg = tails_matrix_geometric(boundary, 10)
+    assert inf_norm(ul.level(1) - mg.level(1)) < 1e-8
+    assert ul.truncation_report == {}
 
 
 def test_lu_route_matches_geometric_tail_shape():
@@ -322,7 +327,8 @@ def test_lu_route_matches_geometric_tail_shape():
 
 
 def test_geometric_route_accepts_explicit_head():
-    series = tails_matrix_geometric(np.array([0.25]), np.array([[0.5]]), 5)
+    boundary = BoundarySolution(np.array([0.5]), np.array([0.25]), np.array([[0.5]]))
+    series = tails_matrix_geometric(boundary, 5)
     assert abs(float(series.level(1)[0]) - 0.5) < 1e-12
     assert abs(float(series.level(5)[0]) - 0.03125) < 1e-12
 

@@ -62,8 +62,17 @@ def test_routes_call_the_solvers_through_their_modules(count_calls):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("name,route", ROUTES)
+def test_every_route_returns_nonnegative_nonincreasing_tails(name, route):
+    """At 150 levels no tail entry is negative, and in no phase does a tail
+    rise from one level to the next beyond a relative 1e-12."""
+    pis = np.array(registry.solve(BUNDLED[name], 150, route).pis)
+    assert np.all(pis >= 0)
+    assert np.all(pis[1:] <= pis[:-1] * (1.0 + 1e-12))
+
+
 def test_ul_route_solves_the_boundary_once(count_calls):
-    """The UL identity residual reuses the route's own boundary solution."""
+    """The UL route reads R and x0 from the stage's one boundary solution."""
     calls = count_calls(qbd, "boundary_solve")
     mctails.solve_tails(BUNDLED["qbd22.json"].payload, 6, method="ul")
     assert calls == [1]
@@ -109,19 +118,39 @@ def test_solve_checks_its_arguments_before_the_stage(count_calls):
     assert calls == []
 
 
-def test_repairable_mg_solves_its_stage_at_the_run_tol(monkeypatch):
-    """The repairable `mg` route reads a stage solved through qbd.solve_R at
-    the tol of the run, not a default."""
-    tols = []
-    original = qbd.solve_R
+def test_repairable_mg_solves_its_stage_at_the_run_tol(rate_solve_tols):
+    """The repairable `mg` route solves its QBD through qbd.solve_R at the
+    tol on the model, not a default."""
+    registry.solve(dataclasses.replace(BUNDLED["repairable.json"], tol=1e-5), 5, "mg")
+    assert rate_solve_tols == [1e-5]
 
-    def traced(*args, **kwargs):
-        tols.append(kwargs.get("tol"))
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(qbd, "solve_R", traced)
-    registry.solve(BUNDLED["repairable.json"], 5, "mg", tol=1e-5)
-    assert tols == [1e-5]
+def test_solve_reads_its_tol_off_the_model(rate_solve_tols):
+    model = BUNDLED["qbd22.json"]
+    registry.solve(dataclasses.replace(model, tol=1e-5), 6)
+    registry.solve(model, 6)
+    assert rate_solve_tols == [1e-5, registry.DEFAULT_TOL]
+
+
+@pytest.mark.parametrize("name", ["qbd22.json", "mm1.json", "ldqbd.json", "repairable.json"])
+def test_cross_check_checks_stability_once(count_calls, name):
+    """The stability check of the stage, or of the repairable `mg` route's
+    own QBD, is the only one: no route runs geometric_mass again."""
+    calls = [count_calls(module, "geometric_mass") for module in (qbd, ldqbd)]
+    assert mctails.cross_check(BUNDLED[name], 20, 200).passed
+    assert sum(map(len, calls)) == 1
+
+
+def test_cross_check_solves_the_ldqbd_level_0_row_once(count_calls):
+    rows = count_calls(ldqbd, "stationary_row")
+    assert mctails.cross_check(BUNDLED["ldqbd.json"], 20, 200).passed
+    assert len(rows) == 1
+
+
+def test_repairable_iterative_route_solves_no_qbd(count_calls):
+    calls = count_calls(qbd, "solve_R")
+    registry.solve(BUNDLED["repairable.json"], 20, "iterative")
+    assert calls == []
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

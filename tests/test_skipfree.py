@@ -152,14 +152,13 @@ def test_gim1_boundary_without_entry_is_reducible():
         gim1_stationary(model)
 
 
-def test_gim1_routes_agree_and_report_the_factor_identity():
+def test_gim1_routes_agree():
     for model in (GIM1_SCALAR, GIM1_PHASED):
         measures = gim1_stationary(model)
         mg = gim1_tails(measures, 12)
         ul = gim1_ul_tails(model, measures, 12)
         gap = max(inf_norm(mg.level(k) - ul.level(k)) for k in range(1, 13))
         assert gap < 1e-9
-        assert ul.truncation_report["identity_residual"] < 1e-9
 
 
 def test_shifted_kernel_factors_through_the_rate_matrix():
@@ -219,7 +218,6 @@ def test_mg1_routes_agree_on_batch_jumps():
     ul = mg1_ul_tails(MG1_BATCH, measures, 12)
     gap = max(inf_norm(it.level(k) - ul.level(k)) for k in range(1, 13))
     assert gap < 1e-9
-    assert ul.truncation_report["identity_residual"] < 1e-9
 
 
 def test_mg1_matches_dense_truncation():
