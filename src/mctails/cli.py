@@ -38,7 +38,13 @@ def _object(value, path: str) -> dict:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(path, f"expected a finite number, got {number}")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -115,7 +121,7 @@ def load_model_file(path: str) -> Model:
     tol = None
     if "tol" in root:
         tol = _number(root["tol"], "$.tol")
-        if not (math.isfinite(tol) and tol > 0):
+        if not tol > 0:
             _fail("$.tol", "must be a positive finite number")
 
     spec = REGISTRY[kind]
@@ -161,8 +167,11 @@ def _format_json(kind: str, series: TailSeries) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"--out {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -197,11 +206,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     model = _load(args)
-    report = cross_check(model, _levels(args), args.oracle_levels)
+    report = cross_check(model, _levels(args))
     out = [f"kind: {report.kind}"]
     for c in report.comparisons:
         out.append("%s vs %s (levels %d..%d): %.3e %s"
                    % (c.left, c.right, c.first, c.last, c.gap, "ok" if c.ok else "FAIL"))
+    if report.oracle_levels is not None:
+        out.append("oracle: %d levels, estimated mass past them %.1e"
+                   % (report.oracle_levels, report.oracle_mass))
     verdict = ("check passed: %d comparisons within %.0e"
                if report.passed else "check FAILED: %d comparisons, tolerance %.0e")
     out.append(verdict % (len(report.comparisons), report.tolerance))
@@ -244,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("modelfile", help="path to a JSON model file")
     check.add_argument("--levels", type=int, default=20,
                        help="levels compared across routes (default 20)")
-    check.add_argument("--oracle-levels", type=int, default=200,
-                       help="truncation depth of the dense reference (default 200)")
     check.add_argument("--tol", type=float, default=None)
 
     mf = sub.add_parser(

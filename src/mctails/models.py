@@ -24,8 +24,8 @@ from .series import TailSeries, _check_levels
 
 def _require_positive(value: float, name: str) -> float:
     value = float(value)
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
     return value
 
 

@@ -62,3 +62,25 @@ def truncate_and_solve(model, levels: int) -> TailSeries:
         pis[k - 1] = suffix
     report = {"levels": levels, "error_estimate": float(rows[-1].sum())}
     return TailSeries(pis, x0, method="truncated-oracle", truncation_report=report)
+
+
+def sized_reference(build, levels: int, tol: float) -> TailSeries:
+    """Oracle tails of ``build(depth)`` at the first depth of 2 `levels`,
+    4 `levels`, ... up to MAX_STATES (else SizeLimit) whose mass past it,
+    x_L e / (1 - q) with q = x_L e / x_{L-1} e (infinite when q >= 1), is
+    at most `tol` times pi_levels e; the report adds it as ``mass_past``."""
+    chain = build(1)  # for its block sizes, which do not change with the depth
+    deepest = (MAX_STATES - chain.m0) // chain.m
+    depth, mass = min(2 * levels, deepest), np.inf
+    while depth > levels:
+        series = truncate_and_solve(build(depth), depth)
+        last, before = series.pis[-1].sum(), series.pis[-2].sum() - series.pis[-1].sum()
+        mass = float(last / (1 - last / before)) if last < before else np.inf if last else 0.0
+        if mass <= tol * float(series.level(levels).sum()):
+            series.truncation_report["mass_past"] = mass
+            return series
+        if depth == deepest:
+            break
+        depth = min(2 * depth, deepest)
+    raise SizeLimit(f"{chain.m0 + deepest * chain.m} states (dense limit {MAX_STATES}) leave a "
+                    f"mass of {mass:.1e} past level {deepest}, over tol of pi_{levels}")

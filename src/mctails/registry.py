@@ -46,7 +46,7 @@ class Kind:
     routes share nothing, the closed forms and the repairable queue, have
     no stage.  ``routes`` maps each route name to its function
     (model, stage, levels), the default first; ``reference`` is the function
-    (model, oracle levels) that builds the oracle's chain, or None.
+    (model, depth) that builds the oracle's chain, or None.
     """
 
     section: str
@@ -155,25 +155,25 @@ def _supermarket_closed(model, stage, levels):
     return models.supermarket_tails(model.payload["rho"], model.payload["d"], levels)
 
 
-# --- reference chains: (model, oracle levels) to a chain for the oracle ----
+# --- reference chains: (model, depth) to a chain for the oracle ----------
 
-def _chain(model, oracle_levels):
+def _chain(model, depth):
     return model.payload
 
 
-def _retrial_chain(model, oracle_levels):
-    return models.retrial_chain(model.payload, oracle_levels + 2)
+def _retrial_chain(model, depth):
+    return models.retrial_chain(model.payload, depth + 2)
 
 
-def _mnmn1_chain(model, oracle_levels):
+def _mnmn1_chain(model, depth):
     return models.mnmn1_chain(model.payload["arrival"], model.payload["service"])
 
 
-def _vacation_chain(model, oracle_levels):
+def _vacation_chain(model, depth):
     return models.vacation_qbd(model.payload)
 
 
-def _repairable_chain(model, oracle_levels):
+def _repairable_chain(model, depth):
     return models.repairable_qbd(model.payload)
 
 
@@ -269,11 +269,13 @@ class Comparison:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """What ``cross_check`` found: one comparison per pair of solutions."""
+    """What ``cross_check`` found: the comparisons, the oracle's depth and its mass past it."""
 
     kind: str
     tolerance: float
     comparisons: tuple
+    oracle_levels: int | None = None
+    oracle_mass: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -287,37 +289,33 @@ def _compare(left: str, right: str, a: TailSeries, b: TailSeries) -> Comparison:
     return Comparison(left, right, lo, hi, gap, gap < CHECK_TOL)
 
 
-def cross_check(model: Model, levels: int, oracle_levels: int) -> CheckReport:
+def cross_check(model: Model, levels: int) -> CheckReport:
     """Solve `model` by every route of its kind and, where the kind has a
-    reference chain, by the dense oracle truncated at `oracle_levels`; then
-    compare every pair over levels up to `levels`.
+    reference chain, by the dense oracle; then compare every pair over
+    levels up to `levels`.
 
     The kind's stage is solved once, at ``model.tol`` resolved as ``solve``
-    does, and every route reads it.  The supermarket model has no
-    finite chain, so its closed form is checked against its balance
-    equations instead.  A gap below CHECK_TOL passes.
+    does, and every route reads it; the oracle picks its own depth
+    (``oracle.sized_reference``).  The supermarket model has no finite
+    chain, so its closed form is checked against its balance equations
+    instead.  A gap below CHECK_TOL passes.
     """
     kind = REGISTRY[model.kind]
     _check_levels(levels, 1)
-    _check_levels(oracle_levels, 1, "oracle_levels")
     model = _with_tol(model)
-    if kind.reference is not None and oracle_levels < levels:
-        raise ValidationError(
-            f"oracle levels ({oracle_levels}) must reach levels ({levels}): "
-            "the reference has to cover every compared level"
-        )
     if model.kind == "supermarket":
         rho, d = model.payload["rho"], model.payload["d"]
         gap = max(models.supermarket_balance_residual(rho, d, k)
                   for k in range(1, levels + 1))
         comparisons = [Comparison("closed form", "balance equations", 1, levels,
                                   gap, gap < CHECK_TOL)]
-    else:
-        stage = kind.stage(model)
-        series = {name: route(model, stage, levels) for name, route in kind.routes.items()}
-        chain = kind.reference(model, oracle_levels)
-        series["oracle"] = oracle.truncate_and_solve(chain, oracle_levels)
-        names = list(series)
-        comparisons = [_compare(left, right, series[left], series[right])
-                       for i, left in enumerate(names) for right in names[i + 1:]]
-    return CheckReport(model.kind, CHECK_TOL, tuple(comparisons))
+        return CheckReport(model.kind, CHECK_TOL, tuple(comparisons))
+    stage = kind.stage(model)
+    series = {name: route(model, stage, levels) for name, route in kind.routes.items()}
+    series["oracle"] = oracle.sized_reference(partial(kind.reference, model), levels, model.tol)
+    names = list(series)
+    comparisons = [_compare(left, right, series[left], series[right])
+                   for i, left in enumerate(names) for right in names[i + 1:]]
+    sized = series["oracle"].truncation_report
+    return CheckReport(model.kind, CHECK_TOL, tuple(comparisons),
+                       sized["levels"], sized["mass_past"])

@@ -10,10 +10,10 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _check_levels(value, least: int, name: str = "levels") -> None:
+def _check_levels(value, least: int) -> None:
     """Refuse a level count that is not an integer of at least `least`."""
     if not isinstance(value, numbers.Integral) or value < least:
-        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
+        raise ValidationError(f"levels must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
-from mctails.cli import load_model_file, run
+from mctails import qbd
+from mctails.cli import ModelFileError, load_model_file, run
 
 FILES = pathlib.Path(__file__).resolve().parent.parent / "modelfiles"
 
@@ -67,11 +69,56 @@ def test_check_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_check_fails_against_a_too_shallow_reference(capsys):
-    code = run(["check", str(FILES / "mm1.json"),
-                "--levels", "4", "--oracle-levels", "6"])
-    assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_check_fails_when_a_route_is_off(monkeypatch, capsys):
+    """Tails of one route scaled by 1 + 1e-5 fail every comparison that
+    reads them, and only those."""
+    original = qbd.tails_ul
+
+    def scaled(*args, **kwargs):
+        series = original(*args, **kwargs)
+        return dataclasses.replace(series, pis=[row * (1.0 + 1e-5) for row in series.pis])
+
+    monkeypatch.setattr(qbd, "tails_ul", scaled)
+    assert run(["check", str(FILES / "qbd22.json")]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.endswith(" FAIL")]
+    assert failed and all("ul" in line.split(" (")[0].split(" vs ") for line in failed)
+
+
+def test_check_prints_the_oracle_depth_it_chose(capsys):
+    assert run(["check", str(FILES / "gim1.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("oracle: 160 levels, estimated mass past them ")
+    assert run(["check", str(FILES / "supermarket.json")]) == 0
+    assert "oracle" not in capsys.readouterr().out
+
+
+def test_check_has_no_oracle_depth_flag(capsys):
+    assert run(["check", str(FILES / "mm1.json"), "--oracle-levels", "200"]) == 2
+    assert "--oracle-levels" in capsys.readouterr().err
+
+
+def _modulated_qbd(tmp_path, rho):
+    """Two phases switching at rate 1, arrivals 1.2 rho and 0.8 rho, unit
+    service: mean load rho."""
+    up = [[1.2 * rho, 0.0], [0.0, 0.8 * rho]]
+    local = [[-2.0 - 1.2 * rho, 1.0], [1.0, -2.0 - 0.8 * rho]]
+    return _write(tmp_path, f"modulated{rho}.json", {"kind": "qbd", "blocks": {
+        "B1": [[-1.0 - 1.2 * rho, 1.0], [1.0, -1.0 - 0.8 * rho]], "B0": up,
+        "B2": [[1.0, 0.0], [0.0, 1.0]], "A0": up, "A1": local,
+        "A2": [[1.0, 0.0], [0.0, 1.0]]}})
+
+
+def test_check_deepens_its_oracle_under_heavy_load(tmp_path, capsys):
+    assert run(["check", _modulated_qbd(tmp_path, 0.95)]) == 0
+    assert "oracle: 640 levels" in capsys.readouterr().out
+
+
+def test_check_exits_three_when_the_oracle_cannot_be_deep_enough(tmp_path, capsys):
+    assert run(["check", _modulated_qbd(tmp_path, 0.99)]) == 3
+    assert "5000 states" in capsys.readouterr().err
+    assert run(["check", str(FILES / "qbd22.json"), "--levels", "3000"]) == 3
+    assert "dense limit 5000" in capsys.readouterr().err
 
 
 def test_meanfield_tracks_the_fixed_point(capsys):
@@ -187,11 +234,27 @@ def test_model_file_tol_reaches_the_rate_solve_unless_the_flag_overrides_it(
     assert rate_solve_tols == [1e-5, 1e-7]
 
 
-def test_oracle_shallower_than_the_compared_levels_exits_two(capsys):
-    assert run(["check", str(FILES / "mm1.json"),
-                "--levels", "300", "--oracle-levels", "100"]) == 2
-    assert "oracle levels" in capsys.readouterr().err
-    # the supermarket model has no reference chain, so no depth to check
-    assert run(["check", str(FILES / "supermarket.json"),
-                "--levels", "30", "--oracle-levels", "10"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("kind,key,value", [
+    ("retrial", "mu", "Infinity"), ("retrial", "theta", "Infinity"),
+    ("repairable", "beta", "Infinity"), ("vacation", "theta", "Infinity"),
+    ("mnmn1", "arrival", "[1, Infinity, 0]"), ("retrial", "lam", "NaN"),
+    pytest.param("retrial", "mu", "1" + "0" * 400, id="retrial-mu-int-past-float-range")])
+def test_non_finite_numbers_in_a_model_file_are_refused(tmp_path, kind, key, value):
+    model = json.loads((FILES / f"{kind}.json").read_text())
+    text = json.dumps({**model, "params": {**model["params"], key: "VALUE"}})
+    path = _write(tmp_path, "nonfinite.json", text.replace('"VALUE"', value))
+    with pytest.raises(ModelFileError, match=r"\$\.params\.%s.*finite" % key):
+        load_model_file(path)
+
+
+def test_meanfield_refuses_an_infinite_step(capsys):
+    assert run(["meanfield", "--rho", "0.5", "--d", "2", "--dt", "inf"]) == 2
+    assert "dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", str(FILES / "mm1.json")], ["meanfield", "--rho", "0.5", "--d", "2"]])
+def test_out_path_that_cannot_be_opened_exits_two(tmp_path, argv, capsys):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert run(argv + ["--out", str(target)]) == 2
+        assert "--out" in capsys.readouterr().err

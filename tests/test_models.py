@@ -1,6 +1,7 @@
 """Queueing models: frozen hand values, balance identities, dense references."""
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -315,6 +316,13 @@ def test_supermarket_tail_powers():
 def test_supermarket_deep_levels_underflow_to_zero():
     assert supermarket_tail(0.9, 2, 50) == 0.0
     assert supermarket_tail(0.5, 3, 10000) == 0.0
+
+
+def test_queue_parameters_must_be_finite():
+    with pytest.raises(ValidationError, match="finite"):
+        RetrialParams(1.0, math.inf, 1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        VacationParams(0.5, math.inf)
 
 
 def test_supermarket_balance_is_identically_zero():

@@ -104,7 +104,7 @@ def test_cross_check_solves_the_stage_once_for_every_route(count_calls, name, mo
     """Every route reads the stage that cross_check solves once; a solve
     call solves it once more, for its one route."""
     calls = [count_calls(module, solver) for solver in solvers]
-    assert mctails.cross_check(BUNDLED[name], 20, 200).passed
+    assert mctails.cross_check(BUNDLED[name], 20).passed
     assert calls == [[1]] * len(solvers)
     registry.solve(BUNDLED[name], 6)
     assert calls == [[1, 1]] * len(solvers)
@@ -137,13 +137,13 @@ def test_cross_check_checks_stability_once(count_calls, name):
     """The stability check of the stage, or of the repairable `mg` route's
     own QBD, is the only one: no route runs geometric_mass again."""
     calls = [count_calls(module, "geometric_mass") for module in (qbd, ldqbd)]
-    assert mctails.cross_check(BUNDLED[name], 20, 200).passed
+    assert mctails.cross_check(BUNDLED[name], 20).passed
     assert sum(map(len, calls)) == 1
 
 
 def test_cross_check_solves_the_ldqbd_level_0_row_once(count_calls):
     rows = count_calls(ldqbd, "stationary_row")
-    assert mctails.cross_check(BUNDLED["ldqbd.json"], 20, 200).passed
+    assert mctails.cross_check(BUNDLED["ldqbd.json"], 20).passed
     assert len(rows) == 1
 
 
@@ -160,23 +160,25 @@ def test_bad_tol_is_refused_before_the_stage(count_calls, tol):
     with pytest.raises(ValidationError, match="tol"):
         mctails.solve_tails(model.payload, 5, tol=tol)
     with pytest.raises(ValidationError, match="tol"):
-        mctails.cross_check(dataclasses.replace(model, tol=tol), 5, 20)
+        mctails.cross_check(dataclasses.replace(model, tol=tol), 5)
     assert calls == []
 
 
-@pytest.mark.parametrize("levels,oracle_levels", [(2.5, 200), (20, 200.0)])
-def test_cross_check_refuses_bad_level_counts(count_calls, levels, oracle_levels):
+def test_cross_check_refuses_bad_level_counts(count_calls):
     calls = count_calls(qbd, "solve_R")
     with pytest.raises(ValidationError, match="levels"):
-        mctails.cross_check(BUNDLED["mm1.json"], levels, oracle_levels)
+        mctails.cross_check(BUNDLED["mm1.json"], 2.5)
     assert calls == []
 
 
-def test_cross_check_fails_against_a_too_shallow_reference():
-    report = mctails.cross_check(BUNDLED["mm1.json"], 4, 6)
-    assert not report.passed
-    failed = [c for c in report.comparisons if not c.ok]
-    assert failed and all("oracle" in (c.left, c.right) for c in failed)
+@pytest.mark.parametrize("name,depth", [
+    ("mm1.json", 80), ("gim1.json", 160), ("mnmn1.json", 40), ("supermarket.json", None)])
+def test_cross_check_sizes_its_oracle(name, depth):
+    """The oracle starts at twice the compared levels and doubles until the
+    mass it estimates past its depth is below tol of pi_levels."""
+    report = mctails.cross_check(BUNDLED[name], 20)
+    assert report.passed
+    assert report.oracle_levels == depth
 
 
 def test_readme_route_table_matches_the_registry():
