@@ -4,7 +4,7 @@ The package computes tail vectors pi_k (the componentwise mass of all states
 at level k or above) for block-structured chains: level-independent and
 level-dependent quasi-birth-death generators and the two skip-free families
 of stochastic block matrices.  Several independent solution routes exist for
-each family so that results can be cross-checked, and a dense truncation
+each family so that results can be cross-checked, and a banded truncation
 solver acts as a slow reference for all of them.
 """
 

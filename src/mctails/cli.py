@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", default=None, help="write to file instead of stdout")
 
     check = sub.add_parser(
-        "check", help="run every route plus a dense reference and compare")
+        "check", help="run every route plus a truncation reference and compare")
     check.add_argument("modelfile", help="path to a JSON model file")
     check.add_argument("--levels", type=int, default=20,
                        help="levels compared across routes (default 20)")

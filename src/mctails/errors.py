@@ -47,4 +47,4 @@ class NearCritical(SolverError):
 
 
 class SizeLimit(SolverError):
-    """A dense truncation would exceed the supported problem size."""
+    """A truncation would exceed the supported problem size."""

@@ -14,8 +14,10 @@ for R_l and the forward inversions of the pivots, are level sweeps
 (matkernel.solve_sweep): one LAPACK call per level and one guard over the
 stacked pivots, which names the first failing level.  The model checks its
 blocks the same way, as one stack per table, and walks the levels only to
-name an offender.  truncated_generator lays the blocks out as one dense
-generator on a finite range of levels, which the oracle solves.
+name an offender.  truncated_generator lays the blocks out as one
+generator on a finite range of levels, in band storage, which the oracle
+solves; each kind of block goes in for every level at once, through a
+(level, phase, level, phase) view of the band.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matkernel import _frozen, as_matrix, solve_sweep, solve_xa, stationary_row
+from .matkernel import Band, _frozen, as_matrix, solve_sweep, solve_xa, stationary_row
 from .qbd import (
     ROWSUM_TOL,
     QbdModel,
@@ -155,6 +157,23 @@ class LdQbdModel:
             return self.down[min(level, h) - 1]
         raise ValidationError(f"unknown block kind {name!r}")
 
+    def blocks_at(self, name: str, first: int, last: int) -> np.ndarray:
+        """Blocks of the given kind at levels first..last, stacked and
+        clamped as block_at does; first is at least 1 (2 for A2), so every
+        block is m x m."""
+        table, base = {"A0": (self.up, 0), "A1": (self.diag, 0), "A2": (self.down, 1)}[name]
+        low = min(first, self.horizon)
+        index = np.minimum(np.arange(first, last + 1), self.horizon) - low
+        stored = table[low - base:low - base + int(index.max(initial=0)) + 1]
+        return np.array(stored).reshape(-1, self.m, self.m)[index]
+
+    @property
+    def band_reach(self) -> tuple:
+        """(lower, upper): how far below and above the diagonal the
+        generator on levels 0..L puts an entry, for any L."""
+        reach = max(self.m0, self.m) + self.m - 1
+        return reach, reach
+
     @classmethod
     def from_qbd(cls, model: QbdModel, horizon: int) -> "LdQbdModel":
         """Embed a level-independent chain, repeating its blocks to `horizon`."""
@@ -176,30 +195,27 @@ class LdQbdModel:
         return cls(up, diag, down)
 
 
-def truncated_generator(model: LdQbdModel, levels: int) -> np.ndarray:
-    """The generator on levels 0..`levels` as one dense matrix: level 0
-    takes the first m0 states and level k >= 1 the m states after it.  The
-    last level keeps its upward flow on its own diagonal block, so every row
+def truncated_generator(model: LdQbdModel, levels: int) -> Band:
+    """The generator on levels 0..`levels` in band storage: level 0 takes
+    the first m0 states and level k >= 1 the m states after it.  The last
+    level keeps its upward flow on its own diagonal block, so every row
     still sums to zero."""
     m0, m = model.m0, model.m
-
-    def start(level):
-        return 0 if level == 0 else m0 + (level - 1) * m
-
-    q = np.zeros((start(levels) + m, start(levels) + m))
-    q[:m0, :m0] = model.block_at("A1", 0)
-    q[:m0, m0:m0 + m] = model.block_at("A0", 0)
-    for k in range(1, levels + 1):
-        row = slice(start(k), start(k) + m)
-        width = m0 if k == 1 else m
-        q[row, start(k - 1):start(k - 1) + width] = model.block_at("A2", k)
-        diag = model.block_at("A1", k)
-        if k == levels:
-            diag = diag + model.block_at("A0", k)
-        q[row, start(k):start(k) + m] = diag
-        if k < levels:
-            q[row, start(k + 1):start(k + 1) + m] = model.block_at("A0", k)
-    return q
+    lower, upper = model.band_reach
+    band = Band.zeros(m0 + levels * m, lower, upper)
+    q = band.view()
+    q[:m0, :m0] = model.diag[0]
+    q[:m0, m0:m0 + m] = model.up[0]
+    q[m0:m0 + m, :m0] = model.down[0]
+    # levels 1..levels as a (level, phase, level, phase) view of q
+    grid = q[m0:, m0:].reshape(levels, m, levels, m)
+    rows = np.arange(levels)
+    local = model.blocks_at("A1", 1, levels)
+    local[-1] += model.block_at("A0", levels)
+    grid[rows, :, rows, :] = local
+    grid[rows[:-1], :, rows[1:], :] = model.blocks_at("A0", 1, levels - 1)
+    grid[rows[1:], :, rows[:-1], :] = model.blocks_at("A2", 2, levels)
+    return band
 
 
 @dataclass(frozen=True)
@@ -307,9 +323,9 @@ def lu_measures(model: LdQbdModel, count: int) -> LdMeasures:
     if count < 1:
         raise ValidationError("need a window of at least one level")
     m = model.m
-    a0 = [model.block_at("A0", k) for k in range(1, count)]
-    a1 = [model.block_at("A1", k) for k in range(1, count + 1)]
-    a2 = [model.block_at("A2", k) for k in range(2, count + 1)]
+    a0 = model.blocks_at("A0", 1, count - 1)
+    a1 = model.blocks_at("A1", 1, count)
+    a2 = model.blocks_at("A2", 2, count)
     psis = np.empty((count, m, m))
     ups = np.empty((count - 1, m, m))
     psis[0] = a1[0]
@@ -331,7 +347,7 @@ def lu_measures(model: LdQbdModel, count: int) -> LdMeasures:
     )
     if count > 1:
         advance(count - 1, inverses[-1])
-    downs = inverses @ np.array(a0).reshape(-1, m, m)
+    downs = inverses @ a0
     return LdMeasures(_frozen(psis), _frozen(ups), _frozen(downs),
                       _frozen(np.ascontiguousarray(inverses)))
 

@@ -1,18 +1,20 @@
-"""Dense real-matrix kernel used by every solver, and the package's only
-user of numpy.linalg.
+"""Real-matrix kernel used by every solver, and the package's only user of
+numpy.linalg.
 
 Matrices are plain 2-d float64 numpy arrays; probability and rate vectors are
-1-d arrays treated as rows.  Every linear solve is one LAPACK call that
-returns the solution and the inverse together, and every solve passes one
-guard: an exactly singular matrix, a non-finite solution, or a 1-norm
-reciprocal condition number below RCOND_MIN raises SingularMatrix instead of
-returning digits that mean nothing.  The guard takes one system or a stack
-of them: solve_linear applies it to its system, and solve_sweep, which runs
-a chain of solves each built from the one before (a level-by-level sweep),
-applies it once to the whole stack after the sweep and names the first
-system that fails.  Stationary rows are the
-exception to LAPACK: stationary_row is GTH state reduction inside the
-matrix's band, which needs no subtraction, so each entry is accurate
+1-d arrays treated as rows.  A large banded matrix, such as a chain
+truncated for the oracle, is a Band instead: LAPACK's band layout, n rows of
+p + q + 1 cells for lower and upper reach p and q.  Every linear solve is
+one LAPACK call that returns the solution and the inverse together, and
+every solve passes one guard: an exactly singular matrix, a non-finite
+solution, or a 1-norm reciprocal condition number below RCOND_MIN raises
+SingularMatrix instead of returning digits that mean nothing.  The guard
+takes one system or a stack of them: solve_linear applies it to its system,
+and solve_sweep, which runs a chain of solves each built from the one before
+(a level-by-level sweep), applies it once to the whole stack after the sweep
+and names the first system that fails.  Stationary rows are the exception to
+LAPACK: stationary_row is GTH state reduction inside the matrix's band,
+dense or banded, which needs no subtraction, so each entry is accurate
 relative to its own size however small it is.  Its answer is re-checked
 against the balance equations.
 """
@@ -200,10 +202,48 @@ def inverse(a) -> np.ndarray:
     return solve_linear(a, np.eye(len(a)))
 
 
+class Band:
+    """An n x n matrix in band storage, LAPACK's layout by rows: entry (i, j)
+    sits at cells[i, j - i + lower] for -lower <= j - i <= upper, so cells
+    has n rows and lower + upper + 1 columns.  Cells that fall outside the
+    matrix are zero."""
+
+    __slots__ = ("cells", "lower")
+
+    def __init__(self, cells: np.ndarray, lower: int):
+        self.cells, self.lower = cells, lower
+
+    @classmethod
+    def zeros(cls, n: int, lower: int, upper: int) -> "Band":
+        """The zero n x n matrix with room for the given reaches, each cut
+        to n - 1."""
+        lower = min(lower, n - 1)
+        return cls(np.zeros((n, lower + min(upper, n - 1) + 1)), lower)
+
+    def view(self) -> np.ndarray:
+        """The matrix as an n x n strided view of the (C-contiguous) cells,
+        entry (i, j) at flat index i (width - 1) + j + lower, for writing
+        blocks in place; an entry outside the band aliases another cell.
+        numpy.ndarray over the buffer gives the view as_strided would,
+        without the dict as_strided allocates per call."""
+        n, width = self.cells.shape
+        item = self.cells.itemsize
+        return np.ndarray((n, n), buffer=self.cells, offset=self.lower * item,
+                          strides=((width - 1) * item, item))
+
+    def product(self, x) -> np.ndarray:
+        """The row vector x times the matrix, one pass per band column."""
+        n, width = self.cells.shape
+        out = np.zeros(n + width - 1)
+        for c in range(width):
+            out[c:c + n] += x * self.cells[:, c]
+        return out[self.lower:self.lower + n]
+
+
 def _nonnegative(a: np.ndarray, what: str) -> np.ndarray:
     """a, or a copy with its negative entries set to zero when they are
-    roundoff: within n machine epsilons of the largest entry of the n x n
-    matrix.  Matrices built from solves may carry roundoff below an exact
+    roundoff: within n machine epsilons of the largest entry, for the n rows
+    of a.  Matrices built from solves may carry roundoff below an exact
     zero; a negative entry beyond it raises ValidationError(what)."""
     low = a.min()
     if low < 0.0:
@@ -221,21 +261,27 @@ def _reach(nonzero: np.ndarray) -> int:
     return int(drop.max())
 
 
-def _all_reach_last(nonzero: np.ndarray) -> bool:
-    """Whether every state reaches the last one along the nonzero entries,
-    row to column; the diagonal adds no path."""
-    reached = np.zeros(len(nonzero), dtype=bool)
-    reached[-1] = True
-    stack = [len(nonzero) - 1]
+def _all_reach_last(a: np.ndarray, last: int, below: int, above: int) -> bool:
+    """Whether every state 0..last reaches `last` along the nonzero entries
+    of a[:last + 1, :last + 1], row to column, whose nonzeros lie at most
+    `below` under and `above` over the diagonal; the diagonal adds no
+    path."""
+    reached = np.zeros(last + 1, dtype=bool)
+    reached[last] = True
+    stack = [last]
     while stack:
-        into = nonzero[:, stack.pop()] & ~reached
-        reached |= into
-        stack.extend(np.flatnonzero(into))
+        j = stack.pop()
+        first = max(0, j - above)
+        rows = slice(first, min(last, j + below) + 1)
+        into = (a[rows, j] != 0.0) & ~reached[rows]
+        reached[rows] |= into
+        stack.extend(first + np.flatnonzero(into))
     return bool(reached.all())
 
 
 def stationary_row(m, continuous: bool = True) -> np.ndarray:
-    """Stationary row vector of a generator (v M = 0) or kernel (v M = v).
+    """Stationary row vector of a generator (v M = 0) or kernel (v M = v),
+    given as a square matrix or a Band.
 
     GTH state reduction (Grassmann, Taksar & Heyman 1985) on the off-diagonal
     entries, which M and M - I share.  The last state is folded into the
@@ -244,11 +290,13 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     every entry accurate relative to its own size.  Folding a state touches
     only the rows that reach it and the columns it reaches, so the work stays
     inside the band of the off-diagonal nonzeros: O(n p q) for lower reach p
-    and upper reach q.  A state k that reaches no lower state once the
-    states above it are folded in is closed in the folded chain; if every
-    lower state reaches it there, they are transient, carry no mass, and
-    back-substitution starts at k.  The balance residual is re-checked
-    afterwards.
+    and upper reach q, and no fill-in leaves it.  The fold runs on a copy of
+    the cells, dense or banded, seen as one n x n strided view, so both
+    layouts take the same steps on the same entries.  A state k that reaches
+    no lower state once the states above it are folded in is closed in the
+    folded chain; if every lower state reaches it there, they are transient,
+    carry no mass, and back-substitution starts at k.  The balance residual
+    is re-checked afterwards.
 
     Raises:
         ValidationError: on a negative off-diagonal entry beyond roundoff,
@@ -257,14 +305,24 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
             above it are folded in and some lower state does not reach it
             (two closed classes, say), or if v misses balance.
     """
-    m = _square(m, "stationary_row")
-    n = m.shape[0]
-    balance = m if continuous else m - np.eye(n)
-    a = m.copy()
-    np.fill_diagonal(a, 0.0)
+    banded = isinstance(m, Band)
+    if banded:
+        cells, lower = np.asarray(m.cells, dtype=float), m.lower
+        step = cells.shape[1] - 1
+    else:
+        cells, lower = _square(m, "stationary_row"), 0
+        step = len(cells)
+    n = len(cells)
+    a = cells.copy()
+    a.reshape(-1)[lower::step + 1] = 0.0  # the diagonal
     a = _nonnegative(a, "stationary_row: negative off-diagonal entry")
-    nonzero = a != 0.0
-    below, above = _reach(nonzero), _reach(nonzero.T)
+    if banded:
+        offsets = np.flatnonzero(a.any(axis=0)) - lower
+        below, above = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+        a = Band(a, lower).view()
+    else:
+        nonzero = a != 0.0
+        below, above = _reach(nonzero), _reach(nonzero.T)
     # Folding k divides column k above the diagonal by k's outflow to the
     # states below it, then adds the rates through k to the rows that reach
     # it.  The diagonal of a collects junk and is never read.  One buffer
@@ -276,7 +334,7 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
         row = a[k, first_col:k]
         out = row.sum()
         if out == 0.0:
-            if not _all_reach_last(a[: k + 1, : k + 1] != 0.0):
+            if not _all_reach_last(a, k, below, above):
                 raise SingularMatrix(f"stationary solve: state {k} reaches no lower state")
             start = k
             break
@@ -292,7 +350,12 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
         if mass > 1e250:  # a chain that climbs: keep the row finite
             v[: k + 1] /= mass
     v /= v.sum()
-    residual = inf_norm(v @ balance)
-    if not residual <= BALANCE_TOL * max(1.0, inf_norm(balance)):  # NaN fails too
+    if banded:
+        balance = Band(cells if continuous else cells - np.eye(1, step + 1, lower), lower)
+        residual, size = inf_norm(balance.product(v)), inf_norm(balance.cells)
+    else:
+        balance = cells if continuous else cells - np.eye(n)
+        residual, size = inf_norm(v @ balance), inf_norm(balance)
+    if not residual <= BALANCE_TOL * max(1.0, size):  # NaN fails too
         raise SingularMatrix(f"stationary solve left balance residual {residual:.3e}")
     return v

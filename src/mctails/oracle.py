@@ -10,9 +10,11 @@ finite system state by state with GTH state reduction
 evidence for both, since they share no intermediate quantities.  The
 reduction has no subtractions, so the oracle's tails keep their relative
 accuracy deep into the tail, where they are far below machine epsilon; it
-works inside the band of the assembled matrix, so a block-tridiagonal chain
-costs time linear in its state count.  Assembly stays dense, hence
-MAX_STATES.
+works inside the band of the assembled matrix.  Both truncations come in
+band storage (matkernel.Band), n x (p + q + 1) cells for lower and upper
+reach p and q, so a block-tridiagonal chain costs memory and time linear in
+its state count.  MAX_CELLS caps the band, and a truncation past it raises
+SizeLimit before any assembly.
 """
 
 from __future__ import annotations
@@ -26,7 +28,22 @@ from .qbd import QbdModel
 from .series import TailSeries, _check_levels
 from .skipfree import SkipFreeModel, truncated_kernel
 
-MAX_STATES = 5000
+# Band cells the oracle may assemble: one band of 32 MB.
+MAX_CELLS = 4_000_000
+
+
+def _truncation(model) -> tuple:
+    """The model as a chain the oracle truncates, its truncation rule,
+    whether that yields a generator, and the band width of the result."""
+    if isinstance(model, QbdModel):
+        model = LdQbdModel.from_qbd(model, 2)
+    if isinstance(model, LdQbdModel):
+        truncate, continuous = truncated_generator, True
+    elif isinstance(model, SkipFreeModel):
+        truncate, continuous = truncated_kernel, False
+    else:
+        raise TypeError(f"no truncation rule for {type(model).__name__}")
+    return model, truncate, continuous, sum(model.band_reach) + 1
 
 
 def truncate_and_solve(model, levels: int) -> TailSeries:
@@ -36,21 +53,16 @@ def truncate_and_solve(model, levels: int) -> TailSeries:
     overflow of each row (M/G/1 structures), keeping the finite system
     conservative.  The report's error_estimate is the mass the solver parked
     on the truncation level, which bounds how much the tails can be off; it
-    shrinks geometrically as `levels` grows for any stable chain.
+    shrinks geometrically as `levels` grows for any stable chain.  A band
+    of more than MAX_CELLS cells raises SizeLimit before it is assembled.
     """
     _check_levels(levels, 1)
-    if isinstance(model, QbdModel):
-        model = LdQbdModel.from_qbd(model, 2)
-    if isinstance(model, LdQbdModel):
-        truncate, continuous = truncated_generator, True
-    elif isinstance(model, SkipFreeModel):
-        truncate, continuous = truncated_kernel, False
-    else:
-        raise TypeError(f"no truncation rule for {type(model).__name__}")
+    model, truncate, continuous, width = _truncation(model)
     m0, m = model.m0, model.m
-    if m0 + levels * m > MAX_STATES:
+    states = m0 + levels * m
+    if states * width > MAX_CELLS:
         raise SizeLimit(
-            f"{m0 + levels * m} states exceeds the dense limit {MAX_STATES}"
+            f"{states} states in a band {width} wide exceed the limit of {MAX_CELLS} cells"
         )
     x = stationary_row(truncate(model, levels), continuous=continuous)
     x0 = x[:m0]
@@ -66,11 +78,13 @@ def truncate_and_solve(model, levels: int) -> TailSeries:
 
 def sized_reference(build, levels: int, tol: float) -> TailSeries:
     """Oracle tails of ``build(depth)`` at the first depth of 2 `levels`,
-    4 `levels`, ... up to MAX_STATES (else SizeLimit) whose mass past it,
-    x_L e / (1 - q) with q = x_L e / x_{L-1} e (infinite when q >= 1), is
-    at most `tol` times pi_levels e; the report adds it as ``mass_past``."""
-    chain = build(1)  # for its block sizes, which do not change with the depth
-    deepest = (MAX_STATES - chain.m0) // chain.m
+    4 `levels`, ... up to the deepest MAX_CELLS allows (else SizeLimit)
+    whose mass past it, x_L e / (1 - q) with q = x_L e / x_{L-1} e
+    (infinite when q >= 1), is at most `tol` times pi_levels e; the report
+    adds it as ``mass_past``."""
+    # block sizes and band width do not change with the depth
+    chain, _, _, width = _truncation(build(1))
+    deepest = (MAX_CELLS // width - chain.m0) // chain.m
     depth, mass = min(2 * levels, deepest), np.inf
     while depth > levels:
         series = truncate_and_solve(build(depth), depth)
@@ -82,5 +96,5 @@ def sized_reference(build, levels: int, tol: float) -> TailSeries:
         if depth == deepest:
             break
         depth = min(2 * depth, deepest)
-    raise SizeLimit(f"{chain.m0 + deepest * chain.m} states (dense limit {MAX_STATES}) leave a "
-                    f"mass of {mass:.1e} past level {deepest}, over tol of pi_{levels}")
+    raise SizeLimit(f"{chain.m0 + deepest * chain.m} states (band limit {MAX_CELLS} cells) "
+                    f"leave a mass of {mass:.1e} past level {deepest}, over tol of pi_{levels}")

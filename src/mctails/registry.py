@@ -3,7 +3,7 @@
 For every kind the table gives the model-file section that describes it and
 the builder that turns that section into a model, the stage that solves
 and checks, once, what every route of the kind reads, its tail routes (the
-first is the default), and the builder of the chain that the dense
+first is the default), and the builder of the chain that the banded
 truncation oracle solves as its reference, or None when the kind has no
 finite-state counterpart.  ``mctails.solve_tails``, the command line and
 ``cross_check`` all read it.  The solver tolerance rides on the ``Model``:
@@ -291,7 +291,7 @@ def _compare(left: str, right: str, a: TailSeries, b: TailSeries) -> Comparison:
 
 def cross_check(model: Model, levels: int) -> CheckReport:
     """Solve `model` by every route of its kind and, where the kind has a
-    reference chain, by the dense oracle; then compare every pair over
+    reference chain, by the banded oracle; then compare every pair over
     levels up to `levels`.
 
     The kind's stage is solved once, at ``model.tol`` resolved as ``solve``

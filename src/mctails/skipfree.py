@@ -17,9 +17,10 @@ arbitrarily far up:
     |         A0  A1 .. |
 
 Both keep a finite list of nonzero blocks.  truncated_kernel is the one
-place that lays these blocks out by level: model validation checks its row
-sums, the balance re-check of both stationary solvers multiplies by it, and
-the oracle solves it.  The GI/M/1 side has a
+place that lays these blocks out by level, in band storage
+(matkernel.Band): model validation checks the row sums of its cells, the
+balance re-check of both stationary solvers multiplies by it
+(Band.product), and the oracle solves it.  The GI/M/1 side has a
 matrix-geometric stationary vector driven by the minimal solution of
 R = sum_k R^k A_k; the M/G/1 side rests on the first-passage matrix
 G = sum_k A_k G^k and visit-count blocks fed into a forward recursion.  Seen
@@ -41,6 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .matkernel import (
+    Band,
     _frozen,
     _powers,
     as_matrix,
@@ -96,8 +98,11 @@ class SkipFreeModel:
                 raise ValidationError(f"B{k}: negative entry")
         object.__setattr__(self, "a_blocks", tuple(_frozen(x) for x in a))
         object.__setattr__(self, "b_blocks", tuple(_frozen(x) for x in b))
-        kernel = truncated_kernel(self, max(len(a), len(b)) + 1)
-        miss = np.abs(kernel.sum(axis=1) - 1.0)
+        # the shallowest truncation that holds every distinct row: M/G/1
+        # rows are alike from level 2 on, GI/M/1 rows from level
+        # max(len(A), len(B)) - 1 on
+        depth = 2 if self.kind == "MG1" else max(len(a), len(b)) - 1
+        miss = np.abs(truncated_kernel(self, depth).cells.sum(axis=1) - 1.0)
         if np.any(miss > ROWSUM_TOL):
             state = int(np.argmax(miss > ROWSUM_TOL))
             level = 0 if state < m0 else (state - m0) // m + 1
@@ -113,9 +118,21 @@ class SkipFreeModel:
     def m0(self) -> int:
         return self.b_blocks[1].shape[0]
 
+    @property
+    def band_reach(self) -> tuple:
+        """(lower, upper): how far below and above the diagonal the kernel
+        on levels 0..L puts an entry, for any L.  A move of one level spans
+        at most max(m0, m) + m - 1 states.  On the far side, down in GI/M/1
+        and up in M/G/1, A_d spans at most d m - 1 and B_k, between level 0
+        and level k - 1, at most m0 + (k - 1) m - 1."""
+        a, b, m = self.a_blocks, self.b_blocks, self.m
+        near = max(self.m0, m) + m - 1
+        far = max((len(a) - 1) * m, self.m0 + (len(b) - 2) * m) - 1
+        return (near, far) if self.kind == "MG1" else (far, near)
 
-def truncated_kernel(model: SkipFreeModel, levels: int) -> np.ndarray:
-    """The kernel on levels 0..`levels`, drawn above, as one dense matrix:
+
+def truncated_kernel(model: SkipFreeModel, levels: int) -> Band:
+    """The kernel on levels 0..`levels`, drawn above, in band storage:
     level 0 takes the first m0 states and level k >= 1 the m states after
     it.  The last level absorbs every move past it, so each row keeps its
     sum.  This is the one place that decides which block a move of the chain
@@ -130,7 +147,9 @@ def truncated_kernel(model: SkipFreeModel, levels: int) -> np.ndarray:
     a, b = model.a_blocks, model.b_blocks
     m0, m = model.m0, model.m
     mg1 = model.kind == "MG1"
-    p = np.zeros((m0 + levels * m, m0 + levels * m))
+    lower, upper = model.band_reach
+    band = Band.zeros(m0 + levels * m, lower, upper)
+    p = band.view()
 
     def states(level):
         return slice(0, m0) if level == 0 else slice(m0 + (level - 1) * m, m0 + level * m)
@@ -142,14 +161,14 @@ def truncated_kernel(model: SkipFreeModel, levels: int) -> np.ndarray:
         if i <= levels:
             p[states(i), states(min(j, levels))] += blk
     # levels 1..levels as a (level, phase, level, phase) view of p; A_d moves
-    # band level r to r + 1 - d (GI/M/1) or r + d - 1 (M/G/1)
-    band = p[m0:, m0:].reshape(levels, m, levels, m)
+    # grid level r to r + 1 - d (GI/M/1) or r + d - 1 (M/G/1)
+    grid = p[m0:, m0:].reshape(levels, m, levels, m)
     rows = np.arange(levels)
     for d in range(len(a) - 1, -1, -1):
         step = d - 1 if mg1 else 1 - d
         keep = rows[rows + step >= 0]
-        band[keep, :, np.minimum(keep + step, levels - 1), :] += a[d]
-    return p
+        grid[keep, :, np.minimum(keep + step, levels - 1), :] += a[d]
+    return band
 
 
 @dataclass(frozen=True)
@@ -366,7 +385,7 @@ def _balance_residual(model: SkipFreeModel, rows: list) -> float:
     x K are exact."""
     x = np.concatenate(rows)
     width = model.m0 + (len(rows) - len(model.a_blocks)) * model.m
-    return inf_norm((x @ truncated_kernel(model, len(rows) - 1) - x)[:width])
+    return inf_norm((truncated_kernel(model, len(rows) - 1).product(x) - x)[:width])
 
 
 def _mg1_row(model: SkipFreeModel, rows, first, blocks, k: int) -> np.ndarray:

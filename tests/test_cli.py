@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from mctails import qbd
+from mctails import oracle, qbd
 from mctails.cli import ModelFileError, load_model_file, run
 
 FILES = pathlib.Path(__file__).resolve().parent.parent / "modelfiles"
@@ -109,16 +111,51 @@ def _modulated_qbd(tmp_path, rho):
         "A2": [[1.0, 0.0], [0.0, 1.0]]}})
 
 
+def _cyclic_qbd(tmp_path, m):
+    """m phases visited in a cycle at rate 1, arrivals 0.5, unit service:
+    its band is 4m - 1 cells wide."""
+    eye = np.eye(m)
+    cycle = np.roll(eye, 1, axis=1) - eye
+    return _write(tmp_path, f"cyclic{m}.json", {"kind": "qbd", "blocks": {
+        "B1": (cycle - 0.5 * eye).tolist(), "B0": (0.5 * eye).tolist(),
+        "B2": eye.tolist(), "A0": (0.5 * eye).tolist(),
+        "A1": (cycle - 1.5 * eye).tolist(), "A2": eye.tolist()}})
+
+
 def test_check_deepens_its_oracle_under_heavy_load(tmp_path, capsys):
     assert run(["check", _modulated_qbd(tmp_path, 0.95)]) == 0
     assert "oracle: 640 levels" in capsys.readouterr().out
+    assert run(["check", _modulated_qbd(tmp_path, 0.99)]) == 0
+    assert "oracle: 5120 levels" in capsys.readouterr().out
 
 
-def test_check_exits_three_when_the_oracle_cannot_be_deep_enough(tmp_path, capsys):
+def test_check_exits_three_when_the_oracle_cannot_be_deep_enough(tmp_path, capsys, monkeypatch):
+    # 100 phases: a band 399 wide, so the 4,000,000-cell cap allows 99
+    # levels, and a check at 99 levels stops before it assembles any band
+    assert run(["check", _cyclic_qbd(tmp_path, 100), "--levels", "99"]) == 3
+    err = capsys.readouterr().err
+    assert "10000 states (band limit 4000000 cells)" in err
+    assert "mass of inf past level 99" in err
+    # a cap of 2,000 levels of the rho = 0.99 chain, which needs 5,120:
+    # every depth up to the cap leaves too much mass past it
+    monkeypatch.setattr(oracle, "MAX_CELLS", 7 * 4002)
     assert run(["check", _modulated_qbd(tmp_path, 0.99)]) == 3
-    assert "5000 states" in capsys.readouterr().err
-    assert run(["check", str(FILES / "qbd22.json"), "--levels", "3000"]) == 3
-    assert "dense limit 5000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "4002 states (band limit 28014 cells) leave a mass of" in err
+    assert "past level 2000, over tol of pi_20" in err
+
+
+def test_deep_check_stays_small_in_memory(capsys):
+    """check at 1,000 levels solves a 2,000-level oracle (4,002 states) as a
+    band 7 wide; the dense matrix alone would take 128 MB."""
+    tracemalloc.start()
+    try:
+        assert run(["check", str(FILES / "qbd22.json"), "--levels", "1000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "oracle: 2000 levels" in capsys.readouterr().out
+    assert peak < 5e6
 
 
 def test_meanfield_tracks_the_fixed_point(capsys):

@@ -1,4 +1,4 @@
-"""Queueing models: frozen hand values, balance identities, dense references."""
+"""Queueing models: frozen hand values, balance identities, truncation references."""
 
 import json
 import math

@@ -1,5 +1,6 @@
-"""Dense truncation reference: conservation, error estimates, size guard,
-entrywise accuracy deep in the tail."""
+"""Banded truncation reference: conservation, error estimates, size guard,
+entrywise accuracy deep in the tail, and the same answer as a dense
+solve."""
 
 from pathlib import Path
 
@@ -7,14 +8,17 @@ import numpy as np
 import pytest
 
 from mctails import solve_tails
+from mctails import oracle
 from mctails.cli import load_model_file
 from mctails.errors import SizeLimit, ValidationError
 from mctails.ldqbd import LdQbdModel, truncated_generator
-from mctails.matkernel import inf_norm
-from mctails.oracle import MAX_STATES, truncate_and_solve
+from mctails.matkernel import inf_norm, stationary_row
+from mctails.oracle import MAX_CELLS, _truncation, truncate_and_solve
 from mctails.qbd import QbdModel
+from mctails.registry import REGISTRY, cross_check
 from mctails.skipfree import SkipFreeModel, truncated_kernel
 
+FILES = Path(__file__).resolve().parents[1] / "modelfiles"
 MM1 = QbdModel([[-1.0]], [[1.0]], [[2.0]], [[1.0]], [[-3.0]], [[2.0]])
 GIM1 = SkipFreeModel("GIM1", [[[0.3]], [[0.3]], [[0.4]]],
                      [[[0.3]], [[0.7]], [[0.4]]])
@@ -24,14 +28,47 @@ MG1 = SkipFreeModel("MG1", [[[0.6]], [[0.1]], [[0.2]], [[0.1]]],
 
 def test_truncated_generator_rows_sum_to_zero():
     q = truncated_generator(LdQbdModel.from_qbd(MM1, 2), 30)
-    assert inf_norm(q.sum(axis=1)) < 1e-12
+    assert inf_norm(q.cells.sum(axis=1)) < 1e-12
+    # a 3-state boundary under 2-phase levels, with blocks varying to level 3
+    rng = np.random.default_rng(3)
+    up = [rng.random((3, 2))] + [rng.random((2, 2)) for _ in range(3)]
+    down = [rng.random((2, 3))] + [rng.random((2, 2)) for _ in range(2)]
+    out = [u.sum(axis=1) + (d.sum(axis=1) if k else 0.0)
+           for k, (u, d) in enumerate(zip(up, [None] + down))]
+    diag = [-np.diag(o) for o in out]
+    chain = LdQbdModel(tuple(up), tuple(diag), tuple(down))
+    for levels in (1, 2, 3, 9):
+        assert inf_norm(truncated_generator(chain, levels).cells.sum(axis=1)) < 1e-12
+
+
+def _uneven(kind, m0=3, m=2, count=5):
+    """A skip-free chain with m0 != m and `count` blocks of each list, built
+    so that every row sums to one."""
+    rng = np.random.default_rng(7)
+    a = [rng.random((m, m)) for _ in range(count)]
+    total = sum(a).sum(axis=1, keepdims=True)
+    a = [blk / total for blk in a]
+    spread = np.full((1, m0), 1.0 / m0)
+    if kind == "GIM1":
+        # level i >= 1 keeps A_0..A_i and sends the rest of its row to level 0
+        rest = [1.0 - sum(a[:i + 1]).sum(axis=1, keepdims=True) for i in range(1, count)]
+        b = [np.full((m0, m), 0.5 / m), np.full((m0, m0), 0.5 / m0)]
+        b += [r * spread for r in rest]
+    else:
+        b = [a[0].sum(axis=1, keepdims=True) * spread]
+        b += [np.full((m0, m0 if k == 1 else m), 1.0 / (m0 + (count - 2) * m))
+              for k in range(1, count)]
+    return SkipFreeModel(kind, a, b)
 
 
 def test_truncated_kernels_stay_stochastic():
-    for model in (GIM1, MG1):
-        p = truncated_kernel(model, 25)
-        assert np.all(p >= -1e-15)
-        assert inf_norm(p.sum(axis=1) - 1.0) < 1e-12
+    """Every row keeps its sum at any depth; a block written outside the
+    band would move mass between rows."""
+    for model in (GIM1, MG1, _uneven("GIM1"), _uneven("MG1")):
+        for levels in (1, 2, 3, 25):
+            p = truncated_kernel(model, levels).cells
+            assert np.all(p >= -1e-15)
+            assert inf_norm(p.sum(axis=1) - 1.0) < 1e-12
 
 
 def test_total_mass_is_one():
@@ -61,9 +98,19 @@ def test_deep_tails_match_the_truncated_closed_form():
         assert abs(float(series.level(k)[0]) - exact) <= 1e-13 * exact
 
 
+def test_heavy_load_tails_match_the_truncated_closed_form_30000_levels_deep():
+    """At rho = 0.999 the truncated law holds pi_1..pi_50 to 1e-13 relative
+    with 30,000 levels, which a dense solve could not hold in memory."""
+    rho, levels = 0.999, 30000
+    model = QbdModel([[-rho]], [[rho]], [[1.0]], [[rho]], [[-1.0 - rho]], [[1.0]])
+    series = truncate_and_solve(model, levels)
+    for k in range(1, 51):
+        exact = (rho**k - rho ** (levels + 1)) / (1.0 - rho ** (levels + 1))
+        assert abs(float(series.level(k)[0]) - exact) <= 1e-13 * exact
+
+
 def test_deep_oracle_matches_the_matrix_geometric_route():
-    path = Path(__file__).resolve().parents[1] / "modelfiles" / "qbd22.json"
-    model = load_model_file(str(path)).payload
+    model = load_model_file(str(FILES / "qbd22.json")).payload
     oracle = truncate_and_solve(model, 1000)
     mg = solve_tails(model, 60, method="mg")
     for k in (20, 40, 60):
@@ -77,9 +124,12 @@ def test_error_estimate_shrinks_with_depth():
     assert large < small
 
 
-def test_state_count_guard():
-    with pytest.raises(SizeLimit):
-        truncate_and_solve(MM1, MAX_STATES + 1)
+def test_state_count_guard(monkeypatch):
+    """M/M/1 truncates to a band 3 wide, so MAX_CELLS levels are over the
+    cap; it raises before the band is assembled."""
+    monkeypatch.setattr(oracle, "truncated_generator", None)
+    with pytest.raises(SizeLimit, match=f"band 3 wide exceed the limit of {MAX_CELLS} cells"):
+        truncate_and_solve(MM1, MAX_CELLS)
 
 
 @pytest.mark.parametrize("levels", [0, -1, 2.5])
@@ -98,3 +148,30 @@ def test_oracle_never_places_blocks_itself():
 def test_unsupported_model_type_is_rejected():
     with pytest.raises(TypeError):
         truncate_and_solve(object(), 10)
+
+
+def _dense(band):
+    """The n x n matrix a Band stores."""
+    n, width = band.cells.shape
+    rows, cols = np.indices((n, width))
+    cols = cols + rows - band.lower
+    inside = (cols >= 0) & (cols < n)
+    out = np.zeros((n, n))
+    out[rows[inside], cols[inside]] = band.cells[inside]
+    return out
+
+
+REFERENCED = [load_model_file(str(path)) for path in sorted(FILES.glob("*.json"))]
+REFERENCED = [model for model in REFERENCED if REGISTRY[model.kind].reference]
+
+
+@pytest.mark.parametrize("model", REFERENCED, ids=lambda model: model.kind)
+def test_band_solve_is_bit_identical_to_the_dense_solve(model):
+    """Each reference chain, truncated at the depth check picks, solves to
+    the same bits from its band as from the dense matrix."""
+    depth = cross_check(model, 20).oracle_levels
+    chain, truncate, continuous, width = _truncation(REGISTRY[model.kind].reference(model, depth))
+    band = truncate(chain, depth)
+    assert band.cells.shape == (chain.m0 + depth * chain.m, width)
+    x = stationary_row(band, continuous)
+    assert (x == stationary_row(_dense(band), continuous)).all()

@@ -1,4 +1,4 @@
-"""Level-independent QBD solvers against hand values and the dense reference."""
+"""Level-independent QBD solvers against hand values and the truncation reference."""
 
 import numpy as np
 import pytest
