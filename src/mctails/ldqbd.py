@@ -12,9 +12,11 @@ level-0 row from solve_rate_sequence, which checks the frozen levels for
 stability once.  The per-level solves of both routes, the backward pass
 for R_l and the forward inversions of the pivots, are level sweeps
 (matkernel.solve_sweep): one LAPACK call per level and one guard over the
-stacked pivots, which names the first failing level.  The model checks its
-blocks the same way, as one stack per table, and walks the levels only to
-name an offender.  truncated_generator lays the blocks out as one
+stacked pivots, which names the first failing level.  The model's blocks
+are checked by qbd.check_tables, the one check QbdModel shares, in the same
+way: one stack per table, walking the levels only to name an offender.  A
+level-independent QBD is the chain whose blocks stop changing at level 1
+(LdQbdModel.from_qbd).  truncated_generator lays the blocks out as one
 generator on a finite range of levels, in band storage, which the oracle
 solves; each kind of block goes in for every level at once, through a
 (level, phase, level, phase) view of the band.
@@ -27,64 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matkernel import Band, _frozen, as_matrix, solve_sweep, solve_xa, stationary_row
-from .qbd import (
-    ROWSUM_TOL,
-    QbdModel,
-    _check_generator_block,
-    _check_nonnegative,
-    _check_zero_rowsums,
-    geometric_mass,
-    solve_R,
-)
+from .matkernel import Band, _frozen, solve_sweep, solve_xa, stationary_row
+from .qbd import QbdModel, check_tables, geometric_mass, solve_R
 from .series import TailSeries
-
-
-def _as_blocks(blocks, name: str, first: int) -> tuple:
-    """A block table as (first block, the rest), each block coerced by
-    as_matrix's rules.  The rest go through one np.array call and come back
-    stacked; only when they do not stack into finite matrices does
-    as_matrix walk them, naming the first offender, and they come back as a
-    list."""
-    head = as_matrix(blocks[0], name.format(first))
-    try:
-        rest = np.array(blocks[1:], dtype=float)
-        if rest.ndim == 3 and rest.size and np.isfinite(rest).all():
-            return head, rest
-    except (TypeError, ValueError):
-        pass
-    return head, [as_matrix(a, name.format(k)) for k, a in enumerate(blocks[1:], first + 1)]
-
-
-def _check_blocks(table: tuple, name: str, first: int, shapes: tuple, check, holds) -> tuple:
-    """Shape and sign checks of a block table from _as_blocks, whose first
-    block has shape shapes[0] and the rest shapes[1].  check(block, name)
-    raises on a bad sign and holds(blocks) tells whether a block or a stack
-    of them is free of one.  The checks run on the stack at once; only when
-    one fails do they walk the levels in order, each level's shape before
-    its sign, to name the first offender.  Returns (first block, stack of
-    the rest)."""
-    head, rest = table
-    if (isinstance(rest, np.ndarray) and head.shape == shapes[0]
-            and rest.shape[1:] == shapes[1] and holds(head) and holds(rest)):
-        return head, rest
-    for k, blk in enumerate([head, *rest], first):
-        want = shapes[0] if k == first else shapes[1]
-        if blk.shape != want:
-            raise ValidationError(f"{name.format(k)}: expected shape {want}")
-        check(blk, name.format(k))
-    return head, np.array(rest).reshape(-1, *shapes[1])
-
-
-def _is_generator(blocks) -> bool:
-    """No negative off-diagonal and no positive diagonal entry, in a block
-    or a stack of them."""
-    on = np.eye(blocks.shape[-1], dtype=bool)
-    return not (np.any(blocks[..., ~on] < 0) or np.any(blocks[..., on] > 0))
-
-
-def _is_nonnegative(blocks) -> bool:
-    return not np.any(blocks < 0)
 
 
 @dataclass(frozen=True)
@@ -94,7 +41,10 @@ class LdQbdModel:
     up[k] is the flow from level k to k+1 (k = 0..horizon), diag[k] the local
     block at level k, down[k] the flow from level k to k-1 (k = 1..horizon).
     Level 0 may have a different width than the repeating levels.  Requests
-    beyond the horizon clamp to the last stored block.
+    beyond the horizon clamp to the last stored block.  Construction checks
+    the table lengths here and the rest with qbd.check_tables, whose
+    messages name a block A1(k) by its kind and level and a row by its
+    level.
     """
 
     up: tuple
@@ -108,27 +58,8 @@ class LdQbdModel:
             raise ValidationError("A0 and A1 must list the same levels 0..J")
         if len(self.down) != len(self.diag) - 1:
             raise ValidationError("A2 lists levels 1..J, one entry fewer than A1")
-        up = _as_blocks(self.up, "A0({})", 0)
-        diag = _as_blocks(self.diag, "A1({})", 0)
-        down = _as_blocks(self.down, "A2({})", 1)
-        m0 = diag[0].shape[0]
-        m = diag[1][0].shape[0]
-        if m0 != m and len(self.diag) < 3:
-            raise ValidationError(
-                "a distinct boundary width needs at least two levels above it"
-            )
-        diag = _check_blocks(diag, "A1({})", 0, ((m0, m0), (m, m)),
-                             _check_generator_block, _is_generator)
-        up = _check_blocks(up, "A0({})", 0, ((m0, m), (m, m)),
-                           _check_nonnegative, _is_nonnegative)
-        down = _check_blocks(down, "A2({})", 1, ((m, m0), (m, m)),
-                             _check_nonnegative, _is_nonnegative)
-        _check_zero_rowsums(diag[0].sum(axis=1) + up[0].sum(axis=1), "level-0 row")
-        below = np.concatenate((down[0].sum(axis=1)[None], down[1].sum(axis=2)))
-        rowsums = below + diag[1].sum(axis=2) + up[1].sum(axis=2)
-        if np.max(np.abs(rowsums)) > ROWSUM_TOL:
-            for k, rowsum in enumerate(rowsums, 1):
-                _check_zero_rowsums(rowsum, f"level-{k} row")
+        up, diag, down = check_tables(self.up, self.diag, self.down,
+                                      lambda kind, k: f"{kind}({k})")
         for name, (head, rest) in (("up", up), ("diag", diag), ("down", down)):
             object.__setattr__(self, name, (_frozen(head), *_frozen(rest)))
 

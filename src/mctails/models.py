@@ -315,13 +315,19 @@ def repairable_mg_tails(boundary, levels: int) -> TailSeries:
                       first_level=0)
 
 
-def supermarket_tail(rho: float, d: int, k: int) -> float:
-    """Fraction of queues with length >= k in the mean-field limit of
-    join-the-shortest-of-d sampling: rho to the power (d^k - 1)/(d - 1)."""
+def _check_supermarket(rho: float, d: int) -> None:
+    """Refuse a load outside (0, 1) or a sample size d that is not a
+    positive integer."""
     if not 0 < rho < 1:
         raise ValidationError(f"rho must lie in (0, 1), got {rho}")
     if d < 1 or int(d) != d:
         raise ValidationError(f"d must be a positive integer, got {d}")
+
+
+def supermarket_tail(rho: float, d: int, k: int) -> float:
+    """Fraction of queues with length >= k in the mean-field limit of
+    join-the-shortest-of-d sampling: rho to the power (d^k - 1)/(d - 1)."""
+    _check_supermarket(rho, d)
     if k < 0:
         raise ValidationError("level must be nonnegative")
     if k == 0:
@@ -373,10 +379,7 @@ def meanfield_ode(rho: float, d: int, levels: int, t_end: float,
     derivative is flat.  Any coordinate escaping [0, 1] beyond roundoff slack
     aborts the run, since the dynamics preserve that box.
     """
-    if not 0 < rho < 1:
-        raise ValidationError(f"rho must lie in (0, 1), got {rho}")
-    if d < 1 or int(d) != d:
-        raise ValidationError(f"d must be a positive integer, got {d}")
+    _check_supermarket(rho, d)
     if levels < 1:
         raise ValidationError("need at least one level")
     _require_positive(t_end, "t_end")

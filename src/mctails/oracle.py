@@ -66,14 +66,10 @@ def truncate_and_solve(model, levels: int) -> TailSeries:
         )
     x = stationary_row(truncate(model, levels), continuous=continuous)
     x0 = x[:m0]
-    rows = [x[m0 + (k - 1) * m : m0 + k * m] for k in range(1, levels + 1)]
-    pis = [np.zeros(m) for _ in range(levels)]
-    suffix = np.zeros(m)
-    for k in range(levels, 0, -1):
-        suffix = suffix + rows[k - 1]
-        pis[k - 1] = suffix
+    rows = x[m0:].reshape(levels, m)
+    pis = np.cumsum(rows[::-1], axis=0)[::-1]
     report = {"levels": levels, "error_estimate": float(rows[-1].sum())}
-    return TailSeries(pis, x0, method="truncated-oracle", truncation_report=report)
+    return TailSeries(list(pis), x0, method="truncated-oracle", truncation_report=report)
 
 
 def sized_reference(build, levels: int, tol: float) -> TailSeries:

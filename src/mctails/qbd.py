@@ -55,22 +55,79 @@ MAX_DOUBLINGS = 64
 ROUNDOFF_FLOOR = 16
 
 
-def _check_generator_block(diag: np.ndarray, name: str) -> None:
-    off = diag - np.diag(np.diag(diag))
-    if np.any(off < 0):
-        raise ValidationError(f"{name}: negative off-diagonal entry")
-    if np.any(np.diag(diag) > 0):
-        raise ValidationError(f"{name}: positive diagonal entry")
+def _sign_defect(blocks, kind: str) -> str | None:
+    """What breaks the sign rule in a block or a stack of them, or None.
+    A local block (kind A1) is a generator block, with no negative
+    off-diagonal and no positive diagonal entry; the blocks between levels
+    (A0, A2) have no negative entry."""
+    if kind != "A1":
+        return "negative entry in an off-diagonal block" if (blocks < 0).any() else None
+    on = np.eye(blocks.shape[-1], dtype=bool)
+    if (blocks[..., ~on] < 0).any():
+        return "negative off-diagonal entry"
+    if (blocks[..., on] > 0).any():
+        return "positive diagonal entry"
+    return None
 
 
-def _check_nonnegative(block: np.ndarray, name: str) -> None:
-    if np.any(block < 0):
-        raise ValidationError(f"{name}: negative entry in an off-diagonal block")
+def check_tables(up, diag, down, name) -> tuple:
+    """Check the block tables of a level-dependent QBD and return them as
+    (first block, stack of the rest) each, coerced by as_matrix's rules.
+
+    up and diag list the blocks A0(k) and A1(k) of levels k = 0..J, down the
+    blocks A2(k) of levels 1..J; name(kind, k) names the block of a kind
+    ("A0", "A1" or "A2") at level k in a message.  Level 0 has width m0 and
+    the levels above it width m.  Every table is coerced first, then diag,
+    up and down are checked for shape and sign, then every level's row sums
+    against ROWSUM_TOL.  Each check runs on a table's stack at once; only
+    when one fails does it walk the levels in order, lower levels first and
+    each level's shape before its sign, to name the first offender.
+    """
+    coerced = {}
+    for kind, blocks, first in (("A0", up, 0), ("A1", diag, 0), ("A2", down, 1)):
+        head = as_matrix(blocks[0], name(kind, first))
+        try:
+            rest = np.array(blocks[1:], dtype=float)
+            stacked = rest.ndim == 3 and rest.size and np.isfinite(rest).all()
+        except (TypeError, ValueError):
+            stacked = False
+        if not stacked:
+            rest = [as_matrix(a, name(kind, k)) for k, a in enumerate(blocks[1:], first + 1)]
+        coerced[kind] = (first, head, rest)
+    m0 = coerced["A1"][1].shape[0]
+    m = coerced["A1"][2][0].shape[0]
+    if m0 != m and len(diag) < 3:
+        raise ValidationError("a distinct boundary width needs at least two levels above it")
+    shapes = {"A1": ((m0, m0), (m, m)), "A0": ((m0, m), (m, m)), "A2": ((m, m0), (m, m))}
+    checked = {}
+    for kind, (head_shape, shape) in shapes.items():
+        first, head, rest = coerced[kind]
+        if not (isinstance(rest, np.ndarray) and head.shape == head_shape
+                and rest.shape[1:] == shape and _sign_defect(head, kind) is None
+                and _sign_defect(rest, kind) is None):
+            for k, blk in enumerate([head, *rest], first):
+                want = head_shape if k == first else shape
+                if blk.shape != want:
+                    raise ValidationError(
+                        f"{name(kind, k)}: expected shape {want}, got {blk.shape}")
+                defect = _sign_defect(blk, kind)
+                if defect:
+                    raise ValidationError(f"{name(kind, k)}: {defect}")
+            rest = np.array(rest).reshape(-1, *shape)
+        checked[kind] = (head, rest)
+    (up0, ups), (diag0, diags), (down0, downs) = checked["A0"], checked["A1"], checked["A2"]
+    below = np.concatenate((down0.sum(axis=1)[None], downs.sum(axis=2)))
+    level0 = diag0.sum(axis=1) + up0.sum(axis=1)
+    rowsums = below + diags.sum(axis=2) + ups.sum(axis=2)
+    if max(inf_norm(level0), np.abs(rowsums).max()) > ROWSUM_TOL:
+        for k, rowsum in enumerate([level0, *rowsums]):
+            if inf_norm(rowsum) > ROWSUM_TOL:
+                raise ValidationError(f"level-{k} row: row sums deviate by {inf_norm(rowsum):.3e}")
+    return checked["A0"], checked["A1"], checked["A2"]
 
 
-def _check_zero_rowsums(rowsum: np.ndarray, name: str) -> None:
-    if inf_norm(rowsum) > ROWSUM_TOL:
-        raise ValidationError(f"{name}: row sums deviate by {inf_norm(rowsum):.3e}")
+# QbdModel's names for the blocks of level 0 and the jump down to it
+_BOUNDARY = {("A0", 0): "B0", ("A1", 0): "B1", ("A2", 1): "B2"}
 
 
 @dataclass(frozen=True)
@@ -78,8 +135,11 @@ class QbdModel:
     """Validated block-tridiagonal generator.
 
     b1 is m0 x m0, b0 is m0 x m, b2 is m x m0; a0, a1, a2 are m x m.
-    Construction checks the sign pattern and that every block row sums to zero
-    within 1e-12.
+    Construction checks the chain as its first three levels, the tables
+    (B0, A0, A0), (B1, A1, A1) and (B2, A2) that LdQbdModel.from_qbd would
+    stack, by check_tables: the shapes, the sign pattern, and that every
+    row of levels 0-2 sums to zero within ROWSUM_TOL.  A message names a
+    block by its own name and a row by its level.
     """
 
     b1: np.ndarray
@@ -90,33 +150,11 @@ class QbdModel:
     a2: np.ndarray
 
     def __post_init__(self):
-        b1 = as_matrix(self.b1, "B1")
-        b0 = as_matrix(self.b0, "B0")
-        b2 = as_matrix(self.b2, "B2")
-        a0 = as_matrix(self.a0, "A0")
-        a1 = as_matrix(self.a1, "A1")
-        a2 = as_matrix(self.a2, "A2")
-        m0 = b1.shape[0]
-        m = a1.shape[0]
-        if b1.shape != (m0, m0) or a1.shape != (m, m):
-            raise ValidationError("B1 and A1 must be square")
-        for blk, shape, name in (
-            (b0, (m0, m), "B0"),
-            (b2, (m, m0), "B2"),
-            (a0, (m, m), "A0"),
-            (a2, (m, m), "A2"),
-        ):
-            if blk.shape != shape:
-                raise ValidationError(f"{name}: expected shape {shape}, got {blk.shape}")
-        _check_generator_block(b1, "B1")
-        _check_generator_block(a1, "A1")
-        for blk, name in ((b0, "B0"), (b2, "B2"), (a0, "A0"), (a2, "A2")):
-            _check_nonnegative(blk, name)
-        _check_zero_rowsums(b1.sum(axis=1) + b0.sum(axis=1), "boundary row")
-        _check_zero_rowsums(b2.sum(axis=1) + a1.sum(axis=1) + a0.sum(axis=1), "level-1 row")
-        _check_zero_rowsums(a2.sum(axis=1) + a1.sum(axis=1) + a0.sum(axis=1), "repeating row")
-        for name, blk in (("b1", b1), ("b0", b0), ("b2", b2), ("a0", a0), ("a1", a1), ("a2", a2)):
-            object.__setattr__(self, name, _frozen(blk))
+        tables = check_tables((self.b0, self.a0, self.a0), (self.b1, self.a1, self.a1),
+                              (self.b2, self.a2), lambda kind, k: _BOUNDARY.get((kind, k), kind))
+        for names, (head, rest) in zip((("b0", "a0"), ("b1", "a1"), ("b2", "a2")), tables):
+            object.__setattr__(self, names[0], _frozen(head))
+            object.__setattr__(self, names[1], _frozen(rest[0]))
 
     @property
     def m0(self) -> int:

@@ -176,15 +176,14 @@ class Gim1Measures:
     """Solved quantities for a GI/M/1-type chain.
 
     rate is the minimal solution of R = sum_k R^k A_k; entry maps the
-    boundary into level 1; visit_kernel is sum_{k>=1} R^{k-1} A_k and
-    shifted_kernel adds A_0 to it, so that I minus the shifted kernel factors
-    as (I - R)(I - visit_kernel).  x0 holds the stationary boundary
-    probabilities, tau times the stationary row of the censored boundary chain.
+    boundary into level 1; shifted_kernel is A_0 + sum_{k>=1} R^{k-1} A_k,
+    so that I minus it factors as (I - R)(I - (shifted_kernel - A_0)).  x0
+    holds the stationary boundary probabilities, tau times the stationary
+    row of the censored boundary chain.
     """
 
     rate: np.ndarray
     entry: np.ndarray
-    visit_kernel: np.ndarray
     shifted_kernel: np.ndarray
     tau: float
     x0: np.ndarray
@@ -207,7 +206,6 @@ class Mg1Measures:
 
     passage: np.ndarray
     local_kernel: np.ndarray
-    drift: float
     boundary_visits: tuple
     visits: tuple
     visit_rows: tuple
@@ -264,9 +262,10 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
     """Boundary row and rate measures of a positive recurrent GI/M/1-type chain.
 
     The censored boundary chain is B_1 + R_1 sum_k R^{k-1} B_{k+1} with entry
-    block R_1 = B_0 (I - visit_kernel)^{-1}; its stationary vector, scaled by
-    the mass of the matrix-geometric levels above, gives x0.  A balance miss
-    beyond 1e-8 on a window of levels raises SingularMatrix.
+    block R_1 = B_0 (I - sum_{k>=1} R^{k-1} A_k)^{-1}; its stationary
+    vector, scaled by the mass of the matrix-geometric levels above, gives
+    x0.  A balance miss beyond 1e-8 on a window of levels raises
+    SingularMatrix.
     """
     if model.kind != "GIM1":
         raise ValidationError("gim1_stationary needs a GIM1 model")
@@ -305,7 +304,6 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
     return Gim1Measures(
         rate=r,
         entry=_frozen(entry),
-        visit_kernel=_frozen(visit),
         shifted_kernel=_frozen(a[0] + visit),
         tau=tau,
         x0=_frozen(x0),
@@ -459,7 +457,6 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     return Mg1Measures(
         passage=g,
         local_kernel=_frozen(kernel),
-        drift=drift,
         boundary_visits=tuple(_frozen(v) for v in from_boundary),
         visits=tuple(_frozen(v) for v in between),
         visit_rows=tuple(_frozen(row) for row in rows),

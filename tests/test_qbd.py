@@ -1,5 +1,7 @@
 """Level-independent QBD solvers against hand values and the truncation reference."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,40 @@ def test_model_validation_rejects_bad_sign_patterns():
         QbdModel([[-1.0]], [[-1.0]], [[2.0]], [[1.0]], [[-3.0]], [[2.0]])
     with pytest.raises(ValidationError):
         QbdModel([[-1.0]], [[1.0]], [[2.0]], [[1.0]], [[-4.0]], [[2.0]])
+
+
+@pytest.mark.parametrize("block,edit,message", [
+    ("b1", ((0, 0), 0.5), "B1: positive diagonal entry"),
+    ("b1", ((0, 1), -0.3), "B1: negative off-diagonal entry"),
+    ("b0", ((0, 0), -1.0), "B0: negative entry in an off-diagonal block"),
+    ("b2", ((1, 1), -2.0), "B2: negative entry in an off-diagonal block"),
+    ("a0", ((1, 1), -0.5), "A0: negative entry in an off-diagonal block"),
+    ("a1", ((1, 0), -0.4), "A1: negative off-diagonal entry"),
+    ("a1", ((1, 1), 1.0), "A1: positive diagonal entry"),
+    ("a2", ((0, 0), -2.0), "A2: negative entry in an off-diagonal block"),
+    ("b1", np.ones((2, 3)), "B1: expected shape (2, 2)"),
+    ("b0", np.ones((2, 3)), "B0: expected shape (2, 2)"),
+    ("b2", np.ones((3, 2)), "B2: expected shape (2, 2)"),
+    ("a1", np.ones((2, 3)), "A1: expected shape (2, 2)"),
+    ("a2", np.ones((3, 3)), "A2: expected shape (2, 2)"),
+    ("b1", ((0, 0), -1.8), "level-0 row: row sums deviate by 5.000e-01"),
+    ("b2", ((0, 0), 2.5), "level-1 row: row sums deviate by 5.000e-01"),
+    ("a2", ((0, 0), 2.5), "level-2 row: row sums deviate by 5.000e-01"),
+], ids=["B1-diagonal", "B1-off-diagonal", "B0", "B2", "A0", "A1-off-diagonal", "A1-diagonal",
+        "A2", "B1-shape", "B0-shape", "B2-shape", "A1-shape", "A2-shape", "level-0-row",
+        "level-1-row", "level-2-row"])
+def test_validation_names_the_block_or_the_level_row(block, edit, message):
+    """A sign or shape defect names its block; a row-sum defect names the
+    level of the row, 0, 1 or 2, as the chain is checked as its first three
+    levels."""
+    blocks = {name: np.array(getattr(TWOPHASE, name))
+              for name in ("b1", "b0", "b2", "a0", "a1", "a2")}
+    if isinstance(edit, tuple):
+        blocks[block][edit[0]] = edit[1]
+    else:
+        blocks[block] = edit
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        QbdModel(**blocks)
 
 
 def test_unknown_method_is_rejected():
