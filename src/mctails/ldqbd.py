@@ -12,14 +12,15 @@ level-0 row from solve_rate_sequence, which checks the frozen levels for
 stability once.  The per-level solves of both routes, the backward pass
 for R_l and the forward inversions of the pivots, are level sweeps
 (matkernel.solve_sweep): one LAPACK call per level and one guard over the
-stacked pivots, which names the first failing level.  The model's blocks
-are checked by qbd.check_tables, the one check QbdModel shares, in the same
-way: one stack per table, walking the levels only to name an offender.  A
-level-independent QBD is the chain whose blocks stop changing at level 1
-(LdQbdModel.from_qbd).  truncated_generator lays the blocks out as one
-generator on a finite range of levels, in band storage, which the oracle
-solves; each kind of block goes in for every level at once, through a
-(level, phase, level, phase) view of the band.
+stacked pivots, which names the first failing level.  The model class,
+LdQbdModel, lives in qbd beside check_tables, the one check of its block
+tables; a level-independent QBD (qbd.QbdModel) is the LdQbdModel whose
+blocks stop changing at level 1, stored as its first three levels, so both
+routes run on it as they are.  Level 0 is censored by qbd.censor_level_0,
+which the QBD boundary solve shares.  truncated_generator lays the blocks
+out as one generator on a finite range of levels, in band storage, which
+the oracle solves; each kind of block goes in for every level at once,
+through a (level, phase, level, phase) view of the band.
 """
 
 from __future__ import annotations
@@ -29,101 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matkernel import Band, _frozen, solve_sweep, solve_xa, stationary_row
-from .qbd import QbdModel, check_tables, geometric_mass, solve_R
+from .matkernel import Band, _frozen, solve_sweep, solve_xa
+from .qbd import LdQbdModel, censor_level_0, geometric_mass, solve_R
 from .series import TailSeries
-
-
-@dataclass(frozen=True)
-class LdQbdModel:
-    """Generator with level-varying tridiagonal blocks, frozen past `horizon`.
-
-    up[k] is the flow from level k to k+1 (k = 0..horizon), diag[k] the local
-    block at level k, down[k] the flow from level k to k-1 (k = 1..horizon).
-    Level 0 may have a different width than the repeating levels.  Requests
-    beyond the horizon clamp to the last stored block.  Construction checks
-    the table lengths here and the rest with qbd.check_tables, whose
-    messages name a block A1(k) by its kind and level and a row by its
-    level.
-    """
-
-    up: tuple
-    diag: tuple
-    down: tuple
-
-    def __post_init__(self):
-        if len(self.diag) < 2:
-            raise ValidationError("need blocks for level 0 and at least one level above")
-        if len(self.up) != len(self.diag):
-            raise ValidationError("A0 and A1 must list the same levels 0..J")
-        if len(self.down) != len(self.diag) - 1:
-            raise ValidationError("A2 lists levels 1..J, one entry fewer than A1")
-        up, diag, down = check_tables(self.up, self.diag, self.down,
-                                      lambda kind, k: f"{kind}({k})")
-        for name, (head, rest) in (("up", up), ("diag", diag), ("down", down)):
-            object.__setattr__(self, name, (_frozen(head), *_frozen(rest)))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.diag) - 1
-
-    @property
-    def m0(self) -> int:
-        return self.diag[0].shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.diag[1].shape[0]
-
-    def block_at(self, name: str, level: int) -> np.ndarray:
-        """Block of the given kind at a level, clamped past the horizon."""
-        h = self.horizon
-        if name == "A0":
-            return self.up[min(level, h)]
-        if name == "A1":
-            return self.diag[min(level, h)]
-        if name == "A2":
-            if level < 1:
-                raise ValidationError("A2 blocks start at level 1")
-            return self.down[min(level, h) - 1]
-        raise ValidationError(f"unknown block kind {name!r}")
-
-    def blocks_at(self, name: str, first: int, last: int) -> np.ndarray:
-        """Blocks of the given kind at levels first..last, stacked and
-        clamped as block_at does; first is at least 1 (2 for A2), so every
-        block is m x m."""
-        table, base = {"A0": (self.up, 0), "A1": (self.diag, 0), "A2": (self.down, 1)}[name]
-        low = min(first, self.horizon)
-        index = np.minimum(np.arange(first, last + 1), self.horizon) - low
-        stored = table[low - base:low - base + int(index.max(initial=0)) + 1]
-        return np.array(stored).reshape(-1, self.m, self.m)[index]
-
-    @property
-    def band_reach(self) -> tuple:
-        """(lower, upper): how far below and above the diagonal the
-        generator on levels 0..L puts an entry, for any L."""
-        reach = max(self.m0, self.m) + self.m - 1
-        return reach, reach
-
-    @classmethod
-    def from_qbd(cls, model: QbdModel, horizon: int) -> "LdQbdModel":
-        """Embed a level-independent chain, repeating its blocks to `horizon`."""
-        if horizon < 2:
-            raise ValidationError("horizon must be at least 2")
-        up = [model.b0] + [model.a0] * horizon
-        diag = [model.b1] + [model.a1] * horizon
-        down = [model.b2] + [model.a2] * (horizon - 1)
-        return cls(tuple(up), tuple(diag), tuple(down))
-
-    @classmethod
-    def from_rule(cls, up_fn, diag_fn, down_fn, horizon: int) -> "LdQbdModel":
-        """Tabulate per-level callables up to the horizon."""
-        if horizon < 1:
-            raise ValidationError("horizon must be at least 1")
-        up = tuple(up_fn(k) for k in range(horizon + 1))
-        diag = tuple(diag_fn(k) for k in range(horizon + 1))
-        down = tuple(down_fn(k) for k in range(1, horizon + 1))
-        return cls(up, diag, down)
 
 
 def truncated_generator(model: LdQbdModel, levels: int) -> Band:
@@ -182,9 +91,9 @@ def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
     the rest.  The pass is a matkernel.solve_sweep: each R_l is one LAPACK
     solve (not a product with an inverse, which loses digits), and the
     guard runs once over the pivots, naming the pivot of R_l as level l + 1,
-    whose block it censors.  R_0 has the m0 rows of the boundary and is the
-    one system of a second sweep.  The unnormalized level-0 row is
-    stationary for the censored boundary block A1(0) + R_0 A2(1).
+    whose block it censors.  qbd.censor_level_0, which QBDs share, gives
+    R_0, with the m0 rows of the boundary, and the level-0 row, stationary
+    for the censored boundary block A1(0) + R_0 A2(1).
     """
     h, m = model.horizon, model.m
     diag, down = model.diag, model.down
@@ -201,11 +110,7 @@ def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
     inner, _ = solve_sweep(lambda i, x, inv: pivot(h - 1 - i, r_h if x is None else x.T),
                            rhs, lambda i: f"level {h - i}")
     rs = np.ascontiguousarray(inner[::-1].transpose(0, 2, 1))
-    r_1 = rs[0] if h > 1 else r_h
-    first, _ = solve_sweep(lambda i, x, inv: pivot(0, r_1), -model.up[0].T[None],
-                           lambda i: "level 1")
-    r_0 = first[0].T.copy()
-    row = stationary_row(diag[0] + r_0 @ down[0])
+    r_0, row = censor_level_0(model, rs[0] if h > 1 else r_h)
     return RateSequence((_frozen(r_0), *_frozen(rs), _frozen(r_h)), _frozen(row), 1)
 
 

@@ -13,8 +13,10 @@ accuracy deep into the tail, where they are far below machine epsilon; it
 works inside the band of the assembled matrix.  Both truncations come in
 band storage (matkernel.Band), n x (p + q + 1) cells for lower and upper
 reach p and q, so a block-tridiagonal chain costs memory and time linear in
-its state count.  MAX_CELLS caps the band, and a truncation past it raises
-SizeLimit before any assembly.
+its state count.  A level-independent QBD is a level-dependent one
+(qbd.QbdModel subclasses LdQbdModel), so truncated_generator lays out both
+from the blocks their construction checked.  MAX_CELLS caps the band, and a
+truncation past it raises SizeLimit before any assembly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 from .errors import SizeLimit
 from .ldqbd import LdQbdModel, truncated_generator
 from .matkernel import stationary_row
-from .qbd import QbdModel
 from .series import TailSeries, _check_levels
 from .skipfree import SkipFreeModel, truncated_kernel
 
@@ -35,8 +36,6 @@ MAX_CELLS = 4_000_000
 def _truncation(model) -> tuple:
     """The model as a chain the oracle truncates, its truncation rule,
     whether that yields a generator, and the band width of the result."""
-    if isinstance(model, QbdModel):
-        model = LdQbdModel.from_qbd(model, 2)
     if isinstance(model, LdQbdModel):
         truncate, continuous = truncated_generator, True
     elif isinstance(model, SkipFreeModel):

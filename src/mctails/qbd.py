@@ -1,15 +1,19 @@
-"""Level-independent quasi-birth-death chains in continuous time.
+"""Quasi-birth-death chains in continuous time.
 
-The generator is block tridiagonal,
+The generator of a level-independent QBD (QbdModel) is block tridiagonal,
 
     | B1 B0          |
     | B2 A1 A0       |
     |    A2 A1 A0    |
     |       .. .. .. |
 
-with a boundary level of width m0 and repeating levels of width m.  The module
-computes the minimal passage matrix G by shifted logarithmic reduction and
-the rate matrix R from it, the boundary stationary pair (x0, x1), and tail
+with a boundary level of width m0 and repeating levels of width m.  It is
+the level-dependent QBD (LdQbdModel: blocks A0(k), A1(k), A2(k) that vary
+with k up to a horizon) whose blocks stop changing at level 1, and
+check_tables checks the block tables of both.  The module computes the
+minimal passage matrix G by shifted logarithmic reduction and the rate
+matrix R from it, the boundary stationary pair (x0, x1) through
+censor_level_0, which the level-dependent rate sequence shares, and tail
 vectors pi_k (mass at level k or above) by three routes:
 matrix-geometric accumulation, a UL-type factorization of the level-shifted
 generator, and a LU-type forward factorization whose measures vary by level.
@@ -126,43 +130,122 @@ def check_tables(up, diag, down, name) -> tuple:
     return checked["A0"], checked["A1"], checked["A2"]
 
 
+@dataclass(frozen=True)
+class LdQbdModel:
+    """Generator with level-varying tridiagonal blocks, frozen past `horizon`.
+
+    up[k] is the flow from level k to k+1 (k = 0..horizon), diag[k] the local
+    block at level k, down[k] the flow from level k to k-1 (k = 1..horizon).
+    Level 0 may have a different width than the repeating levels.  Requests
+    beyond the horizon clamp to the last stored block.  Construction checks
+    the table lengths here and the rest with check_tables, whose messages
+    name a block by _name(kind, level), A1(k) here, and a row by its level.
+    """
+
+    up: tuple
+    diag: tuple
+    down: tuple
+
+    def __post_init__(self):
+        if len(self.diag) < 2:
+            raise ValidationError("need blocks for level 0 and at least one level above")
+        if len(self.up) != len(self.diag):
+            raise ValidationError("A0 and A1 must list the same levels 0..J")
+        if len(self.down) != len(self.diag) - 1:
+            raise ValidationError("A2 lists levels 1..J, one entry fewer than A1")
+        up, diag, down = check_tables(self.up, self.diag, self.down, self._name)
+        for name, (head, rest) in (("up", up), ("diag", diag), ("down", down)):
+            object.__setattr__(self, name, (_frozen(head), *_frozen(rest)))
+
+    _name = staticmethod(lambda kind, level: f"{kind}({level})")
+
+    @property
+    def horizon(self) -> int:
+        return len(self.diag) - 1
+
+    @property
+    def m0(self) -> int:
+        return self.diag[0].shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.diag[1].shape[0]
+
+    def block_at(self, name: str, level: int) -> np.ndarray:
+        """Block of the given kind at a level, clamped past the horizon."""
+        h = self.horizon
+        if name == "A0":
+            return self.up[min(level, h)]
+        if name == "A1":
+            return self.diag[min(level, h)]
+        if name == "A2":
+            if level < 1:
+                raise ValidationError("A2 blocks start at level 1")
+            return self.down[min(level, h) - 1]
+        raise ValidationError(f"unknown block kind {name!r}")
+
+    def blocks_at(self, name: str, first: int, last: int) -> np.ndarray:
+        """Blocks of the given kind at levels first..last, stacked and
+        clamped as block_at does; first is at least 1 (2 for A2), so every
+        block is m x m."""
+        table, base = {"A0": (self.up, 0), "A1": (self.diag, 0), "A2": (self.down, 1)}[name]
+        low = min(first, self.horizon)
+        index = np.minimum(np.arange(first, last + 1), self.horizon) - low
+        stored = table[low - base:low - base + int(index.max(initial=0)) + 1]
+        return np.array(stored).reshape(-1, self.m, self.m)[index]
+
+    @property
+    def band_reach(self) -> tuple:
+        """(lower, upper): how far below and above the diagonal the
+        generator on levels 0..L puts an entry, for any L."""
+        reach = max(self.m0, self.m) + self.m - 1
+        return reach, reach
+
+    @staticmethod
+    def from_qbd(model: QbdModel, horizon: int) -> LdQbdModel:
+        """Embed a level-independent chain, repeating its blocks to `horizon`."""
+        if horizon < 2:
+            raise ValidationError("horizon must be at least 2")
+        tables = (model.up, model.diag, model.down)
+        return LdQbdModel(*(t + t[-1:] * (horizon - 2) for t in tables))
+
+    @staticmethod
+    def from_rule(up_fn, diag_fn, down_fn, horizon: int) -> LdQbdModel:
+        """Tabulate per-level callables up to the horizon."""
+        if horizon < 1:
+            raise ValidationError("horizon must be at least 1")
+        up = tuple(up_fn(k) for k in range(horizon + 1))
+        diag = tuple(diag_fn(k) for k in range(horizon + 1))
+        down = tuple(down_fn(k) for k in range(1, horizon + 1))
+        return LdQbdModel(up, diag, down)
+
+
 # QbdModel's names for the blocks of level 0 and the jump down to it
 _BOUNDARY = {("A0", 0): "B0", ("A1", 0): "B1", ("A2", 1): "B2"}
 
 
-@dataclass(frozen=True)
-class QbdModel:
-    """Validated block-tridiagonal generator.
+class QbdModel(LdQbdModel):
+    """Validated block-tridiagonal generator: the level-dependent chain whose
+    blocks stop changing at level 1, stored as its first three levels.
 
-    b1 is m0 x m0, b0 is m0 x m, b2 is m x m0; a0, a1, a2 are m x m.
-    Construction checks the chain as its first three levels, the tables
-    (B0, A0, A0), (B1, A1, A1) and (B2, A2) that LdQbdModel.from_qbd would
-    stack, by check_tables: the shapes, the sign pattern, and that every
-    row of levels 0-2 sums to zero within ROWSUM_TOL.  A message names a
-    block by its own name and a row by its level.
+    b1 is m0 x m0, b0 is m0 x m, b2 is m x m0; a0, a1, a2 are m x m.  The
+    tables are (B0, A0, A0), (B1, A1, A1) and (B2, A2), horizon 2, checked
+    by check_tables as every LdQbdModel is: the shapes, the sign pattern,
+    and that every row of levels 0-2 sums to zero within ROWSUM_TOL.  A
+    message names a block by its own name and a row by its level.
     """
 
-    b1: np.ndarray
-    b0: np.ndarray
-    b2: np.ndarray
-    a0: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
+    def __init__(self, b1, b0, b2, a0, a1, a2):
+        super().__init__((b0, a0, a0), (b1, a1, a1), (b2, a2))
 
-    def __post_init__(self):
-        tables = check_tables((self.b0, self.a0, self.a0), (self.b1, self.a1, self.a1),
-                              (self.b2, self.a2), lambda kind, k: _BOUNDARY.get((kind, k), kind))
-        for names, (head, rest) in zip((("b0", "a0"), ("b1", "a1"), ("b2", "a2")), tables):
-            object.__setattr__(self, names[0], _frozen(head))
-            object.__setattr__(self, names[1], _frozen(rest[0]))
+    _name = staticmethod(lambda kind, level: _BOUNDARY.get((kind, level), kind))
 
-    @property
-    def m0(self) -> int:
-        return self.b1.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.a1.shape[0]
+    b1 = property(lambda self: self.diag[0])
+    b0 = property(lambda self: self.up[0])
+    b2 = property(lambda self: self.down[0])
+    a0 = property(lambda self: self.up[1])
+    a1 = property(lambda self: self.diag[1])
+    a2 = property(lambda self: self.down[1])
 
 
 @dataclass(frozen=True)
@@ -273,21 +356,30 @@ def geometric_mass(r) -> np.ndarray:
     return y
 
 
+def censor_level_0(model: LdQbdModel, r) -> tuple:
+    """Level 0 censored on itself, given the rate matrix R out of level 1.
+
+    Level 1 balances when x1 = x0 R0, R0 = A0(0) (-(A1(1) + R A2(2)))^{-1};
+    level 0 censored on itself then has the generator A1(0) + R0 A2(1), whose
+    stationary row (matkernel.stationary_row, by GTH) is x0.  Returns
+    (R0, x0), x0 summing to one.
+    """
+    entry = solve_xa(-(model.diag[1] + r @ model.block_at("A2", 2)), model.up[0])
+    return entry, stationary_row(model.diag[0] + entry @ model.down[0])
+
+
 def boundary_solve(model: QbdModel, r) -> BoundarySolution:
     """Boundary stationary pair (x0, x1) given the rate matrix R, which
     geometric_mass checks for stability and the solution carries.
 
-    Level 1 balances when x1 = x0 R0, R0 = B0 (-(A1 + R A2))^{-1}, so level
-    0 censored on itself has the generator B1 + R0 B2, whose stationary row
-    (matkernel.stationary_row, by GTH) is x0.  Both rows are then scaled by
-    1 / (x0 e + x1 (I-R)^{-1} e), the mass of all levels.
+    censor_level_0 gives x1 = x0 R0 and x0 up to one scale; both rows are
+    then scaled by 1 / (x0 e + x1 (I-R)^{-1} e), the mass of all levels.
     """
     r = as_matrix(r, "R")
     if not np.any(model.b0):
         raise Reducible("B0 = 0: no upward flow out of the boundary level")
     mass = geometric_mass(r)
-    entry = solve_xa(-(model.a1 + r @ model.a2), model.b0)
-    x0 = stationary_row(model.b1 + entry @ model.b2)
+    entry, x0 = censor_level_0(model, r)
     x1 = x0 @ entry
     scale = 1.0 / (x0.sum() + x1 @ mass)
     return BoundarySolution(_frozen(scale * x0), _frozen(scale * x1), _frozen(r))

@@ -20,7 +20,8 @@ Both keep a finite list of nonzero blocks.  truncated_kernel is the one
 place that lays these blocks out by level, in band storage
 (matkernel.Band): model validation checks the row sums of its cells, the
 balance re-check of both stationary solvers multiplies by it
-(Band.product), and the oracle solves it.  The GI/M/1 side has a
+(Band.product), and the oracle solves it; its A-block rule, _place_a,
+also lays out the grouped QBD of the R/G solve.  The GI/M/1 side has a
 matrix-geometric stationary vector driven by the minimal solution of
 R = sum_k R^k A_k; the M/G/1 side rests on the first-passage matrix
 G = sum_k A_k G^k and visit-count blocks fed into a forward recursion.  Seen
@@ -140,9 +141,8 @@ def truncated_kernel(model: SkipFreeModel, levels: int) -> Band:
 
     In the GI/M/1 picture B_0 and B_1 take level 0 to levels 1 and 0,
     B_k (k >= 2) takes level k - 1 to level 0, and A_d takes level
-    i >= max(1, d) to level i + 1 - d; the M/G/1 picture is its block
-    transpose.  The A blocks go in from the last, so a folded column adds
-    them up in the same order as their suffix sums.
+    i >= max(1, d) to level i + 1 - d (put in by _place_a); the M/G/1
+    picture is its block transpose.
     """
     a, b = model.a_blocks, model.b_blocks
     m0, m = model.m0, model.m
@@ -160,15 +160,22 @@ def truncated_kernel(model: SkipFreeModel, levels: int) -> Band:
             i, j = j, i
         if i <= levels:
             p[states(i), states(min(j, levels))] += blk
-    # levels 1..levels as a (level, phase, level, phase) view of p; A_d moves
-    # grid level r to r + 1 - d (GI/M/1) or r + d - 1 (M/G/1)
-    grid = p[m0:, m0:].reshape(levels, m, levels, m)
-    rows = np.arange(levels)
-    for d in range(len(a) - 1, -1, -1):
-        step = d - 1 if mg1 else 1 - d
-        keep = rows[rows + step >= 0]
-        grid[keep, :, np.minimum(keep + step, levels - 1), :] += a[d]
+    # levels 1..levels as a (level, phase, level, phase) view of p
+    _place_a(p[m0:, m0:].reshape(levels, m, levels, m), a, 0, mg1)
     return band
+
+
+def _place_a(grid, a, first: int, mg1: bool) -> None:
+    """Add the blocks A_d to a (row, phase, level, phase) grid whose row r
+    is level first + r: A_d moves a level by 1 - d (GI/M/1) or d - 1
+    (M/G/1).  A move past the last level stays on it and one below level 0
+    is dropped.  The blocks go in from the last, so a folded column adds
+    them up in the same order as their suffix sums."""
+    rows, last = np.arange(grid.shape[0]), grid.shape[2] - 1
+    for d in range(len(a) - 1, -1, -1):
+        step = first + (d - 1 if mg1 else 1 - d)
+        kept = rows[max(0, -step):]
+        grid[kept, :, np.minimum(kept + step, last), :] += a[d]
 
 
 @dataclass(frozen=True)
@@ -216,26 +223,19 @@ class Mg1Measures:
     stationarity_residual: float
 
 
-def _grouped(a_blocks, sign: int) -> tuple:
+def _grouped(a_blocks, mg1: bool) -> tuple:
     """Generator blocks (up, local, down) of the chain watched
-    n = max(1, len(A) - 2) levels at a time, where a move of d levels takes
-    block A_{1 + sign d} (sign +1: M/G/1, -1: GI/M/1).  No jump spans two
+    n = max(1, len(A) - 2) levels at a time: the middle group of three,
+    laid out by _place_a, and its moves to each group.  No jump spans two
     groups, so this is a QBD; -I on the local block gives generator blocks
     with the same R and G."""
     a = [np.asarray(blk, dtype=float) for blk in a_blocks]
     n = max(1, len(a) - 2)
     m = a[0].shape[0]
-
-    def block(step):
-        out = np.zeros((n * m, n * m))
-        for i in range(n):
-            for j in range(n):
-                k = 1 + sign * (n * step + j - i)
-                if 0 <= k < len(a):
-                    out[i * m:(i + 1) * m, j * m:(j + 1) * m] = a[k]
-        return out
-
-    return block(1), block(0) - np.eye(n * m), block(-1)
+    grid = np.zeros((n, m, 3 * n, m))
+    _place_a(grid, a, n, mg1)
+    down, local, up = (grid[:, :, g * n:(g + 1) * n].reshape(n * m, n * m) for g in range(3))
+    return up, local - np.eye(n * m), down
 
 
 def solve_R_series(a_blocks, tol: float = 1e-12) -> RateSolveResult:
@@ -243,7 +243,7 @@ def solve_R_series(a_blocks, tol: float = 1e-12) -> RateSolveResult:
     first-column block of the grouped chain's R, whose last block row is
     R, R^2, ..., R^n.  Iterations and residual are the grouped solve's."""
     m = np.shape(a_blocks[0])[0]
-    solved = solve_R(*_grouped(a_blocks, -1), tol=tol)
+    solved = solve_R(*_grouped(a_blocks, False), tol=tol)
     return RateSolveResult(_frozen(solved.matrix[-m:, :m].copy()),
                            solved.iterations, solved.residual)
 
@@ -253,7 +253,7 @@ def solve_G_series(a_blocks, tol: float = 1e-12) -> RateSolveResult:
     first-row, last-column block of the grouped chain's G, whose last block
     column is G, G^2, ..., G^n."""
     m = np.shape(a_blocks[0])[0]
-    solved = solve_G(*_grouped(a_blocks, 1), tol=tol)
+    solved = solve_G(*_grouped(a_blocks, True), tol=tol)
     return RateSolveResult(_frozen(solved.matrix[:m, -m:].copy()),
                            solved.iterations, solved.residual)
 

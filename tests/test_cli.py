@@ -295,3 +295,32 @@ def test_out_path_that_cannot_be_opened_exits_two(tmp_path, argv, capsys):
     for target in (tmp_path / "missing" / "x.csv", tmp_path):
         assert run(argv + ["--out", str(target)]) == 2
         assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,key,value,field,message", [
+    ("qbd22", None, "blocks", "$.blocks", "expected a JSON object"),
+    ("retrial", "lam", "fast", "$.params.lam", "expected a number"),
+    ("supermarket", "d", 2.5, "$.params.d", "expected an integer"),
+    ("qbd22", "B1", 3.0, "$.blocks.B1", "expected a non-empty list of rows"),
+    ("qbd22", "B1", [[]], "$.blocks.B1[0]", "expected a non-empty row of numbers"),
+    ("qbd22", "B1", [[-1.0, 1.0], [1.0]], "$.blocks.B1[1]", "row length 1 differs from 2"),
+    ("ldqbd", "A0", [3.0], "$.blocks.A0[0]", "expected a non-empty list of rows"),
+    ("ldqbd", "A2", {}, "$.blocks.A2", "expected a non-empty list of matrices"),
+    ("mnmn1", "arrival", [], "$.params.arrival", "rate list must not be empty"),
+    ("mm1", "tol", 0.0, "$.tol", "must be a positive finite number"),
+    ("mm1", "tol", -1e-9, "$.tol", "must be a positive finite number"),
+])
+def test_model_file_readers_refuse_and_name_the_field(tmp_path, capsys, name, key, value,
+                                                      field, message):
+    """A value of the wrong form exits 2 naming its field path; key None
+    replaces the whole section."""
+    model = json.loads((FILES / f"{name}.json").read_text())
+    section = "blocks" if "blocks" in model else "params"
+    if key is None:
+        model[section] = value
+    elif key == "tol":
+        model["tol"] = value
+    else:
+        model[section] = {**model[section], key: value}
+    assert run(["solve", _write(tmp_path, "bad.json", model)]) == 2
+    assert f"{field}: {message}" in capsys.readouterr().err

@@ -193,6 +193,21 @@ def test_model_validation_rejects_mismatched_tables():
         LdQbdModel.from_qbd(MM1, 1)
 
 
+_ONE = np.array([[1.0]])
+
+
+@pytest.mark.parametrize("tables,message", [
+    (((_ONE,), (-_ONE,), ()), "need blocks for level 0 and at least one level above"),
+    (((_ONE,) * 3, (-_ONE,) * 2, (_ONE,)), "A0 and A1 must list the same levels 0..J"),
+    (((_ONE,) * 2, (-_ONE,) * 2, ()), "A2 lists levels 1..J, one entry fewer than A1"),
+    (((np.ones((2, 1)), _ONE), (-np.eye(2), -2.0 * _ONE), (np.full((1, 2), 0.5),)),
+     "a distinct boundary width needs at least two levels above it"),
+], ids=["one-level", "up-length", "down-length", "boundary-width"])
+def test_table_lengths_are_checked_before_the_blocks(tables, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        LdQbdModel(*tables)
+
+
 def test_row_sum_violations_are_rejected():
     with pytest.raises(ValidationError):
         LdQbdModel(

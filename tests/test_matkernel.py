@@ -75,6 +75,13 @@ def test_sweep_guard_refuses_the_singular_systems(singular):
         _sweep([WELL_POSED, singular] + list(SINGULAR))
 
 
+def test_sweep_refusal_names_the_first_system_it_marks():
+    refuse = ("inverse refused", lambda inverses: np.array([False, True, True]))
+    with pytest.raises(SingularMatrix, match="^system 1: inverse refused$"):
+        solve_sweep(lambda i, x, inv: np.array(WELL_POSED), np.ones((3, 2, 1)),
+                    lambda i: f"system {i}", refuse)
+
+
 def test_sweep_solves_and_inverts_each_system():
     x, inverses = _sweep([WELL_POSED] * 3)
     assert x.shape == (3, 2, 1) and inverses.shape == (3, 2, 2)
@@ -125,6 +132,14 @@ def test_stationary_row_rejects_two_closed_classes():
                   [0.0, 0.0, 1.0, -1.0]])
     with pytest.raises(SingularMatrix):
         stationary_row(q)
+
+
+def test_stationary_row_refuses_a_row_that_misses_balance():
+    """The second row sums to -2, so no row balances it: the GTH row
+    (1/2, 1/2) leaves a residual of 1."""
+    with pytest.raises(SingularMatrix,
+                       match=r"^stationary solve left balance residual 1\.000e\+00$"):
+        stationary_row([[-1.0, 1.0], [1.0, -3.0]])
 
 
 def test_stationary_row_gives_transient_low_states_no_mass():

@@ -7,6 +7,7 @@ import pytest
 
 from mctails import solve_tails
 from mctails.errors import Reducible, TruncationFailure, Unstable, ValidationError
+from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm, inverse, stationary_row
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import (
@@ -374,6 +375,19 @@ def test_validation_names_the_block_or_the_level_row(block, edit, message):
         blocks[block] = edit
     with pytest.raises(ValidationError, match="^" + re.escape(message)):
         QbdModel(**blocks)
+
+
+def test_a_qbd_is_the_level_dependent_chain_of_its_first_three_levels():
+    blocks = {name: getattr(TWOPHASE, name) for name in ("b1", "b0", "b2", "a0", "a1", "a2")}
+    for model in (QbdModel(**blocks), QbdModel(*blocks.values())):
+        assert isinstance(model, LdQbdModel) and model.horizon == 2
+        assert (model.m0, model.m) == (TWOPHASE.m0, TWOPHASE.m)
+        for kind in ("A0", "A1", "A2"):
+            assert np.array_equal(model.block_at(kind, 2), getattr(model, kind.lower()))
+        for name, block in blocks.items():
+            assert np.array_equal(getattr(model, name), block)
+            with pytest.raises(AttributeError):
+                setattr(model, name, block)
 
 
 def test_unknown_method_is_rejected():

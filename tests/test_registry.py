@@ -142,9 +142,27 @@ def test_cross_check_checks_stability_once(count_calls, name):
 
 
 def test_cross_check_solves_the_ldqbd_level_0_row_once(count_calls):
-    rows = count_calls(ldqbd, "stationary_row")
+    rows = count_calls(ldqbd, "censor_level_0")
     assert mctails.cross_check(BUNDLED["ldqbd.json"], 20).passed
     assert len(rows) == 1
+
+
+@pytest.mark.parametrize("name", ["mm1.json", "qbd22.json", "vacation.json", "repairable.json"])
+def test_ldqbd_routes_solve_a_qbd_as_it_is(name):
+    """A QbdModel is the LdQbdModel of its first three levels, so both
+    LDQBD routes take it as it is and agree with its mg route."""
+    model = BUNDLED[name]
+    chain = registry.REGISTRY[model.kind].reference(model, 50)
+    mg = registry.solve(registry.Model("qbd", chain), 50, "mg")
+    for route in ("product", "lu"):
+        series = registry.solve(registry.Model("ldqbd", chain), 50, route)
+        for k in range(1, 51):
+            assert np.max(np.abs(series.level(k) - mg.level(k)) / mg.level(k)) < 1e-14
+
+
+def test_kind_of_refuses_an_object_that_is_not_a_chain():
+    with pytest.raises(ValidationError, match="^no tail solver for dict$"):
+        registry.kind_of({"A1": [[-1.0]]})
 
 
 def test_repairable_iterative_route_solves_no_qbd(count_calls):

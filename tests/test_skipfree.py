@@ -288,6 +288,20 @@ def test_model_validation_catches_mistakes():
         SkipFreeModel("GIM1", [[[0.5]], [[-0.5]]], [[[0.5]], [[0.5]]])
 
 
+@pytest.mark.parametrize("kind,a_blocks,b_blocks,message", [
+    ("GIM1", [[[1.0]]], [[[0.5]], [[0.5]]], "need at least blocks A0 and A1"),
+    ("MG1", [[[0.5]], [[0.5]]], [[[1.0]]], "need at least blocks B0 and B1"),
+    ("GIM1", [[[0.5]], [[0.25, 0.25]]], [[[0.5]], [[0.5]]],
+     r"A1: expected shape \(1, 1\), got \(1, 2\)"),
+    ("GIM1", [[[0.5]], [[0.5]]], [[[0.5], [0.5]], [[0.5]]],
+     r"B0: expected shape \(1, 1\), got \(2, 1\)"),
+    ("MG1", [[[0.5]], [[0.5]]], [[[1.0]], [[-0.5]], [[1.5]]], "B1: negative entry"),
+], ids=["one-A", "one-B", "A-shape", "B-shape", "negative-B"])
+def test_model_validation_names_the_block(kind, a_blocks, b_blocks, message):
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        SkipFreeModel(kind, a_blocks, b_blocks)
+
+
 def test_mg1_routes_agree_deep_in_the_tail():
     """The iterative route materializes its rows to the requested depth, so
     at 400 levels it still matches the factorization route."""
