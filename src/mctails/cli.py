@@ -10,6 +10,7 @@ running the same command twice produces byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -269,11 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` in the process reads its arguments with,
+    built on the first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv) -> int:
     """Entry point returning the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"solve": _cmd_solve, "check": _cmd_check, "meanfield": _cmd_meanfield}

@@ -7,19 +7,24 @@ probability is conserved, from the model's own module
 (ldqbd.truncated_generator, skipfree.truncated_kernel), and solves the
 finite system state by state with GTH state reduction
 (matkernel.stationary_row).  Agreement between the two is then
-evidence for both, since they share no intermediate quantities.  The
-reduction has no subtractions, so the oracle's tails keep their relative
-accuracy deep into the tail, where they are far below machine epsilon; it
-works inside the band of the assembled matrix.  Both truncations come in
-band storage (matkernel.Band), n x (p + q + 1) cells for lower and upper
-reach p and q, so a block-tridiagonal chain costs memory and time linear in
-its state count.  A level-independent QBD is a level-dependent one
-(qbd.QbdModel subclasses LdQbdModel), so truncated_generator lays out both
-from the blocks their construction checked.  MAX_CELLS caps the band, and a
+evidence for both, since no intermediate quantity of the routes reaches
+the oracle's tails: the routes' tail decay only picks the depth at which
+sized_reference starts its search, and whether a depth is deep enough is
+decided from the oracle's own solve.  The reduction has no subtractions,
+so the oracle's tails keep their relative accuracy deep into the tail,
+where they are far below machine epsilon; it works inside the band of the
+assembled matrix.  Both truncations come in band storage
+(matkernel.Band), n x (p + q + 1) cells for lower and upper reach p and q,
+so a block-tridiagonal chain costs memory and time linear in its state
+count.  A level-independent QBD is a level-dependent one (qbd.QbdModel
+subclasses LdQbdModel), so truncated_generator lays out both from the
+blocks their construction checked.  MAX_CELLS caps the band, and a
 truncation past it raises SizeLimit before any assembly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,16 +76,31 @@ def truncate_and_solve(model, levels: int) -> TailSeries:
     return TailSeries(list(pis), x0, method="truncated-oracle", truncation_report=report)
 
 
-def sized_reference(build, levels: int, tol: float) -> TailSeries:
-    """Oracle tails of ``build(depth)`` at the first depth of 2 `levels`,
-    4 `levels`, ... up to the deepest MAX_CELLS allows (else SizeLimit)
-    whose mass past it, x_L e / (1 - q) with q = x_L e / x_{L-1} e
-    (infinite when q >= 1), is at most `tol` times pi_levels e; the report
-    adds it as ``mass_past``."""
+def sized_reference(build, levels: int, tol: float, decay: float) -> TailSeries:
+    """Oracle tails of ``build(depth)`` at the first depth of a doubling
+    search, up to the deepest MAX_CELLS allows (else SizeLimit), whose mass
+    past it, x_L e / (1 - q) with q = x_L e / x_{L-1} e (infinite when
+    q >= 1), is at most `tol` times pi_levels e; the report adds it as
+    ``mass_past``.
+
+    The search starts at levels + 1 + ceil(log min(`tol`, eps) / log
+    `decay`), where `decay` is the slowest pi_levels e / pi_{levels-1} e
+    among the routes.  A truncation at L moves about pi_levels e
+    decay^(L + 1 - levels) of mass into the compared tails, so this start
+    keeps that below min(tol, eps) decay^2 of pi_levels e, under the
+    rounding of the tails themselves: normalizing spreads the truncated
+    mass over every tail.  A `decay` outside (0, 1), such as NaN, starts at
+    2 `levels`.  Either start is only a first guess; a depth that misses the
+    mass test doubles."""
     # block sizes and band width do not change with the depth
     chain, _, _, width = _truncation(build(1))
     deepest = (MAX_CELLS // width - chain.m0) // chain.m
-    depth, mass = min(2 * levels, deepest), np.inf
+    if 0 < decay < 1:
+        target = min(tol, np.finfo(float).eps)
+        depth = levels + 1 + math.ceil(math.log(target) / math.log(decay))
+    else:
+        depth = 2 * levels
+    depth, mass = min(depth, deepest), np.inf
     while depth > levels:
         series = truncate_and_solve(build(depth), depth)
         last, before = series.pis[-1].sum(), series.pis[-2].sum() - series.pis[-1].sum()

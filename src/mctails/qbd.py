@@ -130,7 +130,7 @@ def check_tables(up, diag, down, name) -> tuple:
     return checked["A0"], checked["A1"], checked["A2"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdQbdModel:
     """Generator with level-varying tridiagonal blocks, frozen past `horizon`.
 
@@ -140,6 +140,8 @@ class LdQbdModel:
     beyond the horizon clamp to the last stored block.  Construction checks
     the table lengths here and the rest with check_tables, whose messages
     name a block by _name(kind, level), A1(k) here, and a row by its level.
+    Models compare and hash by identity: two chains with equal blocks are
+    two models.
     """
 
     up: tuple

@@ -22,9 +22,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
 
+import numpy as np
+
 from . import ldqbd, models, oracle, qbd, skipfree
 from .errors import ValidationError
-from .matkernel import inf_norm
 from .series import TailSeries, _check_levels
 
 DEFAULT_TOL = 1e-12
@@ -282,11 +283,28 @@ class CheckReport:
         return all(c.ok for c in self.comparisons)
 
 
+def _rows(series: TailSeries, lo: int, hi: int) -> np.ndarray:
+    """The tail vectors of levels lo..hi of `series`, stacked."""
+    return np.asarray(series.pis[lo - series.first_level:hi - series.first_level + 1])
+
+
 def _compare(left: str, right: str, a: TailSeries, b: TailSeries) -> Comparison:
     lo = max(a.first_level, b.first_level)
     hi = min(a.last_level, b.last_level)
-    gap = max(inf_norm(a.level(k) - b.level(k)) for k in range(lo, hi + 1))
+    gap = float(np.abs(_rows(a, lo, hi) - _rows(b, lo, hi)).max())
     return Comparison(left, right, lo, hi, gap, gap < CHECK_TOL)
+
+
+def _decay(series, levels: int) -> float:
+    """The slowest tail decay pi_levels e / pi_{levels-1} e among `series`:
+    NaN below two levels, or when a tail before it has no mass."""
+    if levels < 2:
+        return math.nan
+    ratios = []
+    for tails in series:
+        last, before = float(tails.level(levels).sum()), float(tails.level(levels - 1).sum())
+        ratios.append(last / before if before > 0 else math.nan)
+    return float(np.max(ratios))
 
 
 def cross_check(model: Model, levels: int) -> CheckReport:
@@ -296,9 +314,10 @@ def cross_check(model: Model, levels: int) -> CheckReport:
 
     The kind's stage is solved once, at ``model.tol`` resolved as ``solve``
     does, and every route reads it; the oracle picks its own depth
-    (``oracle.sized_reference``).  The supermarket model has no finite
-    chain, so its closed form is checked against its balance equations
-    instead.  A gap below CHECK_TOL passes.
+    (``oracle.sized_reference``), starting its search where the slowest
+    route's tail decay at `levels` predicts.  The supermarket model has no
+    finite chain, so its closed form is checked against its balance
+    equations instead.  A gap below CHECK_TOL passes.
     """
     kind = REGISTRY[model.kind]
     _check_levels(levels, 1)
@@ -312,7 +331,8 @@ def cross_check(model: Model, levels: int) -> CheckReport:
         return CheckReport(model.kind, CHECK_TOL, tuple(comparisons))
     stage = kind.stage(model)
     series = {name: route(model, stage, levels) for name, route in kind.routes.items()}
-    series["oracle"] = oracle.sized_reference(partial(kind.reference, model), levels, model.tol)
+    series["oracle"] = oracle.sized_reference(partial(kind.reference, model), levels,
+                                              model.tol, _decay(series.values(), levels))
     names = list(series)
     comparisons = [_compare(left, right, series[left], series[right])
                    for i, left in enumerate(names) for right in names[i + 1:]]

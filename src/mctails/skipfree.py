@@ -56,7 +56,7 @@ from .qbd import ROWSUM_TOL, RateSolveResult, geometric_mass, solve_G, solve_R
 from .series import TailSeries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkipFreeModel:
     """Block lists of a skip-free transition kernel.
 
@@ -65,7 +65,7 @@ class SkipFreeModel:
     Blocks absent from the lists are zero.  Every row of the kernel must sum
     to one, which ties the two lists together; construction checks the rows
     of the kernel truncated past the longer list, which hold every distinct
-    row pattern.
+    row pattern.  Models compare and hash by identity, as LdQbdModel does.
     """
 
     kind: str

@@ -90,7 +90,7 @@ def test_check_fails_when_a_route_is_off(monkeypatch, capsys):
 def test_check_prints_the_oracle_depth_it_chose(capsys):
     assert run(["check", str(FILES / "gim1.json")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2].startswith("oracle: 160 levels, estimated mass past them ")
+    assert lines[-2].startswith("oracle: 147 levels, estimated mass past them ")
     assert run(["check", str(FILES / "supermarket.json")]) == 0
     assert "oracle" not in capsys.readouterr().out
 
@@ -124,9 +124,9 @@ def _cyclic_qbd(tmp_path, m):
 
 def test_check_deepens_its_oracle_under_heavy_load(tmp_path, capsys):
     assert run(["check", _modulated_qbd(tmp_path, 0.95)]) == 0
-    assert "oracle: 640 levels" in capsys.readouterr().out
+    assert "oracle: 738 levels" in capsys.readouterr().out
     assert run(["check", _modulated_qbd(tmp_path, 0.99)]) == 0
-    assert "oracle: 5120 levels" in capsys.readouterr().out
+    assert "oracle: 3679 levels" in capsys.readouterr().out
 
 
 def test_check_exits_three_when_the_oracle_cannot_be_deep_enough(tmp_path, capsys, monkeypatch):
@@ -136,7 +136,7 @@ def test_check_exits_three_when_the_oracle_cannot_be_deep_enough(tmp_path, capsy
     err = capsys.readouterr().err
     assert "10000 states (band limit 4000000 cells)" in err
     assert "mass of inf past level 99" in err
-    # a cap of 2,000 levels of the rho = 0.99 chain, which needs 5,120:
+    # a cap of 2,000 levels of the rho = 0.99 chain, which needs 3,679:
     # every depth up to the cap leaves too much mass past it
     monkeypatch.setattr(oracle, "MAX_CELLS", 7 * 4002)
     assert run(["check", _modulated_qbd(tmp_path, 0.99)]) == 3

@@ -175,3 +175,42 @@ def test_band_solve_is_bit_identical_to_the_dense_solve(model):
     assert band.cells.shape == (chain.m0 + depth * chain.m, width)
     x = stationary_row(band, continuous)
     assert (x == stationary_row(_dense(band), continuous)).all()
+
+
+@pytest.mark.parametrize("model", REFERENCED, ids=lambda model: model.kind)
+def test_cross_check_solves_its_oracle_once(model, count_calls):
+    """At 20 levels the depth the routes' decay predicts passes the oracle's
+    own mass test on every bundled model file, so no depth is solved twice."""
+    calls = count_calls(oracle, "truncate_and_solve")
+    assert cross_check(model, 20).passed
+    assert len(calls) == 1
+
+
+def _solved_depths(monkeypatch) -> list:
+    """The depths oracle.truncate_and_solve is called at from now on."""
+    depths = []
+    original = oracle.truncate_and_solve
+
+    def recorded(model, levels):
+        depths.append(levels)
+        return original(model, levels)
+
+    monkeypatch.setattr(oracle, "truncate_and_solve", recorded)
+    return depths
+
+
+def test_a_decay_too_fast_still_ends_where_the_mass_test_passes(monkeypatch):
+    """MM1's tails halve each level; told they fall by 1e-3 a level, the
+    search starts at 27 levels and doubles until its own estimate of the
+    mass past the depth is within tol of pi_20."""
+    depths = _solved_depths(monkeypatch)
+    series = oracle.sized_reference(lambda depth: MM1, 20, 1e-12, 1e-3)
+    assert depths == [27, 54, 108]
+    assert series.truncation_report["mass_past"] <= 1e-12 * series.level(20).sum()
+
+
+@pytest.mark.parametrize("decay", [0.0, 1.0, float("nan")])
+def test_a_decay_outside_the_unit_interval_starts_at_twice_the_levels(monkeypatch, decay):
+    depths = _solved_depths(monkeypatch)
+    oracle.sized_reference(lambda depth: MM1, 20, 1e-12, decay)
+    assert depths == [40, 80]

@@ -190,13 +190,25 @@ def test_cross_check_refuses_bad_level_counts(count_calls):
 
 
 @pytest.mark.parametrize("name,depth", [
-    ("mm1.json", 80), ("gim1.json", 160), ("mnmn1.json", 40), ("supermarket.json", None)])
+    ("mm1.json", 73), ("gim1.json", 147), ("mnmn1.json", 40), ("supermarket.json", None)])
 def test_cross_check_sizes_its_oracle(name, depth):
-    """The oracle starts at twice the compared levels and doubles until the
-    mass it estimates past its depth is below tol of pi_levels."""
+    """The oracle starts where the routes' slowest tail decay at `levels`
+    puts the truncated mass below eps of pi_levels (mm1 decays by 1/2 a
+    level, gim1 by 3/4), or at twice the compared levels when that decay is
+    unknown: the mnmn1 tails underflow to zero by level 20."""
     report = mctails.cross_check(BUNDLED[name], 20)
     assert report.passed
     assert report.oracle_levels == depth
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_chain_models_compare_and_hash_by_identity(name):
+    """Two chains read from one file are two models: equality is identity,
+    and each one hashes, so a model can key a dict."""
+    first, second = (load_model_file(str(ROOT / "modelfiles" / name)).payload
+                     for _ in range(2))
+    assert first == first and first != second
+    assert {first: "first", second: "second"}[second] == "second"
 
 
 def test_readme_route_table_matches_the_registry():
