@@ -14,9 +14,9 @@ and solve_sweep, which runs a chain of solves each built from the one before
 (a level-by-level sweep), applies it once to the whole stack after the sweep
 and names the first system that fails.  Stationary rows are the exception to
 LAPACK: stationary_row is GTH state reduction inside the matrix's band,
-dense or banded, which needs no subtraction, so each entry is accurate
-relative to its own size however small it is.  Its answer is re-checked
-against the balance equations.
+which needs no subtraction, so each entry is accurate relative to its own
+size however small it is.  It runs on a Band only, taking a square array as
+the full band; its answer is re-checked against the balance equations.
 """
 
 from __future__ import annotations
@@ -240,27 +240,6 @@ class Band:
         return out[self.lower:self.lower + n]
 
 
-def _nonnegative(a: np.ndarray, what: str) -> np.ndarray:
-    """a, or a copy with its negative entries set to zero when they are
-    roundoff: within n machine epsilons of the largest entry, for the n rows
-    of a.  Matrices built from solves may carry roundoff below an exact
-    zero; a negative entry beyond it raises ValidationError(what)."""
-    low = a.min()
-    if low < 0.0:
-        if low < -len(a) * np.finfo(float).eps * a.max():
-            raise ValidationError(f"{what} {low:.3e}")
-        return np.maximum(a, 0.0)
-    return a
-
-
-def _reach(nonzero: np.ndarray) -> int:
-    """Largest distance from a row index down to the row's first nonzero
-    column, over the rows that have one."""
-    drop = np.arange(len(nonzero)) - nonzero.argmax(axis=1)
-    drop[~nonzero.any(axis=1)] = 0
-    return int(drop.max())
-
-
 def _all_reach_last(a: np.ndarray, last: int, below: int, above: int) -> bool:
     """Whether every state 0..last reaches `last` along the nonzero entries
     of a[:last + 1, :last + 1], row to column, whose nonzeros lie at most
@@ -281,7 +260,8 @@ def _all_reach_last(a: np.ndarray, last: int, below: int, above: int) -> bool:
 
 def stationary_row(m, continuous: bool = True) -> np.ndarray:
     """Stationary row vector of a generator (v M = 0) or kernel (v M = v),
-    given as a square matrix or a Band.
+    given as a Band or as a square matrix, which is copied into the full
+    band: n (2n - 1) cells, so square input is meant for blocks.
 
     GTH state reduction (Grassmann, Taksar & Heyman 1985) on the off-diagonal
     entries, which M and M - I share.  The last state is folded into the
@@ -290,13 +270,13 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     every entry accurate relative to its own size.  Folding a state touches
     only the rows that reach it and the columns it reaches, so the work stays
     inside the band of the off-diagonal nonzeros: O(n p q) for lower reach p
-    and upper reach q, and no fill-in leaves it.  The fold runs on a copy of
-    the cells, dense or banded, seen as one n x n strided view, so both
-    layouts take the same steps on the same entries.  A state k that reaches
-    no lower state once the states above it are folded in is closed in the
-    folded chain; if every lower state reaches it there, they are transient,
-    carry no mass, and back-substitution starts at k.  The balance residual
-    is re-checked afterwards.
+    and upper reach q, the outermost nonzero diagonals of the band, and no
+    fill-in leaves it.  The fold runs on a copy of the cells, seen as an
+    n x n strided view.  A state k that reaches no lower state once the
+    states above it are folded in is closed in the folded chain; if every
+    lower state reaches it there, they are transient, carry no mass, and
+    back-substitution starts at k.  The balance residual is re-checked
+    afterwards.
 
     Raises:
         ValidationError: on a negative off-diagonal entry beyond roundoff,
@@ -305,24 +285,23 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
             above it are folded in and some lower state does not reach it
             (two closed classes, say), or if v misses balance.
     """
-    banded = isinstance(m, Band)
-    if banded:
-        cells, lower = np.asarray(m.cells, dtype=float), m.lower
-        step = cells.shape[1] - 1
-    else:
-        cells, lower = _square(m, "stationary_row"), 0
-        step = len(cells)
-    n = len(cells)
+    if not isinstance(m, Band):
+        dense = _square(m, "stationary_row")
+        m = Band.zeros(len(dense), len(dense) - 1, len(dense) - 1)
+        m.view()[:] = dense
+    cells, lower = np.asarray(m.cells, dtype=float), m.lower
+    n, step = len(cells), cells.shape[1] - 1
     a = cells.copy()
     a.reshape(-1)[lower::step + 1] = 0.0  # the diagonal
-    a = _nonnegative(a, "stationary_row: negative off-diagonal entry")
-    if banded:
-        offsets = np.flatnonzero(a.any(axis=0)) - lower
-        below, above = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
-        a = Band(a, lower).view()
-    else:
-        nonzero = a != 0.0
-        below, above = _reach(nonzero), _reach(nonzero.T)
+    # matrices built from solves may carry roundoff below an exact zero
+    low = a.min()
+    if low < -n * np.finfo(float).eps * a.max():
+        raise ValidationError(f"stationary_row: negative off-diagonal entry {low:.3e}")
+    if low < 0.0:
+        np.maximum(a, 0.0, out=a)
+    offsets = np.flatnonzero(a.any(axis=0)) - lower
+    below, above = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+    a = Band(a, lower).view()
     # Folding k divides column k above the diagonal by k's outflow to the
     # states below it, then adds the rates through k to the rows that reach
     # it.  The diagonal of a collects junk and is never read.  One buffer
@@ -350,12 +329,8 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
         if mass > 1e250:  # a chain that climbs: keep the row finite
             v[: k + 1] /= mass
     v /= v.sum()
-    if banded:
-        balance = Band(cells if continuous else cells - np.eye(1, step + 1, lower), lower)
-        residual, size = inf_norm(balance.product(v)), inf_norm(balance.cells)
-    else:
-        balance = cells if continuous else cells - np.eye(n)
-        residual, size = inf_norm(v @ balance), inf_norm(balance)
+    balance = Band(cells if continuous else cells - np.eye(1, step + 1, lower), lower)
+    residual, size = inf_norm(balance.product(v)), inf_norm(balance.cells)
     if not residual <= BALANCE_TOL * max(1.0, size):  # NaN fails too
         raise SingularMatrix(f"stationary solve left balance residual {residual:.3e}")
     return v

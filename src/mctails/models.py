@@ -21,6 +21,10 @@ from .matkernel import _powers, inf_norm
 from .qbd import QbdModel, tails_matrix_geometric
 from .series import TailSeries, _check_levels
 
+# Runge-Kutta steps meanfield_ode may be asked for, t_end / dt; the d = 2,
+# 40-level run at rho 0.99 settles after about 61,000.
+MEANFIELD_MAX_STEPS = 1_000_000
+
 
 def _require_positive(value: float, name: str) -> float:
     value = float(value)
@@ -377,13 +381,19 @@ def meanfield_ode(rho: float, d: int, levels: int, t_end: float,
 
     Starts from a single customer layer u_1 = rho and stops early once the
     derivative is flat.  Any coordinate escaping [0, 1] beyond roundoff slack
-    aborts the run, since the dynamics preserve that box.
+    aborts the run, since the dynamics preserve that box.  A dt that would
+    take more than MEANFIELD_MAX_STEPS steps to reach t_end is refused before
+    any step.
     """
     _check_supermarket(rho, d)
     if levels < 1:
         raise ValidationError("need at least one level")
     _require_positive(t_end, "t_end")
     _require_positive(dt, "dt")
+    if t_end / dt > MEANFIELD_MAX_STEPS:
+        raise ValidationError(
+            f"dt must reach t_end = {t_end} in at most {MEANFIELD_MAX_STEPS:,} steps, got {dt}"
+        )
 
     def deriv(u):
         upper = np.concatenate(([1.0], u[:-1]))

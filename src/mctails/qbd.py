@@ -204,14 +204,6 @@ class LdQbdModel:
         return reach, reach
 
     @staticmethod
-    def from_qbd(model: QbdModel, horizon: int) -> LdQbdModel:
-        """Embed a level-independent chain, repeating its blocks to `horizon`."""
-        if horizon < 2:
-            raise ValidationError("horizon must be at least 2")
-        tables = (model.up, model.diag, model.down)
-        return LdQbdModel(*(t + t[-1:] * (horizon - 2) for t in tables))
-
-    @staticmethod
     def from_rule(up_fn, diag_fn, down_fn, horizon: int) -> LdQbdModel:
         """Tabulate per-level callables up to the horizon."""
         if horizon < 1:

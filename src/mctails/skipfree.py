@@ -194,8 +194,6 @@ class Gim1Measures:
     shifted_kernel: np.ndarray
     tau: float
     x0: np.ndarray
-    iterations: int
-    residual: float
     stationarity_residual: float
 
 
@@ -218,8 +216,6 @@ class Mg1Measures:
     visit_rows: tuple
     tau: float
     x0: np.ndarray
-    iterations: int
-    residual: float
     stationarity_residual: float
 
 
@@ -307,8 +303,6 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
         shifted_kernel=_frozen(a[0] + visit),
         tau=tau,
         x0=_frozen(x0),
-        iterations=solved.iterations,
-        residual=solved.residual,
         stationarity_residual=resid,
     )
 
@@ -462,8 +456,6 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
         visit_rows=tuple(_frozen(row) for row in rows),
         tau=tau,
         x0=_frozen(x0),
-        iterations=solved.iterations,
-        residual=solved.residual,
         stationarity_residual=resid,
     )
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mctails import oracle, qbd
+from mctails import models, oracle, qbd
 from mctails.cli import ModelFileError, load_model_file, run
 
 FILES = pathlib.Path(__file__).resolve().parent.parent / "modelfiles"
@@ -287,6 +287,18 @@ def test_non_finite_numbers_in_a_model_file_are_refused(tmp_path, kind, key, val
 def test_meanfield_refuses_an_infinite_step(capsys):
     assert run(["meanfield", "--rho", "0.5", "--d", "2", "--dt", "inf"]) == 2
     assert "dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["1e-9", "1e-15", "5e-324"])
+def test_meanfield_refuses_a_step_too_small_before_integrating(dt, monkeypatch, capsys):
+    """--t-end 200 over these steps asks for 2e11 steps or more; with 1e-15
+    the clock stops at t = 16, where 16 + 1e-15 == 16.  The derivative norm
+    is read before the first step, so reading it fails the test."""
+    def stepped(_):
+        raise AssertionError("meanfield_ode started integrating")
+    monkeypatch.setattr(models, "inf_norm", stepped)
+    assert run(["meanfield", "--rho", "0.5", "--d", "2", "--levels", "3", "--dt", dt]) == 2
+    assert "dt must reach t_end = 200.0 in at most 1,000,000 steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Level-dependent QBD: rate sequences, product form, forward factorization."""
 
+import functools
 import json
 import pathlib
 import re
@@ -46,8 +47,14 @@ def _ramp_diag(k):
 RAMP2 = LdQbdModel.from_rule(_ramp_up, _ramp_diag, _ramp_down, 12)
 
 
+def _embedded_mm1(horizon):
+    """MM1 tabulated level by level up to `horizon`, its blocks repeated."""
+    blocks = (functools.partial(MM1.block_at, kind) for kind in ("A0", "A1", "A2"))
+    return LdQbdModel.from_rule(*blocks, horizon)
+
+
 def test_embedded_level_independent_chain_matches_flat_solver():
-    ld = LdQbdModel.from_qbd(MM1, 40)
+    ld = _embedded_mm1(40)
     flat = solve_tails(MM1, 12, method="mg")
     prod = solve_tails(ld, 12, method="product")
     gap = max(inf_norm(flat.level(k) - prod.level(k)) for k in range(1, 13))
@@ -56,7 +63,7 @@ def test_embedded_level_independent_chain_matches_flat_solver():
 
 
 def test_rate_sequence_collapses_to_the_flat_rate_matrix():
-    ld = LdQbdModel.from_qbd(MM1, 30)
+    ld = _embedded_mm1(30)
     rates = solve_rate_sequence(ld)
     assert rates.backward_sweeps == 1
     rs = rates.matrices
@@ -72,7 +79,7 @@ def test_forward_elimination_follows_the_scalar_recursion():
     """On the embedded M/M/1 the window pivots and down factors obey
     psi_k = -3 + 2/(-psi_{k-1}) from psi_0 = -3, with down factors
     1/(-psi_k) climbing monotonically toward 1/2."""
-    ld = LdQbdModel.from_qbd(MM1, 20)
+    ld = _embedded_mm1(20)
     meas = lu_measures(ld, 12)
     psi = -3.0
     downs = []
@@ -189,8 +196,6 @@ def test_blocks_clamp_past_the_horizon():
 def test_model_validation_rejects_mismatched_tables():
     with pytest.raises(ValidationError):
         LdQbdModel((np.array([[1.0]]),), (np.array([[-1.0]]),), ())
-    with pytest.raises(ValidationError):
-        LdQbdModel.from_qbd(MM1, 1)
 
 
 _ONE = np.array([[1.0]])

@@ -7,6 +7,7 @@ import pytest
 
 from mctails.errors import SingularMatrix, ValidationError
 from mctails.matkernel import (
+    Band,
     as_matrix,
     inf_norm,
     inverse,
@@ -145,6 +146,8 @@ def test_stationary_row_refuses_a_row_that_misses_balance():
 def test_stationary_row_gives_transient_low_states_no_mass():
     # state 0 leaves for state 1, which never returns: the row is unique
     assert np.array_equal(stationary_row([[-1.0, 1.0], [0.0, 0.0]]), [0.0, 1.0])
+    # state 1 falls into the absorbing state 0: nonzero below the diagonal only
+    assert np.array_equal(stationary_row([[0.0, 0.0], [1.0, -1.0]]), [1.0, 0.0])
     # two absorbing states above a transient one still have no unique row
     with pytest.raises(SingularMatrix, match="state 2 reaches no lower state"):
         stationary_row([[-1.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -168,6 +171,24 @@ def test_stationary_row_of_an_unevenly_banded_kernel():
     v = stationary_row(p, continuous=False)
     assert abs(v.sum() - 1.0) < 1e-14
     assert inf_norm(v @ p - v) < 1e-15
+
+
+def test_stationary_row_of_a_single_state():
+    # the full band of a 1 x 1 matrix has both reaches cut to 0
+    assert np.array_equal(stationary_row([[0.0]]), [1.0])
+    assert np.array_equal(stationary_row([[1.0]], continuous=False), [1.0])
+
+
+def test_square_input_and_its_band_give_the_same_bits():
+    # a 6-state generator with lower reach 1 and upper reach 2
+    rng = np.random.default_rng(5)
+    offsets = np.subtract.outer(np.arange(6), np.arange(6))
+    inside = (offsets <= 1) & (offsets >= -2)
+    q = np.where(inside, rng.random((6, 6)), 0.0)
+    q -= np.diag(q.sum(axis=1))
+    band = Band.zeros(6, 1, 2)
+    band.view()[inside] = q[inside]
+    assert np.array_equal(stationary_row(q), stationary_row(band))
 
 
 def test_stationary_row_of_a_chain_that_climbs_past_the_float_range():

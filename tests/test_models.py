@@ -346,6 +346,15 @@ def test_meanfield_profile_settles_onto_the_fixed_point():
     assert gap < 1e-6
 
 
+def test_meanfield_step_budget_is_t_end_over_dt():
+    # t_end / dt at the budget is run: one level settles within 40 steps
+    budget = models.MEANFIELD_MAX_STEPS
+    result = meanfield_ode(0.5, 2, 1, float(budget), dt=1.0)
+    assert result.settled and result.steps < 40
+    with pytest.raises(ValidationError, match="^dt must reach"):
+        meanfield_ode(0.5, 2, 1, float(budget), dt=np.nextafter(1.0, 0.0))
+
+
 def test_meanfield_respects_monotone_profile():
     result = meanfield_ode(0.7, 2, 12, 40.0)
     assert np.all(np.diff(result.values) <= 1e-12)

@@ -27,7 +27,7 @@ MG1 = SkipFreeModel("MG1", [[[0.6]], [[0.1]], [[0.2]], [[0.1]]],
 
 
 def test_truncated_generator_rows_sum_to_zero():
-    q = truncated_generator(LdQbdModel.from_qbd(MM1, 2), 30)
+    q = truncated_generator(MM1, 30)
     assert inf_norm(q.cells.sum(axis=1)) < 1e-12
     # a 3-state boundary under 2-phase levels, with blocks varying to level 3
     rng = np.random.default_rng(3)
