@@ -39,15 +39,15 @@ MAX_CELLS = 4_000_000
 
 
 def _truncation(model) -> tuple:
-    """The model as a chain the oracle truncates, its truncation rule,
-    whether that yields a generator, and the band width of the result."""
+    """The truncation rule of a chain, whether that yields a generator, and
+    the band width of the result."""
     if isinstance(model, LdQbdModel):
         truncate, continuous = truncated_generator, True
     elif isinstance(model, SkipFreeModel):
         truncate, continuous = truncated_kernel, False
     else:
         raise TypeError(f"no truncation rule for {type(model).__name__}")
-    return model, truncate, continuous, sum(model.band_reach) + 1
+    return truncate, continuous, sum(model.band_reach) + 1
 
 
 def truncate_and_solve(model, levels: int) -> TailSeries:
@@ -61,7 +61,7 @@ def truncate_and_solve(model, levels: int) -> TailSeries:
     of more than MAX_CELLS cells raises SizeLimit before it is assembled.
     """
     _check_levels(levels, 1)
-    model, truncate, continuous, width = _truncation(model)
+    truncate, continuous, width = _truncation(model)
     m0, m = model.m0, model.m
     states = m0 + levels * m
     if states * width > MAX_CELLS:
@@ -93,7 +93,8 @@ def sized_reference(build, levels: int, tol: float, decay: float) -> TailSeries:
     2 `levels`.  Either start is only a first guess; a depth that misses the
     mass test doubles."""
     # block sizes and band width do not change with the depth
-    chain, _, _, width = _truncation(build(1))
+    chain = build(1)
+    width = _truncation(chain)[2]
     deepest = (MAX_CELLS // width - chain.m0) // chain.m
     if 0 < decay < 1:
         target = min(tol, np.finfo(float).eps)

@@ -17,8 +17,11 @@ censor_level_0, which the level-dependent rate sequence shares, and tail
 vectors pi_k (mass at level k or above) by three routes:
 matrix-geometric accumulation, a UL-type factorization of the level-shifted
 generator, and a LU-type forward factorization whose measures vary by level.
-boundary_solve checks that R is stable and returns it with the pair; the
-routes read R from that solution and do not check it again.
+boundary_solve checks that R is stable and returns it with the pair and the
+censored level-1 block Phi0; the routes read them from that solution and do
+not check them again.  A QBD is the simplest chain of GI/M/1 type, and
+skipfree.gim1_stationary returns the same BoundarySolution, so the
+matrix-geometric and UL routes here serve both kinds.
 """
 
 from __future__ import annotations
@@ -251,12 +254,15 @@ class RateSolveResult:
 
 @dataclass(frozen=True)
 class BoundarySolution:
-    """The boundary pair (x0, x1) and the rate matrix R they were solved
-    with, which boundary_solve has checked for stability."""
+    """The boundary pair (x0, x1), the rate matrix R they were solved with,
+    which has been checked for stability, and phi0, the generator block of
+    level 1 censored on itself: (A0 + A1) + R A2 for a QBD, and
+    (A0 + sum_{k>=1} R^{k-1} A_k) - I for a GI/M/1-type chain."""
 
     x0: np.ndarray
     x1: np.ndarray
     r: np.ndarray
+    phi0: np.ndarray
 
 
 def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
@@ -364,7 +370,8 @@ def censor_level_0(model: LdQbdModel, r) -> tuple:
 
 def boundary_solve(model: QbdModel, r) -> BoundarySolution:
     """Boundary stationary pair (x0, x1) given the rate matrix R, which
-    geometric_mass checks for stability and the solution carries.
+    geometric_mass checks for stability and the solution carries with the
+    censored level-1 block Phi0 = (A0 + A1) + R A2.
 
     censor_level_0 gives x1 = x0 R0 and x0 up to one scale; both rows are
     then scaled by 1 / (x0 e + x1 (I-R)^{-1} e), the mass of all levels.
@@ -376,7 +383,8 @@ def boundary_solve(model: QbdModel, r) -> BoundarySolution:
     entry, x0 = censor_level_0(model, r)
     x1 = x0 @ entry
     scale = 1.0 / (x0.sum() + x1 @ mass)
-    return BoundarySolution(_frozen(scale * x0), _frozen(scale * x1), _frozen(r))
+    phi0 = (model.a0 + model.a1) + r @ model.a2
+    return BoundarySolution(_frozen(scale * x0), _frozen(scale * x1), _frozen(r), _frozen(phi0))
 
 
 def tails_matrix_geometric(boundary: BoundarySolution, levels: int) -> TailSeries:
@@ -386,18 +394,18 @@ def tails_matrix_geometric(boundary: BoundarySolution, levels: int) -> TailSerie
     return TailSeries(_powers(head, r, levels), boundary.x0, method="matrix-geometric")
 
 
-def tails_ul(model: QbdModel, boundary: BoundarySolution, levels: int) -> TailSeries:
+def tails_ul(b0, boundary: BoundarySolution, levels: int) -> TailSeries:
     """Tails from the UL factorization of the level-shifted generator.
 
-    The censored corner block is Phi0 = (A0 + A1) + R A2 and
-    pi_1 = x0 B0 (-Phi0)^{-1}, pi_k = pi_1 R^{k-1}, with x0 and R from
-    `boundary`.  The head equals the matrix-geometric one,
-    x1 (I-R)^{-1}, in exact arithmetic; the two routes reach it by
+    With Phi0 the censored level-1 block of `boundary`, a QBD's or a
+    GI/M/1-type chain's (see BoundarySolution), pi_1 = x0 B0 (-Phi0)^{-1}
+    and pi_k = pi_1 R^{k-1}, where B0 is the block from level 0 up to
+    level 1.  The head equals the matrix-geometric
+    one, x1 (I-R)^{-1}, in exact arithmetic; the two routes reach it by
     different solves.
     """
-    r = boundary.r
-    head = solve_xa(-((model.a0 + model.a1) + r @ model.a2), boundary.x0 @ model.b0)
-    return TailSeries(_powers(head, r, levels), boundary.x0, method="ul-rg")
+    head = solve_xa(-boundary.phi0, boundary.x0 @ b0)
+    return TailSeries(_powers(head, boundary.r, levels), boundary.x0, method="ul-rg")
 
 
 def _lu_steps(model: QbdModel, x0):

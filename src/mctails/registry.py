@@ -100,7 +100,7 @@ def _qbd_mg(model, stage, levels):
 
 
 def _qbd_ul(model, stage, levels):
-    return qbd.tails_ul(model.payload, stage, levels)
+    return qbd.tails_ul(model.payload.b0, stage, levels)
 
 
 def _qbd_lu(model, stage, levels):
@@ -115,12 +115,8 @@ def _ldqbd_lu(model, stage, levels):
     return ldqbd.tails_lu_ld(model.payload, stage, levels)
 
 
-def _gim1_mg(model, stage, levels):
-    return skipfree.gim1_tails(stage, levels)
-
-
 def _gim1_ul(model, stage, levels):
-    return skipfree.gim1_ul_tails(model.payload, stage, levels)
+    return qbd.tails_ul(model.payload.b_blocks[0], stage, levels)
 
 
 def _mg1_iterative(model, stage, levels):
@@ -188,7 +184,7 @@ REGISTRY = {
                   ldqbd.LdQbdModel, _ldqbd_stage,
                   {"product": _ldqbd_product, "lu": _ldqbd_lu}, _chain),
     "gim1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "GIM1"),
-                 _gim1_stage, {"mg": _gim1_mg, "ul": _gim1_ul}, _chain),
+                 _gim1_stage, {"mg": _qbd_mg, "ul": _gim1_ul}, _chain),
     "mg1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "MG1"),
                 _mg1_stage, {"iterative": _mg1_iterative, "ul": _mg1_ul}, _chain),
     "retrial": Kind("params", dict.fromkeys(("lam", "mu", "theta"), "number"),

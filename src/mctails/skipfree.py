@@ -23,10 +23,16 @@ balance re-check of both stationary solvers multiplies by it
 (Band.product), and the oracle solves it; its A-block rule, _place_a,
 also lays out the grouped QBD of the R/G solve.  The GI/M/1 side has a
 matrix-geometric stationary vector driven by the minimal solution of
-R = sum_k R^k A_k; the M/G/1 side rests on the first-passage matrix
+R = sum_k R^k A_k.  A QBD is the GI/M/1 chain with A_k = 0 for k >= 3, so
+gim1_stationary returns the qbd.BoundarySolution a QBD's boundary solve
+does, with level 1 censored on itself as its Phi0, and the QBD's
+matrix-geometric and UL routes (qbd.tails_matrix_geometric, qbd.tails_ul)
+give its tails.  The M/G/1 side rests on the first-passage matrix
 G = sum_k A_k G^k and visit-count blocks fed into a forward recursion.  Seen
 max(1, len(A) - 2) levels at a time either chain is a QBD, and R and G are
-blocks of that QBD's matrices from qbd.solve_R and qbd.solve_G.
+blocks of that QBD's matrices from qbd.solve_R and qbd.solve_G.  Both
+stationary solvers take the stationary row of a censored boundary chain
+(_boundary_row) and re-check balance on a window of levels (_check_balance).
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .matkernel import (
     solve_xa,
     stationary_row,
 )
-from .qbd import ROWSUM_TOL, RateSolveResult, geometric_mass, solve_G, solve_R
+from .qbd import ROWSUM_TOL, BoundarySolution, RateSolveResult, geometric_mass, solve_G, solve_R
 from .series import TailSeries
 
 
@@ -179,25 +185,6 @@ def _place_a(grid, a, first: int, mg1: bool) -> None:
 
 
 @dataclass(frozen=True)
-class Gim1Measures:
-    """Solved quantities for a GI/M/1-type chain.
-
-    rate is the minimal solution of R = sum_k R^k A_k; entry maps the
-    boundary into level 1; shifted_kernel is A_0 + sum_{k>=1} R^{k-1} A_k,
-    so that I minus it factors as (I - R)(I - (shifted_kernel - A_0)).  x0
-    holds the stationary boundary probabilities, tau times the stationary
-    row of the censored boundary chain.
-    """
-
-    rate: np.ndarray
-    entry: np.ndarray
-    shifted_kernel: np.ndarray
-    tau: float
-    x0: np.ndarray
-    stationarity_residual: float
-
-
-@dataclass(frozen=True)
 class Mg1Measures:
     """Solved quantities for an M/G/1-type chain.
 
@@ -216,7 +203,6 @@ class Mg1Measures:
     visit_rows: tuple
     tau: float
     x0: np.ndarray
-    stationarity_residual: float
 
 
 def _grouped(a_blocks, mg1: bool) -> tuple:
@@ -254,14 +240,16 @@ def solve_G_series(a_blocks, tol: float = 1e-12) -> RateSolveResult:
                            solved.iterations, solved.residual)
 
 
-def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
-    """Boundary row and rate measures of a positive recurrent GI/M/1-type chain.
+def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> BoundarySolution:
+    """Boundary solution of a positive recurrent GI/M/1-type chain, the
+    qbd.BoundarySolution that qbd.boundary_solve gives a QBD.
 
     The censored boundary chain is B_1 + R_1 sum_k R^{k-1} B_{k+1} with entry
     block R_1 = B_0 (I - sum_{k>=1} R^{k-1} A_k)^{-1}; its stationary
     vector, scaled by the mass of the matrix-geometric levels above, gives
-    x0.  A balance miss beyond 1e-8 on a window of levels raises
-    SingularMatrix.
+    x0, and x1 = x0 R_1.  Level 1 censored on itself has the kernel
+    A_0 + sum_{k>=1} R^{k-1} A_k, and phi0 is that kernel minus I.  A
+    balance miss beyond 1e-8 on a window of levels raises SingularMatrix.
     """
     if model.kind != "GIM1":
         raise ValidationError("gim1_stationary needs a GIM1 model")
@@ -284,49 +272,12 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Gim1Measures:
     for k in range(1, len(b) - 1):
         folded = folded + power @ b[k + 1]
         power = power @ r
-    boundary_chain = b[1] + entry @ folded
-    stochastic_err = inf_norm(boundary_chain.sum(axis=1) - 1.0)
-    if stochastic_err > 1e-6:
-        raise SingularMatrix(
-            f"censored boundary chain rows sum to 1 +/- {stochastic_err:.3e}"
-        )
-    y0 = stationary_row(boundary_chain, continuous=False)
+    y0 = _boundary_row(b[1] + entry @ folded)
     mass = float((y0 @ entry) @ level_mass)
-    tau = 1.0 / (1.0 + mass)
-    x0 = tau * y0
-    resid = _balance_residual(model, [x0] + _powers(x0 @ entry, r, _balance_window(model) - 1))
-    if resid > 1e-8:
-        raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
-    return Gim1Measures(
-        rate=r,
-        entry=_frozen(entry),
-        shifted_kernel=_frozen(a[0] + visit),
-        tau=tau,
-        x0=_frozen(x0),
-        stationarity_residual=resid,
-    )
-
-
-def gim1_tails(measures: Gim1Measures, levels: int) -> TailSeries:
-    """Matrix-geometric tails of a GI/M/1-type chain from its measures,
-    summing the geometric levels directly: pi_k = x0 R_1 (I - R)^{-1} R^{k-1}."""
-    eye = np.eye(measures.rate.shape[0])
-    head = measures.x0 @ solve_xa(eye - measures.rate, measures.entry)
-    return TailSeries(_powers(head, measures.rate, levels), measures.x0,
-                      method="matrix-geometric")
-
-
-def gim1_ul_tails(model: SkipFreeModel, measures: Gim1Measures, levels: int) -> TailSeries:
-    """Factorization tails of a GI/M/1-type chain from its measures.
-
-    Level 1 is censored under the shifted kernel instead,
-    pi_k = x0 B_0 (I - shifted_kernel)^{-1} R^{k-1}; the head agrees exactly
-    with the matrix-geometric one because I minus the shifted kernel factors
-    through I - R.
-    """
-    head = solve_xa(np.eye(model.m) - measures.shifted_kernel,
-                    measures.x0 @ model.b_blocks[0])
-    return TailSeries(_powers(head, measures.rate, levels), measures.x0, method="ul-rg")
+    x0 = (1.0 / (1.0 + mass)) * y0
+    x1 = x0 @ entry
+    _check_balance(model, [x0] + _powers(x1, r, _balance_window(model) - 1))
+    return BoundarySolution(_frozen(x0), _frozen(x1), r, _frozen((a[0] + visit) - eye))
 
 
 def _suffix_sums(blocks: list) -> list:
@@ -380,6 +331,25 @@ def _balance_residual(model: SkipFreeModel, rows: list) -> float:
     return inf_norm((truncated_kernel(model, len(rows) - 1).product(x) - x)[:width])
 
 
+def _check_balance(model: SkipFreeModel, rows: list) -> None:
+    """Raise SingularMatrix when the rows miss balance on the window
+    (_balance_residual) by more than 1e-8."""
+    resid = _balance_residual(model, rows)
+    if resid > 1e-8:
+        raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
+
+
+def _boundary_row(boundary_chain: np.ndarray) -> np.ndarray:
+    """Stationary row of a censored boundary chain, whose rows must sum to
+    one within 1e-6; a wider miss raises SingularMatrix."""
+    stochastic_err = inf_norm(boundary_chain.sum(axis=1) - 1.0)
+    if stochastic_err > 1e-6:
+        raise SingularMatrix(
+            f"censored boundary chain rows sum to 1 +/- {stochastic_err:.3e}"
+        )
+    return stationary_row(boundary_chain, continuous=False)
+
+
 def _mg1_row(model: SkipFreeModel, rows, first, blocks, k: int) -> np.ndarray:
     """rows[0] first[k-1] + sum_{0<i<k} rows[i] blocks[k-i-1], with blocks
     past the end of either list zero, so only their nonzero band is visited.
@@ -430,12 +400,7 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     for k in range(2, len(b)):
         boundary_chain = boundary_chain + b[k] @ power
         power = g @ power
-    stochastic_err = inf_norm(boundary_chain.sum(axis=1) - 1.0)
-    if stochastic_err > 1e-6:
-        raise SingularMatrix(
-            f"censored boundary chain rows sum to 1 +/- {stochastic_err:.3e}"
-        )
-    y0 = stationary_row(boundary_chain, continuous=False)
+    y0 = _boundary_row(boundary_chain)
     from_boundary = _visit_blocks(b[2:], g, kernel)
     between = _visit_blocks(a[2:], g, kernel)
     w0 = sum(from_boundary, np.zeros((m0, m)))
@@ -445,9 +410,7 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     for k in range(1, _balance_window(model)):
         rows.append(_mg1_row(model, rows, from_boundary, between, k))
     x0 = tau * y0
-    resid = _balance_residual(model, [tau * row for row in rows])
-    if resid > 1e-8:
-        raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
+    _check_balance(model, [tau * row for row in rows])
     return Mg1Measures(
         passage=g,
         local_kernel=_frozen(kernel),
@@ -456,7 +419,6 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
         visit_rows=tuple(_frozen(row) for row in rows),
         tau=tau,
         x0=_frozen(x0),
-        stationarity_residual=resid,
     )
 
 

@@ -155,7 +155,7 @@ def test_criterion_05_skip_free_measures_and_laws():
     with criterion(5, "skip-free measures hit their known values"):
         gim1 = SkipFreeModel("GIM1", [[[0.3]], [[0.3]], [[0.4]]],
                              [[[0.3]], [[0.7]], [[0.4]]])
-        rate = gim1_stationary(gim1).rate
+        rate = gim1_stationary(gim1).r
         assert abs(float(rate[0, 0]) - 0.75) < 1e-10
 
         third = 1.0 / 3.0

@@ -170,7 +170,8 @@ def test_band_solve_is_bit_identical_to_the_dense_solve(model):
     """Each reference chain, truncated at the depth check picks, solves to
     the same bits from its band as from the dense matrix."""
     depth = cross_check(model, 20).oracle_levels
-    chain, truncate, continuous, width = _truncation(REGISTRY[model.kind].reference(model, depth))
+    chain = REGISTRY[model.kind].reference(model, depth)
+    truncate, continuous, width = _truncation(chain)
     band = truncate(chain, depth)
     assert band.cells.shape == (chain.m0 + depth * chain.m, width)
     x = stationary_row(band, continuous)

@@ -315,7 +315,7 @@ def test_ul_and_geometric_heads_agree():
     matrix-geometric one by a different solve."""
     r = solve_R(TWOPHASE.a0, TWOPHASE.a1, TWOPHASE.a2).matrix
     boundary = boundary_solve(TWOPHASE, r)
-    ul = tails_ul(TWOPHASE, boundary, 10)
+    ul = tails_ul(TWOPHASE.b0, boundary, 10)
     mg = tails_matrix_geometric(boundary, 10)
     assert inf_norm(ul.level(1) - mg.level(1)) < 1e-8
     assert ul.truncation_report == {}
@@ -330,10 +330,13 @@ def test_lu_route_matches_geometric_tail_shape():
 
 
 def test_geometric_route_accepts_explicit_head():
-    boundary = BoundarySolution(np.array([0.5]), np.array([0.25]), np.array([[0.5]]))
-    series = tails_matrix_geometric(boundary, 5)
-    assert abs(float(series.level(1)[0]) - 0.5) < 1e-12
-    assert abs(float(series.level(5)[0]) - 0.03125) < 1e-12
+    """The boundary solution of MM1 written out: both routes that read it
+    give the tails 0.5^k."""
+    boundary = BoundarySolution(np.array([0.5]), np.array([0.25]), np.array([[0.5]]),
+                                np.array([[-1.0]]))
+    for series in (tails_matrix_geometric(boundary, 5), tails_ul(MM1.b0, boundary, 5)):
+        assert abs(float(series.level(1)[0]) - 0.5) < 1e-12
+        assert abs(float(series.level(5)[0]) - 0.03125) < 1e-12
 
 
 def test_model_validation_rejects_bad_sign_patterns():

@@ -1,19 +1,20 @@
 """Skip-free chains: series solvers, stationary laws, both tail routes."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mctails import skipfree, solve_tails
+from mctails import registry, skipfree, solve_tails
+from mctails.cli import load_model_file
 from mctails.errors import NearCritical, Reducible, SingularMatrix, Unstable, ValidationError
-from mctails.matkernel import inf_norm, stationary_row
+from mctails.matkernel import _powers, inf_norm, stationary_row
 from mctails.oracle import truncate_and_solve
+from mctails.qbd import tails_matrix_geometric, tails_ul
 from mctails.skipfree import (
     SkipFreeModel,
     gim1_stationary,
-    gim1_tails,
-    gim1_ul_tails,
     mg1_drift,
     mg1_stationary,
     mg1_tails,
@@ -21,6 +22,8 @@ from mctails.skipfree import (
     solve_G_series,
     solve_R_series,
 )
+
+FILES = Path(__file__).resolve().parents[1] / "modelfiles"
 
 # Scalar upward-skip-free walk: up 0.3, hold 0.3, down 0.4.  The geometric
 # rate is 0.3/0.4 and the boundary carries mass 0.25.
@@ -116,15 +119,27 @@ def test_rate_series_closed_forms_at_the_edges():
     assert inf_norm(depth_one.matrix - expected) < 1e-10
 
 
+def _gim1_balance_residual(model, boundary):
+    """The balance residual of the rows x0, x1, x1 R, ... of a GI/M/1 stage."""
+    window = skipfree._balance_window(model)
+    rows = [boundary.x0] + _powers(boundary.x1, boundary.r, window - 1)
+    return skipfree._balance_residual(model, rows)
+
+
+def _mg1_balance_residual(model, measures):
+    """The balance residual of the normalized visit rows of an M/G/1 stage."""
+    return skipfree._balance_residual(model, [measures.tau * row for row in measures.visit_rows])
+
+
 def test_scalar_boundary_mass_is_one_quarter():
-    measures = gim1_stationary(GIM1_SCALAR)
-    assert abs(measures.tau - 0.25) < 1e-9
-    assert abs(float(measures.x0[0]) - 0.25) < 1e-9
-    assert measures.stationarity_residual < 1e-9
+    boundary = gim1_stationary(GIM1_SCALAR)
+    assert abs(float(boundary.x0.sum()) - 0.25) < 1e-9
+    assert abs(float(boundary.x0[0]) - 0.25) < 1e-9
+    assert _gim1_balance_residual(GIM1_SCALAR, boundary) < 1e-9
 
 
 def test_scalar_tails_are_pure_powers():
-    series = gim1_tails(gim1_stationary(GIM1_SCALAR), 10)
+    series = tails_matrix_geometric(gim1_stationary(GIM1_SCALAR), 10)
     for k in range(1, 11):
         assert abs(float(series.level(k)[0]) - 0.75 ** k) < 1e-9
 
@@ -137,9 +152,9 @@ def test_gim1_uniformized_birth_death_is_geometric():
         [[[0.25]], [[0.25]], [[0.5]]],
         [[[0.25]], [[0.75]], [[0.5]]],
     )
-    measures = gim1_stationary(model)
-    assert abs(measures.tau - 0.5) < 1e-9
-    series = gim1_tails(measures, 8)
+    boundary = gim1_stationary(model)
+    assert abs(float(boundary.x0.sum()) - 0.5) < 1e-9
+    series = tails_matrix_geometric(boundary, 8)
     for k in range(1, 9):
         assert abs(float(series.level(k)[0]) - 0.5 ** k) < 1e-9
 
@@ -156,20 +171,22 @@ def test_gim1_boundary_without_entry_is_reducible():
 
 def test_gim1_routes_agree():
     for model in (GIM1_SCALAR, GIM1_PHASED):
-        measures = gim1_stationary(model)
-        mg = gim1_tails(measures, 12)
-        ul = gim1_ul_tails(model, measures, 12)
+        boundary = gim1_stationary(model)
+        mg = tails_matrix_geometric(boundary, 12)
+        ul = tails_ul(model.b_blocks[0], boundary, 12)
         gap = max(inf_norm(mg.level(k) - ul.level(k)) for k in range(1, 13))
         assert gap < 1e-9
 
 
 def test_shifted_kernel_factors_through_the_rate_matrix():
-    measures = gim1_stationary(GIM1_PHASED)
+    """Level 1 censored on itself has the kernel phi0 + I, and I minus it
+    factors through I - R."""
+    boundary = gim1_stationary(GIM1_PHASED)
     eye = np.eye(2)
-    left = eye - measures.shifted_kernel
-    visit_kernel = measures.shifted_kernel - GIM1_PHASED.a_blocks[0]
-    right = (eye - measures.rate) @ (eye - visit_kernel)
-    assert inf_norm(left - right) < 1e-12
+    shifted_kernel = boundary.phi0 + eye
+    visit_kernel = shifted_kernel - GIM1_PHASED.a_blocks[0]
+    right = (eye - boundary.r) @ (eye - visit_kernel)
+    assert inf_norm(-boundary.phi0 - right) < 1e-12
 
 
 def test_gim1_matches_dense_truncation():
@@ -232,9 +249,9 @@ def test_mg1_matches_dense_truncation():
         assert inf_norm(series.x0 - reference.x0) < 1e-8
 
 
-def test_mg1_stationarity_residual_is_reported_small():
+def test_mg1_stationary_rows_balance():
     measures = mg1_stationary(MG1_BATCH)
-    assert measures.stationarity_residual < 1e-9
+    assert _mg1_balance_residual(MG1_BATCH, measures) < 1e-9
     assert mg1_drift(MG1_BATCH) < 0
 
 
@@ -340,4 +357,24 @@ def test_mg1_normalizer_is_closed_form_near_saturation():
     series = mg1_tails(model, measures, 50)
     assert series.truncation_report["levels_materialized"] == 50
     assert abs(float(measures.x0[0]) / (1.0 - rho) - 1.0) < 1e-10
-    assert measures.stationarity_residual < 1e-9
+    assert _mg1_balance_residual(model, measures) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["mm1", "qbd22", "vacation", "repairable"])
+def test_uniformized_qbd_is_a_gim1_chain(name):
+    """A QBD uniformized at c, A = (A0/c, I + A1/c, A2/c) and likewise B, is
+    a GI/M/1 chain with three A blocks and the same stationary law; its mg
+    and ul routes match the QBD's to roundoff at every level."""
+    model = load_model_file(FILES / f"{name}.json")
+    chain = registry.REGISTRY[model.kind].reference(model, 0)
+    c = 1.05 * max(np.abs(np.diag(chain.b1)).max(), np.abs(np.diag(chain.a1)).max())
+    gim1 = SkipFreeModel(
+        "GIM1",
+        [chain.a0 / c, np.eye(chain.m) + chain.a1 / c, chain.a2 / c],
+        [chain.b0 / c, np.eye(chain.m0) + chain.b1 / c, chain.b2 / c],
+    )
+    for method in ("mg", "ul"):
+        want = solve_tails(chain, 50, method)
+        got = solve_tails(gim1, 50, method)
+        for a, b in [(got.x0, want.x0)] + [(got.level(k), want.level(k)) for k in range(1, 51)]:
+            assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (method, a, b)
