@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ValidationError
 from .matkernel import Band, _frozen, solve_sweep, solve_xa
 from .qbd import LdQbdModel, censor_level_0, geometric_mass, solve_R
-from .series import TailSeries
+from .series import TailSeries, _from_levels
 
 
 def truncated_generator(model: LdQbdModel, levels: int) -> Band:
@@ -115,18 +115,10 @@ def solve_rate_sequence(model: LdQbdModel, tol: float = 1e-12) -> RateSequence:
 
 
 def _closed_tails(v, rows: list, r, levels: int, method: str) -> TailSeries:
-    """Normalized tails from the level-0 row v and the rows x_1..x_n of
-    levels 1..n, all up to one common scale, with n at or past the horizon.
-
-    From level n on the blocks are frozen, so x_{j+1} = x_j R_h and the
-    levels past n hold x_n R_h (I - R_h)^{-1} in closed form.  Each tail is
-    that remainder plus a suffix sum of the rows.
-    """
+    """The tails of the level-0 row v and the rows x_1..x_n, n at or past the
+    horizon, whose frozen levels past n hold x_n R_h (I - R_h)^{-1}."""
     remainder = solve_xa(np.eye(len(r)) - r, rows[-1] @ r)
-    tails = np.cumsum([remainder] + rows[::-1], axis=0)[:0:-1]
-    kappa = 1.0 / (float(v.sum()) + float(tails[0].sum()))
-    return TailSeries(list(kappa * tails[:levels]), kappa * v, method=method,
-                      truncation_report={"terms": len(rows)})
+    return _from_levels(rows, levels, method, {"terms": len(rows)}, v, remainder)
 
 
 def stationary_product(model: LdQbdModel, rates: RateSequence, levels: int) -> TailSeries:

@@ -1,5 +1,6 @@
 """Real-matrix kernel used by every solver, and the package's only user of
-numpy.linalg.
+numpy.linalg.  It holds linear algebra only: how level rows become tails,
+the geometric powers head R^k included, is the business of series.
 
 Matrices are plain 2-d float64 numpy arrays; probability and rate vectors are
 1-d arrays treated as rows.  A large banded matrix, such as a chain
@@ -50,14 +51,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only and return it."""
     a.setflags(write=False)
     return a
-
-
-def _powers(head, rate, levels: int) -> list:
-    """head, head R, head R^2, ...: the first `levels` rows."""
-    rows = [head] if levels >= 1 else []
-    for _ in range(1, levels):
-        rows.append(rows[-1] @ rate)
-    return rows
 
 
 def inf_norm(a) -> float:
@@ -232,11 +225,17 @@ class Band:
                           strides=((width - 1) * item, item))
 
     def product(self, x) -> np.ndarray:
-        """The row vector x times the matrix, one pass per band column."""
+        """The row vector x times the matrix, one pass per band column or,
+        when there are fewer rows than columns, per row.  Rows run from the
+        last up, so every entry adds its terms in the same order either way."""
         n, width = self.cells.shape
         out = np.zeros(n + width - 1)
-        for c in range(width):
-            out[c:c + n] += x * self.cells[:, c]
+        if n < width:
+            for i in range(n - 1, -1, -1):
+                out[i:i + width] += x[i] * self.cells[i]
+        else:
+            for c in range(width):
+                out[c:c + n] += x * self.cells[:, c]
         return out[self.lower:self.lower + n]
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import Divergent, StepUnstable, Unstable, ValidationError
 from .ldqbd import LdQbdModel
-from .matkernel import _powers, inf_norm
+from .matkernel import inf_norm
 from .qbd import QbdModel, tails_matrix_geometric
-from .series import TailSeries, _check_levels
+from .series import TailSeries, _check_levels, _from_levels, _powers
 
 # Runge-Kutta steps meanfield_ode may be asked for, t_end / dt; the d = 2,
 # 40-level run at rho 0.99 settles after about 61,000.
@@ -151,10 +151,7 @@ def retrial_tails(params: RetrialParams, levels: int) -> TailSeries:
             idle = [x * 1e-250 for x in idle]
             deep_busy *= 1e-250
             deep_idle *= 1e-250
-    tails = np.cumsum(np.column_stack((busy, idle))[::-1], axis=0)[::-1]
-    pis = list(tails[: levels + 1] / tails[0].sum())
-    return TailSeries(pis, None, method="matrix-product",
-                      truncation_report={"terms": n}, first_level=0)
+    return _from_levels(np.column_stack((busy, idle)), levels, "matrix-product", {"terms": n})
 
 
 def _rates(rate) -> list:
@@ -197,11 +194,8 @@ def mn_mn_1_tails(arrival, service, levels: int) -> TailSeries:
     if t > 0 and q >= 1:
         raise Divergent(f"rates freeze at load {q:.6g}, not below 1; the queue is not ergodic")
     remainder = t * q / (1.0 - q) if t > 0 else 0.0
-    tails = np.cumsum([remainder] + terms[::-1])[:0:-1]
-    norm = 1.0 + tails[0]
-    pis = [np.array([1.0])] + [np.array([x / norm]) for x in tails[:levels]]
-    return TailSeries(pis, None, method="closed-form",
-                      truncation_report={"terms": n}, first_level=0)
+    return _from_levels(np.reshape([1.0, *terms], (-1, 1)), levels, "closed-form",
+                        {"terms": n}, past=[remainder])
 
 
 def mnmn1_chain(arrival, service) -> LdQbdModel:
@@ -386,8 +380,7 @@ def meanfield_ode(rho: float, d: int, levels: int, t_end: float,
     any step.
     """
     _check_supermarket(rho, d)
-    if levels < 1:
-        raise ValidationError("need at least one level")
+    _check_levels(levels, 1)
     _require_positive(t_end, "t_end")
     _require_positive(dt, "dt")
     if t_end / dt > MEANFIELD_MAX_STEPS:

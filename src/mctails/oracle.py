@@ -31,7 +31,7 @@ import numpy as np
 from .errors import SizeLimit
 from .ldqbd import LdQbdModel, truncated_generator
 from .matkernel import stationary_row
-from .series import TailSeries, _check_levels
+from .series import TailSeries, _check_levels, _suffix_sums
 from .skipfree import SkipFreeModel, truncated_kernel
 
 # Band cells the oracle may assemble: one band of 32 MB.
@@ -69,11 +69,10 @@ def truncate_and_solve(model, levels: int) -> TailSeries:
             f"{states} states in a band {width} wide exceed the limit of {MAX_CELLS} cells"
         )
     x = stationary_row(truncate(model, levels), continuous=continuous)
-    x0 = x[:m0]
     rows = x[m0:].reshape(levels, m)
-    pis = np.cumsum(rows[::-1], axis=0)[::-1]
     report = {"levels": levels, "error_estimate": float(rows[-1].sum())}
-    return TailSeries(list(pis), x0, method="truncated-oracle", truncation_report=report)
+    # GTH has normalized x, so the suffix sums are the tails
+    return TailSeries(list(_suffix_sums(rows)[:-1]), x[:m0], "truncated-oracle", report)
 
 
 def sized_reference(build, levels: int, tol: float, decay: float) -> TailSeries:

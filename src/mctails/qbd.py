@@ -41,7 +41,6 @@ from .errors import (
 )
 from .matkernel import (
     _frozen,
-    _powers,
     as_matrix,
     inf_norm,
     inverse,
@@ -49,7 +48,7 @@ from .matkernel import (
     solve_xa,
     stationary_row,
 )
-from .series import TailSeries
+from .series import TailSeries, _powers
 
 ROWSUM_TOL = 1e-12
 STABILITY_MARGIN = 1e-9

@@ -279,15 +279,10 @@ class CheckReport:
         return all(c.ok for c in self.comparisons)
 
 
-def _rows(series: TailSeries, lo: int, hi: int) -> np.ndarray:
-    """The tail vectors of levels lo..hi of `series`, stacked."""
-    return np.asarray(series.pis[lo - series.first_level:hi - series.first_level + 1])
-
-
 def _compare(left: str, right: str, a: TailSeries, b: TailSeries) -> Comparison:
     lo = max(a.first_level, b.first_level)
     hi = min(a.last_level, b.last_level)
-    gap = float(np.abs(_rows(a, lo, hi) - _rows(b, lo, hi)).max())
+    gap = float(np.abs(a.rows(lo, hi) - b.rows(lo, hi)).max())
     return Comparison(left, right, lo, hi, gap, gap < CHECK_TOL)
 
 

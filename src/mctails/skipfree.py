@@ -51,7 +51,6 @@ from .errors import (
 from .matkernel import (
     Band,
     _frozen,
-    _powers,
     as_matrix,
     inf_norm,
     solve_linear,
@@ -59,7 +58,7 @@ from .matkernel import (
     stationary_row,
 )
 from .qbd import ROWSUM_TOL, BoundarySolution, RateSolveResult, geometric_mass, solve_G, solve_R
-from .series import TailSeries
+from .series import TailSeries, _powers, _suffix_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,14 +279,6 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> BoundarySolutio
     return BoundarySolution(_frozen(x0), _frozen(x1), r, _frozen((a[0] + visit) - eye))
 
 
-def _suffix_sums(blocks: list) -> list:
-    """suffix[d] = sum_{k>=d} blocks[k], with one all-zero entry past the end."""
-    out = [np.zeros_like(blocks[0]) for _ in range(len(blocks) + 1)]
-    for k in range(len(blocks) - 1, -1, -1):
-        out[k] = blocks[k] + out[k + 1]
-    return out
-
-
 def _visit_blocks(shifted: list, g: np.ndarray, kernel: np.ndarray) -> list:
     """V_d = (sum_{l>=d} shifted[l-1] G^{l-d}) (I - kernel)^{-1} for d >= 1.
 
@@ -427,9 +418,9 @@ def _mg1_tail_heads(model: SkipFreeModel, measures: Mg1Measures, levels: int) ->
     balance window to the requested depth, in closed form:
     pi_n (I - W_1) = tau (v_0 W0_n + sum_{i<n} v_i W_{n-i}), with W0 and W
     the suffix sums of the visit blocks; one solve serves every level."""
-    w0 = _suffix_sums(list(measures.boundary_visits))
+    w0 = _suffix_sums(measures.boundary_visits)
     between = measures.visits
-    w = _suffix_sums(list(between)) if between else [np.zeros((model.m, model.m))]
+    w = _suffix_sums(between) if between else [np.zeros((model.m, model.m))]
     rows = list(measures.visit_rows)
     for k in range(len(rows), levels):
         rows.append(_mg1_row(model, rows, measures.boundary_visits, between, k))

@@ -98,7 +98,8 @@ def test_retrial_refuses_a_bad_level_count(levels):
     lambda levels: repairable_tails(REPAIRABLE, levels),
     lambda levels: supermarket_tails(0.5, 2, levels),
     lambda levels: mn_mn_1_tails(1.0, 2.0, levels),
-], ids=["vacation", "repairable", "supermarket", "mnmn1"])
+    lambda levels: meanfield_ode(0.5, 2, levels, 10.0),
+], ids=["vacation", "repairable", "supermarket", "mnmn1", "meanfield"])
 def test_closed_forms_refuse_a_bad_level_count(closed_form, levels):
     with pytest.raises(ValidationError, match="levels"):
         closed_form(levels)
@@ -136,6 +137,18 @@ def test_state_dependent_queue_with_finite_room():
     assert abs(float(series.level(1)[0]) - 3.0 / 7.0) < 1e-12
     assert abs(float(series.level(2)[0]) - 1.0 / 7.0) < 1e-12
     assert float(series.level(3)[0]) == 0.0
+
+
+@pytest.mark.parametrize("arrival,service", [
+    (1.0, 2.0),
+    ([1.0, 1.0, 0.0], 2.0),
+    ([0.3, 1.7, 0.9], [1.1, 2.3, 3.1]),
+    ([2.0, 1.5, 0.5], [1.0, 2.0, 3.0]),
+])
+def test_state_dependent_queue_puts_exactly_one_at_level_0(arrival, service):
+    """Level 0 holds all the mass, so its tail is exactly 1 whatever the
+    rounding of the normalizing sum."""
+    assert mn_mn_1_tails(arrival, service, 10).level(0).tolist() == [1.0]
 
 
 def test_state_dependent_queue_collapses_to_geometric():

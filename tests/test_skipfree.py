@@ -9,9 +9,10 @@ import pytest
 from mctails import registry, skipfree, solve_tails
 from mctails.cli import load_model_file
 from mctails.errors import NearCritical, Reducible, SingularMatrix, Unstable, ValidationError
-from mctails.matkernel import _powers, inf_norm, stationary_row
+from mctails.matkernel import inf_norm, stationary_row
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import tails_matrix_geometric, tails_ul
+from mctails.series import _powers
 from mctails.skipfree import (
     SkipFreeModel,
     gim1_stationary,
