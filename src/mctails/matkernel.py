@@ -13,14 +13,21 @@ SingularMatrix instead of returning digits that mean nothing.  The guard
 takes one system or a stack of them: solve_linear applies it to its system,
 and solve_sweep, which runs a chain of solves each built from the one before
 (a level-by-level sweep), applies it once to the whole stack after the sweep
-and names the first system that fails.  Stationary rows are the exception to
-LAPACK: stationary_row is GTH state reduction inside the matrix's band,
-which needs no subtraction, so each entry is accurate relative to its own
-size however small it is.  It runs on a Band only, taking a square array as
-the full band; its answer is re-checked against the balance equations.
+and names the first system that fails.  On the 1-8 phase blocks the solvers
+mostly see, numpy's fixed cost per call outweighs the arithmetic: a guarded
+2 x 2 solve takes 19-25 us on a 2-vCPU x86-64, about half of it the LAPACK
+call and 8-10 us the guard, which tests one system without stacking it.  A
+solver that needs one matrix for several right-hand sides stacks them into
+one solve.  Stationary rows are the exception to LAPACK: stationary_row is
+GTH state reduction inside the matrix's band, which needs no subtraction, so
+each entry is accurate relative to its own size however small it is.  It
+runs on a Band or on a square array, which it folds on its own dense copy;
+its answer is re-checked against the balance equations.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .errors import SingularMatrix, ValidationError
 RCOND_MIN = 1e-14
 # Relative balance residual a stationary solve may leave.
 BALANCE_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -42,7 +50,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name}: not a rectangular numeric matrix ({exc})") from None
     if a.ndim != 2 or a.size == 0:
         raise ValidationError(f"{name}: expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{name}: contains non-finite entries")
     return a
 
@@ -59,8 +67,8 @@ def inf_norm(a) -> float:
     if a.size == 0:
         return 0.0
     if a.ndim <= 1:
-        return float(np.max(np.abs(a)))
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+        return float(np.abs(a).max())
+    return float(np.abs(a).sum(axis=1).max())
 
 
 def _square(a, caller: str) -> np.ndarray:
@@ -88,10 +96,16 @@ def _guard(a, solved, where=None, refuse=None) -> None:
     first failing system raises SingularMatrix; in a stack, where(i) names
     system i.
     """
+    n = a.shape[-1]
     stacked = a.ndim == 3
     if not stacked:
+        # one system, unstacked: a finite plain sum makes every entry finite;
+        # the stacked check below decides and names whatever this does not pass
+        norms = [max(np.add.reduce(np.abs(m), axis=0).tolist()) for m in (a, solved[:, -n:])]
+        if (refuse is None and math.isfinite(np.add.reduce(solved, axis=None))
+                and 1.0 / norms[0] / norms[1] >= RCOND_MIN):
+            return
         a, solved = a[None], solved[None]
-    n = a.shape[-1]
     inverses = solved[..., -n:]
     finite = np.isfinite(solved).all(axis=(1, 2))
     # divided in turn, so that huge norms underflow to 0 rather than overflow
@@ -259,8 +273,8 @@ def _all_reach_last(a: np.ndarray, last: int, below: int, above: int) -> bool:
 
 def stationary_row(m, continuous: bool = True) -> np.ndarray:
     """Stationary row vector of a generator (v M = 0) or kernel (v M = v),
-    given as a Band or as a square matrix, which is copied into the full
-    band: n (2n - 1) cells, so square input is meant for blocks.
+    given as a Band or as a square matrix, which is folded on a dense copy
+    and re-checked with one product v M: square input is meant for blocks.
 
     GTH state reduction (Grassmann, Taksar & Heyman 1985) on the off-diagonal
     entries, which M and M - I share.  The last state is folded into the
@@ -270,8 +284,9 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     only the rows that reach it and the columns it reaches, so the work stays
     inside the band of the off-diagonal nonzeros: O(n p q) for lower reach p
     and upper reach q, the outermost nonzero diagonals of the band, and no
-    fill-in leaves it.  The fold runs on a copy of the cells, seen as an
-    n x n strided view.  A state k that reaches no lower state once the
+    fill-in leaves it.  A Band folds on a copy of its cells, seen as an
+    n x n strided view, with the same slices a square copy gets, so both
+    give the same bits.  A state k that reaches no lower state once the
     states above it are folded in is closed in the folded chain; if every
     lower state reaches it there, they are transient, carry no mass, and
     back-substitution starts at k.  The balance residual is re-checked
@@ -284,23 +299,22 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
             above it are folded in and some lower state does not reach it
             (two closed classes, say), or if v misses balance.
     """
-    if not isinstance(m, Band):
-        dense = _square(m, "stationary_row")
-        m = Band.zeros(len(dense), len(dense) - 1, len(dense) - 1)
-        m.view()[:] = dense
-    cells, lower = np.asarray(m.cells, dtype=float), m.lower
-    n, step = len(cells), cells.shape[1] - 1
+    dense = not isinstance(m, Band)
+    cells = _square(m, "stationary_row") if dense else np.asarray(m.cells, dtype=float)
+    (n, width), lower = cells.shape, 0 if dense else m.lower
     a = cells.copy()
-    a.reshape(-1)[lower::step + 1] = 0.0  # the diagonal
+    a.reshape(-1)[lower::width + dense] = 0.0  # the diagonal, square or banded
     # matrices built from solves may carry roundoff below an exact zero
     low = a.min()
-    if low < -n * np.finfo(float).eps * a.max():
+    if low < -n * _EPS * a.max():
         raise ValidationError(f"stationary_row: negative off-diagonal entry {low:.3e}")
     if low < 0.0:
         np.maximum(a, 0.0, out=a)
-    offsets = np.flatnonzero(a.any(axis=0)) - lower
+    # the offsets j - i of the nonzero entries (i, j); band column c holds c - lower
+    rows, cols = np.nonzero(a) if dense else (lower, np.flatnonzero(a.any(axis=0)))
+    offsets = cols - rows
     below, above = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
-    a = Band(a, lower).view()
+    a = a if dense else Band(a, lower).view()
     # Folding k divides column k above the diagonal by k's outflow to the
     # states below it, then adds the rates through k to the rows that reach
     # it.  The diagonal of a collects junk and is never read.  One buffer
@@ -310,14 +324,14 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     for k in range(n - 1, 0, -1):
         first_row, first_col = max(0, k - above), max(0, k - below)
         row = a[k, first_col:k]
-        out = row.sum()
+        out = np.add.reduce(row)
         if out == 0.0:
             if not _all_reach_last(a, k, below, above):
                 raise SingularMatrix(f"stationary solve: state {k} reaches no lower state")
             start = k
             break
         col = a[first_row:k, k]
-        col /= out
+        np.divide(col, out, out=col)
         block = a[first_row:k, first_col:k]
         block += np.multiply.outer(col, row, out=scratch[: k - first_row, : k - first_col])
     v = np.zeros(n)
@@ -328,8 +342,9 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
         if mass > 1e250:  # a chain that climbs: keep the row finite
             v[: k + 1] /= mass
     v /= v.sum()
-    balance = Band(cells if continuous else cells - np.eye(1, step + 1, lower), lower)
-    residual, size = inf_norm(balance.product(v)), inf_norm(balance.cells)
+    balance = cells if continuous else cells - np.eye(n if dense else 1, width, lower)
+    product = v @ balance if dense else Band(balance, lower).product(v)
+    residual, size = inf_norm(product), inf_norm(balance)
     if not residual <= BALANCE_TOL * max(1.0, size):  # NaN fails too
         raise SingularMatrix(f"stationary solve left balance residual {residual:.3e}")
     return v

@@ -40,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .matkernel import (
+    _EPS,
     _frozen,
     as_matrix,
     inf_norm,
@@ -302,13 +303,14 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
             p = None  # not a generator with one closed class
         if p is not None and p @ a0.sum(axis=1) < p @ a2.sum(axis=1):
             shift[:] = 1.0 / m
-    up, down = np.hsplit(solve_linear(-(a1 + a0 @ shift),
-                                      np.hstack((a0, a2 - a2 @ shift))), 2)
+    both = solve_linear(-(a1 + a0 @ shift), np.concatenate((a0, a2 - a2 @ shift), axis=1))
+    up, down = both[:, :m], both[:, m:]
     g = down
     climb = up
     for step in range(1, MAX_DOUBLINGS + 1):
         stay = np.eye(m) - up @ down - down @ up
-        up, down = np.hsplit(solve_linear(stay, np.hstack((up @ up, down @ down))), 2)
+        both = solve_linear(stay, np.concatenate((up @ up, down @ down), axis=1))
+        up, down = both[:, :m], both[:, m:]
         term = climb @ down
         g = g + term
         climb = climb @ up
@@ -348,9 +350,10 @@ def geometric_mass(r) -> np.ndarray:
         y = solve_linear(np.eye(len(r)) - r, np.ones(len(r)))
     except SingularMatrix as exc:
         raise Unstable(f"I - R is singular: {exc}") from None
-    slack = ROUNDOFF_FLOOR * len(y) * np.finfo(float).eps * np.max(np.abs(y))
-    if not (np.min(y) >= 1.0 - slack and np.max(y) < 1.0 / STABILITY_MARGIN):
-        raise Unstable(f"(I - R)^-1 e spans [{np.min(y):.6g}, {np.max(y):.6g}]: "
+    low, high = y.min(), y.max()
+    slack = ROUNDOFF_FLOOR * len(y) * _EPS * max(-low, high)
+    if not (low >= 1.0 - slack and high < 1.0 / STABILITY_MARGIN):
+        raise Unstable(f"(I - R)^-1 e spans [{low:.6g}, {high:.6g}]: "
                        f"sp(R) is not below 1 - {STABILITY_MARGIN:g}")
     return y
 
@@ -417,15 +420,14 @@ def _lu_steps(model: QbdModel, x0):
     change = math.inf
     while True:
         minv = inverse(-psi)
-        if np.min(minv) < -1e-9:
+        if minv.min() < -1e-9:
             raise SingularMatrix(f"level {len(heads)}: measure inverse is not nonnegative")
         heads.append(yrow @ minv)
         up = a2 @ minv
         if len(ups) > 1:
             last, change = change, inf_norm(up - ups[-1])
             # the roundoff one step leaves in U, relative to U
-            floor = (ROUNDOFF_FLOOR * len(psi) * np.finfo(float).eps
-                     * inf_norm(psi) * inf_norm(minv))
+            floor = ROUNDOFF_FLOOR * len(psi) * _EPS * inf_norm(psi) * inf_norm(minv)
             if change <= floor * inf_norm(up) and not change < last:
                 return heads, ups, up, minv
         ups.append(up)
@@ -442,7 +444,7 @@ def _deep_sum(step, up):
     for _ in range(MAX_DOUBLINGS):
         term = step @ y @ up
         y = y + term
-        if np.all(term <= np.finfo(float).eps * y):
+        if (term <= _EPS * y).all():
             return y
         step, up = step @ step, up @ up
     raise TruncationFailure(

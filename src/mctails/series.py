@@ -13,8 +13,8 @@ from .errors import ValidationError
 
 
 def _check_levels(value, least: int) -> None:
-    """Refuse a level count that is not an integer of at least `least`."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """Refuse a level count that is not an integer of at least `least`, or is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValidationError(f"levels must be an integer of at least {least}, got {value!r}")
 
 

@@ -283,16 +283,18 @@ def _visit_blocks(shifted: list, g: np.ndarray, kernel: np.ndarray) -> list:
     """V_d = (sum_{l>=d} shifted[l-1] G^{l-d}) (I - kernel)^{-1} for d >= 1.
 
     shifted[i] plays the role of the block one step above index i+1, so the
-    caller passes its list already offset by one.  Built backwards, one
-    multiply by G per entry; out[d-1] = V_d.
+    caller passes its list already offset by one.  The sums are built
+    backwards, one multiply by G per entry, and stacked into one solve by
+    I - kernel; out[d-1] = V_d.
     """
-    eye = np.eye(kernel.shape[0])
-    out = [None] * len(shifted)
+    sums = [None] * len(shifted)
     acc = None
     for d in range(len(shifted), 0, -1):
-        acc = shifted[d - 1] if acc is None else shifted[d - 1] + acc @ g
-        out[d - 1] = solve_xa(eye - kernel, acc)
-    return out
+        sums[d - 1] = acc = shifted[d - 1] if acc is None else shifted[d - 1] + acc @ g
+    if not sums:
+        return []
+    solved = solve_xa(np.eye(len(kernel)) - kernel, np.concatenate(sums))
+    return list(solved.reshape(len(sums), -1, len(kernel)))
 
 
 def mg1_drift(model: SkipFreeModel) -> float:
@@ -464,13 +466,17 @@ def mg1_ul_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> Ta
     for j in range(len(backward) - 2, -1, -1):
         backward[j] = backward[j] + backward[j + 1] @ g
     shifted_visits = _visit_blocks(tail_a[2:], g, kernel)
+    # the sources of levels 2..len(backward) through I - kernel, in one solve
+    sources = backward[1:levels]
+    if sources:
+        sources = list(solve_xa(eye - kernel, np.array(sources)))
     up_visits = measures.visits
     pis = []
     for n in range(1, levels + 1):
         if n == 1:
             pis.append(solve_xa(eye - shifted_chain, backward[0]))
             continue
-        acc = solve_xa(eye - kernel, backward[n - 1]) if n <= len(backward) else np.zeros(m)
+        acc = sources[n - 2] if n <= len(backward) else np.zeros(m)
         if n - 1 <= len(shifted_visits):
             acc = acc + pis[0] @ shifted_visits[n - 2]
         for i in range(max(2, n - len(up_visits)), n):

@@ -55,6 +55,26 @@ def test_singular_system_is_rejected():
             inverse(a)
 
 
+@pytest.mark.parametrize("a,message", [
+    ([[1.0, 2.0], [2.0, 4.0]], r"^2 x 2 system: "),
+    ([[1.0, 1.0], [1.0, 1.0 + 1e-15]],
+     r"^2 x 2 system: reciprocal condition number \d\.\d{3}e-\d\d below 1\.0e-14$"),
+], ids=["exact", "to-working-precision"])
+def test_single_system_guard_names_its_reason(a, message):
+    with pytest.raises(SingularMatrix, match=message):
+        solve_linear(a, [1.0, 1.0])
+    with pytest.raises(SingularMatrix, match=message):
+        inverse(a)
+
+
+def test_single_system_guard_refuses_a_non_finite_solution():
+    with pytest.raises(SingularMatrix, match=r"^1 x 1 system: non-finite solution$"):
+        solve_linear([[0.5]], [1.7e308])
+    # a subnormal pivot: the inverse overflows while the norm of A stays 1
+    with pytest.raises(SingularMatrix, match=r"^2 x 2 system: non-finite solution$"):
+        inverse([[1e-310, 0.0], [0.0, 1.0]])
+
+
 # the systems test_singular_system_is_rejected refuses one at a time
 SINGULAR = ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]])
 WELL_POSED = [[2.0, 1.0], [1.0, 3.0]]

@@ -49,6 +49,17 @@ def test_every_route_rejects_bad_levels(name, route):
     assert registry.solve(BUNDLED[name], 0, route).last_level == 0
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_a_level_count(flag, count_calls):
+    """A bool is a numbers.Integral; as a level count it is a mistake."""
+    calls = count_calls(qbd, "solve_R")
+    with pytest.raises(ValidationError, match="levels"):
+        mctails.solve_tails(BUNDLED["mm1.json"].payload, flag)
+    with pytest.raises(ValidationError, match="levels"):
+        mctails.cross_check(BUNDLED["mm1.json"], flag)
+    assert calls == []
+
+
 def test_wrong_method_lists_the_choices():
     with pytest.raises(ValidationError, match="choices: mg, ul"):
         mctails.solve_tails(BUNDLED["gim1.json"].payload, 5, method="lu")

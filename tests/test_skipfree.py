@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mctails import registry, skipfree, solve_tails
+from mctails import matkernel, registry, skipfree, solve_tails
 from mctails.cli import load_model_file
 from mctails.errors import NearCritical, Reducible, SingularMatrix, Unstable, ValidationError
-from mctails.matkernel import inf_norm, stationary_row
+from mctails.matkernel import inf_norm, solve_xa, stationary_row
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import tails_matrix_geometric, tails_ul
-from mctails.series import _powers
+from mctails.series import _powers, _suffix_sums
 from mctails.skipfree import (
     SkipFreeModel,
     gim1_stationary,
@@ -379,3 +379,42 @@ def test_uniformized_qbd_is_a_gim1_chain(name):
         got = solve_tails(gim1, 50, method)
         for a, b in [(got.x0, want.x0)] + [(got.level(k), want.level(k)) for k in range(1, 51)]:
             assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (method, a, b)
+
+
+def _visit_blocks_one_by_one(shifted, g, kernel):
+    """The visit blocks with one solve per block: the reference for the one
+    stacked solve of skipfree._visit_blocks."""
+    eye = np.eye(kernel.shape[0])
+    out = [None] * len(shifted)
+    acc = None
+    for d in range(len(shifted), 0, -1):
+        acc = shifted[d - 1] if acc is None else shifted[d - 1] + acc @ g
+        out[d - 1] = solve_xa(eye - kernel, acc)
+    return out
+
+
+MG1_FILE = load_model_file(FILES / "mg1.json").payload
+MG1_EIGHT_PHASES = _mg1_walk(0.7, np.random.default_rng(8).dirichlet(np.ones(8), size=8))
+
+
+@pytest.mark.parametrize("model", [MG1_FILE, MG1_EIGHT_PHASES], ids=["mg1.json", "8-phase"])
+def test_stacked_visit_blocks_are_the_block_by_block_ones_bit_for_bit(model):
+    measures = mg1_stationary(model)
+    g, kernel = measures.passage, measures.local_kernel
+    a, b = model.a_blocks, model.b_blocks
+    for shifted in (b[2:], a[2:], _suffix_sums(a)[2:]):
+        got = skipfree._visit_blocks(shifted, g, kernel)
+        want = _visit_blocks_one_by_one(shifted, g, kernel)
+        assert len(got) == len(want) == len(shifted)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_mg1_stage_and_ul_route_solve_each_coefficient_matrix_once(count_calls):
+    """On mg1.json the stage makes two direct solves, the boundary passage
+    and the normalizer, and one solve_xa each for the boundary and the level
+    visit blocks; the ul route makes one each for its level-1 head, its
+    shifted visit blocks and the sources of its levels 2..len(B) - 1."""
+    kernel_calls, skipfree_calls = (count_calls(module, "solve_linear")
+                                    for module in (matkernel, skipfree))
+    mg1_ul_tails(MG1_FILE, mg1_stationary(MG1_FILE), 20)
+    assert (len(kernel_calls), len(skipfree_calls)) == (5, 2)
