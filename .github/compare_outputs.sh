@@ -11,8 +11,9 @@
 # differing lines, then the count.  It then builds the heavy-traffic and
 # deep-tails ops (seed 1) of HEAD_TREE's perfbench/workloads.py, which it
 # only reads, runs each op once under each tree's src/, and reports every op
-# whose x0 or tail bytes differ, or that raises differently, then that
-# count.  It is informational: it always exits 0.
+# whose x0 or tail bytes differ, with the largest entrywise relative
+# difference of its x0 and of its tails, or that raises differently, then
+# that count.  It is informational: it always exits 0.
 
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
@@ -51,9 +52,9 @@ for f in "$head"/modelfiles/*.json; do
 done
 echo "$differ of $total outputs differ"
 
-library() {  # tree: one line per op, its label and a digest of its x0 and tail bytes
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH="$1/src:$head/perfbench" python -W error - "$head" <<'PY'
-import hashlib
+library() {  # tree, file: pickles each op's label and its x0 and tails, or its raise
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH="$1/src:$head/perfbench" python -W error - "$head" "$2" <<'PY'
+import pickle
 import sys
 from pathlib import Path
 
@@ -62,25 +63,63 @@ import numpy as np
 import mctails
 import workloads
 
+ops = []
 for workload in ("heavy-traffic", "deep-tails"):
     for i, op in enumerate(workloads.build_ops(mctails, workload, 1, Path(sys.argv[1]))):
-        digest = hashlib.sha256()
         try:
             result = op.call()
-            for row in [result.x0, *result.pis]:
-                if row is not None:
-                    row = np.asarray(row, dtype=float)
-                    digest.update(repr(row.shape).encode() + row.tobytes())
+            rows = [None if row is None else np.asarray(row, dtype=float)
+                    for row in [result.x0, *result.pis]]
         except Exception as exc:  # a raise is an output too
-            digest.update(f"{type(exc).__name__}: {exc}".encode())
-        print(f"{workload} op {i} {op.label()} {digest.hexdigest()}")
+            rows = f"{type(exc).__name__}: {exc}"
+        ops.append((f"{workload} op {i} {op.label()}", rows))
+with open(sys.argv[2], "wb") as out:
+    pickle.dump(ops, out)
 PY
 }
 
-library "$base" > "$tmp/base-ops"
-library "$head" > "$tmp/head-ops"
-diff --old-line-format= --unchanged-line-format= --new-line-format='differs: %L' \
-    "$tmp/base-ops" "$tmp/head-ops" | sed 's/ [0-9a-f]*$//' > "$tmp/ops"
-cat "$tmp/ops"
-echo "$(wc -l < "$tmp/ops") of $(wc -l < "$tmp/head-ops") library ops differ"
+library "$base" "$tmp/base-ops"
+library "$head" "$tmp/head-ops"
+python - "$tmp/base-ops" "$tmp/head-ops" <<'PY'
+import pickle
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def largest_rel(new, old):
+    """max |new - old| / |old| over the entries, 0/0 counting as 0."""
+    gap = np.abs(new - old)
+    scale = np.abs(old)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(gap == 0, 0.0, gap / scale)
+    return float(rel.max(initial=0.0))
+
+
+def difference(old, new):
+    """None when the two outputs of an op are the same bytes, else how they differ."""
+    if isinstance(old, str) or isinstance(new, str):
+        said = [out if isinstance(out, str) else "nothing" for out in (old, new)]
+        return None if old == new else f"raises {said[0]} -> {said[1]}"
+    pairs = list(zip(old, new))
+    if len(old) != len(new) or any((x is None) != (y is None) or (x is not None and x.shape != y.shape)
+                                   for x, y in pairs):
+        return "shapes differ"
+    if all(x is None or x.tobytes() == y.tobytes() for x, y in pairs):
+        return None
+    x0 = 0.0 if old[0] is None else largest_rel(new[0], old[0])
+    tails = max((largest_rel(y, x) for x, y in pairs[1:]), default=0.0)
+    return f"largest relative difference x0 {x0:.1e}, tails {tails:.1e}"
+
+
+base, head = (pickle.loads(Path(path).read_bytes()) for path in sys.argv[1:])
+differ = 0
+for (label, old), (_, new) in zip(base, head):
+    how = difference(old, new)
+    if how is not None:
+        differ += 1
+        print(f"differs: {label}: {how}")
+print(f"{differ} of {len(head)} library ops differ")
+PY
 exit 0

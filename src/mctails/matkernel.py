@@ -108,8 +108,11 @@ def _guard(a, solved, where=None, refuse=None) -> None:
         a, solved = a[None], solved[None]
     inverses = solved[..., -n:]
     finite = np.isfinite(solved).all(axis=(1, 2))
-    # divided in turn, so that huge norms underflow to 0 rather than overflow
-    rcond = 1.0 / _norm1(a) / _norm1(inverses)
+    # divided in turn, so that huge norms underflow to 0 rather than overflow;
+    # a subnormal or non-finite norm may still overflow or divide inf by inf,
+    # which the guard refuses below, so the warnings would only get ahead of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rcond = 1.0 / _norm1(a) / _norm1(inverses)
     passed = finite & (rcond >= RCOND_MIN)
     if refuse is not None:
         passed &= ~refuse[1](inverses)

@@ -318,7 +318,7 @@ def _check_supermarket(rho: float, d: int) -> None:
     positive integer."""
     if not 0 < rho < 1:
         raise ValidationError(f"rho must lie in (0, 1), got {rho}")
-    if d < 1 or int(d) != d:
+    if not d >= 1 or d % 1 != 0:
         raise ValidationError(f"d must be a positive integer, got {d}")
 
 
@@ -330,6 +330,7 @@ def supermarket_tail(rho: float, d: int, k: int) -> float:
         raise ValidationError("level must be nonnegative")
     if k == 0:
         return 1.0
+    d = int(d)  # the check passes 2.0, whose float power d ** k overflows
     exponent = k if d == 1 else (d ** k - 1) // (d - 1)
     if exponent > 745.0 / -math.log(rho):
         return 0.0

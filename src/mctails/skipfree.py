@@ -30,9 +30,12 @@ matrix-geometric and UL routes (qbd.tails_matrix_geometric, qbd.tails_ul)
 give its tails.  The M/G/1 side rests on the first-passage matrix
 G = sum_k A_k G^k and visit-count blocks fed into a forward recursion.  Seen
 max(1, len(A) - 2) levels at a time either chain is a QBD, and R and G are
-blocks of that QBD's matrices from qbd.solve_R and qbd.solve_G.  Both
-stationary solvers take the stationary row of a censored boundary chain
-(_boundary_row) and re-check balance on a window of levels (_check_balance).
+blocks of that QBD's matrices from qbd.solve_R and qbd.solve_G.  One
+Horner rule (_horner) evaluates every block power series of both sides,
+sum_k R^{k-1} A_k, sum_k A_k G^{k-1} and the visit-block sums alike, one
+product per block.  Both stationary solvers take the stationary row of a
+censored boundary chain (_boundary_row) and re-check balance on a window of
+levels (_check_balance).
 """
 
 from __future__ import annotations
@@ -260,17 +263,9 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> BoundarySolutio
     level_mass = geometric_mass(r)
     m = model.m
     eye = np.eye(m)
-    visit = np.zeros((m, m))
-    power = eye
-    for k in range(1, len(a)):
-        visit = visit + power @ a[k]
-        power = power @ r
+    visit = _horner(a[1:], r, left=True)[0]
     entry = solve_xa(eye - visit, b[0])
-    folded = np.zeros((m, model.m0))
-    power = eye
-    for k in range(1, len(b) - 1):
-        folded = folded + power @ b[k + 1]
-        power = power @ r
+    folded = _horner(b[2:], r, left=True)[0] if len(b) > 2 else np.zeros((m, model.m0))
     y0 = _boundary_row(b[1] + entry @ folded)
     mass = float((y0 @ entry) @ level_mass)
     x0 = (1.0 / (1.0 + mass)) * y0
@@ -279,18 +274,19 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> BoundarySolutio
     return BoundarySolution(_frozen(x0), _frozen(x1), r, _frozen((a[0] + visit) - eye))
 
 
-def _visit_blocks(shifted: list, g: np.ndarray, kernel: np.ndarray) -> list:
-    """V_d = (sum_{l>=d} shifted[l-1] G^{l-d}) (I - kernel)^{-1} for d >= 1.
+def _horner(blocks, p, left: bool = False) -> list:
+    """Every suffix sum H_i = sum_{j>=i} X_j P^{j-i} of the blocks X_j, or
+    sum_{j>=i} P^{j-i} X_j when left, by Horner's rule from the last block:
+    H_i = X_i + H_{i+1} P, one product per block.  The blocks may be
+    matrices or 1-d vectors."""
+    sums = list(blocks)
+    for i in range(len(sums) - 2, -1, -1):
+        sums[i] = sums[i] + (p @ sums[i + 1] if left else sums[i + 1] @ p)
+    return sums
 
-    shifted[i] plays the role of the block one step above index i+1, so the
-    caller passes its list already offset by one.  The sums are built
-    backwards, one multiply by G per entry, and stacked into one solve by
-    I - kernel; out[d-1] = V_d.
-    """
-    sums = [None] * len(shifted)
-    acc = None
-    for d in range(len(shifted), 0, -1):
-        sums[d - 1] = acc = shifted[d - 1] if acc is None else shifted[d - 1] + acc @ g
+
+def _visit_blocks(sums: list, kernel: np.ndarray) -> list:
+    """The visit blocks sums[i] (I - kernel)^{-1}, in one stacked solve."""
     if not sums:
         return []
     solved = solve_xa(np.eye(len(kernel)) - kernel, np.concatenate(sums))
@@ -348,7 +344,9 @@ def _mg1_row(model: SkipFreeModel, rows, first, blocks, k: int) -> np.ndarray:
     past the end of either list zero, so only their nonzero band is visited.
     On the visit blocks this is row k of the forward recursion
     v_k = y0 V0_k + sum_{0<i<k} v_i V_{k-i}; on their suffix sums it is the
-    level-k tail sum."""
+    level-k tail sum; on the visit blocks of the S-shifted chain and the
+    level visit blocks it is the factorization tail of level k + 1 less its
+    source."""
     row = rows[0] @ first[k - 1] if k <= len(first) else np.zeros(model.m)
     for i in range(max(1, k - len(blocks)), k):
         row = row + rows[i] @ blocks[k - i - 1]
@@ -382,20 +380,12 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     g = solved.matrix
     m, m0 = model.m, model.m0
     eye = np.eye(m)
-    kernel = np.zeros((m, m))
-    power = eye
-    for k in range(1, len(a)):
-        kernel = kernel + a[k] @ power
-        power = g @ power
+    kernel, *above = _horner(a[1:], g)
+    boundary_sums = _horner(b[2:], g)
     boundary_passage = solve_linear(eye - kernel, b[0])
-    boundary_chain = b[1].copy()
-    power = boundary_passage
-    for k in range(2, len(b)):
-        boundary_chain = boundary_chain + b[k] @ power
-        power = g @ power
-    y0 = _boundary_row(boundary_chain)
-    from_boundary = _visit_blocks(b[2:], g, kernel)
-    between = _visit_blocks(a[2:], g, kernel)
+    y0 = _boundary_row(b[1] + boundary_sums[0] @ boundary_passage)
+    from_boundary = _visit_blocks(boundary_sums, kernel)
+    between = _visit_blocks(above, kernel)
     w0 = sum(from_boundary, np.zeros((m0, m)))
     w = sum(between, np.zeros((m, m)))
     tau = 1.0 / (float(y0.sum()) + float(y0 @ w0 @ solve_linear(eye - w, np.ones(m))))
@@ -453,33 +443,16 @@ def mg1_ul_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> Ta
     """
     a, b = model.a_blocks, model.b_blocks
     g, kernel = measures.passage, measures.local_kernel
-    m = model.m
-    eye = np.eye(m)
-    tail_a = _suffix_sums(a)
-    shifted_chain = tail_a[1].copy()
-    power = eye
-    for k in range(2, len(a)):
-        power = power @ g
-        shifted_chain = shifted_chain + tail_a[k] @ power
-    tail_b = _suffix_sums(b[2:])
-    backward = [measures.x0 @ tail_b[j] for j in range(len(b) - 1)]
-    for j in range(len(backward) - 2, -1, -1):
-        backward[j] = backward[j] + backward[j + 1] @ g
-    shifted_visits = _visit_blocks(tail_a[2:], g, kernel)
+    eye = np.eye(model.m)
+    shifted_chain, *shifted_sums = _horner(_suffix_sums(a)[1:], g)
+    backward = _horner(measures.x0 @ _suffix_sums(b[2:]), g)
+    shifted_visits = _visit_blocks(shifted_sums, kernel)
     # the sources of levels 2..len(backward) through I - kernel, in one solve
     sources = backward[1:levels]
     if sources:
         sources = list(solve_xa(eye - kernel, np.array(sources)))
-    up_visits = measures.visits
-    pis = []
-    for n in range(1, levels + 1):
-        if n == 1:
-            pis.append(solve_xa(eye - shifted_chain, backward[0]))
-            continue
-        acc = sources[n - 2] if n <= len(backward) else np.zeros(m)
-        if n - 1 <= len(shifted_visits):
-            acc = acc + pis[0] @ shifted_visits[n - 2]
-        for i in range(max(2, n - len(up_visits)), n):
-            acc = acc + pis[i - 1] @ up_visits[n - i - 1]
-        pis.append(acc)
+    pis = [solve_xa(eye - shifted_chain, backward[0])] if levels else []
+    for n in range(2, levels + 1):
+        row = _mg1_row(model, pis, shifted_visits, measures.visits, n - 1)
+        pis.append(sources[n - 2] + row if n - 2 < len(sources) else row)
     return TailSeries(pis, measures.x0, method="ul-rg")

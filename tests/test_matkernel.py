@@ -73,6 +73,9 @@ def test_single_system_guard_refuses_a_non_finite_solution():
     # a subnormal pivot: the inverse overflows while the norm of A stays 1
     with pytest.raises(SingularMatrix, match=r"^2 x 2 system: non-finite solution$"):
         inverse([[1e-310, 0.0], [0.0, 1.0]])
+    # a subnormal 1-norm: 1 / ||A||_1 overflows too, and only the guard speaks
+    with pytest.raises(SingularMatrix, match=r"^1 x 1 system: non-finite solution$"):
+        solve_linear([[1e-310]], [1.0])
 
 
 # the systems test_singular_system_is_rejected refuses one at a time

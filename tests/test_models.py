@@ -331,6 +331,22 @@ def test_supermarket_deep_levels_underflow_to_zero():
     assert supermarket_tail(0.5, 3, 10000) == 0.0
 
 
+def test_supermarket_takes_an_integral_float_sample_size():
+    """d = 2.0 passes as an integer and gives the tails of d = 2, down to
+    the levels whose power d^k passes the float range."""
+    want = supermarket_tails(0.5, 2, 1100).pis
+    got = supermarket_tails(0.5, 2.0, 1100).pis
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    via_registry = registry.solve(registry.Model("supermarket", {"rho": 0.5, "d": 2.0}), 1100)
+    assert all(np.array_equal(x, y) for x, y in zip(via_registry.pis, want))
+
+
+@pytest.mark.parametrize("d", [2.5, 0.0, math.inf, math.nan])
+def test_supermarket_refuses_a_sample_size_that_is_not_a_positive_integer(d):
+    with pytest.raises(ValidationError, match="d must be a positive integer"):
+        supermarket_tail(0.5, d, 3)
+
+
 def test_queue_parameters_must_be_finite():
     with pytest.raises(ValidationError, match="finite"):
         RetrialParams(1.0, math.inf, 1.0)

@@ -381,6 +381,28 @@ def test_uniformized_qbd_is_a_gim1_chain(name):
             assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (method, a, b)
 
 
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+@pytest.mark.parametrize("rows", [False, True], ids=["matrices", "vectors"])
+def test_horner_gives_every_suffix_power_sum(left, rows):
+    """H_i = sum_{j>=i} X_j P^{j-i} (P^{j-i} X_j when left), against the
+    explicit power sums on random nonnegative blocks."""
+    rng = np.random.default_rng(25)
+    for count in range(1, 7):
+        m = int(rng.integers(1, 6))
+        p = rng.dirichlet(np.ones(m), size=m) * rng.uniform(0.1, 1.0)
+        blocks = list(rng.uniform(0.0, 1.0, size=(count, m) if rows else (count, m, m)))
+        got = skipfree._horner(blocks, p, left=left)
+        assert len(got) == count
+        for i in range(count):
+            want = sum(
+                np.linalg.matrix_power(p, j - i) @ blocks[j] if left
+                else blocks[j] @ np.linalg.matrix_power(p, j - i)
+                for j in range(i, count)
+            )
+            assert np.all(np.abs(got[i] - want) <= 1e-14 * np.abs(want)), (i, got[i], want)
+    assert skipfree._horner([], np.eye(2)) == []
+
+
 def _visit_blocks_one_by_one(shifted, g, kernel):
     """The visit blocks with one solve per block: the reference for the one
     stacked solve of skipfree._visit_blocks."""
@@ -403,7 +425,7 @@ def test_stacked_visit_blocks_are_the_block_by_block_ones_bit_for_bit(model):
     g, kernel = measures.passage, measures.local_kernel
     a, b = model.a_blocks, model.b_blocks
     for shifted in (b[2:], a[2:], _suffix_sums(a)[2:]):
-        got = skipfree._visit_blocks(shifted, g, kernel)
+        got = skipfree._visit_blocks(skipfree._horner(shifted, g), kernel)
         want = _visit_blocks_one_by_one(shifted, g, kernel)
         assert len(got) == len(want) == len(shifted)
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
