@@ -31,7 +31,7 @@ total=0
 differ=0
 for f in "$head"/modelfiles/*.json; do
     runs=("check $f --levels 20" "check $f --levels 150" "check $f --levels 1000")
-    routes=$(PYTHONPATH="$head/src" python -c "import sys; from mctails.cli import load_model_file; from mctails.registry import REGISTRY; print(*REGISTRY[load_model_file(sys.argv[1]).kind].routes)" "$f")
+    routes=$(PYTHONPATH="$head/src" python -c "import sys; from mctails.cli import load_model_file; from mctails.registry import route_names; print(*route_names(load_model_file(sys.argv[1]).kind))" "$f")
     for route in $routes; do
         for output in csv json; do
             runs+=("solve $f --levels 150 --method $route --output $output")

@@ -2,10 +2,10 @@
 
 Each model here admits either an explicit stationary distribution or a short
 recursion for the tail vectors, which makes them reference points for the
-generic block solvers.  Where a generic assembly exists (vacation and
-repairable queues map to level-independent blocks, the retrial queue to
-level-dependent ones) a companion function builds it so the routes can be
-played against each other.
+generic block solvers.  Their generators are built here too, QBDs for the
+vacation and repairable queues and level-dependent ones for the retrial and
+M(n)/M(n)/1 queues, with boundary state j as phase j of the queue's level 0
+(the registry's rule for solving them by their family's routes).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import Divergent, StepUnstable, Unstable, ValidationError
 from .ldqbd import LdQbdModel
 from .matkernel import inf_norm
-from .qbd import QbdModel, tails_matrix_geometric
+from .qbd import QbdModel
 from .series import TailSeries, _check_levels, _from_levels, _powers
 
 # Runge-Kutta steps meanfield_ode may be asked for, t_end / dt; the d = 2,
@@ -200,27 +200,17 @@ def mn_mn_1_tails(arrival, service, levels: int) -> TailSeries:
 
 def mnmn1_chain(arrival, service) -> LdQbdModel:
     """Birth-death generator matching the rates of ``mn_mn_1_tails``, rates
-    repeating their last entry forever."""
+    repeating their last entry forever.  No level past the first zero
+    arrival rate is reached from level 0, so arrivals stay zero from there."""
     arr, srv = _rates(arrival), _rates(service)
-
-    def lam(k):
-        return _rate_at(arr, k)
-
-    def mu(k):
-        return _rate_at(srv, k - 1)
-
-    def up(k):
-        return np.array([[lam(k)]])
-
-    def diag(k):
-        out = lam(k) + (mu(k) if k >= 1 else 0.0)
-        return np.array([[-out]])
-
-    def down(k):
-        return np.array([[mu(k)]])
-
-    horizon = max(len(arr), len(srv)) + 2
-    return LdQbdModel.from_rule(up, diag, down, horizon)
+    if 0.0 in arr:
+        arr = arr[:arr.index(0.0) + 1]
+    levels = range(max(len(arr), len(srv)) + 3)
+    up = [_rate_at(arr, k) for k in levels]
+    down = [0.0] + [_rate_at(srv, k - 1) for k in levels[1:]]
+    return LdQbdModel(tuple(np.array([[x]]) for x in up),
+                      tuple(np.array([[-(x + y)]]) for x, y in zip(up, down)),
+                      tuple(np.array([[x]]) for x in down[1:]))
 
 
 def vacation_qbd(params: VacationParams) -> QbdModel:
@@ -303,22 +293,12 @@ def repairable_tails(params: RepairableParams, levels: int) -> TailSeries:
     return TailSeries(pis, None, method="iterative", first_level=0)
 
 
-def repairable_mg_tails(boundary, levels: int) -> TailSeries:
-    """Matrix-geometric tails of the repairable-server queue over levels
-    0..levels, from the boundary solution of ``repairable_qbd``.  Level 0
-    adds the empty state, whose server is up, to the serving phase of pi_1."""
-    pis = tails_matrix_geometric(boundary, max(levels, 1)).pis
-    empty = np.array([boundary.x0[0], 0.0])
-    return TailSeries([pis[0] + empty] + pis[:levels], None, method="matrix-geometric",
-                      first_level=0)
-
-
 def _check_supermarket(rho: float, d: int) -> None:
     """Refuse a load outside (0, 1) or a sample size d that is not a
-    positive integer."""
+    positive integer, or is a bool."""
     if not 0 < rho < 1:
         raise ValidationError(f"rho must lie in (0, 1), got {rho}")
-    if not d >= 1 or d % 1 != 0:
+    if isinstance(d, bool) or not d >= 1 or d % 1 != 0:
         raise ValidationError(f"d must be a positive integer, got {d}")
 
 

@@ -2,10 +2,11 @@
 
 For every kind the table gives the model-file section that describes it and
 the builder that turns that section into a model, the stage that solves
-and checks, once, what every route of the kind reads, its tail routes (the
-first is the default), and the builder of the chain that the banded
-truncation oracle solves as its reference, or None when the kind has no
-finite-state counterpart.  ``mctails.solve_tails``, the command line and
+and checks, once, what every route of the kind reads, its tail routes, the
+builder of its chain, which the banded truncation oracle solves as its
+reference, or None when the kind has no finite-state counterpart, and the
+family of a named queue's chain, whose routes solve the queue too
+(``route_names``).  ``mctails.solve_tails``, the command line and
 ``cross_check`` all read it.  The solver tolerance rides on the ``Model``:
 ``solve`` and ``cross_check`` turn a ``tol`` of None into DEFAULT_TOL,
 check any other value, and the stages read it from there.  The stage and
@@ -43,19 +44,21 @@ class Kind:
     order, or None when the values themselves are the model.  ``stage`` is
     the function (model) that solves what every route of the kind reads at
     the model's tol, such as the boundary solution of a QBD, which carries
-    its checked R; the routes trust it and check nothing again.  Kinds whose
-    routes share nothing, the closed forms and the repairable queue, have
-    no stage.  ``routes`` maps each route name to its function
-    (model, stage, levels), the default first; ``reference`` is the function
-    (model, depth) that builds the oracle's chain, or None.
+    its checked R; the routes trust it and check nothing again (None for
+    the closed forms).  ``routes`` maps each route name to its function
+    (model, stage, levels), the default first; ``chain`` is the function
+    (payload, depth) that builds the chain, exact to at least level depth,
+    or None; ``family``, qbd or ldqbd, is its kind when its routes solve the
+    model too, which takes the whole chain at any depth.
     """
 
     section: str
     fields: dict
     build: Callable | None
-    stage: Callable
+    stage: Callable | None
     routes: dict
-    reference: Callable | None
+    chain: Callable | None
+    family: str | None = None
 
 
 @dataclass(frozen=True)
@@ -70,17 +73,10 @@ class Model:
 
 # --- stages (model) and the routes (model, stage, levels) that read them
 
-def _no_stage(model):
-    return None
-
-
-def _solve_qbd(chain, tol):
-    r = qbd.solve_R(chain.a0, chain.a1, chain.a2, tol=tol).matrix
-    return qbd.boundary_solve(chain, r)
-
-
 def _qbd_stage(model):
-    return _solve_qbd(model.payload, model.tol)
+    chain = model.payload
+    r = qbd.solve_R(chain.a0, chain.a1, chain.a2, tol=model.tol).matrix
+    return qbd.boundary_solve(chain, r)
 
 
 def _ldqbd_stage(model):
@@ -143,35 +139,14 @@ def _repairable_iterative(model, stage, levels):
     return models.repairable_tails(model.payload, levels)
 
 
-def _repairable_mg(model, stage, levels):
-    boundary = _solve_qbd(models.repairable_qbd(model.payload), model.tol)
-    return models.repairable_mg_tails(boundary, levels)
-
-
 def _supermarket_closed(model, stage, levels):
     return models.supermarket_tails(model.payload["rho"], model.payload["d"], levels)
 
 
-# --- reference chains: (model, depth) to a chain for the oracle ----------
+# --- chain builders: (payload, depth) to the chain of a model -----------
 
-def _chain(model, depth):
-    return model.payload
-
-
-def _retrial_chain(model, depth):
-    return models.retrial_chain(model.payload, depth + 2)
-
-
-def _mnmn1_chain(model, depth):
-    return models.mnmn1_chain(model.payload["arrival"], model.payload["service"])
-
-
-def _vacation_chain(model, depth):
-    return models.vacation_qbd(model.payload)
-
-
-def _repairable_chain(model, depth):
-    return models.repairable_qbd(model.payload)
+def _payload(payload, depth):
+    return payload
 
 
 _SKIP_FREE = {"A": "matrices", "B": "matrices"}
@@ -179,28 +154,29 @@ _SKIP_FREE = {"A": "matrices", "B": "matrices"}
 REGISTRY = {
     "qbd": Kind("blocks", dict.fromkeys(("B1", "B0", "B2", "A0", "A1", "A2"), "matrix"),
                 qbd.QbdModel, _qbd_stage,
-                {"mg": _qbd_mg, "ul": _qbd_ul, "lu": _qbd_lu}, _chain),
+                {"mg": _qbd_mg, "ul": _qbd_ul, "lu": _qbd_lu}, _payload),
     "ldqbd": Kind("blocks", dict.fromkeys(("A0", "A1", "A2"), "matrices"),
                   ldqbd.LdQbdModel, _ldqbd_stage,
-                  {"product": _ldqbd_product, "lu": _ldqbd_lu}, _chain),
+                  {"product": _ldqbd_product, "lu": _ldqbd_lu}, _payload),
     "gim1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "GIM1"),
-                 _gim1_stage, {"mg": _qbd_mg, "ul": _gim1_ul}, _chain),
+                 _gim1_stage, {"mg": _qbd_mg, "ul": _gim1_ul}, _payload),
     "mg1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "MG1"),
-                _mg1_stage, {"iterative": _mg1_iterative, "ul": _mg1_ul}, _chain),
+                _mg1_stage, {"iterative": _mg1_iterative, "ul": _mg1_ul}, _payload),
     "retrial": Kind("params", dict.fromkeys(("lam", "mu", "theta"), "number"),
-                    models.RetrialParams, _no_stage,
-                    {"product": _retrial_product}, _retrial_chain),
+                    models.RetrialParams, None,
+                    {"product": _retrial_product}, models.retrial_chain),
     "mnmn1": Kind("params", dict.fromkeys(("arrival", "service"), "rate"),
-                  None, _no_stage, {"closed": _mnmn1_closed}, _mnmn1_chain),
+                  None, None, {"closed": _mnmn1_closed},
+                  lambda rates, depth: models.mnmn1_chain(rates["arrival"], rates["service"]),
+                  "ldqbd"),
     "vacation": Kind("params", dict.fromkeys(("lam", "theta"), "number"),
-                     models.VacationParams, _no_stage,
-                     {"closed": _vacation_closed}, _vacation_chain),
+                     models.VacationParams, None, {"closed": _vacation_closed},
+                     lambda params, depth: models.vacation_qbd(params), "qbd"),
     "repairable": Kind("params", dict.fromkeys(("lam", "mu", "alpha", "beta"), "number"),
-                       models.RepairableParams, _no_stage,
-                       {"iterative": _repairable_iterative, "mg": _repairable_mg},
-                       _repairable_chain),
+                       models.RepairableParams, None, {"iterative": _repairable_iterative},
+                       lambda params, depth: models.repairable_qbd(params), "qbd"),
     "supermarket": Kind("params", {"rho": "number", "d": "integer"},
-                        None, _no_stage, {"closed": _supermarket_closed}, None),
+                        None, None, {"closed": _supermarket_closed}, None),
 }
 
 
@@ -235,20 +211,50 @@ def _with_tol(model: Model) -> Model:
     return model
 
 
+def route_names(kind: str) -> list:
+    """The routes of `kind`, the default first: its own, then its chain family's."""
+    spec = REGISTRY[kind]
+    return [*spec.routes, *(REGISTRY[spec.family].routes if spec.family else ())]
+
+
+def _at_level_0(tails: TailSeries, levels: int) -> TailSeries:
+    """A family route's tails, run to at least level 1, at a named queue's
+    levels 0..`levels`: boundary state j is phase j, so pi_0 = pi_1 + (x0, 0, ...)."""
+    head = tails.pis[0].copy()
+    head[:len(tails.x0)] += tails.x0
+    return TailSeries([head, *tails.pis[:levels]], None, tails.method, tails.truncation_report, 0)
+
+
+def _tails(model: Model, names: list, levels: int, chain=None) -> dict:
+    """The tails of `model` by each named route: its own read its stage, the
+    rest `chain` (None builds it) at its family's stage, solved once."""
+    kind = REGISTRY[model.kind]
+    stage = kind.stage(model) if kind.stage else None
+    tails = {name: kind.routes[name](model, stage, levels)
+             for name in names if name in kind.routes}
+    rest = [name for name in names if name not in kind.routes]
+    if rest:
+        chain = kind.chain(model.payload, levels) if chain is None else chain
+        family = Model(kind.family, chain, model.tol)
+        for name, series in _tails(family, rest, max(levels, 1)).items():
+            tails[name] = _at_level_0(series, levels)
+    return tails
+
+
 def solve(model: Model, levels: int, method: str | None = None) -> TailSeries:
-    """Tails of `model` at levels 1..`levels` by the named route of its kind,
-    at ``model.tol``; None takes the kind's default route.  The arguments
-    are checked before the kind's stage is solved."""
+    """Tails of `model` by the named route of ``route_names``, at
+    ``model.tol``; None takes the default.  A chain's tails start at level
+    1, a named queue's at 0.  The arguments are checked before any stage."""
     _check_levels(levels, 0)
     model = _with_tol(model)
-    kind = REGISTRY[model.kind]
-    name = next(iter(kind.routes)) if method is None else method
-    if name not in kind.routes:
+    names = route_names(model.kind)
+    name = names[0] if method is None else method
+    if name not in names:
         raise ValidationError(
             f"method {name!r} not available for kind {model.kind!r} "
-            f"(choices: {', '.join(kind.routes)})"
+            f"(choices: {', '.join(names)})"
         )
-    return kind.routes[name](model, kind.stage(model), levels)
+    return _tails(model, [name], levels)[name]
 
 
 @dataclass(frozen=True)
@@ -299,12 +305,13 @@ def _decay(series, levels: int) -> float:
 
 
 def cross_check(model: Model, levels: int) -> CheckReport:
-    """Solve `model` by every route of its kind and, where the kind has a
-    reference chain, by the banded oracle; then compare every pair over
-    levels up to `levels`.
+    """Solve `model` by every route of ``route_names`` and, where the kind
+    has a chain, by the banded oracle; then compare every pair over levels
+    up to `levels`.
 
-    The kind's stage is solved once, at ``model.tol`` resolved as ``solve``
-    does, and every route reads it; the oracle picks its own depth
+    Each stage is solved once, at ``model.tol`` resolved as ``solve`` does,
+    and every route reads it; a named queue's chain is built once, for its
+    family's routes and the oracle, which picks its own depth
     (``oracle.sized_reference``), starting its search where the slowest
     route's tail decay at `levels` predicts.  The supermarket model has no
     finite chain, so its closed form is checked against its balance
@@ -320,10 +327,11 @@ def cross_check(model: Model, levels: int) -> CheckReport:
         comparisons = [Comparison("closed form", "balance equations", 1, levels,
                                   gap, gap < CHECK_TOL)]
         return CheckReport(model.kind, CHECK_TOL, tuple(comparisons))
-    stage = kind.stage(model)
-    series = {name: route(model, stage, levels) for name, route in kind.routes.items()}
-    series["oracle"] = oracle.sized_reference(partial(kind.reference, model), levels,
-                                              model.tol, _decay(series.values(), levels))
+    chain = kind.chain(model.payload, levels) if kind.family else None
+    series = _tails(model, route_names(model.kind), levels, chain)
+    build = partial(kind.chain, model.payload) if chain is None else lambda depth: chain
+    series["oracle"] = oracle.sized_reference(build, levels, model.tol,
+                                              _decay(series.values(), levels))
     names = list(series)
     comparisons = [_compare(left, right, series[left], series[right])
                    for i, left in enumerate(names) for right in names[i + 1:]]

@@ -297,8 +297,9 @@ def test_repairable_routes_agree():
 
 
 def test_repairable_mg_route_solves_its_own_boundary(count_calls):
-    """Levels 0 and 1 of the matrix-geometric route come from the QBD
-    boundary solve, not from the iterative route it is checked against."""
+    """Levels 0 and 1 of the matrix-geometric route come from the boundary
+    solve of the queue's QBD, the empty state added to the serving phase of
+    pi_1, not from the iterative route it is checked against."""
     calls = count_calls(models, "repairable_tails")
     matrix = _repairable_mg(REPAIRABLE, 1)
     assert calls == []
@@ -341,10 +342,13 @@ def test_supermarket_takes_an_integral_float_sample_size():
     assert all(np.array_equal(x, y) for x, y in zip(via_registry.pis, want))
 
 
-@pytest.mark.parametrize("d", [2.5, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("d", [2.5, 0.0, math.inf, math.nan, True])
 def test_supermarket_refuses_a_sample_size_that_is_not_a_positive_integer(d):
+    """A bool is a numbers.Integral; as a sample size it is a mistake."""
     with pytest.raises(ValidationError, match="d must be a positive integer"):
         supermarket_tail(0.5, d, 3)
+    with pytest.raises(ValidationError, match="d must be a positive integer"):
+        registry.solve(registry.Model("supermarket", {"rho": 0.5, "d": d}), 3)
 
 
 def test_queue_parameters_must_be_finite():

@@ -162,15 +162,15 @@ def _dense(band):
 
 
 REFERENCED = [load_model_file(str(path)) for path in sorted(FILES.glob("*.json"))]
-REFERENCED = [model for model in REFERENCED if REGISTRY[model.kind].reference]
+REFERENCED = [model for model in REFERENCED if REGISTRY[model.kind].chain]
 
 
 @pytest.mark.parametrize("model", REFERENCED, ids=lambda model: model.kind)
 def test_band_solve_is_bit_identical_to_the_dense_solve(model):
-    """Each reference chain, truncated at the depth check picks, solves to
+    """Each kind's chain, truncated at the depth check picks, solves to
     the same bits from its band as from the dense matrix."""
     depth = cross_check(model, 20).oracle_levels
-    chain = REGISTRY[model.kind].reference(model, depth)
+    chain = REGISTRY[model.kind].chain(model.payload, depth)
     truncate, continuous, width = _truncation(chain)
     band = truncate(chain, depth)
     assert band.cells.shape == (chain.m0 + depth * chain.m, width)

@@ -1,4 +1,4 @@
-"""The route registry: one table of kinds, routes, defaults and references."""
+"""The route registry: one table of kinds, routes, defaults and chains."""
 
 import dataclasses
 import pathlib
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mctails
-from mctails import ldqbd, matkernel, qbd, registry, skipfree
+from mctails import ldqbd, matkernel, models, qbd, registry, skipfree
 from mctails.cli import load_model_file
 from mctails.errors import ValidationError
 
@@ -17,7 +17,7 @@ BUNDLED = {path.name: load_model_file(str(path))
            for path in sorted((ROOT / "modelfiles").glob("*.json"))}
 CHAINS = ("mm1.json", "qbd22.json", "ldqbd.json", "gim1.json", "mg1.json")
 ROUTES = [(name, route) for name, model in BUNDLED.items()
-          for route in registry.REGISTRY[model.kind].routes]
+          for route in registry.route_names(model.kind)]
 
 
 def test_every_kind_has_a_bundled_model_file():
@@ -34,7 +34,7 @@ def test_every_route_solves_its_bundled_model_file(name, route):
 @pytest.mark.parametrize("name", CHAINS)
 def test_solve_tails_takes_the_default_route_of_the_table(name):
     model = BUNDLED[name]
-    default = next(iter(registry.REGISTRY[model.kind].routes))
+    default = registry.route_names(model.kind)[0]
     got = mctails.solve_tails(model.payload, 6)
     want = registry.solve(model, 6, default)
     assert got.method == want.method
@@ -130,10 +130,13 @@ def test_solve_checks_its_arguments_before_the_stage(count_calls):
 
 
 def test_repairable_mg_solves_its_stage_at_the_run_tol(rate_solve_tols):
-    """The repairable `mg` route solves its QBD through qbd.solve_R at the
-    tol on the model, not a default."""
-    registry.solve(dataclasses.replace(BUNDLED["repairable.json"], tol=1e-5), 5, "mg")
-    assert rate_solve_tols == [1e-5]
+    """A named queue's QBD routes, repairable `mg` among them, solve the
+    chain's stage through qbd.solve_R at the tol on the model, not a
+    default."""
+    for name in ("repairable.json", "vacation.json"):
+        for route in ("mg", "ul", "lu"):
+            registry.solve(dataclasses.replace(BUNDLED[name], tol=1e-5), 5, route)
+    assert rate_solve_tols == [1e-5] * 6
 
 
 def test_solve_reads_its_tol_off_the_model(rate_solve_tols):
@@ -143,10 +146,11 @@ def test_solve_reads_its_tol_off_the_model(rate_solve_tols):
     assert rate_solve_tols == [1e-5, registry.DEFAULT_TOL]
 
 
-@pytest.mark.parametrize("name", ["qbd22.json", "mm1.json", "ldqbd.json", "repairable.json"])
+@pytest.mark.parametrize("name", ["qbd22.json", "mm1.json", "ldqbd.json", "repairable.json",
+                                  "vacation.json", "mnmn1.json"])
 def test_cross_check_checks_stability_once(count_calls, name):
-    """The stability check of the stage, or of the repairable `mg` route's
-    own QBD, is the only one: no route runs geometric_mass again."""
+    """The stability check of the stage, a chain's or a named queue's chain
+    family's, is the only one: no route runs geometric_mass again."""
     calls = [count_calls(module, "geometric_mass") for module in (qbd, ldqbd)]
     assert mctails.cross_check(BUNDLED[name], 20).passed
     assert sum(map(len, calls)) == 1
@@ -163,7 +167,7 @@ def test_ldqbd_routes_solve_a_qbd_as_it_is(name):
     """A QbdModel is the LdQbdModel of its first three levels, so both
     LDQBD routes take it as it is and agree with its mg route."""
     model = BUNDLED[name]
-    chain = registry.REGISTRY[model.kind].reference(model, 50)
+    chain = registry.REGISTRY[model.kind].chain(model.payload, 50)
     mg = registry.solve(registry.Model("qbd", chain), 50, "mg")
     for route in ("product", "lu"):
         series = registry.solve(registry.Model("ldqbd", chain), 50, route)
@@ -176,10 +180,51 @@ def test_kind_of_refuses_an_object_that_is_not_a_chain():
         registry.kind_of({"A1": [[-1.0]]})
 
 
-def test_repairable_iterative_route_solves_no_qbd(count_calls):
-    calls = count_calls(qbd, "solve_R")
-    registry.solve(BUNDLED["repairable.json"], 20, "iterative")
-    assert calls == []
+@pytest.mark.parametrize("name", ["repairable.json", "vacation.json", "mnmn1.json"])
+def test_a_closed_form_route_solves_no_chain_stage(count_calls, name):
+    """A named queue's own route builds no chain stage: only its chain
+    family's routes solve R or the rate sequence."""
+    calls = [count_calls(qbd, "solve_R"), count_calls(ldqbd, "solve_rate_sequence")]
+    registry.solve(BUNDLED[name], 20)
+    assert calls == [[], []]
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("vacation", models.VacationParams(0.5, 1.0)),
+    ("vacation", models.VacationParams(0.9, 0.1)),
+    ("vacation", models.VacationParams(0.95, 0.5)),
+    ("repairable", BUNDLED["repairable.json"].payload),
+    ("repairable", models.RepairableParams(0.5, 1.0, 0.1, 0.5)),
+    ("mnmn1", BUNDLED["mnmn1.json"].payload),
+    ("mnmn1", {"arrival": [2.0, 1.5, 0.5], "service": [1.0, 2.0, 3.0]}),
+    ("mnmn1", {"arrival": 0.9, "service": 1.0}),
+], ids=["vacation-0.5-1", "vacation-0.9-0.1", "vacation-0.95-0.5", "repairable-bundled",
+        "repairable-0.5-1-0.1-0.5", "mnmn1-bundled", "mnmn1-three-rates", "mnmn1-0.9-1"])
+def test_every_family_route_matches_the_closed_form(kind, payload):
+    """Every route of a named queue's chain family, mapped to the queue's
+    level 0, matches its closed form within 1e-12 relative at levels
+    0..150, level 0 included; a tail the closed form puts at zero is zero.
+    At vacation (0.9, 0.1) the closed form's two roots coincide."""
+    model = registry.Model(kind, payload)
+    closed = registry.solve(model, 150)
+    want = np.array(closed.pis)
+    for route in registry.REGISTRY[registry.REGISTRY[kind].family].routes:
+        series = registry.solve(model, 150, route)
+        assert (series.first_level, series.last_level, series.x0) == (0, 150, None)
+        assert np.all(np.abs(np.array(series.pis) - want) <= 1e-12 * want), route
+
+
+def test_mnmn1_levels_past_the_first_zero_arrival_rate_are_never_reached():
+    """Arrival rates (1, 0, 5) leave level 2 and above empty: the chain
+    stops arriving at level 1, so the frozen load of 5 makes no route
+    unstable, and every route gives the closed form's tails."""
+    model = registry.Model("mnmn1", {"arrival": [1.0, 0.0, 5.0], "service": 1.0})
+    assert mctails.cross_check(model, 20).passed
+    want = np.array(registry.solve(model, 20).pis)
+    assert want[2:].max() == 0.0
+    for route in registry.route_names("mnmn1"):
+        got = np.array(registry.solve(model, 20, route).pis)
+        assert np.all(np.abs(got - want) <= 1e-15 * want), route
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -232,7 +277,7 @@ def test_readme_route_table_matches_the_registry():
             break
         kind, routes = [cell.strip() for cell in line.strip("|").split("|")]
         table[kind.strip("`")] = re.findall(r"`([^`]+)`", routes)
-    assert table == {kind: list(spec.routes) for kind, spec in registry.REGISTRY.items()}
+    assert table == {kind: registry.route_names(kind) for kind in registry.REGISTRY}
 
 
 def test_readme_python_blocks_run(monkeypatch):

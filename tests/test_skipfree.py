@@ -367,7 +367,7 @@ def test_uniformized_qbd_is_a_gim1_chain(name):
     a GI/M/1 chain with three A blocks and the same stationary law; its mg
     and ul routes match the QBD's to roundoff at every level."""
     model = load_model_file(FILES / f"{name}.json")
-    chain = registry.REGISTRY[model.kind].reference(model, 0)
+    chain = registry.REGISTRY[model.kind].chain(model.payload, 0)
     c = 1.05 * max(np.abs(np.diag(chain.b1)).max(), np.abs(np.diag(chain.a1)).max())
     gim1 = SkipFreeModel(
         "GIM1",
