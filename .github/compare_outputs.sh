@@ -13,7 +13,11 @@
 # only reads, runs each op once under each tree's src/, and reports every op
 # whose x0 or tail bytes differ, with the largest entrywise relative
 # difference of its x0 and of its tails, or that raises differently, then
-# that count.  It is informational: it always exits 0.
+# that count.  The same goes for the product and lu routes at 100 levels on
+# the retrial chain of each case in HEAD_TREE's tests/data/retrial_tails.json,
+# built to the horizon of the closed form (models.retrial_tails), where slow
+# retrials reach the level-dependent routes.  It is informational: it always
+# exits 0.
 
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
@@ -54,6 +58,7 @@ echo "$differ of $total outputs differ"
 
 library() {  # tree, file: pickles each op's label and its x0 and tails, or its raise
     OPENBLAS_NUM_THREADS=1 PYTHONPATH="$1/src:$head/perfbench" python -W error - "$head" "$2" <<'PY'
+import json
 import pickle
 import sys
 from pathlib import Path
@@ -63,16 +68,30 @@ import numpy as np
 import mctails
 import workloads
 
+
+def outputs(call):
+    """The x0 and tail rows `call` returns, or its raise, which is an output too."""
+    try:
+        result = call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [None if row is None else np.asarray(row, dtype=float)
+            for row in [result.x0, *result.pis]]
+
+
 ops = []
 for workload in ("heavy-traffic", "deep-tails"):
     for i, op in enumerate(workloads.build_ops(mctails, workload, 1, Path(sys.argv[1]))):
-        try:
-            result = op.call()
-            rows = [None if row is None else np.asarray(row, dtype=float)
-                    for row in [result.x0, *result.pis]]
-        except Exception as exc:  # a raise is an output too
-            rows = f"{type(exc).__name__}: {exc}"
-        ops.append((f"{workload} op {i} {op.label()}", rows))
+        ops.append((f"{workload} op {i} {op.label()}", outputs(op.call)))
+cases = Path(sys.argv[1], "tests", "data", "retrial_tails.json")
+for case in json.loads(cases.read_text())["cases"]:
+    params = mctails.RetrialParams(case["lam"], case["mu"], case["theta"])
+    horizon = mctails.retrial_tails(params, 100).truncation_report["terms"]
+    chain = mctails.models.retrial_chain(params, horizon)
+    for route in ("product", "lu"):
+        ops.append((f"retrial {params.lam:g} {params.mu:g} {params.theta:g} horizon {horizon} "
+                    f"{route} 100 levels",
+                    outputs(lambda: mctails.solve_tails(chain, 100, method=route))))
 with open(sys.argv[2], "wb") as out:
     pickle.dump(ops, out)
 PY

@@ -12,8 +12,9 @@ solution, or a 1-norm reciprocal condition number below RCOND_MIN raises
 SingularMatrix instead of returning digits that mean nothing.  The guard
 takes one system or a stack of them: solve_linear applies it to its system,
 and solve_sweep, which runs a chain of solves each built from the one before
-(a level-by-level sweep), applies it once to the whole stack after the sweep
-and names the first system that fails.  On the 1-8 phase blocks the solvers
+(a level-by-level sweep; the level-dependent rate sequence is its one
+caller), applies it once to the whole stack after the sweep and names the
+first system that fails.  On the 1-8 phase blocks the solvers
 mostly see, numpy's fixed cost per call outweighs the arithmetic: a guarded
 2 x 2 solve takes 19-25 us on a 2-vCPU x86-64, about half of it the LAPACK
 call and 8-10 us the guard, which tests one system without stacking it.  A
@@ -22,7 +23,8 @@ one solve.  Stationary rows are the exception to LAPACK: stationary_row is
 GTH state reduction inside the matrix's band, which needs no subtraction, so
 each entry is accurate relative to its own size however small it is.  It
 runs on a Band or on a square array, which it folds on its own dense copy;
-its answer is re-checked against the balance equations.
+a fold that overflows raises SingularMatrix, and its answer is re-checked
+against the balance equations.
 """
 
 from __future__ import annotations
@@ -84,15 +86,13 @@ def _norm1(a) -> np.ndarray:
     return np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=-1)
 
 
-def _guard(a, solved, where=None, refuse=None) -> None:
+def _guard(a, solved, where=None) -> None:
     """The check every solve passes.  a is the coefficient matrix A of one
     system (2-d) or a stack of them (3-d); solved holds [X | A^-1] for each,
     as the LAPACK call returned it.
 
     A system fails if [X | A^-1] is not finite or its 1-norm reciprocal
-    condition number 1 / (||A||_1 ||A^-1||_1) is below RCOND_MIN.  refuse,
-    if given, is a (reason, test) pair: test maps the stacked inverses to
-    one bool per system, and a system it marks fails with that reason.  The
+    condition number 1 / (||A||_1 ||A^-1||_1) is below RCOND_MIN.  The
     first failing system raises SingularMatrix; in a stack, where(i) names
     system i.
     """
@@ -102,32 +102,27 @@ def _guard(a, solved, where=None, refuse=None) -> None:
         # one system, unstacked: a finite plain sum makes every entry finite;
         # the stacked check below decides and names whatever this does not pass
         norms = [max(np.add.reduce(np.abs(m), axis=0).tolist()) for m in (a, solved[:, -n:])]
-        if (refuse is None and math.isfinite(np.add.reduce(solved, axis=None))
+        if (math.isfinite(np.add.reduce(solved, axis=None))
                 and 1.0 / norms[0] / norms[1] >= RCOND_MIN):
             return
         a, solved = a[None], solved[None]
-    inverses = solved[..., -n:]
     finite = np.isfinite(solved).all(axis=(1, 2))
     # divided in turn, so that huge norms underflow to 0 rather than overflow;
     # a subnormal or non-finite norm may still overflow or divide inf by inf,
     # which the guard refuses below, so the warnings would only get ahead of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rcond = 1.0 / _norm1(a) / _norm1(inverses)
+        rcond = 1.0 / _norm1(a) / _norm1(solved[..., -n:])
     passed = finite & (rcond >= RCOND_MIN)
-    if refuse is not None:
-        passed &= ~refuse[1](inverses)
     if passed.all():
         return
     i = int(passed.argmin())
     name = f"{where(i)}: " if stacked else ""
     if not finite[i]:
         raise SingularMatrix(f"{name}{n} x {n} system: non-finite solution")
-    if not rcond[i] >= RCOND_MIN:
-        raise SingularMatrix(
-            f"{name}{n} x {n} system: reciprocal condition number {rcond[i]:.3e} "
-            f"below {RCOND_MIN:.1e}"
-        )
-    raise SingularMatrix(f"{name}{refuse[0]}")
+    raise SingularMatrix(
+        f"{name}{n} x {n} system: reciprocal condition number {rcond[i]:.3e} "
+        f"below {RCOND_MIN:.1e}"
+    )
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -159,7 +154,7 @@ def solve_linear(a, b) -> np.ndarray:
     return both[:, :columns.shape[1]].reshape(b.shape).copy()
 
 
-def solve_sweep(coefficient, rhs, where, refuse=None) -> tuple:
+def solve_sweep(coefficient, rhs, where) -> tuple:
     """Solve the chain A_i X_i = B_i, i = 0..count-1, in which each A_i may
     be built from the system before it: A_i = coefficient(i, X, Ainv) with
     X = X_{i-1} and Ainv = A_{i-1}^-1 (both None for i = 0).
@@ -167,8 +162,7 @@ def solve_sweep(coefficient, rhs, where, refuse=None) -> tuple:
     Each system is one LAPACK call that solves for X_i and A_i^-1 together,
     as solve_linear does.  The guard of solve_linear runs once over the
     stacked systems after the sweep, so a sweep of many small systems pays
-    it once; refuse adds a (reason, test) check on the stacked inverses (see
-    _guard).  The first failing system raises SingularMatrix named by
+    it once.  The first failing system raises SingularMatrix named by
     where(i), even when a later one is exactly singular.  Floating-point
     warnings are off during the sweep: the systems after a failing one may
     overflow, and only the guard speaks.
@@ -178,7 +172,6 @@ def solve_sweep(coefficient, rhs, where, refuse=None) -> tuple:
         rhs: the right-hand sides B_i stacked, shape (count, n, k); k may be
             0, which makes the sweep a chain of inversions.
         where: callable i -> the name of system i in an error message.
-        refuse: optional (reason, test) pair, as for the guard.
 
     Returns:
         (X, inverses): the solutions, shape (count, n, k), and the inverses
@@ -195,10 +188,10 @@ def solve_sweep(coefficient, rhs, where, refuse=None) -> tuple:
             try:
                 solved[i] = np.linalg.solve(pivots[i], both[i])
             except np.linalg.LinAlgError as exc:
-                _guard(pivots[:i], solved[:i], where, refuse)
+                _guard(pivots[:i], solved[:i], where)
                 raise SingularMatrix(f"{where(i)}: {n} x {n} system: {exc}") from None
             x, inv = solved[i, :, :k], solved[i, :, k:]
-        _guard(pivots, solved, where, refuse)
+        _guard(pivots, solved, where)
     return solved[:, :, :k], solved[:, :, k:]
 
 
@@ -300,7 +293,8 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
             n machine epsilons of the largest off-diagonal entry.
         SingularMatrix: if a state reaches no lower state once the states
             above it are folded in and some lower state does not reach it
-            (two closed classes, say), or if v misses balance.
+            (two closed classes, say), if the fold overflows, or if v misses
+            balance.
     """
     dense = not isinstance(m, Band)
     cells = _square(m, "stationary_row") if dense else np.asarray(m.cells, dtype=float)
@@ -324,27 +318,32 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     # holds every fold's rank-one update, so the loop allocates no arrays.
     scratch = np.empty((above, below))
     start = 0
-    for k in range(n - 1, 0, -1):
-        first_row, first_col = max(0, k - above), max(0, k - below)
-        row = a[k, first_col:k]
-        out = np.add.reduce(row)
-        if out == 0.0:
-            if not _all_reach_last(a, k, below, above):
-                raise SingularMatrix(f"stationary solve: state {k} reaches no lower state")
-            start = k
-            break
-        col = a[first_row:k, k]
-        np.divide(col, out, out=col)
-        block = a[first_row:k, first_col:k]
-        block += np.multiply.outer(col, row, out=scratch[: k - first_row, : k - first_col])
-    v = np.zeros(n)
-    v[start] = 1.0
-    for k in range(start + 1, n):
-        first_row = max(0, k - above)
-        v[k] = mass = v[first_row:k] @ a[first_row:k, k]
-        if mass > 1e250:  # a chain that climbs: keep the row finite
-            v[: k + 1] /= mass
-    v /= v.sum()
+    # an outflow that underflows makes the fold overflow, which the check
+    # after it refuses, so the warnings would only get ahead of it
+    with np.errstate(all="ignore"):
+        for k in range(n - 1, 0, -1):
+            first_row, first_col = max(0, k - above), max(0, k - below)
+            row = a[k, first_col:k]
+            out = np.add.reduce(row)
+            if out == 0.0:
+                if not _all_reach_last(a, k, below, above):
+                    raise SingularMatrix(f"stationary solve: state {k} reaches no lower state")
+                start = k
+                break
+            col = a[first_row:k, k]
+            np.divide(col, out, out=col)
+            block = a[first_row:k, first_col:k]
+            block += np.multiply.outer(col, row, out=scratch[: k - first_row, : k - first_col])
+        v = np.zeros(n)
+        v[start] = 1.0
+        for k in range(start + 1, n):
+            first_row = max(0, k - above)
+            v[k] = mass = v[first_row:k] @ a[first_row:k, k]
+            if mass > 1e250:  # a chain that climbs: keep the row finite
+                v[: k + 1] /= mass
+        v /= v.sum()
+    if not np.isfinite(v).all():
+        raise SingularMatrix("stationary solve: the fold overflowed")
     balance = cells if continuous else cells - np.eye(n if dense else 1, width, lower)
     product = v @ balance if dense else Band(balance, lower).product(v)
     residual, size = inf_norm(product), inf_norm(balance)

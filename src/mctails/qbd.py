@@ -77,6 +77,14 @@ def _sign_defect(blocks, kind: str) -> str | None:
     return None
 
 
+def _rowsum_defect(rowsums, local) -> np.ndarray:
+    """Which generator rows miss a zero sum by more than ROWSUM_TOL times
+    max(1, |the row's diagonal entry|), read from its level's local block
+    (or a stack of them): the rounding of a row sum grows with its rates."""
+    scale = np.maximum(1.0, np.abs(np.diagonal(local, axis1=-2, axis2=-1)))
+    return np.abs(rowsums) > ROWSUM_TOL * scale
+
+
 def check_tables(up, diag, down, name) -> tuple:
     """Check the block tables of a level-dependent QBD and return them as
     (first block, stack of the rest) each, coerced by as_matrix's rules.
@@ -86,9 +94,11 @@ def check_tables(up, diag, down, name) -> tuple:
     ("A0", "A1" or "A2") at level k in a message.  Level 0 has width m0 and
     the levels above it width m.  Every table is coerced first, then diag,
     up and down are checked for shape and sign, then every level's row sums
-    against ROWSUM_TOL.  Each check runs on a table's stack at once; only
-    when one fails does it walk the levels in order, lower levels first and
-    each level's shape before its sign, to name the first offender.
+    against ROWSUM_TOL, scaled by each row's diagonal entry (_rowsum_defect);
+    the message gives the absolute deviation.  Each check runs on a table's
+    stack at once; only when one fails does it walk the levels in order,
+    lower levels first and each level's shape before its sign, to name the
+    first offender.
     """
     coerced = {}
     for kind, blocks, first in (("A0", up, 0), ("A1", diag, 0), ("A2", down, 1)):
@@ -126,9 +136,9 @@ def check_tables(up, diag, down, name) -> tuple:
     below = np.concatenate((down0.sum(axis=1)[None], downs.sum(axis=2)))
     level0 = diag0.sum(axis=1) + up0.sum(axis=1)
     rowsums = below + diags.sum(axis=2) + ups.sum(axis=2)
-    if max(inf_norm(level0), np.abs(rowsums).max()) > ROWSUM_TOL:
-        for k, rowsum in enumerate([level0, *rowsums]):
-            if inf_norm(rowsum) > ROWSUM_TOL:
+    if _rowsum_defect(level0, diag0).any() or _rowsum_defect(rowsums, diags).any():
+        for k, (rowsum, local) in enumerate(zip([level0, *rowsums], [diag0, *diags])):
+            if _rowsum_defect(rowsum, local).any():
                 raise ValidationError(f"level-{k} row: row sums deviate by {inf_norm(rowsum):.3e}")
     return checked["A0"], checked["A1"], checked["A2"]
 
@@ -284,7 +294,8 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     a few steps at any load: one for M/M/1.  Positive recurrence is read from
     the mean drift, p A0 e < p A2 e with p the stationary row of
     A = A0 + A1 + A2, and is asked only of a conservative A (rows summing to
-    zero within ROWSUM_TOL) with one closed class, the A whose p is unique.
+    zero within ROWSUM_TOL, scaled as check_tables scales it) with one
+    closed class, the A whose p is unique.
     On a transient, null-recurrent, non-conservative or multi-class A, Q = 0
     and the reduction is the plain one.  Iteration stops once the added term
     is below tol and the residual of the unshifted equation below 10 tol, and
@@ -296,7 +307,7 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     m = len(a1)
     shift = np.zeros((m, m))
     phases = a0 + a1 + a2
-    if inf_norm(phases.sum(axis=1)) <= ROWSUM_TOL:
+    if not _rowsum_defect(phases.sum(axis=1), a1).any():
         try:
             p = stationary_row(phases)
         except (SingularMatrix, ValidationError):

@@ -80,7 +80,7 @@ def _qbd_stage(model):
 
 
 def _ldqbd_stage(model):
-    return ldqbd.solve_rate_sequence(model.payload, tol=model.tol)
+    return ldqbd.horizon_rate(model.payload, tol=model.tol)
 
 
 def _gim1_stage(model):
@@ -104,7 +104,8 @@ def _qbd_lu(model, stage, levels):
 
 
 def _ldqbd_product(model, stage, levels):
-    return ldqbd.stationary_product(model.payload, stage, levels)
+    rates = ldqbd.solve_rate_sequence(model.payload, stage)
+    return ldqbd.stationary_product(model.payload, rates, levels)
 
 
 def _ldqbd_lu(model, stage, levels):

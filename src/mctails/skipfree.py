@@ -61,7 +61,7 @@ from .matkernel import (
     stationary_row,
 )
 from .qbd import ROWSUM_TOL, BoundarySolution, RateSolveResult, geometric_mass, solve_G, solve_R
-from .series import TailSeries, _powers, _suffix_sums
+from .series import TailSeries, _from_levels, _powers, _suffix_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,30 +405,26 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     )
 
 
-def _mg1_tail_heads(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> list:
-    """Tail rows by suffix-summing the forward recursion, extended past the
-    balance window to the requested depth, in closed form:
-    pi_n (I - W_1) = tau (v_0 W0_n + sum_{i<n} v_i W_{n-i}), with W0 and W
-    the suffix sums of the visit blocks; one solve serves every level."""
-    w0 = _suffix_sums(measures.boundary_visits)
-    between = measures.visits
-    w = _suffix_sums(between) if between else [np.zeros((model.m, model.m))]
-    rows = list(measures.visit_rows)
-    for k in range(len(rows), levels):
-        rows.append(_mg1_row(model, rows, measures.boundary_visits, between, k))
-    accs = [_mg1_row(model, rows, w0[:-1], w[:-1], n) for n in range(1, levels + 1)]
-    if not accs:
-        return []
-    return list(measures.tau * solve_xa(np.eye(model.m) - w[0], np.array(accs)))
-
-
 def mg1_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> TailSeries:
-    """Iterative tails of an M/G/1-type chain from its measures: the
-    stationary forward recursion, extended past the balance window to the
-    requested depth and suffix-summed."""
-    heads = _mg1_tail_heads(model, measures, levels)
+    """Iterative tails of an M/G/1-type chain from its measures.
+
+    The stationary forward recursion is extended past the balance window to
+    the requested depth, and the rows are suffix-summed.  The mass past the
+    last row n comes in closed form, once: summing the recursion over the
+    levels past n gives pi_{n+1} (I - W_1) = v_0 W0_{n+1} +
+    sum_{0<i<=n} v_i W_{n+1-i}, with W0 and W the suffix sums of the visit
+    blocks.
+    """
+    rows = list(measures.visit_rows)
+    between = measures.visits
+    for k in range(len(rows), levels + 1):
+        rows.append(_mg1_row(model, rows, measures.boundary_visits, between, k))
+    w0 = _suffix_sums(measures.boundary_visits)
+    w = _suffix_sums(between) if between else [np.zeros((model.m, model.m))]
+    acc = _mg1_row(model, rows, w0[:-1], w[:-1], len(rows))
+    past = solve_xa(np.eye(model.m) - w[0], acc)
     report = {"levels_materialized": max(levels, len(measures.visit_rows))}
-    return TailSeries(heads, measures.x0, method="iterative", truncation_report=report)
+    return _from_levels(rows[1:], levels, "iterative", report, rows[0], past)
 
 
 def mg1_ul_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> TailSeries:

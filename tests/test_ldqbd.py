@@ -1,4 +1,4 @@
-"""Level-dependent QBD: rate sequences, product form, forward factorization."""
+"""Level-dependent QBD: rate sequences, product form, forward GTH fold."""
 
 import functools
 import json
@@ -9,17 +9,17 @@ import warnings
 import numpy as np
 import pytest
 
-from mctails import ldqbd, matkernel, solve_tails
+from mctails import cross_check, ldqbd, matkernel, registry, solve_tails
 from mctails.errors import SingularMatrix, Unstable, ValidationError
 from mctails.ldqbd import (
     LdQbdModel,
-    lu_measures,
+    horizon_rate,
     solve_rate_sequence,
     stationary_product,
     tails_lu_ld,
 )
 from mctails.matkernel import inf_norm
-from mctails.models import RetrialParams, mnmn1_chain, retrial_chain
+from mctails.models import RetrialParams, mnmn1_chain, retrial_chain, retrial_tails
 from mctails.oracle import truncate_and_solve
 from mctails.qbd import QbdModel
 
@@ -64,7 +64,7 @@ def test_embedded_level_independent_chain_matches_flat_solver():
 
 def test_rate_sequence_collapses_to_the_flat_rate_matrix():
     ld = _embedded_mm1(30)
-    rates = solve_rate_sequence(ld)
+    rates = solve_rate_sequence(ld, horizon_rate(ld))
     assert rates.backward_sweeps == 1
     rs = rates.matrices
     for l in range(len(rs) - 2):
@@ -73,24 +73,6 @@ def test_rate_sequence_collapses_to_the_flat_rate_matrix():
         assert inf_norm(residual) < 1e-12
     for r in rates.matrices:
         assert abs(float(r[0, 0]) - 0.5) < 1e-9
-
-
-def test_forward_elimination_follows_the_scalar_recursion():
-    """On the embedded M/M/1 the window pivots and down factors obey
-    psi_k = -3 + 2/(-psi_{k-1}) from psi_0 = -3, with down factors
-    1/(-psi_k) climbing monotonically toward 1/2."""
-    ld = _embedded_mm1(20)
-    meas = lu_measures(ld, 12)
-    psi = -3.0
-    downs = []
-    for k in range(1, 12):
-        downs.append(1.0 / -psi)
-        psi = -3.0 + 2.0 / -psi
-    got = [float(g[0, 0]) for g in meas.down_blocks]
-    assert np.allclose(got, downs, atol=1e-12)
-    assert all(a < b for a, b in zip(got, got[1:]))
-    assert got[-1] < 0.5
-    assert abs(float(meas.psis[11][0, 0]) - psi) < 1e-12
 
 
 def test_product_and_factored_routes_agree_on_a_ramp_chain():
@@ -113,30 +95,31 @@ def test_level_one_tail_complements_the_boundary_mass():
     assert abs(float(series.level(1).sum()) + float(series.x0.sum()) - 1.0) < 1e-10
 
 
-def test_factored_route_solves_through_the_factors_once(count_calls):
-    """One pass through the factors of a window of max(horizon, levels)
-    levels gives the stationary rows; the frozen levels past it are added in
+def test_lu_route_folds_a_window_of_max_horizon_and_levels(count_calls):
+    """One fold of the censored window of levels 0..max(horizon, levels)
+    gives the stationary rows; the frozen levels past it are added in
     closed form, and the report carries the window width."""
-    rates = solve_rate_sequence(RAMP2)
-    prod = stationary_product(RAMP2, rates, 6)
-    calls = count_calls(ldqbd, "_apply_inverse")
-    series = tails_lu_ld(RAMP2, rates, 6)
-    assert calls == [1]
+    r_h = horizon_rate(RAMP2)
+    prod = stationary_product(RAMP2, solve_rate_sequence(RAMP2, r_h), 6)
+    folds = count_calls(ldqbd, "stationary_row")
+    series = tails_lu_ld(RAMP2, r_h, 6)
+    assert folds == [1]
     assert series.truncation_report["terms"] == RAMP2.horizon
-    assert tails_lu_ld(RAMP2, rates, 20).truncation_report["terms"] == 20
+    assert tails_lu_ld(RAMP2, r_h, 20).truncation_report["terms"] == 20
     assert inf_norm(prod.x0 - series.x0) < 1e-15
     gap = max(inf_norm(prod.level(k) - series.level(k)) for k in range(1, 7))
     assert gap < 1e-15
 
 
-def test_lu_route_solves_the_rate_sequence_once(count_calls):
-    """The factored route finds its own boundary row from the rate sequence
-    and does not run the product route."""
-    rates = count_calls(ldqbd, "solve_rate_sequence")
-    products = count_calls(ldqbd, "stationary_product")
+def test_lu_route_runs_no_rate_sweep(count_calls):
+    """The lu route reads R_h alone: it runs neither the backward sweep of
+    the rate sequence nor the product route."""
+    stage = count_calls(ldqbd, "horizon_rate")
+    calls = [count_calls(ldqbd, name)
+             for name in ("solve_rate_sequence", "solve_sweep", "stationary_product")]
     solve_tails(RAMP2, 20, method="lu")
-    assert rates == [1]
-    assert products == []
+    assert stage == [1]
+    assert calls == [[], [], []]
 
 
 def _max_rel(got, want) -> float:
@@ -181,7 +164,7 @@ def test_chain_unstable_beyond_the_horizon_is_refused():
         3,
     )
     with pytest.raises(Unstable):
-        solve_rate_sequence(ld)
+        horizon_rate(ld)
 
 
 def test_blocks_clamp_past_the_horizon():
@@ -299,9 +282,8 @@ def _stiff_chain(level: int, horizon: int = 12) -> LdQbdModel:
 
 @pytest.mark.parametrize("sweep,failure", [
     # R_5 = -A0(5) pivot^-1 overflows in the stiff level's own solve
-    (solve_rate_sequence, "non-finite solution"),
-    (lambda chain: lu_measures(chain, 12), "reciprocal condition number .+ below 1.0e-14"),
-], ids=["rate-sequence", "lu-measures"])
+    (lambda chain: solve_rate_sequence(chain, horizon_rate(chain)), "non-finite solution"),
+], ids=["rate-sequence"])
 def test_deferred_guard_names_the_near_singular_level(sweep, failure):
     """The sweep runs on past the stiff level into overflow and NaN, yet the
     guard after it names the stiff level, and no RuntimeWarning escapes."""
@@ -311,27 +293,39 @@ def test_deferred_guard_names_the_near_singular_level(sweep, failure):
             sweep(_stiff_chain(6))
 
 
+@pytest.mark.parametrize("fold", [
+    lambda chain: truncate_and_solve(chain, 30),
+    lambda chain: solve_tails(chain, 12, method="lu"),
+], ids=["oracle", "lu"])
+def test_a_fold_that_overflows_raises_singular_matrix(fold):
+    """The stiff level's outflow is near 2^-1000, so folding it divides by
+    almost nothing; the fold runs on into overflow, yet only SingularMatrix
+    speaks, and no RuntimeWarning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix, match="^stationary solve: the fold overflowed$"):
+            fold(_stiff_chain(6))
+
+
 def test_lu_route_makes_a_fixed_number_of_solves_at_any_depth(count_calls):
-    """lu_measures inverts every pivot in one sweep and the pass through the
-    factors multiplies by those inverses, so the route's guarded solves
-    (solve_xa and inverse go through solve_linear) are the censored last
-    block and the closed remainder, at 20 levels and at 200 alike."""
-    rates = solve_rate_sequence(RAMP2)
+    """The route folds its window once (matkernel.stationary_row, no
+    LAPACK call) and makes one guarded solve (solve_xa goes through
+    solve_linear), the closed remainder, at 20 levels and at 200 alike."""
+    r_h = horizon_rate(RAMP2)
     counts = []
     for levels in (20, 200):
         solves = count_calls(matkernel, "solve_linear")
-        sweeps = count_calls(ldqbd, "solve_sweep")
-        series = tails_lu_ld(RAMP2, rates, levels)
-        counts.append((len(solves), len(sweeps)))
+        folds = count_calls(ldqbd, "stationary_row")
+        series = tails_lu_ld(RAMP2, r_h, levels)
+        counts.append((len(solves), len(folds)))
     assert series.truncation_report["terms"] == 200
-    assert counts == [(2, 1), (2, 1)]
+    assert counts == [(1, 1), (1, 1)]
 
 
-RETRIAL_3_4_HALF = next(
-    case for case in json.loads((pathlib.Path(__file__).parent / "data" / "retrial_tails.json")
-                                .read_text())["cases"]
-    if (case["lam"], case["mu"], case["theta"]) == (3.0, 4.0, 0.5)
-)
+RETRIAL_CASES = json.loads((pathlib.Path(__file__).parent / "data" / "retrial_tails.json")
+                           .read_text())["cases"]
+RETRIAL_3_4_HALF = next(case for case in RETRIAL_CASES
+                        if (case["lam"], case["mu"], case["theta"]) == (3.0, 4.0, 0.5))
 
 
 @pytest.mark.parametrize("route", ["product", "lu"])
@@ -344,3 +338,35 @@ def test_routes_keep_the_retrial_digits_to_level_100(route):
     series = solve_tails(chain, 100, method=route)
     got = np.array([series.x0 + series.pis[0]] + series.pis)
     assert _max_rel(got, RETRIAL_3_4_HALF["tails"]) < 2e-14
+
+
+@pytest.mark.parametrize("case", RETRIAL_CASES,
+                         ids=lambda case: f"{case['lam']}-{case['mu']}-{case['theta']}")
+def test_lu_keeps_every_retrial_literal_to_level_100(case):
+    """The lu route on the retrial chain with the closed form's horizon h,
+    slow retrials (0.9, 1, 0.1) and (1, 2, 0.001) included: levels 0..100
+    within 1e-14 relative of the tails summed in 50-digit arithmetic, with
+    a window of max(h, 100) levels."""
+    params = RetrialParams(case["lam"], case["mu"], case["theta"])
+    h = retrial_tails(params, 100).truncation_report["terms"]
+    series = solve_tails(retrial_chain(params, h), 100, method="lu")
+    got = np.array([series.x0 + series.pis[0]] + series.pis)
+    assert _max_rel(got, case["tails"]) < 1e-14
+    assert series.truncation_report["terms"] == max(h, 100)
+
+
+def test_row_sums_are_checked_relative_to_the_rates():
+    """A row whose rates reach 16383.2 sums to zero only within its own
+    rounding, 1.8e-12 here: the check scales its tolerance by the row's
+    diagonal entry, and both routes agree with the oracle on the chain."""
+    up = [[0.9, 0.0], [0.0, 0.0]]
+    chain = LdQbdModel((up, up),
+                       ([[-1.9, 1.0], [0.9, -0.9]], [[-1.9, 1.0], [0.9, -(0.9 + 16383.2)]]),
+                       ([[0.0, 0.0], [16383.2, 0.0]],))
+    assert abs(chain.diag[1].sum(axis=1) + chain.down[0].sum(axis=1)
+               + chain.up[1].sum(axis=1)).max() > 1e-12
+    assert cross_check(registry.Model("ldqbd", chain), 5).passed
+    with pytest.raises(ValidationError, match="^level-1 row: row sums deviate by 1.000e-06$"):
+        LdQbdModel((up, up),
+                   ([[-1.9, 1.0], [0.9, -0.9]], [[-1.9, 1.0], [0.9, -(0.9 + 16383.2 + 1e-6)]]),
+                   ([[0.0, 0.0], [16383.2, 0.0]],))

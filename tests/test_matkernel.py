@@ -99,13 +99,6 @@ def test_sweep_guard_refuses_the_singular_systems(singular):
         _sweep([WELL_POSED, singular] + list(SINGULAR))
 
 
-def test_sweep_refusal_names_the_first_system_it_marks():
-    refuse = ("inverse refused", lambda inverses: np.array([False, True, True]))
-    with pytest.raises(SingularMatrix, match="^system 1: inverse refused$"):
-        solve_sweep(lambda i, x, inv: np.array(WELL_POSED), np.ones((3, 2, 1)),
-                    lambda i: f"system {i}", refuse)
-
-
 def test_sweep_solves_and_inverts_each_system():
     x, inverses = _sweep([WELL_POSED] * 3)
     assert x.shape == (3, 2, 1) and inverses.shape == (3, 2, 2)

@@ -106,19 +106,26 @@ def test_lu_route_factors_each_level_once(count_calls):
 
 @pytest.mark.parametrize("name,module,solvers", [
     ("qbd22.json", qbd, ("solve_R", "boundary_solve")),
-    ("ldqbd.json", ldqbd, ("solve_rate_sequence",)),
+    ("ldqbd.json", ldqbd, ("horizon_rate", "solve_rate_sequence")),
     ("gim1.json", skipfree, ("gim1_stationary",)),
     ("mg1.json", skipfree, ("mg1_stationary",)),
 ], ids=["qbd", "ldqbd", "gim1", "mg1"])
 def test_cross_check_solves_the_stage_once_for_every_route(count_calls, name, module,
                                                            solvers):
-    """Every route reads the stage that cross_check solves once; a solve
-    call solves it once more, for its one route."""
+    """Every route reads the stage that cross_check solves once (for an
+    LDQBD, R_h, whose rate sequence only the default product route sweeps);
+    a solve call solves it once more, for its one route."""
     calls = [count_calls(module, solver) for solver in solvers]
     assert mctails.cross_check(BUNDLED[name], 20).passed
     assert calls == [[1]] * len(solvers)
     registry.solve(BUNDLED[name], 6)
     assert calls == [[1, 1]] * len(solvers)
+
+
+def test_cross_check_of_a_named_ldqbd_queue_solves_r_h_and_the_sweep_once(count_calls):
+    calls = [count_calls(ldqbd, name) for name in ("horizon_rate", "solve_rate_sequence")]
+    assert mctails.cross_check(BUNDLED["mnmn1.json"], 20).passed
+    assert calls == [[1], [1]]
 
 
 def test_solve_checks_its_arguments_before_the_stage(count_calls):
@@ -184,9 +191,10 @@ def test_kind_of_refuses_an_object_that_is_not_a_chain():
 def test_a_closed_form_route_solves_no_chain_stage(count_calls, name):
     """A named queue's own route builds no chain stage: only its chain
     family's routes solve R or the rate sequence."""
-    calls = [count_calls(qbd, "solve_R"), count_calls(ldqbd, "solve_rate_sequence")]
+    calls = [count_calls(qbd, "solve_R"), count_calls(ldqbd, "horizon_rate"),
+             count_calls(ldqbd, "solve_rate_sequence")]
     registry.solve(BUNDLED[name], 20)
-    assert calls == [[], []]
+    assert calls == [[], [], []]
 
 
 @pytest.mark.parametrize("kind,payload", [
