@@ -24,7 +24,11 @@ GTH state reduction inside the matrix's band, which needs no subtraction, so
 each entry is accurate relative to its own size however small it is.  It
 runs on a Band or on a square array, which it folds on its own dense copy;
 a fold that overflows raises SingularMatrix, and its answer is re-checked
-against the balance equations.
+against the balance equations.  The fold has two loops, chosen by the
+product of its lower and upper reach: up to FLOAT_FOLD_CELLS it runs on
+Python floats read and written in place through a memoryview, since a
+narrow band does a few multiply-adds per state, fewer than numpy's calls
+would cost; wider bands run on numpy slices.
 """
 
 from __future__ import annotations
@@ -249,11 +253,11 @@ class Band:
         return out[self.lower:self.lower + n]
 
 
-def _all_reach_last(a: np.ndarray, last: int, below: int, above: int) -> bool:
-    """Whether every state 0..last reaches `last` along the nonzero entries
-    of a[:last + 1, :last + 1], row to column, whose nonzeros lie at most
-    `below` under and `above` over the diagonal; the diagonal adds no
-    path."""
+def _check_closed_state(a: np.ndarray, last: int, below: int, above: int) -> None:
+    """Raise SingularMatrix unless every state 0..last reaches `last` along
+    the nonzero entries of a[:last + 1, :last + 1], row to column, whose
+    nonzeros lie at most `below` under and `above` over the diagonal; the
+    diagonal adds no path."""
     reached = np.zeros(last + 1, dtype=bool)
     reached[last] = True
     stack = [last]
@@ -264,7 +268,100 @@ def _all_reach_last(a: np.ndarray, last: int, below: int, above: int) -> bool:
         into = (a[rows, j] != 0.0) & ~reached[rows]
         reached[rows] |= into
         stack.extend(first + np.flatnonzero(into))
-    return bool(reached.all())
+    if not reached.all():
+        raise SingularMatrix(f"stationary solve: state {last} reaches no lower state")
+
+
+# Folds whose rank-one update has at most this many cells, lower reach
+# times upper reach, run on Python floats, and wider ones on numpy slices:
+# numpy costs about 8 us a state at any narrow reach, the floats' cost grows
+# with the cells.  Per state on a random 400-state band of equal reaches
+# (best of 50, one BLAS thread, 2-vCPU x86-64), numpy slices against Python
+# floats: reach 1, 7.7 against 1.3 us; reach 3, 7.7 against 2.7 us; reach
+# 7, 7.9 against 7.7 us; reach 9, 8.1 against 11.2 us; reach 15, 8.7
+# against 26.2 us.  Python floats are float64, so only float64 cells may
+# take the float loop.
+FLOAT_FOLD_CELLS = 64
+
+
+def _gth_arrays(a: np.ndarray, v: np.ndarray, below: int, above: int) -> None:
+    """stationary_row's fold and back-substitution on numpy slices of the
+    n x n array a (a square copy or a band's strided view), leaving the
+    unnormalized row in v, which is zero on entry.
+
+    Folding k divides column k above the diagonal by k's outflow to the
+    states below it, then adds the rates through k to the rows that reach
+    it.  The diagonal of a collects junk and is never read.  One buffer
+    holds every fold's rank-one update, so the loop allocates no arrays.
+    """
+    n = len(v)
+    scratch = np.empty((above, below), dtype=a.dtype)
+    start = 0
+    for k in range(n - 1, 0, -1):
+        first_row, first_col = max(0, k - above), max(0, k - below)
+        row = a[k, first_col:k]
+        out = np.add.reduce(row)
+        if out == 0.0:
+            _check_closed_state(a, k, below, above)
+            start = k
+            break
+        col = a[first_row:k, k]
+        np.divide(col, out, out=col)
+        block = a[first_row:k, first_col:k]
+        block += np.multiply.outer(col, row, out=scratch[: k - first_row, : k - first_col])
+    v[start] = 1.0
+    for k in range(start + 1, n):
+        first_row = max(0, k - above)
+        v[k] = mass = v[first_row:k] @ a[first_row:k, k]
+        if mass > 1e250:  # a chain that climbs: keep the row finite
+            v[: k + 1] /= mass
+
+
+def _gth_floats(a: np.ndarray, flat: memoryview, stride: int, lower: int,
+                v: np.ndarray, below: int, above: int) -> None:
+    """The fold and back-substitution of _gth_arrays on Python floats, read
+    and written in place: entry (i, j) of a is flat[i * stride + j + lower],
+    and v is written through a memoryview, so neither is copied.  Each
+    outflow adds its row in index order, as numpy's sum does below eight
+    terms; each back-substitution step adds in index order too, which a
+    strided BLAS dot need not (it may fuse a multiply and an add, or split
+    the sum)."""
+    n = len(v)
+    start = 0
+    for k in range(n - 1, 0, -1):
+        first_row = k - above if k > above else 0
+        first_col = k - below if k > below else 0
+        at_k = k * stride + lower
+        row = flat[at_k + first_col:at_k + k].tolist()
+        out = 0.0
+        for r in row:
+            out += r
+        if out == 0.0:
+            _check_closed_state(a, k, below, above)
+            start = k
+            break
+        # at runs down column k; the rank-one update of row i starts `shift`
+        # cells before it
+        shift = k - first_col
+        for at in range(first_row * stride + lower + k, at_k + k, stride):
+            col = flat[at] / out
+            flat[at] = col
+            j = at - shift
+            for r in row:
+                flat[j] += col * r
+                j += 1
+    row_v = memoryview(v)
+    row_v[start] = 1.0
+    for k in range(start + 1, n):
+        first_row = k - above if k > above else 0
+        mass = 0.0
+        at = first_row * stride + lower + k
+        for i in range(first_row, k):
+            mass += row_v[i] * flat[at]
+            at += stride
+        row_v[k] = mass
+        if mass > 1e250:  # a chain that climbs: keep the row finite
+            v[: k + 1] /= mass
 
 
 def stationary_row(m, continuous: bool = True) -> np.ndarray:
@@ -281,12 +378,17 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     inside the band of the off-diagonal nonzeros: O(n p q) for lower reach p
     and upper reach q, the outermost nonzero diagonals of the band, and no
     fill-in leaves it.  A Band folds on a copy of its cells, seen as an
-    n x n strided view, with the same slices a square copy gets, so both
-    give the same bits.  A state k that reaches no lower state once the
-    states above it are folded in is closed in the folded chain; if every
-    lower state reaches it there, they are transient, carry no mass, and
-    back-substitution starts at k.  The balance residual is re-checked
-    afterwards.
+    n x n strided view, with the same arithmetic a square copy gets, so both
+    give the same bits.  Two loops do the same fold: one on Python floats,
+    read and written in place through a memoryview, when p q is at most
+    FLOAT_FOLD_CELLS, where numpy's fixed cost per call outweighs the
+    arithmetic; one on numpy slices otherwise.  They add the terms of a
+    back-substitution step, and an outflow of eight or more terms, in
+    different orders, so their rows may differ in the last bits.  A state
+    k that reaches no lower state once the states above it are folded in is
+    closed in the folded chain; if every lower state reaches it there, they
+    are transient, carry no mass, and back-substitution starts at k.  The
+    balance residual is re-checked afterwards.
 
     Raises:
         ValidationError: on a negative off-diagonal entry beyond roundoff,
@@ -311,36 +413,15 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
     rows, cols = np.nonzero(a) if dense else (lower, np.flatnonzero(a.any(axis=0)))
     offsets = cols - rows
     below, above = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
-    a = a if dense else Band(a, lower).view()
-    # Folding k divides column k above the diagonal by k's outflow to the
-    # states below it, then adds the rates through k to the rows that reach
-    # it.  The diagonal of a collects junk and is never read.  One buffer
-    # holds every fold's rank-one update, so the loop allocates no arrays.
-    scratch = np.empty((above, below))
-    start = 0
+    view = a if dense else Band(a, lower).view()
+    v = np.zeros(n)
     # an outflow that underflows makes the fold overflow, which the check
     # after it refuses, so the warnings would only get ahead of it
     with np.errstate(all="ignore"):
-        for k in range(n - 1, 0, -1):
-            first_row, first_col = max(0, k - above), max(0, k - below)
-            row = a[k, first_col:k]
-            out = np.add.reduce(row)
-            if out == 0.0:
-                if not _all_reach_last(a, k, below, above):
-                    raise SingularMatrix(f"stationary solve: state {k} reaches no lower state")
-                start = k
-                break
-            col = a[first_row:k, k]
-            np.divide(col, out, out=col)
-            block = a[first_row:k, first_col:k]
-            block += np.multiply.outer(col, row, out=scratch[: k - first_row, : k - first_col])
-        v = np.zeros(n)
-        v[start] = 1.0
-        for k in range(start + 1, n):
-            first_row = max(0, k - above)
-            v[k] = mass = v[first_row:k] @ a[first_row:k, k]
-            if mass > 1e250:  # a chain that climbs: keep the row finite
-                v[: k + 1] /= mass
+        if below * above <= FLOAT_FOLD_CELLS:
+            _gth_floats(view, memoryview(a.reshape(-1)), width - 1 + dense, lower, v, below, above)
+        else:
+            _gth_arrays(view, v, below, above)
         v /= v.sum()
     if not np.isfinite(v).all():
         raise SingularMatrix("stationary solve: the fold overflowed")

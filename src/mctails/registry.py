@@ -286,10 +286,14 @@ class CheckReport:
         return all(c.ok for c in self.comparisons)
 
 
-def _compare(left: str, right: str, a: TailSeries, b: TailSeries) -> Comparison:
-    lo = max(a.first_level, b.first_level)
-    hi = min(a.last_level, b.last_level)
-    gap = float(np.abs(a.rows(lo, hi) - b.rows(lo, hi)).max())
+def _compare(left: str, right: str, a: tuple, b: tuple) -> Comparison:
+    """Compare two series, each given as (first level, its tail vectors
+    stacked), over the levels both cover."""
+    (first_a, rows_a), (first_b, rows_b) = a, b
+    lo = max(first_a, first_b)
+    hi = min(first_a + len(rows_a), first_b + len(rows_b)) - 1
+    gap = float(np.abs(rows_a[lo - first_a:hi + 1 - first_a]
+                       - rows_b[lo - first_b:hi + 1 - first_b]).max())
     return Comparison(left, right, lo, hi, gap, gap < CHECK_TOL)
 
 
@@ -334,7 +338,10 @@ def cross_check(model: Model, levels: int) -> CheckReport:
     series["oracle"] = oracle.sized_reference(build, levels, model.tol,
                                               _decay(series.values(), levels))
     names = list(series)
-    comparisons = [_compare(left, right, series[left], series[right])
+    # each series is stacked once and every pair slices the stacks
+    stacks = {name: (s.first_level, s.rows(s.first_level, s.last_level))
+              for name, s in series.items()}
+    comparisons = [_compare(left, right, stacks[left], stacks[right])
                    for i, left in enumerate(names) for right in names[i + 1:]]
     sized = series["oracle"].truncation_report
     return CheckReport(model.kind, CHECK_TOL, tuple(comparisons),

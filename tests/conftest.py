@@ -1,8 +1,10 @@
 """Fixtures shared by the test modules."""
 
+import sys
+
 import pytest
 
-from mctails import qbd
+from mctails import matkernel, qbd
 
 
 @pytest.fixture
@@ -35,3 +37,15 @@ def rate_solve_tols(monkeypatch):
 
     monkeypatch.setattr(qbd, "solve_R", traced)
     return tols
+
+
+@pytest.fixture
+def each_gth_loop(monkeypatch):
+    """each_gth_loop() iterates twice, with matkernel.FLOAT_FOLD_CELLS set
+    so that every fold of stationary_row takes its numpy-slice loop, then
+    its Python-float loop."""
+    def turns():
+        for cells in (-1, sys.maxsize):
+            monkeypatch.setattr(matkernel, "FLOAT_FOLD_CELLS", cells)
+            yield
+    return turns

@@ -297,14 +297,15 @@ def test_deferred_guard_names_the_near_singular_level(sweep, failure):
     lambda chain: truncate_and_solve(chain, 30),
     lambda chain: solve_tails(chain, 12, method="lu"),
 ], ids=["oracle", "lu"])
-def test_a_fold_that_overflows_raises_singular_matrix(fold):
+def test_a_fold_that_overflows_raises_singular_matrix(fold, each_gth_loop):
     """The stiff level's outflow is near 2^-1000, so folding it divides by
     almost nothing; the fold runs on into overflow, yet only SingularMatrix
-    speaks, and no RuntimeWarning escapes."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SingularMatrix, match="^stationary solve: the fold overflowed$"):
-            fold(_stiff_chain(6))
+    speaks, and no RuntimeWarning escapes, on either GTH loop."""
+    for _ in each_gth_loop():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="^stationary solve: the fold overflowed$"):
+                fold(_stiff_chain(6))
 
 
 def test_lu_route_makes_a_fixed_number_of_solves_at_any_depth(count_calls):

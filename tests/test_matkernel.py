@@ -136,19 +136,21 @@ def test_stationary_row_of_a_stochastic_kernel():
     assert inf_norm(v - np.array([1.0, 2.0]) / 3.0) < 1e-12
 
 
-def test_stationary_row_rejects_rank_deficiency_beyond_one():
-    with pytest.raises(SingularMatrix):
-        stationary_row(np.zeros((3, 3)))
+def test_stationary_row_rejects_rank_deficiency_beyond_one(each_gth_loop):
+    for _ in each_gth_loop():
+        with pytest.raises(SingularMatrix):
+            stationary_row(np.zeros((3, 3)))
 
 
-def test_stationary_row_rejects_two_closed_classes():
+def test_stationary_row_rejects_two_closed_classes(each_gth_loop):
     # states {0, 1} and {2, 3} never reach each other
     q = np.array([[-1.0, 1.0, 0.0, 0.0],
                   [2.0, -2.0, 0.0, 0.0],
                   [0.0, 0.0, -3.0, 3.0],
                   [0.0, 0.0, 1.0, -1.0]])
-    with pytest.raises(SingularMatrix):
-        stationary_row(q)
+    for _ in each_gth_loop():
+        with pytest.raises(SingularMatrix):
+            stationary_row(q)
 
 
 def test_stationary_row_refuses_a_row_that_misses_balance():
@@ -159,14 +161,15 @@ def test_stationary_row_refuses_a_row_that_misses_balance():
         stationary_row([[-1.0, 1.0], [1.0, -3.0]])
 
 
-def test_stationary_row_gives_transient_low_states_no_mass():
-    # state 0 leaves for state 1, which never returns: the row is unique
-    assert np.array_equal(stationary_row([[-1.0, 1.0], [0.0, 0.0]]), [0.0, 1.0])
-    # state 1 falls into the absorbing state 0: nonzero below the diagonal only
-    assert np.array_equal(stationary_row([[0.0, 0.0], [1.0, -1.0]]), [1.0, 0.0])
-    # two absorbing states above a transient one still have no unique row
-    with pytest.raises(SingularMatrix, match="state 2 reaches no lower state"):
-        stationary_row([[-1.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_stationary_row_gives_transient_low_states_no_mass(each_gth_loop):
+    for _ in each_gth_loop():
+        # state 0 leaves for state 1, which never returns: the row is unique
+        assert np.array_equal(stationary_row([[-1.0, 1.0], [0.0, 0.0]]), [0.0, 1.0])
+        # state 1 falls into the absorbing state 0: nonzero below the diagonal only
+        assert np.array_equal(stationary_row([[0.0, 0.0], [1.0, -1.0]]), [1.0, 0.0])
+        # two absorbing states above a transient one still have no unique row
+        with pytest.raises(SingularMatrix, match="state 2 reaches no lower state"):
+            stationary_row([[-1.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def test_stationary_row_rejects_negative_off_diagonal_entries():
@@ -177,16 +180,17 @@ def test_stationary_row_rejects_negative_off_diagonal_entries():
     assert inf_norm(v - np.array([2.0, 2.0, 1.0]) / 5.0) < 1e-15
 
 
-def test_stationary_row_of_an_unevenly_banded_kernel():
+def test_stationary_row_of_an_unevenly_banded_kernel(each_gth_loop):
     # lower reach 2, upper reach 5: every fold stays inside that band
     rng = np.random.default_rng(11)
     n = 40
     offsets = np.subtract.outer(np.arange(n), np.arange(n))
     p = np.where((offsets <= 2) & (offsets >= -5), rng.random((n, n)), 0.0)
     p /= p.sum(axis=1, keepdims=True)
-    v = stationary_row(p, continuous=False)
-    assert abs(v.sum() - 1.0) < 1e-14
-    assert inf_norm(v @ p - v) < 1e-15
+    for _ in each_gth_loop():
+        v = stationary_row(p, continuous=False)
+        assert abs(v.sum() - 1.0) < 1e-14
+        assert inf_norm(v @ p - v) < 1e-15
 
 
 def test_stationary_row_of_a_single_state():
@@ -207,14 +211,37 @@ def test_square_input_and_its_band_give_the_same_bits():
     assert np.array_equal(stationary_row(q), stationary_row(band))
 
 
-def test_stationary_row_of_a_chain_that_climbs_past_the_float_range():
+def test_stationary_row_of_a_chain_that_climbs_past_the_float_range(each_gth_loop):
     # birth rate 4, death rate 1 on 600 states: v_k is 4^k up to scale
     n = 600
     q = np.diag(np.full(n - 1, 4.0), 1) + np.diag(np.ones(n - 1), -1)
     q -= np.diag(q.sum(axis=1))
-    v = stationary_row(q)
-    assert abs(v[-1] - 0.75) < 1e-15
-    assert abs(v[-2] / v[-1] - 0.25) < 1e-15
+    for _ in each_gth_loop():
+        v = stationary_row(q)
+        assert abs(v[-1] - 0.75) < 1e-15
+        assert abs(v[-2] / v[-1] - 0.25) < 1e-15
+
+
+def _random_band(reach: int, n: int) -> Band:
+    """A random generator of n states whose lower and upper reach are both `reach`."""
+    rng = np.random.default_rng(reach)
+    band = Band.zeros(n, reach, reach)
+    offsets = np.arange(n)[:, None] + np.arange(-reach, reach + 1)
+    band.cells[:] = np.where((offsets >= 0) & (offsets < n), rng.random(band.cells.shape), 0.0)
+    band.cells[:, reach] = 0.0
+    band.cells[:, reach] = -band.cells.sum(axis=1)
+    return band
+
+
+@pytest.mark.parametrize("reach", range(1, 10))
+def test_the_two_gth_loops_agree_on_random_bands(each_gth_loop, reach):
+    """The loops fold alike, but a back-substitution step may add its terms
+    in another order (a strided BLAS dot may fuse or split its sums), and
+    that difference grows along the chain: 200-state bands like these part
+    by up to 9 eps.  These are 20 states long."""
+    band = _random_band(reach, 20)
+    arrays, floats = (stationary_row(band) for _ in each_gth_loop())
+    assert np.all(np.abs(floats - arrays) <= 4 * np.finfo(float).eps * arrays)
 
 
 def test_as_matrix_rejects_ragged_and_non_finite_input():

@@ -179,6 +179,19 @@ def test_band_solve_is_bit_identical_to_the_dense_solve(model):
 
 
 @pytest.mark.parametrize("model", REFERENCED, ids=lambda model: model.kind)
+def test_the_two_gth_loops_agree_on_each_oracle_truncation(model, each_gth_loop):
+    """Each kind's chain, truncated at the depth check picks, folds to rows
+    within 4 eps of each other, entrywise and relative, on numpy slices and
+    on Python floats."""
+    depth = cross_check(model, 20).oracle_levels
+    chain = REGISTRY[model.kind].chain(model.payload, depth)
+    truncate, continuous, _ = _truncation(chain)
+    band = truncate(chain, depth)
+    arrays, floats = (stationary_row(band, continuous) for _ in each_gth_loop())
+    assert np.all(np.abs(floats - arrays) <= 4 * np.finfo(float).eps * arrays)
+
+
+@pytest.mark.parametrize("model", REFERENCED, ids=lambda model: model.kind)
 def test_cross_check_solves_its_oracle_once(model, count_calls):
     """At 20 levels the depth the routes' decay predicts passes the oracle's
     own mass test on every bundled model file, so no depth is solved twice."""

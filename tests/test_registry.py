@@ -169,6 +169,15 @@ def test_cross_check_solves_the_ldqbd_level_0_row_once(count_calls):
     assert len(rows) == 1
 
 
+def test_cross_check_stacks_each_series_once(count_calls):
+    """vacation's four routes and the oracle make 10 pairs, which slice one
+    stack per series."""
+    stacks = count_calls(mctails.TailSeries, "rows")
+    report = mctails.cross_check(BUNDLED["vacation.json"], 20)
+    assert len(report.comparisons) == 10
+    assert len(stacks) == 5
+
+
 @pytest.mark.parametrize("name", ["mm1.json", "qbd22.json", "vacation.json", "repairable.json"])
 def test_ldqbd_routes_solve_a_qbd_as_it_is(name):
     """A QbdModel is the LdQbdModel of its first three levels, so both
