@@ -4,11 +4,15 @@
 #   bash .github/compare_outputs.sh BASE_TREE HEAD_TREE
 #
 # On each model file of HEAD_TREE it runs `mctails check` at 20, 150 and
-# 1000 levels and `mctails solve --levels 150` by every route in csv and
-# json, once with BASE_TREE/src and once with HEAD_TREE/src on the path, and
-# compares stdout, stderr and exit status byte for byte.  The routes are the
-# ones HEAD_TREE lists.  It reports each differing output with its first
-# differing lines, then the count.  It then builds the heavy-traffic and
+# 1000 levels, `mctails solve --levels 150` by every route in csv and json
+# and `mctails solve --levels 1000` by every route in csv, once with
+# BASE_TREE/src and once with HEAD_TREE/src on the path, and compares
+# stdout, stderr and exit status byte for byte.  The routes are the ones
+# HEAD_TREE lists.  It reports each differing output with its first
+# differing lines, and a differing csv solve with the largest entrywise
+# relative difference of its tails over normal floats and the count of its
+# differing subnormal entries, since a drift that grows with depth shows
+# only there; then the count.  It then builds the heavy-traffic and
 # deep-tails ops (seed 1) of HEAD_TREE's perfbench/workloads.py, which it
 # only reads, runs each op once under each tree's src/, and reports every op
 # whose x0 or tail bytes differ, with the largest entrywise relative
@@ -40,6 +44,7 @@ for f in "$head"/modelfiles/*.json; do
         for output in csv json; do
             runs+=("solve $f --levels 150 --method $route --output $output")
         done
+        runs+=("solve $f --levels 1000 --method $route --output csv")
     done
     for args in "${runs[@]}"; do
         total=$((total + 1))
@@ -51,6 +56,31 @@ for f in "$head"/modelfiles/*.json; do
             differ=$((differ + 1))
             echo "differs: mctails ${args//$head\//}"
             diff "$tmp/base" "$tmp/out" | head -n 20
+            if [[ $args == *"--output csv"* ]]; then
+                python - "$tmp/base" "$tmp/out" <<'PY'
+import sys
+
+import numpy as np
+
+
+def tails(path):
+    """The csv tail rows, without the header and the exit status line."""
+    lines = open(path).read().splitlines()[1:-1]
+    return np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
+
+
+try:
+    old, new = (tails(path) for path in sys.argv[1:])
+    gap, scale = np.abs(new - old), np.abs(old)
+except ValueError:
+    sys.exit(0)  # not two tables of one shape: the diff above says why
+# below the smallest normal float a relative difference says nothing
+normal = np.minimum(scale, np.abs(new)) >= np.finfo(float).tiny
+rel = np.where(normal & (gap > 0), gap / np.where(normal, scale, 1.0), 0.0)
+print(f"largest relative difference of the tails {float(rel.max(initial=0.0)):.1e}, "
+      f"and {int(((gap > 0) & ~normal).sum())} differing entries below the smallest normal float")
+PY
+            fi
         fi
     done
 done

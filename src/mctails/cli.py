@@ -141,7 +141,7 @@ def load_model_file(path: str) -> Model:
 
 
 def _format_csv(series: TailSeries) -> str:
-    width = len(series.pis[0]) if series.pis else 0
+    width = len(series.pis[0]) if len(series.pis) else 0
     lines = ["k," + ",".join(f"p{i}" for i in range(width))]
     for i, row in enumerate(series.pis):
         level = series.first_level + i

@@ -149,11 +149,7 @@ def solve_linear(a, b) -> np.ndarray:
     if b.shape[0] != n:
         raise ValidationError(f"solve_linear: B has {b.shape[0]} rows, expected {n}")
     columns = b.reshape(n, -1)
-    try:
-        both = np.linalg.solve(a, np.concatenate((columns, np.eye(n)), axis=1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"{n} x {n} system: {exc}") from None
-    _guard(a, both)
+    both = _guarded_solve(a, np.concatenate((columns, np.eye(n)), axis=1))
     # a copy, so that the result does not keep the inverse alive
     return both[:, :columns.shape[1]].reshape(b.shape).copy()
 
@@ -204,9 +200,21 @@ def solve_xa(a, b) -> np.ndarray:
     return solve_linear(np.transpose(a), np.transpose(b)).T
 
 
+def _guarded_solve(a, rhs) -> np.ndarray:
+    """The X of A X = rhs by one LAPACK call, rhs ending in the identity, so
+    that X ends in A^-1 for _guard."""
+    try:
+        solved = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"{len(a)} x {len(a)} system: {exc}") from None
+    _guard(a, solved)
+    return solved
+
+
 def inverse(a) -> np.ndarray:
-    """A^-1, under the guard of solve_linear."""
-    return solve_linear(a, np.eye(len(a)))
+    """A^-1, under the guard of solve_linear, from one solve of A X = I."""
+    a = _square(a, "inverse")
+    return _guarded_solve(a, np.eye(len(a)))
 
 
 class Band:

@@ -288,8 +288,8 @@ def repairable_tails(params: RepairableParams, levels: int) -> TailSeries:
     repair_share = ratio * alpha / beta
     rate = (lam / (mu * (lam + beta))) * np.array([[lam + beta, alpha],
                                                    [lam + beta, mu + alpha]])
-    pis = [np.array([1.0 - repair_share, repair_share])]
-    pis += _powers(np.array([ratio, repair_share]), rate, levels)
+    pis = np.concatenate(([[1.0 - repair_share, repair_share]],
+                          _powers(np.array([ratio, repair_share]), rate, levels)))
     return TailSeries(pis, None, method="iterative", first_level=0)
 
 

@@ -482,25 +482,27 @@ def tails_lu(model: QbdModel, x0, levels: int) -> TailSeries:
     the condition number of Psi_k, relative to U_k.  A change that stops
     shrinking above that floor does not end the pass, since on chains whose
     rates differ by phase it can grow for a dozen levels before it falls.
-    Past s every level shares the settled U and M, and the heads follow
-    e_{k+1} = e_k N with N = A0 M, one product per level.  With
-    top = max(levels, s) the deep part is in closed form,
-    S_{top+1} = e_top Y with Y = sum_{j>=1} N^j U^j (see _deep_sum), and
-    one backward sweep from top gives every pi_j.  A chain that is not
-    positive recurrent makes that sum diverge and raises TruncationFailure.
-    The report's `terms` is top.
+    Past s every level shares the settled U and M, so the heads are
+    e_s N^(k-s), N = A0 M (series._powers), and S_j = e_{j-1} Y with
+    Y = sum_{i>=1} N^i U^i (_deep_sum): pi_j = e_{j-1} (I + Y) for j > s,
+    and a backward sweep from S_{s+1} gives levels 1..s.  A chain that is
+    not positive recurrent makes Y diverge and raises TruncationFailure.
+    The report's `terms` is max(levels, s).
     """
     x0 = np.asarray(x0, dtype=float)
     heads, ups, up, minv = _lu_steps(model, x0)
-    top = max(levels, len(heads) - 1)
+    settle = len(heads) - 1
     step = model.a0 @ minv
-    while len(heads) <= top:
-        heads.append(heads[-1] @ step)
-        ups.append(up)
-    tail = heads[top] @ _deep_sum(step, up)
-    pis: list = [None] * levels
-    for j in range(top, 0, -1):
+    deep = _deep_sum(step, up)
+    pis = np.empty((levels, len(up)))
+    if levels > settle:
+        # e_{s+i} = e_s N^i, and e_{s+i} (I + Y) is pi_{s+1+i}
+        settled = _powers(heads[settle], step, levels - settle)
+        np.matmul(settled, deep, out=pis[settle:])
+        pis[settle:] += settled
+    tail = heads[settle] @ deep
+    for j in range(settle, 0, -1):
         tail = (heads[j] + tail) @ ups[j]
         if j <= levels:
             pis[j - 1] = heads[j - 1] + tail
-    return TailSeries(pis, x0, method="lu-rg", truncation_report={"terms": top})
+    return TailSeries(pis, x0, method="lu-rg", truncation_report={"terms": max(levels, settle)})

@@ -1,9 +1,11 @@
 """Tail-probability series, and the one place that turns level masses x_j
 into tails pi_k = sum_{j>=k} x_j: every route passes its level rows to
-_suffix_sums or _from_levels, or a head and a rate matrix to _powers."""
+_suffix_sums or _from_levels, or a head and a rate matrix to _powers, the
+power series that every level-independent tail is past its boundary."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -18,12 +20,25 @@ def _check_levels(value, least: int) -> None:
         raise ValidationError(f"levels must be an integer of at least {least}, got {value!r}")
 
 
-def _powers(head, rate, levels: int) -> list:
-    """head, head R, head R^2, ...: the first `levels` rows."""
-    rows = [head] if levels >= 1 else []
-    for _ in range(1, levels):
-        rows.append(rows[-1] @ rate)
-    return rows
+def _powers(head, rate, levels: int) -> np.ndarray:
+    """The rows head P^k, k < levels, of P = rate, stacked: each block of
+    b ~ sqrt(2 levels) rows is one product of the row before it with
+    [P | .. | P^b], and b m <= levels keeps that stack within the rows.  It
+    is built a power at a time: squaring repeats each rounding in every
+    later power, 6x the error at level 400 of a 2-phase chain."""
+    m = len(rate)
+    block = max(1, min(math.isqrt(2 * levels), levels // m))
+    width = block * m
+    stack = np.empty((m, width))
+    stack[:, :m] = rate
+    for j in range(m, width, m):
+        stack[:, j:j + m] = stack[:, j - m:j] @ rate
+    # the rows flat, padded to whole blocks, so that a block is one product in place
+    flat = np.empty(m + -(-max(levels - 1, 0) // block) * width)
+    flat[:m] = head
+    for lo in range(0, (levels - 1) * m, width):
+        np.matmul(flat[lo:lo + m], stack, out=flat[lo + m:lo + m + width])
+    return flat.reshape(-1, m)[:levels]
 
 
 def _suffix_sums(rows, past=None) -> np.ndarray:
@@ -46,21 +61,21 @@ def _from_levels(rows, levels: int, method: str, report: dict, x0=None, past=Non
     else:
         kappa = 1.0 / (float(x0.sum()) + float(tails[0].sum()))
         pis, x0, first = kappa * tails[:levels], kappa * x0, 1
-    return TailSeries(list(pis), x0, method, report, first)
+    return TailSeries(pis, x0, method, report, first)
 
 
 @dataclass
 class TailSeries:
     """Tail-probability vectors for consecutive levels of a structured chain.
 
-    pis[i] is the tail vector of level ``first_level + i``: componentwise mass
-    of all states at that level or above.  Generic chain solvers return series
-    starting at level 1 together with the boundary vector x0; the closed-form
-    queue models start at level 0 (their level-0 entry sums to one) and leave
-    x0 unset.
+    pis[i], a row of a list or of one stacked array, is the tail vector of
+    level ``first_level + i``: componentwise mass of all states at that
+    level or above.  Generic chain solvers return series starting at level 1
+    together with the boundary vector x0; the closed-form queue models start
+    at level 0 (their level-0 entry sums to one) and leave x0 unset.
     """
 
-    pis: list[np.ndarray]
+    pis: list[np.ndarray] | np.ndarray
     x0: np.ndarray | None = None
     method: str = ""
     truncation_report: dict = field(default_factory=dict)

@@ -28,7 +28,8 @@ gim1_stationary returns the qbd.BoundarySolution a QBD's boundary solve
 does, with level 1 censored on itself as its Phi0, and the QBD's
 matrix-geometric and UL routes (qbd.tails_matrix_geometric, qbd.tails_ul)
 give its tails.  The M/G/1 side rests on the first-passage matrix
-G = sum_k A_k G^k and visit-count blocks fed into a forward recursion.  Seen
+G = sum_k A_k G^k and visit-count blocks fed into a forward recursion, a
+power series in their companion matrix past the boundary (_forward_rows).  Seen
 max(1, len(A) - 2) levels at a time either chain is a QBD, and R and G are
 blocks of that QBD's matrices from qbd.solve_R and qbd.solve_G.  One
 Horner rule (_horner) evaluates every block power series of both sides,
@@ -270,7 +271,7 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> BoundarySolutio
     mass = float((y0 @ entry) @ level_mass)
     x0 = (1.0 / (1.0 + mass)) * y0
     x1 = x0 @ entry
-    _check_balance(model, [x0] + _powers(x1, r, _balance_window(model) - 1))
+    _check_balance(model, [x0, *_powers(x1, r, _balance_window(model) - 1)])
     return BoundarySolution(_frozen(x0), _frozen(x1), r, _frozen((a[0] + visit) - eye))
 
 
@@ -339,18 +340,34 @@ def _boundary_row(boundary_chain: np.ndarray) -> np.ndarray:
     return stationary_row(boundary_chain, continuous=False)
 
 
-def _mg1_row(model: SkipFreeModel, rows, first, blocks, k: int) -> np.ndarray:
-    """rows[0] first[k-1] + sum_{0<i<k} rows[i] blocks[k-i-1], with blocks
-    past the end of either list zero, so only their nonzero band is visited.
-    On the visit blocks this is row k of the forward recursion
-    v_k = y0 V0_k + sum_{0<i<k} v_i V_{k-i}; on their suffix sums it is the
-    level-k tail sum; on the visit blocks of the S-shifted chain and the
-    level visit blocks it is the factorization tail of level k + 1 less its
-    source."""
-    row = rows[0] @ first[k - 1] if k <= len(first) else np.zeros(model.m)
+def _mg1_row(head, rows, first, blocks, k: int) -> np.ndarray:
+    """head first[k-1] + sum_{0<i<k} rows[i-1] blocks[k-i-1], blocks past
+    either list zero: on the visit blocks, row k of the forward recursion
+    v_k = y0 V0_k + sum_{0<i<k} v_i V_{k-i}; on their suffix sums, the
+    level-k tail sum."""
+    row = head @ first[k - 1] if k <= len(first) else np.zeros(rows.shape[1])
     for i in range(max(1, k - len(blocks)), k):
-        row = row + rows[i] @ blocks[k - i - 1]
+        row = row + rows[i - 1] @ blocks[k - i - 1]
     return row
+
+
+def _forward_rows(head, first, blocks, rows, sources=()) -> None:
+    """Fill the zeroed rows with r_1, r_2, .. of r_k = s_k + head F_k +
+    sum_{0<i<k} r_i V_{k-i}, F_k = first[k-1], V_d = blocks[d-1] and
+    s_k = sources[k-1] zero past their lists: by _mg1_row up to row
+    n = max(len(first), len(sources), D), then as the last m columns of
+    [r_{n-D+1} .. r_n] C^j, C the block companion matrix of the V_d."""
+    depth, m = len(blocks), rows.shape[1]
+    near = min(max(len(first), len(sources), depth), len(rows))
+    for i in range(near):
+        rows[i] = _mg1_row(head, rows, first, blocks, i + 1)
+        if i < len(sources):
+            rows[i] += sources[i]
+    if depth and near < len(rows):
+        companion = np.eye(depth * m, k=-m)
+        companion[:, -m:] = np.concatenate(blocks[::-1])
+        state = rows[near - depth:near].ravel() @ companion
+        rows[near:] = _powers(state, companion, len(rows) - near)[:, -m:]
 
 
 def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
@@ -389,17 +406,16 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     w0 = sum(from_boundary, np.zeros((m0, m)))
     w = sum(between, np.zeros((m, m)))
     tau = 1.0 / (float(y0.sum()) + float(y0 @ w0 @ solve_linear(eye - w, np.ones(m))))
-    rows = [y0]
-    for k in range(1, _balance_window(model)):
-        rows.append(_mg1_row(model, rows, from_boundary, between, k))
+    rows = np.zeros((_balance_window(model) - 1, m))
+    _forward_rows(y0, from_boundary, between, rows)
     x0 = tau * y0
-    _check_balance(model, [tau * row for row in rows])
+    _check_balance(model, [x0, *(tau * rows)])
     return Mg1Measures(
         passage=g,
         local_kernel=_frozen(kernel),
         boundary_visits=tuple(_frozen(v) for v in from_boundary),
         visits=tuple(_frozen(v) for v in between),
-        visit_rows=tuple(_frozen(row) for row in rows),
+        visit_rows=(_frozen(y0), *_frozen(rows)),
         tau=tau,
         x0=_frozen(x0),
     )
@@ -408,23 +424,22 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
 def mg1_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> TailSeries:
     """Iterative tails of an M/G/1-type chain from its measures.
 
-    The stationary forward recursion is extended past the balance window to
-    the requested depth, and the rows are suffix-summed.  The mass past the
+    The stationary forward recursion (_forward_rows) is run to the
+    requested depth, and the rows are suffix-summed.  The mass past the
     last row n comes in closed form, once: summing the recursion over the
     levels past n gives pi_{n+1} (I - W_1) = v_0 W0_{n+1} +
     sum_{0<i<=n} v_i W_{n+1-i}, with W0 and W the suffix sums of the visit
     blocks.
     """
-    rows = list(measures.visit_rows)
-    between = measures.visits
-    for k in range(len(rows), levels + 1):
-        rows.append(_mg1_row(model, rows, measures.boundary_visits, between, k))
+    head = measures.visit_rows[0]
+    rows = np.zeros((max(levels, len(measures.visit_rows) - 1), model.m))
+    _forward_rows(head, measures.boundary_visits, measures.visits, rows)
     w0 = _suffix_sums(measures.boundary_visits)
-    w = _suffix_sums(between) if between else [np.zeros((model.m, model.m))]
-    acc = _mg1_row(model, rows, w0[:-1], w[:-1], len(rows))
+    w = _suffix_sums(measures.visits) if measures.visits else [np.zeros((model.m, model.m))]
+    acc = _mg1_row(head, rows, w0[:-1], w[:-1], len(rows) + 1)
     past = solve_xa(np.eye(model.m) - w[0], acc)
     report = {"levels_materialized": max(levels, len(measures.visit_rows))}
-    return _from_levels(rows[1:], levels, "iterative", report, rows[0], past)
+    return _from_levels(rows, levels, "iterative", report, head, past)
 
 
 def mg1_ul_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> TailSeries:
@@ -434,8 +449,7 @@ def mg1_ul_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> Ta
     S_d = sum_{k>=d} A_k the tails obey
     pi_n = c_n + pi_1 S_n + sum_{i=2}^n pi_i A_{n-i+1} + pi_{n+1} A_0 with
     source c_n = x0 sum_{l>=n+1} B_l, handled backward through G and forward
-    through the visit blocks of the S-shifted chain.  Each level visits only
-    the nonzero band of those blocks.
+    through the visit blocks of the S-shifted chain (_forward_rows).
     """
     a, b = model.a_blocks, model.b_blocks
     g, kernel = measures.passage, measures.local_kernel
@@ -444,11 +458,9 @@ def mg1_ul_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> Ta
     backward = _horner(measures.x0 @ _suffix_sums(b[2:]), g)
     shifted_visits = _visit_blocks(shifted_sums, kernel)
     # the sources of levels 2..len(backward) through I - kernel, in one solve
-    sources = backward[1:levels]
-    if sources:
-        sources = list(solve_xa(eye - kernel, np.array(sources)))
-    pis = [solve_xa(eye - shifted_chain, backward[0])] if levels else []
-    for n in range(2, levels + 1):
-        row = _mg1_row(model, pis, shifted_visits, measures.visits, n - 1)
-        pis.append(sources[n - 2] + row if n - 2 < len(sources) else row)
+    sources = solve_xa(eye - kernel, np.reshape(backward[1:levels], (-1, model.m)))
+    pis = np.zeros((levels, model.m))
+    if levels:
+        pis[0] = solve_xa(eye - shifted_chain, backward[0])
+        _forward_rows(pis[0], shifted_visits, measures.visits, pis[1:], sources)
     return TailSeries(pis, measures.x0, method="ul-rg")

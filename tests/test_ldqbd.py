@@ -337,7 +337,7 @@ def test_routes_keep_the_retrial_digits_to_level_100(route):
     inverses reach 2.2e-14 here."""
     chain = retrial_chain(RetrialParams(3.0, 4.0, 0.5), 400)
     series = solve_tails(chain, 100, method=route)
-    got = np.array([series.x0 + series.pis[0]] + series.pis)
+    got = np.array([series.x0 + series.pis[0], *series.pis])
     assert _max_rel(got, RETRIAL_3_4_HALF["tails"]) < 2e-14
 
 
@@ -351,7 +351,7 @@ def test_lu_keeps_every_retrial_literal_to_level_100(case):
     params = RetrialParams(case["lam"], case["mu"], case["theta"])
     h = retrial_tails(params, 100).truncation_report["terms"]
     series = solve_tails(retrial_chain(params, h), 100, method="lu")
-    got = np.array([series.x0 + series.pis[0]] + series.pis)
+    got = np.array([series.x0 + series.pis[0], *series.pis])
     assert _max_rel(got, case["tails"]) < 1e-14
     assert series.truncation_report["terms"] == max(h, 100)
 

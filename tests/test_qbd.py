@@ -1,11 +1,13 @@
 """Level-independent QBD solvers against hand values and the truncation reference."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mctails import solve_tails
+from mctails import qbd, solve_tails
+from mctails.cli import load_model_file
 from mctails.errors import Reducible, TruncationFailure, Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm, inverse, stationary_row
@@ -21,6 +23,8 @@ from mctails.qbd import (
     tails_matrix_geometric,
     tails_ul,
 )
+
+FILES = Path(__file__).resolve().parents[1] / "modelfiles"
 
 # M/M/1 with arrival rate 1 and service rate 2, written as 1x1 blocks.  Its
 # stationary law is x_k = 0.5^(k+1), so R = 0.5 and the tails are 0.5^k.
@@ -448,3 +452,37 @@ def test_lu_route_refuses_a_series_that_does_not_shrink():
     null = QbdModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[-2.0]], [[1.0]])
     with pytest.raises(TruncationFailure, match="not below 1"):
         tails_lu(null, [0.5], 5)
+
+
+def _lu_by_full_sweep(model, x0, levels):
+    """The lu tails by the backward sweep over every level to
+    top = max(levels, s), the heads past s extended one product at a time."""
+    heads, ups, up, minv = qbd._lu_steps(model, x0)
+    top = max(levels, len(heads) - 1)
+    step = model.a0 @ minv
+    while len(heads) <= top:
+        heads.append(heads[-1] @ step)
+        ups.append(up)
+    tail = heads[top] @ qbd._deep_sum(step, up)
+    pis = [None] * levels
+    for j in range(top, 0, -1):
+        tail = (heads[j] + tail) @ ups[j]
+        if j <= levels:
+            pis[j - 1] = heads[j - 1] + tail
+    return np.array(pis)
+
+
+@pytest.mark.parametrize("levels", [20, 150])
+@pytest.mark.parametrize("name", ["qbd22", "modulated"])
+def test_lu_closed_form_matches_the_full_backward_sweep(name, levels):
+    """Past the settle step the lu tails are e_{j-1} (I + Y); they match the
+    sweep over every level.  qbd22's up-blocks settle at level 32, so at 20
+    levels the sweep gives every tail."""
+    if name == "qbd22":
+        model = load_model_file(str(FILES / "qbd22.json")).payload
+    else:
+        model = modulated_mm1(0.9, four_phase_generator())
+    x0 = solve_tails(model, 1, method="mg").x0
+    got = tails_lu(model, x0, levels)
+    want = _lu_by_full_sweep(model, x0, levels)
+    assert np.max(np.abs(got.rows(1, levels) - want) / want) < 1e-14

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mctails.series import TailSeries, _suffix_sums
+from mctails.series import TailSeries, _powers, _suffix_sums
 
 
 def _backward(rows, past):
@@ -39,3 +39,25 @@ def test_rows_stacks_the_levels_it_is_asked_for(first_level):
     for lo, hi in [(first_level - 1, last), (first_level, last + 1), (last + 1, last + 1)]:
         with pytest.raises(IndexError, match="outside"):
             series.rows(lo, hi)
+
+
+@pytest.mark.parametrize("m", [1, 2, 32])
+# 8 and 72 levels fill whole blocks (of 4 and 12 levels for m <= 2, of 1
+# and 2 for m = 32); one level fewer or more leaves the last block partial
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 71, 72, 73, 400])
+def test_powers_are_the_row_by_row_products(m, n):
+    """The stacked, blocked rows head P^k match head, head P, ... formed one
+    product at a time, within a few n m machine epsilons of each entry."""
+    rng = np.random.default_rng(m)
+    rate = rng.random((m, m))
+    rate *= 0.97 / rate.sum(axis=1).max()
+    head = rng.random(m)
+    want = [head]
+    for _ in range(1, n):
+        want.append(want[-1] @ rate)
+    got = _powers(head, rate, n)
+    assert got.shape == (n, m)
+    if n:
+        assert np.array_equal(got[0], head)
+        rel = np.abs(got - np.array(want)) / np.array(want)
+        assert rel.max() <= 4 * n * m * np.finfo(float).eps

@@ -123,7 +123,7 @@ def test_rate_series_closed_forms_at_the_edges():
 def _gim1_balance_residual(model, boundary):
     """The balance residual of the rows x0, x1, x1 R, ... of a GI/M/1 stage."""
     window = skipfree._balance_window(model)
-    rows = [boundary.x0] + _powers(boundary.x1, boundary.r, window - 1)
+    rows = [boundary.x0, *_powers(boundary.x1, boundary.r, window - 1)]
     return skipfree._balance_residual(model, rows)
 
 
@@ -440,3 +440,53 @@ def test_mg1_stage_and_ul_route_solve_each_coefficient_matrix_once(count_calls):
                                     for module in (matkernel, skipfree))
     mg1_ul_tails(MG1_FILE, mg1_stationary(MG1_FILE), 20)
     assert (len(kernel_calls), len(skipfree_calls)) == (5, 2)
+
+
+def _rows_one_at_a_time(head, first, blocks, count, sources=()):
+    """r_k = s_k + head F_k + sum_{0<i<k} r_i V_{k-i} for k = 1..count, one
+    row and one block at a time, F_k = first[k-1], V_d = blocks[d-1] and
+    s_k = sources[k-1] zero past their lists."""
+    rows = [head]
+    for k in range(1, count + 1):
+        row = np.zeros(np.shape(first[0])[1])
+        if k <= len(sources):
+            row = row + sources[k - 1]
+        if k <= len(first):
+            row = row + head @ first[k - 1]
+        for i in range(max(1, k - len(blocks)), k):
+            row = row + rows[i] @ blocks[k - i - 1]
+        rows.append(row)
+    return np.array(rows[1:])
+
+
+@pytest.mark.parametrize("sources", [0, 3], ids=["visit-rows", "with-sources"])
+@pytest.mark.parametrize("name", ["mg1.json", "8-phase walk"])
+def test_companion_rows_match_the_direct_recursion(name, sources):
+    """Past the rows the boundary and the sources touch, the forward rows
+    are powers of the companion matrix of the visit blocks; to 400 levels
+    they match the recursion run row by row."""
+    rng = np.random.default_rng(8)
+    if name == "mg1.json":
+        model = load_model_file(str(FILES / "mg1.json")).payload
+    else:
+        p = rng.random((8, 8))
+        model = _mg1_walk(0.7, p / p.sum(axis=1, keepdims=True))
+    measures = mg1_stationary(model)
+    head, first, blocks = measures.visit_rows[0], measures.boundary_visits, measures.visits
+    extra = list(rng.random((sources, model.m)))
+    want = _rows_one_at_a_time(head, first, blocks, 400, extra)
+    got = np.zeros((400, model.m))
+    skipfree._forward_rows(head, first, blocks, got, extra)
+    assert np.max(np.abs(got - want) / want) < 2e-14
+
+
+def test_mg1_chain_without_visit_blocks_pins_its_tails():
+    """With only A0 and A1 no visit block links two repeating levels, so
+    past the boundary's reach every level is empty."""
+    model = SkipFreeModel("MG1", [[[0.6]], [[0.4]]],
+                          [[[0.6]], [[0.1]], [[0.3]], [[0.2]], [[0.4]]])
+    measures = mg1_stationary(model)
+    for route in (mg1_tails, mg1_ul_tails):
+        got = route(model, measures, 6).rows(1, 6)[:, 0]
+        assert np.max(np.abs(got[:3] - [0.76, 0.4, 0.16]) / [0.76, 0.4, 0.16]) < 1e-15
+        assert np.array_equal(got[3:], np.zeros(3))
