@@ -20,8 +20,16 @@
 # that count.  The same goes for the product and lu routes at 100 levels on
 # the retrial chain of each case in HEAD_TREE's tests/data/retrial_tails.json,
 # built to the horizon of the closed form (models.retrial_tails), where slow
-# retrials reach the level-dependent routes.  It is informational: it always
-# exits 0.
+# retrials reach the level-dependent routes.  Last, it draws seeded random
+# QBD, GI/M/1 and M/G/1 chains (numpy's default_rng, so both trees see the
+# same draws), with slow phase switching, zero arrival or service rates,
+# transient phases and phase classes that meet only at the boundary among
+# them; it solves each draw by every route the running tree lists at 40
+# levels under each tree's src/, giving each solve 2 s, and reports each
+# draw whose x0 or tail bytes, or the type of whose raise, differ, then that
+# count; then the draws that raise the same type with another message, and
+# the solves that ran out of time under HEAD_TREE.  It is informational: it
+# always exits 0.
 
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
@@ -127,9 +135,115 @@ with open(sys.argv[2], "wb") as out:
 PY
 }
 
-library "$base" "$tmp/base-ops"
-library "$head" "$tmp/head-ops"
-python - "$tmp/base-ops" "$tmp/head-ops" <<'PY'
+draws() {  # tree, file: pickles each random draw's route label and its x0 and tails, or its raise
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH="$1/src" python -W error - "$2" <<'PY'
+import pickle
+import signal
+import sys
+
+import numpy as np
+
+import mctails
+from mctails.registry import kind_of, route_names
+
+LEVELS = 40
+LIMIT = 2.0  # seconds a solve may take; a solve takes milliseconds
+TIMED_OUT = f"no result within {LIMIT:g} s"
+
+
+def give_up(signum, frame):
+    raise TimeoutError(TIMED_OUT)
+
+
+def outputs(call):
+    """The x0 and tail rows `call` returns, or its raise, which is an output
+    too, or TIMED_OUT once it has run LIMIT seconds."""
+    signal.setitimer(signal.ITIMER_REAL, LIMIT)
+    try:
+        result = call()
+    except TimeoutError:
+        return TIMED_OUT
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+    return [None if row is None else np.asarray(row, dtype=float)
+            for row in [result.x0, *result.pis]]
+
+
+signal.signal(signal.SIGALRM, give_up)
+
+
+def switching(rng, m, style):
+    """Off-diagonal phase rates: sparse, slowed by 1e-6 (style 1), with a
+    phase nothing enters (style 2), or in two classes that never meet (3)."""
+    t = rng.random((m, m)) * (rng.random((m, m)) < 0.6)
+    if style == 1:
+        t *= 1e-6
+    elif style == 2:
+        t[:, 0] = 0.0
+    elif style == 3:
+        t[:m // 2, m // 2:] = t[m // 2:, :m // 2] = 0.0
+    np.fill_diagonal(t, 0.0)
+    return t
+
+
+def qbd(rng, m, style):
+    """A modulated queue, some of whose phases never arrive or never serve;
+    the boundary switches phases on its own, irreducibly."""
+    t = switching(rng, m, style)
+    t -= np.diag(t.sum(axis=1))
+    boundary = rng.uniform(0.1, 1.0, (m, m))
+    np.fill_diagonal(boundary, 0.0)
+    boundary -= np.diag(boundary.sum(axis=1))
+    up = rng.uniform(0.0, 1.5, m) * (rng.random(m) < 0.85)
+    down = rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.85)
+    a0 = np.diag(up)
+    if rng.random() < 0.3:
+        jump = rng.random((m, m))
+        a0 = a0 @ (jump / jump.sum(axis=1, keepdims=True))
+    return mctails.QbdModel(boundary - np.diag(up), a0, np.diag(down),
+                            a0, t - np.diag(up + down), np.diag(down))
+
+
+def skip_free(rng, m, style, kind):
+    """A walk of 3-5 blocks whose phase moves by the switching rates at each
+    step; its boundary blocks return the mass its jumps take below level 0."""
+    count = int(rng.integers(3, 6))
+    step = switching(rng, m, style)
+    step = np.eye(m) + step / max(1.0, float(step.sum(axis=1).max()))
+    step /= step.sum(axis=1, keepdims=True)
+    shares = rng.random((count, m)) * (rng.random((count, m)) < 0.85)
+    shares[1] += 1e-3
+    shares /= shares.sum(axis=0)
+    a = [share[:, None] * step for share in shares]
+    if kind == "GIM1":
+        b = [a[0], *[sum(a[k:]) for k in range(1, count)]]
+    else:
+        b = [a[0], a[0] + a[1], *a[2:]]
+    return mctails.SkipFreeModel(kind, a, b)
+
+
+ops = []
+rng = np.random.default_rng(2012)
+for i in range(90):
+    family = ("QBD", "GIM1", "MG1")[i % 3]
+    m, style = int(rng.integers(1, 6)), int(rng.integers(4))
+    try:
+        model = qbd(rng, m, style) if family == "QBD" else skip_free(rng, m, style, family)
+    except Exception as exc:
+        ops.append((f"draw {i} {family} m={m} style {style}", f"{type(exc).__name__}: {exc}"))
+        continue
+    for route in route_names(kind_of(model)):
+        ops.append((f"draw {i} {family} m={m} style {style} {route}",
+                    outputs(lambda: mctails.solve_tails(model, LEVELS, method=route))))
+with open(sys.argv[1], "wb") as out:
+    pickle.dump(ops, out)
+PY
+}
+
+compare() {  # base file, head file, what the ops are called[, by-type]
+    python - "$@" <<'PY'
 import pickle
 import sys
 from pathlib import Path
@@ -162,13 +276,39 @@ def difference(old, new):
     return f"largest relative difference x0 {x0:.1e}, tails {tails:.1e}"
 
 
-base, head = (pickle.loads(Path(path).read_bytes()) for path in sys.argv[1:])
-differ = 0
-for (label, old), (_, new) in zip(base, head):
-    how = difference(old, new)
-    if how is not None:
+def raised(out):
+    """The exception type an output names, or None for a result."""
+    return out.split(":")[0] if isinstance(out, str) else None
+
+
+base, head = (pickle.loads(Path(path).read_bytes()) for path in sys.argv[1:3])
+base = dict(base)
+# by-type: a raise differs only in its type; its words name the check that
+# refused, which may change with the check, and are listed apart
+by_type = sys.argv[4:] == ["by-type"]
+differ = reworded = 0
+for label, new in head:
+    old = base.get(label)
+    how = difference(old, new) if label in base else "the base tree has no such op"
+    if how is not None and by_type and raised(old) and raised(old) == raised(new):
+        reworded += 1
+        print(f"reworded: {label}: {how}")
+    elif how is not None:
         differ += 1
         print(f"differs: {label}: {how}")
-print(f"{differ} of {len(head)} library ops differ")
+print(f"{differ} of {len(head)} {sys.argv[3]} differ")
+if by_type:
+    print(f"{reworded} of {len(head)} {sys.argv[3]} raise the same type with other words")
+slow = [label for label, new in head if isinstance(new, str) and new.startswith("no result within")]
+if slow:
+    print(f"{len(slow)} {sys.argv[3]} gave no result in time under the head tree: " + "; ".join(slow))
 PY
+}
+
+library "$base" "$tmp/base-ops"
+library "$head" "$tmp/head-ops"
+compare "$tmp/base-ops" "$tmp/head-ops" "library ops"
+draws "$base" "$tmp/base-draws"
+draws "$head" "$tmp/head-draws"
+compare "$tmp/base-draws" "$tmp/head-draws" "random draws" by-type
 exit 0

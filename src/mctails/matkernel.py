@@ -19,9 +19,12 @@ mostly see, numpy's fixed cost per call outweighs the arithmetic: a guarded
 2 x 2 solve takes 19-25 us on a 2-vCPU x86-64, about half of it the LAPACK
 call and 8-10 us the guard, which tests one system without stacking it.  A
 solver that needs one matrix for several right-hand sides stacks them into
-one solve.  Stationary rows are the exception to LAPACK: stationary_row is
-GTH state reduction inside the matrix's band, which needs no subtraction, so
-each entry is accurate relative to its own size however small it is.  It
+one solve.  A mean drift p v, for the stationary row p of a generator, is
+one bordered solve too (mean_drift): a caller that needs only its sign, such
+as the shift of qbd.solve_G, forms no p.  Stationary rows themselves are
+the exception to LAPACK: stationary_row is GTH state reduction inside the
+matrix's band, which needs no subtraction, so each entry is accurate
+relative to its own size however small it is.  It
 runs on a Band or on a square array, which it folds on its own dense copy;
 a fold that overflows raises SingularMatrix, and its answer is re-checked
 against the balance equations.  The fold has two loops, chosen by the
@@ -215,6 +218,37 @@ def inverse(a) -> np.ndarray:
     """A^-1, under the guard of solve_linear, from one solve of A X = I."""
     a = _square(a, "inverse")
     return _guarded_solve(a, np.eye(len(a)))
+
+
+def mean_drift(q, v) -> float | None:
+    """p v for the stationary row p of the generator q (p q = 0, p e = 1),
+    or None where stationary_row would refuse q.
+
+    One guarded solve of the bordered system [[q, e], [e^T, 0]] [w; c] =
+    [v; 0]: multiplied by p, its first block row gives c = p v.  The system
+    is nonsingular exactly when p is unique, so one closed class passes,
+    transient states included, and two closed classes fail the guard, as
+    does a system too ill-conditioned to trust.  A negative off-diagonal
+    entry beyond roundoff, by stationary_row's rule, also gives None.  The
+    sign of p v is all a caller needs of p, and this costs one LAPACK call
+    where stationary_row folds every state of a dense copy.
+    """
+    q = _square(q, "mean_drift")
+    n = len(q)
+    off = q.copy()
+    off.reshape(-1)[::n + 1] = 0.0
+    if off.min() < -n * _EPS * off.max():
+        return None
+    bordered = np.ones((n + 1, n + 1))
+    bordered[:n, :n] = q
+    bordered[n, n] = 0.0
+    rhs = np.zeros((n + 1, n + 2))
+    rhs[:n, 0] = v
+    rhs[:, 1:] = np.eye(n + 1)
+    try:
+        return float(_guarded_solve(bordered, rhs)[n, 0])
+    except SingularMatrix:
+        return None
 
 
 class Band:

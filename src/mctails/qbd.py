@@ -45,6 +45,7 @@ from .matkernel import (
     as_matrix,
     inf_norm,
     inverse,
+    mean_drift,
     solve_linear,
     solve_xa,
     stationary_row,
@@ -292,9 +293,11 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     0 and solves the same equation with A1 + A0 Q for A1 and A2 - A2 Q for
     A2.  The reduction runs on those blocks and returns G = (G - Q) + Q, in
     a few steps at any load: one for M/M/1.  Positive recurrence is read from
-    the mean drift, p A0 e < p A2 e with p the stationary row of
-    A = A0 + A1 + A2, and is asked only of a conservative A (rows summing to
-    zero within ROWSUM_TOL, scaled as check_tables scales it) with one
+    the sign of the mean drift p (A0 - A2) e < 0, p the stationary row of
+    A = A0 + A1 + A2 (Neuts 1981, Thm 3.1.1), which matkernel.mean_drift
+    gives by one bordered solve without forming p.  It is asked only of a
+    conservative A (rows summing to zero within ROWSUM_TOL, scaled as
+    check_tables scales it), and mean_drift answers only for an A with one
     closed class, the A whose p is unique.
     On a transient, null-recurrent, non-conservative or multi-class A, Q = 0
     and the reduction is the plain one.  Iteration stops once the added term
@@ -308,11 +311,8 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     shift = np.zeros((m, m))
     phases = a0 + a1 + a2
     if not _rowsum_defect(phases.sum(axis=1), a1).any():
-        try:
-            p = stationary_row(phases)
-        except (SingularMatrix, ValidationError):
-            p = None  # not a generator with one closed class
-        if p is not None and p @ a0.sum(axis=1) < p @ a2.sum(axis=1):
+        drift = mean_drift(phases, a0.sum(axis=1) - a2.sum(axis=1))
+        if drift is not None and drift < 0.0:
             shift[:] = 1.0 / m
     both = solve_linear(-(a1 + a0 @ shift), np.concatenate((a0, a2 - a2 @ shift), axis=1))
     up, down = both[:, :m], both[:, m:]

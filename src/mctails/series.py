@@ -25,9 +25,20 @@ def _powers(head, rate, levels: int) -> np.ndarray:
     b ~ sqrt(2 levels) rows is one product of the row before it with
     [P | .. | P^b], and b m <= levels keeps that stack within the rows.  It
     is built a power at a time: squaring repeats each rounding in every
-    later power, 6x the error at level 400 of a 2-phase chain."""
+    later power, 6x the error at level 400 of a 2-phase chain.  Where the
+    rule leaves b = 1 (levels < 2m) each row is one product of the row
+    before it with a C-ordered P, the bits the stack would give, written in
+    place with no stack to build.  Products go through np.dot, whose fixed
+    cost per call is below np.matmul's, with the same bits."""
     m = len(rate)
     block = max(1, min(math.isqrt(2 * levels), levels // m))
+    if block == 1:
+        rate = np.ascontiguousarray(rate)
+        rows = np.empty((levels, m))
+        rows[:1] = head
+        for k in range(1, levels):
+            np.dot(rows[k - 1], rate, out=rows[k])
+        return rows
     width = block * m
     stack = np.empty((m, width))
     stack[:, :m] = rate
@@ -37,7 +48,7 @@ def _powers(head, rate, levels: int) -> np.ndarray:
     flat = np.empty(m + -(-max(levels - 1, 0) // block) * width)
     flat[:m] = head
     for lo in range(0, (levels - 1) * m, width):
-        np.matmul(flat[lo:lo + m], stack, out=flat[lo + m:lo + m + width])
+        np.dot(flat[lo:lo + m], stack, out=flat[lo + m:lo + m + width])
     return flat.reshape(-1, m)[:levels]
 
 

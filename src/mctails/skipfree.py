@@ -57,6 +57,7 @@ from .matkernel import (
     _frozen,
     as_matrix,
     inf_norm,
+    mean_drift,
     solve_linear,
     solve_xa,
     stationary_row,
@@ -295,12 +296,17 @@ def _visit_blocks(sums: list, kernel: np.ndarray) -> list:
 
 
 def mg1_drift(model: SkipFreeModel) -> float:
-    """Mean level change per step under the stationary phase mix; negative
-    for a positive recurrent repeating part."""
+    """Mean level change per step under the stationary phase mix,
+    p (sum_k k A_k e - e) with p stationary for sum_k A_k; negative for a
+    positive recurrent repeating part.  matkernel.mean_drift gives it by one
+    bordered solve on the generator sum_k A_k - I, without forming p; a
+    phase kernel whose p is not unique raises SingularMatrix."""
     a = [np.asarray(blk) for blk in model.a_blocks]
-    phase = stationary_row(sum(a[1:], a[0]), continuous=False)
-    mean = sum(k * float(phase @ blk.sum(axis=1)) for k, blk in enumerate(a))
-    return mean - 1.0
+    steps = sum(k * blk.sum(axis=1) for k, blk in enumerate(a))
+    drift = mean_drift(sum(a[1:], a[0]) - np.eye(model.m), steps - 1.0)
+    if drift is None:
+        raise SingularMatrix("mean drift: the phase kernel sum_k A_k has no unique stationary row")
+    return drift
 
 
 def _balance_window(model: SkipFreeModel) -> int:

@@ -5,12 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mctails import ldqbd, qbd, registry, skipfree
+from mctails.cli import load_model_file
 from mctails.errors import SingularMatrix, ValidationError
 from mctails.matkernel import (
     Band,
     as_matrix,
     inf_norm,
     inverse,
+    mean_drift,
     solve_linear,
     solve_sweep,
     solve_xa,
@@ -242,6 +245,101 @@ def test_the_two_gth_loops_agree_on_random_bands(each_gth_loop, reach):
     band = _random_band(reach, 20)
     arrays, floats = (stationary_row(band) for _ in each_gth_loop())
     assert np.all(np.abs(floats - arrays) <= 4 * np.finfo(float).eps * arrays)
+
+
+FILES = Path(__file__).resolve().parents[1] / "modelfiles"
+
+
+def _drift_cases(path):
+    """(q, v) pairs from the chain of a bundled model file: (A, (A0 - A2) e)
+    of a QBD, of the horizon blocks of a level-dependent QBD and of the
+    grouped QBD of a skip-free chain, and (sum_k A_k - I, sum_k k A_k e - e)
+    of the skip-free chain itself."""
+    model = load_model_file(path)
+    spec = registry.REGISTRY[model.kind]
+    chain = spec.chain(model.payload, 10) if spec.chain else None
+    if isinstance(chain, qbd.QbdModel):
+        groups = [(chain.a0, chain.a1, chain.a2)]
+    elif isinstance(chain, ldqbd.LdQbdModel):
+        groups = [tuple(chain.block_at(kind, chain.horizon) for kind in ("A0", "A1", "A2"))]
+    elif isinstance(chain, skipfree.SkipFreeModel):
+        a = chain.a_blocks
+        groups = [skipfree._grouped(a, chain.kind == "MG1")]
+        yield (sum(a[1:], a[0]) - np.eye(chain.m),
+               sum(k * blk.sum(axis=1) for k, blk in enumerate(a)) - 1.0)
+    else:
+        groups = []
+    for up, local, down in groups:
+        yield up + local + down, up.sum(axis=1) - down.sum(axis=1)
+
+
+@pytest.mark.parametrize("path", sorted(FILES.glob("*.json")), ids=lambda path: path.stem)
+def test_mean_drift_is_p_v_on_the_bundled_chains(path):
+    for q, v in _drift_cases(path):
+        want = stationary_row(q) @ v
+        assert abs(mean_drift(q, v) - want) <= 1e-13 * abs(want)
+
+
+def test_mean_drift_refuses_what_stationary_row_refuses():
+    two_classes = np.array([[-1.0, 1.0, 0.0, 0.0],
+                            [2.0, -2.0, 0.0, 0.0],
+                            [0.0, 0.0, -3.0, 3.0],
+                            [0.0, 0.0, 1.0, -1.0]])
+    negative = np.array([[-1.0, 1.5, -0.5], [1.0, -2.0, 1.0], [0.5, 0.5, -1.0]])
+    for q in (two_classes, negative, np.zeros((3, 3))):
+        assert mean_drift(q, np.ones(len(q))) is None
+    # a transient state and roundoff below an exact zero still leave one p
+    assert mean_drift([[-1.0, 1.0], [0.0, 0.0]], [3.0, -2.0]) == -2.0
+    q = np.array([[-1.0, 1.0, -1e-20], [1.0, -2.0, 1.0], [0.0, 2.0, -2.0]])
+    assert abs(mean_drift(q, [5.0, 0.0, 0.0]) - 2.0) < 1e-15
+
+
+def _gth_shift(a0, a2, phases):
+    """The shift rule by the stationary row: None when there is no unique
+    p, else whether p A0 e < p A2 e."""
+    try:
+        p = stationary_row(phases)
+    except (SingularMatrix, ValidationError):
+        return None
+    return bool(p @ a0.sum(axis=1) < p @ a2.sum(axis=1))
+
+
+def _random_phase_blocks(rng):
+    """Blocks A0, A2 and the phase generator A = A0 + A1 + A2 of a random
+    QBD with 1-6 phases: sparse switching, slowed by 1e-6 in a quarter of
+    the draws, a phase that nothing enters in another quarter, two phase
+    classes that never meet in another, and some zero arrival and service
+    rates, with or without a phase change at a jump."""
+    m = int(rng.integers(1, 7))
+    t = rng.random((m, m)) * (rng.random((m, m)) < 0.6)
+    style = rng.integers(4)
+    if style == 1:
+        t *= 1e-6
+    elif style == 2:
+        t[:, 0] = 0.0
+    elif style == 3:
+        t[:m // 2, m // 2:] = t[m // 2:, :m // 2] = 0.0
+    np.fill_diagonal(t, 0.0)
+    a0, a2 = (np.diag(rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.8)) for _ in range(2))
+    if rng.random() < 0.3:
+        jump = rng.random((m, m))
+        a0 = a0 @ (jump / jump.sum(axis=1, keepdims=True))
+    phases = a0 + a2 + t
+    return a0, a2, phases - np.diag(phases.sum(axis=1))
+
+
+def test_mean_drift_gives_the_shift_of_the_stationary_row():
+    """solve_G shifts when mean_drift(A, (A0 - A2) e) < 0: on random phase
+    blocks that is the rule of the GTH row, draw by draw."""
+    rng = np.random.default_rng(30)
+    decisions = {True: 0, False: 0, None: 0}
+    for _ in range(2000):
+        a0, a2, phases = _random_phase_blocks(rng)
+        drift = mean_drift(phases, a0.sum(axis=1) - a2.sum(axis=1))
+        shift = None if drift is None else bool(drift < 0.0)
+        assert shift == _gth_shift(a0, a2, phases)
+        decisions[shift] += 1
+    assert min(decisions.values()) >= 200, decisions
 
 
 def test_as_matrix_rejects_ragged_and_non_finite_input():

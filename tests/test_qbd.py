@@ -1,12 +1,13 @@
 """Level-independent QBD solvers against hand values and the truncation reference."""
 
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mctails import qbd, solve_tails
+from mctails import matkernel, qbd, solve_tails
 from mctails.cli import load_model_file
 from mctails.errors import Reducible, TruncationFailure, Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
@@ -143,6 +144,34 @@ def test_shift_leaves_a_transient_chain_alone():
     """At load 2 the minimal G is 0.5, not the stochastic solution 1."""
     solved = solve_G([[2.0]], [[-3.0]], [[1.0]])
     assert abs(float(solved.matrix[0, 0]) - 0.5) < 1e-12
+
+
+def test_shift_test_raises_nothing_without_a_unique_phase_row(monkeypatch):
+    """A = A0 + A1 + A2 = 0 of SWAP_WHEN_EMPTY has two closed classes, so
+    solve_G runs the plain reduction to G = I, the same bits as unwatched,
+    and no public kernel function raises on the way."""
+    model = SWAP_WHEN_EMPTY
+    want = solve_G(model.a0, model.a1, model.a2).matrix
+    raised = []
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except Exception:
+                raised.append(name)
+                raise
+        return call
+
+    for name, fn in vars(matkernel).copy().items():
+        if inspect.isfunction(fn) and fn.__module__ == matkernel.__name__ and name[0] != "_":
+            for module in (matkernel, qbd):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, watched(name, fn))
+    got = solve_G(model.a0, model.a1, model.a2).matrix
+    assert raised == []
+    assert got.tobytes() == want.tobytes()
+    assert inf_norm(got - np.eye(2)) < 1e-12
 
 
 def test_solve_r_residual_is_reported_small():

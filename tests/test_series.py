@@ -61,3 +61,17 @@ def test_powers_are_the_row_by_row_products(m, n):
         assert np.array_equal(got[0], head)
         rel = np.abs(got - np.array(want)) / np.array(want)
         assert rel.max() <= 4 * n * m * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (8, 10), (32, 20), (32, 63)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_powers_of_single_row_blocks_are_the_row_by_row_bits(m, n, order):
+    """Below 2m levels the blocks hold one row each, and every row is the
+    row before it times P, bit for bit, whatever P's memory order."""
+    rng = np.random.default_rng(m + n)
+    rate = rng.random((m, m)) / m
+    head = rng.random(m)
+    want = [head]
+    for _ in range(1, n):
+        want.append(want[-1] @ rate)
+    assert _powers(head, np.asarray(rate, order=order), n).tobytes() == np.array(want).tobytes()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mctails import matkernel, registry, skipfree, solve_tails
+from mctails import matkernel, qbd, registry, skipfree, solve_tails
 from mctails.cli import load_model_file
 from mctails.errors import NearCritical, Reducible, SingularMatrix, Unstable, ValidationError
 from mctails.matkernel import inf_norm, solve_xa, stationary_row
@@ -490,3 +490,21 @@ def test_mg1_chain_without_visit_blocks_pins_its_tails():
         got = route(model, measures, 6).rows(1, 6)[:, 0]
         assert np.max(np.abs(got[:3] - [0.76, 0.4, 0.16]) / [0.76, 0.4, 0.16]) < 1e-15
         assert np.array_equal(got[3:], np.zeros(3))
+
+
+def _qbd_stage(model):
+    return qbd.boundary_solve(model, qbd.solve_R(model.a0, model.a1, model.a2).matrix)
+
+
+@pytest.mark.parametrize("name,stage", [
+    ("qbd22", _qbd_stage),
+    ("gim1", skipfree.gim1_stationary),
+    ("mg1", skipfree.mg1_stationary),
+], ids=["qbd", "gim1", "mg1"])
+def test_each_stage_takes_one_stationary_row(count_calls, name, stage):
+    """The boundary chain's row is the one stationary_row a stage takes: the
+    reduction's shift and the M/G/1 drift read the mean drift off one
+    bordered solve (matkernel.mean_drift)."""
+    folds = [count_calls(module, "stationary_row") for module in (qbd, skipfree)]
+    stage(load_model_file(FILES / f"{name}.json").payload)
+    assert sum(map(len, folds)) == 1
