@@ -17,8 +17,9 @@
 # only reads, runs each op once under each tree's src/, and reports every op
 # whose x0 or tail bytes differ, with the largest entrywise relative
 # difference of its x0 and of its tails, or that raises differently, then
-# that count.  The same goes for the product and lu routes at 100 levels on
-# the retrial chain of each case in HEAD_TREE's tests/data/retrial_tails.json,
+# that count and how many of those raise the same type with other words.
+# The same goes for the product and lu routes at 100 levels on the retrial
+# chain of each case in HEAD_TREE's tests/data/retrial_tails.json,
 # built to the horizon of the closed form (models.retrial_tails), where slow
 # retrials reach the level-dependent routes.  Last, it draws seeded random
 # QBD, GI/M/1 and M/G/1 chains (numpy's default_rng, so both trees see the
@@ -26,8 +27,7 @@
 # transient phases and phase classes that meet only at the boundary among
 # them; it solves each draw by every route the running tree lists at 40
 # levels under each tree's src/, giving each solve 2 s, and reports each
-# draw whose x0 or tail bytes, or the type of whose raise, differ, then that
-# count; then the draws that raise the same type with another message, and
+# draw whose x0 or tail bytes or whose raise differ, in the same way, then
 # the solves that ran out of time under HEAD_TREE.  It is informational: it
 # always exits 0.
 
@@ -242,7 +242,7 @@ with open(sys.argv[1], "wb") as out:
 PY
 }
 
-compare() {  # base file, head file, what the ops are called[, by-type]
+compare() {  # base file, head file, what the ops are called
     python - "$@" <<'PY'
 import pickle
 import sys
@@ -283,22 +283,21 @@ def raised(out):
 
 base, head = (pickle.loads(Path(path).read_bytes()) for path in sys.argv[1:3])
 base = dict(base)
-# by-type: a raise differs only in its type; its words name the check that
-# refused, which may change with the check, and are listed apart
-by_type = sys.argv[4:] == ["by-type"]
 differ = reworded = 0
 for label, new in head:
     old = base.get(label)
     how = difference(old, new) if label in base else "the base tree has no such op"
-    if how is not None and by_type and raised(old) and raised(old) == raised(new):
+    if how is None:
+        continue
+    differ += 1
+    # a raise of the same type whose words changed: the refusing check
+    # changed, not the verdict
+    if raised(old) and raised(old) == raised(new):
         reworded += 1
         print(f"reworded: {label}: {how}")
-    elif how is not None:
-        differ += 1
+    else:
         print(f"differs: {label}: {how}")
-print(f"{differ} of {len(head)} {sys.argv[3]} differ")
-if by_type:
-    print(f"{reworded} of {len(head)} {sys.argv[3]} raise the same type with other words")
+print(f"{differ} of {len(head)} {sys.argv[3]} differ, {reworded} of them only in the words of a raise")
 slow = [label for label, new in head if isinstance(new, str) and new.startswith("no result within")]
 if slow:
     print(f"{len(slow)} {sys.argv[3]} gave no result in time under the head tree: " + "; ".join(slow))
@@ -310,5 +309,5 @@ library "$head" "$tmp/head-ops"
 compare "$tmp/base-ops" "$tmp/head-ops" "library ops"
 draws "$base" "$tmp/base-draws"
 draws "$head" "$tmp/head-draws"
-compare "$tmp/base-draws" "$tmp/head-draws" "random draws" by-type
+compare "$tmp/base-draws" "$tmp/head-draws" "random draws"
 exit 0

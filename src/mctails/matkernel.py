@@ -20,18 +20,21 @@ mostly see, numpy's fixed cost per call outweighs the arithmetic: a guarded
 call and 8-10 us the guard, which tests one system without stacking it.  A
 solver that needs one matrix for several right-hand sides stacks them into
 one solve.  A mean drift p v, for the stationary row p of a generator, is
-one bordered solve too (mean_drift): a caller that needs only its sign, such
-as the shift of qbd.solve_G, forms no p.  Stationary rows themselves are
+one bordered solve too (mean_drift), kept when the error bound the solve
+gives is within DRIFT_RTOL of the drift, which spares the shift of
+qbd.solve_G a fold of its phase generator.  Stationary rows themselves are
 the exception to LAPACK: stationary_row is GTH state reduction inside the
 matrix's band, which needs no subtraction, so each entry is accurate
-relative to its own size however small it is.  It
-runs on a Band or on a square array, which it folds on its own dense copy;
-a fold that overflows raises SingularMatrix, and its answer is re-checked
-against the balance equations.  The fold has two loops, chosen by the
-product of its lower and upper reach: up to FLOAT_FOLD_CELLS it runs on
-Python floats read and written in place through a memoryview, since a
-narrow band does a few multiply-adds per state, fewer than numpy's calls
-would cost; wider bands run on numpy slices.
+relative to its own size however small it is; mean_drift falls back on it
+near zero drift and where nearly decomposable phases leave the bordered
+system ill-conditioned.
+stationary_row runs on a Band or on a square array, which it folds on its
+own dense copy; a fold that overflows raises SingularMatrix, and its answer
+is re-checked against the balance equations.  The fold has two loops,
+chosen by the product of its lower and upper reach: up to FLOAT_FOLD_CELLS
+it runs on Python floats read and written in place through a memoryview,
+since a narrow band does a few multiply-adds per state, fewer than numpy's
+calls would cost; wider bands run on numpy slices.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ from .errors import SingularMatrix, ValidationError
 RCOND_MIN = 1e-14
 # Relative balance residual a stationary solve may leave.
 BALANCE_TOL = 1e-8
+# Relative error bound up to which mean_drift keeps the drift of its
+# bordered solve; beyond it the GTH row gives the drift.
+DRIFT_RTOL = 1e-8
 _EPS = np.finfo(float).eps
 
 
@@ -224,30 +230,44 @@ def mean_drift(q, v) -> float | None:
     """p v for the stationary row p of the generator q (p q = 0, p e = 1),
     or None where stationary_row would refuse q.
 
-    One guarded solve of the bordered system [[q, e], [e^T, 0]] [w; c] =
-    [v; 0]: multiplied by p, its first block row gives c = p v.  The system
-    is nonsingular exactly when p is unique, so one closed class passes,
-    transient states included, and two closed classes fail the guard, as
-    does a system too ill-conditioned to trust.  A negative off-diagonal
-    entry beyond roundoff, by stationary_row's rule, also gives None.  The
-    sign of p v is all a caller needs of p, and this costs one LAPACK call
-    where stationary_row folds every state of a dense copy.
+    One guarded solve of the bordered system B [w; c] = [v; 0], B =
+    [[q, e], [e^T, 0]], which returns B^-1 too: multiplied by p, its first
+    block row gives c = p v.  Like stationary_row it reads q off its
+    off-diagonal entries, the diagonal being minus their row sums: the
+    roundoff a sum such as A0 + A1 + A2 leaves on the diagonal would
+    otherwise swamp slow phase switching.  The solve is backward stable, so
+    to first order c is off by at most (n + 1) eps times row n of
+    |B^-1| |B| |[w; c]|, and c is returned when that is within DRIFT_RTOL
+    of |c|.  It is not near zero drift, nor where q is nearly decomposable
+    (classes of phases that switch between them at 1e-10 of the rates
+    within them leave the bordered c's sign in doubt), nor with more than
+    one closed class, whose B is singular.  There p v is the GTH row's, as
+    stationary_row folds it, and None where that fold refuses q.
     """
     q = _square(q, "mean_drift")
     n = len(q)
-    off = q.copy()
-    off.reshape(-1)[::n + 1] = 0.0
-    if off.min() < -n * _EPS * off.max():
+    try:
+        off = _off_diagonal(q, 0, n + 1, "mean_drift")
+    except ValidationError:
         return None
     bordered = np.ones((n + 1, n + 1))
-    bordered[:n, :n] = q
+    bordered[:n, :n] = off
+    bordered.reshape(-1)[:n * (n + 2):n + 2] = -off.sum(axis=1)
     bordered[n, n] = 0.0
-    rhs = np.zeros((n + 1, n + 2))
+    rhs = np.eye(n + 1, n + 2, 1)
     rhs[:n, 0] = v
-    rhs[:, 1:] = np.eye(n + 1)
     try:
-        return float(_guarded_solve(bordered, rhs)[n, 0])
+        solved = _guarded_solve(bordered, rhs)
     except SingularMatrix:
+        solved = None
+    if solved is not None:
+        drift = float(solved[n, 0])
+        error = (n + 1) * _EPS * float(np.abs(solved[n, 1:]) @ (np.abs(bordered) @ np.abs(solved[:, 0])))
+        if error <= DRIFT_RTOL * abs(drift):
+            return drift
+    try:
+        return float(_gth_row(q, True) @ v)
+    except (SingularMatrix, ValidationError):
         return None
 
 
@@ -406,6 +426,22 @@ def _gth_floats(a: np.ndarray, flat: memoryview, stride: int, lower: int,
             v[: k + 1] /= mass
 
 
+def _off_diagonal(cells: np.ndarray, lower: int, stride: int, caller: str) -> np.ndarray:
+    """A copy of cells with the diagonal, every stride-th cell from cell
+    lower, zeroed.  Matrices built from solves may carry roundoff below an
+    exact zero: an entry below zero by at most n machine epsilons of the
+    largest entry, n = len(cells), is clipped to 0, and one beyond that
+    raises ValidationError."""
+    a = cells.copy()
+    a.reshape(-1)[lower::stride] = 0.0
+    low = a.min()
+    if low < 0.0:
+        if low < -len(a) * _EPS * a.max():
+            raise ValidationError(f"{caller}: negative off-diagonal entry {low:.3e}")
+        np.maximum(a, 0.0, out=a)
+    return a
+
+
 def stationary_row(m, continuous: bool = True) -> np.ndarray:
     """Stationary row vector of a generator (v M = 0) or kernel (v M = v),
     given as a Band or as a square matrix, which is folded on a dense copy
@@ -440,17 +476,16 @@ def stationary_row(m, continuous: bool = True) -> np.ndarray:
             (two closed classes, say), if the fold overflows, or if v misses
             balance.
     """
+    return _gth_row(m, continuous)
+
+
+def _gth_row(m, continuous: bool) -> np.ndarray:
+    """stationary_row's work under a private name: mean_drift falls back on
+    it and turns a refusal into None, so no public function raises there."""
     dense = not isinstance(m, Band)
     cells = _square(m, "stationary_row") if dense else np.asarray(m.cells, dtype=float)
     (n, width), lower = cells.shape, 0 if dense else m.lower
-    a = cells.copy()
-    a.reshape(-1)[lower::width + dense] = 0.0  # the diagonal, square or banded
-    # matrices built from solves may carry roundoff below an exact zero
-    low = a.min()
-    if low < -n * _EPS * a.max():
-        raise ValidationError(f"stationary_row: negative off-diagonal entry {low:.3e}")
-    if low < 0.0:
-        np.maximum(a, 0.0, out=a)
+    a = _off_diagonal(cells, lower, width + dense, "stationary_row")
     # the offsets j - i of the nonzero entries (i, j); band column c holds c - lower
     rows, cols = np.nonzero(a) if dense else (lower, np.flatnonzero(a.any(axis=0)))
     offsets = cols - rows

@@ -295,10 +295,11 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     a few steps at any load: one for M/M/1.  Positive recurrence is read from
     the sign of the mean drift p (A0 - A2) e < 0, p the stationary row of
     A = A0 + A1 + A2 (Neuts 1981, Thm 3.1.1), which matkernel.mean_drift
-    gives by one bordered solve without forming p.  It is asked only of a
-    conservative A (rows summing to zero within ROWSUM_TOL, scaled as
-    check_tables scales it), and mean_drift answers only for an A with one
-    closed class, the A whose p is unique.
+    gives by one bordered solve, or from the GTH row where that solve cannot
+    bound its error below the drift.  It is asked only of a conservative A
+    (rows summing to zero within ROWSUM_TOL, scaled as check_tables scales
+    it), and mean_drift answers only for an A with one closed class, the A
+    whose p is unique.
     On a transient, null-recurrent, non-conservative or multi-class A, Q = 0
     and the reduction is the plain one.  Iteration stops once the added term
     is below tol and the residual of the unshifted equation below 10 tol, and

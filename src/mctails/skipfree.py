@@ -298,8 +298,8 @@ def _visit_blocks(sums: list, kernel: np.ndarray) -> list:
 def mg1_drift(model: SkipFreeModel) -> float:
     """Mean level change per step under the stationary phase mix,
     p (sum_k k A_k e - e) with p stationary for sum_k A_k; negative for a
-    positive recurrent repeating part.  matkernel.mean_drift gives it by one
-    bordered solve on the generator sum_k A_k - I, without forming p; a
+    positive recurrent repeating part.  matkernel.mean_drift gives it on the
+    generator sum_k A_k - I, to DRIFT_RTOL relative or from the GTH row; a
     phase kernel whose p is not unique raises SingularMatrix."""
     a = [np.asarray(blk) for blk in model.a_blocks]
     steps = sum(k * blk.sum(axis=1) for k, blk in enumerate(a))

@@ -328,6 +328,67 @@ def _random_phase_blocks(rng):
     return a0, a2, phases - np.diag(phases.sum(axis=1))
 
 
+def slow_switching_blocks(switching, drift, split=False, seed=31, m=4):
+    """The blocks A0, A1, A2 of an m-phase QBD whose phases switch at rates
+    scaled by `switching` (only between two halves of the phases if
+    `split`, so that A is nearly decomposable), with arrival rates shifted
+    so that the drift p (A0 - A2) e by the GTH row is `drift`.
+    A = A0 + A1 + A2 carries roundoff of the size of the rates on its
+    diagonal."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.2, 1.0, (m, m))
+    if split:
+        t[:m // 2, m // 2:] *= switching
+        t[m // 2:, :m // 2] *= switching
+    else:
+        t *= switching
+    np.fill_diagonal(t, 0.0)
+    t -= np.diag(t.sum(axis=1))
+    down = rng.uniform(0.2, 2.0, m)
+    up = rng.uniform(0.2, 1.5, m)
+    up += drift - stationary_row(t) @ (up - down)
+    return np.diag(up), t - np.diag(up + down), np.diag(down)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["slow", "nearly-decomposable"])
+@pytest.mark.parametrize("switching", [1e-6, 1e-8, 1e-10, 1e-12, 1e-15])
+def test_mean_drift_of_slow_switching_is_the_gth_drift(switching, split):
+    """Roundoff on the diagonal of A = A0 + A1 + A2, far above slow
+    switching rates, gave the bordered drift the wrong sign when the solve
+    read it (at 1e-10, -1e-9 came out +4e-8); read off the off-diagonal
+    entries, as GTH reads A, it does not.  Between nearly decomposable
+    classes of phases the bordered system itself is ill-conditioned, its
+    error bound refuses c near zero drift, and p v comes from the GTH row.
+    Either way the drift keeps the GTH drift's sign and value."""
+    for drift in (1e-5, -1e-5, 1e-7, -1e-7, 1e-9, -1e-9):
+        a0, a1, a2 = slow_switching_blocks(switching, drift, split)
+        phases = a0 + a1 + a2
+        v = a0.sum(axis=1) - a2.sum(axis=1)
+        want = stationary_row(phases) @ v
+        got = mean_drift(phases, v)
+        assert np.sign(got) == np.sign(want)
+        assert abs(got - want) <= 1e-8 * abs(want) + 1e-14
+
+
+@pytest.mark.parametrize("switching,drift", [
+    (1e-10, 1e-7), (1e-10, 1e-9), (1e-10, -1e-9), (1e-10, -1e-7),
+    (1e-12, 1e-9), (1e-12, -1e-9), (1e-12, -1e-7),
+])
+def test_shift_of_slow_switching_chains_follows_the_drift(switching, drift):
+    """Near zero drift on slowly switching phases the shift follows the
+    GTH drift, so a transient chain keeps its substochastic G and a stable
+    one its stochastic G.  A bordered drift that read A's own diagonal
+    shifted one of these transient chains to a stochastic G, and left three
+    stable ones unshifted, where the plain reduction overflows or stops at
+    a substochastic G.  (At drift 1e-7 and switching 1e-12 the plain
+    reduction overflows on the transient chain as well.)"""
+    g = qbd.solve_G(*slow_switching_blocks(switching, drift)).matrix
+    if drift < 0:
+        assert inf_norm(g.sum(axis=1) - 1.0) < 1e-12
+    else:
+        assert g.sum(axis=1).min() < 1.0 - 1e-4
+
+
 def test_mean_drift_gives_the_shift_of_the_stationary_row():
     """solve_G shifts when mean_drift(A, (A0 - A2) e) < 0: on random phase
     blocks that is the rule of the GTH row, draw by draw."""

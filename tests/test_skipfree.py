@@ -502,9 +502,48 @@ def _qbd_stage(model):
     ("mg1", skipfree.mg1_stationary),
 ], ids=["qbd", "gim1", "mg1"])
 def test_each_stage_takes_one_stationary_row(count_calls, name, stage):
-    """The boundary chain's row is the one stationary_row a stage takes: the
+    """The boundary chain's row is the one GTH fold a stage takes: the
     reduction's shift and the M/G/1 drift read the mean drift off one
-    bordered solve (matkernel.mean_drift)."""
-    folds = [count_calls(module, "stationary_row") for module in (qbd, skipfree)]
+    bordered solve (matkernel.mean_drift), whose error bound holds here, so
+    it does not fall back on the fold either."""
+    folds = count_calls(matkernel, "_gth_row")
     stage(load_model_file(FILES / f"{name}.json").payload)
-    assert sum(map(len, folds)) == 1
+    assert len(folds) == 1
+
+
+def _slow_switching_walk(switching, drift, m=4):
+    """An m-phase M/G/1 walk down 1, stay or up 1, its phase switching at
+    rates scaled by `switching` at each step, the up shares shifted so that
+    the drift by the GTH row is `drift`."""
+    rng = np.random.default_rng(9)
+    t = switching * rng.uniform(0.2, 1.0, (m, m))
+    np.fill_diagonal(t, 0.0)
+    step = np.eye(m) + t - np.diag(t.sum(axis=1))
+    down = rng.uniform(0.2, 0.4, m)
+    up = rng.uniform(0.2, 0.4, m)
+    up += drift - stationary_row(step, continuous=False) @ (up - down)
+    a = [np.diag(share) @ step for share in (down, 1.0 - down - up, up)]
+    return SkipFreeModel("MG1", a, [a[0], a[0] + a[1], a[2]])
+
+
+@pytest.mark.parametrize("switching", [1e-6, 1e-10, 1e-15])
+@pytest.mark.parametrize("drift", [1e-9, -1e-9, 1e-11, -1e-11])
+def test_mg1_drift_of_slow_switching_kernels(switching, drift):
+    """Near zero drift on slowly switching phases, where sum_k A_k - I
+    carries roundoff on its diagonal far above the switching rates,
+    mg1_drift is the GTH row's p v, and mg1_stationary calls the chain
+    unstable or near-critical by it."""
+    model = _slow_switching_walk(switching, drift)
+    a = model.a_blocks
+    p = stationary_row(sum(a[1:], a[0]), continuous=False)
+    want = p @ (sum(k * blk.sum(axis=1) for k, blk in enumerate(a)) - 1.0)
+    got = mg1_drift(model)
+    assert abs(got - want) <= 1e-8 * abs(want) + 1e-15
+    if abs(drift) < 1e-10:
+        with pytest.raises(NearCritical):
+            mg1_stationary(model)
+    elif drift > 0:
+        with pytest.raises(Unstable):
+            mg1_stationary(model)
+    else:
+        assert got < -1e-10
