@@ -29,9 +29,9 @@ def _powers(head, rate, levels: int) -> np.ndarray:
     rule leaves b = 1 (levels < 2m) each row is one product of the row
     before it with a C-ordered P, the bits the stack would give, written in
     place with no stack to build: the blocked loop's stack, padded buffer
-    and slicing cost 10-20% more at 10-20 levels.  Products go through
-    np.dot, whose fixed cost per call is below np.matmul's, with the same
-    bits."""
+    and slicing cost up to a fifth more at 10-20 levels.  Products go
+    through np.dot, whose fixed cost per call is below np.matmul's, with
+    the same bits."""
     m = len(rate)
     block = max(1, min(math.isqrt(2 * levels), levels // m))
     if block == 1:
