@@ -9,25 +9,21 @@ p + q + 1 cells for lower and upper reach p and q.  Every linear solve is
 one LAPACK call that returns the solution and the inverse together, and
 every solve passes one guard: an exactly singular matrix, a non-finite
 solution, or a 1-norm reciprocal condition number below RCOND_MIN raises
-SingularMatrix instead of returning digits that mean nothing.  The guard
-takes one system or a stack of them: solve_linear applies it to its system,
-and solve_sweep, which runs a chain of solves each built from the one before
-(a level-by-level sweep; the level-dependent rate sequence is its one
-caller), applies it once to the whole stack after the sweep and names the
-first system that fails.  On the 1-8 phase blocks the solvers
-mostly see, numpy's fixed cost per call outweighs the arithmetic: a guarded
-2 x 2 solve takes 19-25 us on a 2-vCPU x86-64, about half of it the LAPACK
-call and 8-10 us the guard, which tests one system without stacking it.  A
-solver that needs one matrix for several right-hand sides stacks them into
-one solve.  A mean drift p v, for the stationary row p of a generator, is
-one bordered solve too (mean_drift), kept when the error bound the solve
-gives is within DRIFT_RTOL of the drift, which spares the shift of
-qbd.solve_G a fold of its phase generator.  Stationary rows themselves are
+SingularMatrix instead of returning digits that mean nothing.  On the 1-8
+phase blocks the solvers mostly see, numpy's fixed cost per call outweighs
+the arithmetic: a guarded 2 x 2 solve takes 19-25 us on a 2-vCPU x86-64,
+about half of it the LAPACK call and 8-10 us the guard.  A solver that
+needs one matrix for several right-hand sides stacks them into one solve.
+A mean drift p v, for the stationary row p of a generator, is one bordered
+solve too (mean_drift), kept when the error bound the solve gives is
+within DRIFT_RTOL of the drift, which spares the shift of qbd.solve_G a
+fold of its phase generator.  Stationary rows themselves are
 the exception to LAPACK: stationary_row is GTH state reduction inside the
 matrix's band, which needs no subtraction, so each entry is accurate
 relative to its own size however small it is; mean_drift falls back on it
 near zero drift and where nearly decomposable phases leave the bordered
-system ill-conditioned.
+system ill-conditioned, and both level-dependent routes fold their
+censored windows with it.
 stationary_row runs on a Band or on a square array, which it folds on its
 own dense copy; a fold that overflows raises SingularMatrix, and its answer
 is re-checked against the balance equations.  The fold has two loops,
@@ -93,49 +89,31 @@ def _square(a, caller: str) -> np.ndarray:
     return a
 
 
-def _norm1(a) -> np.ndarray:
-    """1-norm, the largest absolute column sum, of a matrix or of each
-    matrix in a stack."""
-    return np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=-1)
-
-
-def _guard(a, solved, where=None) -> None:
-    """The check every solve passes.  a is the coefficient matrix A of one
-    system (2-d) or a stack of them (3-d); solved holds [X | A^-1] for each,
-    as the LAPACK call returned it.
-
-    A system fails if [X | A^-1] is not finite or its 1-norm reciprocal
-    condition number 1 / (||A||_1 ||A^-1||_1) is below RCOND_MIN.  The
-    first failing system raises SingularMatrix; in a stack, where(i) names
-    system i.
-    """
-    n = a.shape[-1]
-    stacked = a.ndim == 3
-    if not stacked:
-        # one system, unstacked: a finite plain sum makes every entry finite;
-        # the stacked check below decides and names whatever this does not pass
-        norms = [max(np.add.reduce(np.abs(m), axis=0).tolist()) for m in (a, solved[:, -n:])]
-        if (math.isfinite(np.add.reduce(solved, axis=None))
-                and 1.0 / norms[0] / norms[1] >= RCOND_MIN):
-            return
-        a, solved = a[None], solved[None]
-    finite = np.isfinite(solved).all(axis=(1, 2))
+def _guard(a, solved) -> None:
+    """The check every solve passes: a is the coefficient matrix A and
+    solved holds [X | A^-1], as the LAPACK call returned it.  A system
+    fails, raising SingularMatrix, if [X | A^-1] is not finite or its
+    1-norm reciprocal condition number 1 / (||A||_1 ||A^-1||_1) is below
+    RCOND_MIN."""
+    n = len(a)
+    norms = [max(np.add.reduce(np.abs(m), axis=0).tolist()) for m in (a, solved[:, -n:])]
+    # a finite plain sum makes every entry finite; the checks below decide
+    # and name whatever this does not pass
+    if (math.isfinite(np.add.reduce(solved, axis=None))
+            and 1.0 / norms[0] / norms[1] >= RCOND_MIN):
+        return
+    if not np.isfinite(solved).all():
+        raise SingularMatrix(f"{n} x {n} system: non-finite solution")
     # divided in turn, so that huge norms underflow to 0 rather than overflow;
     # a subnormal or non-finite norm may still overflow or divide inf by inf,
     # which the guard refuses below, so the warnings would only get ahead of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rcond = 1.0 / _norm1(a) / _norm1(solved[..., -n:])
-    passed = finite & (rcond >= RCOND_MIN)
-    if passed.all():
-        return
-    i = int(passed.argmin())
-    name = f"{where(i)}: " if stacked else ""
-    if not finite[i]:
-        raise SingularMatrix(f"{name}{n} x {n} system: non-finite solution")
-    raise SingularMatrix(
-        f"{name}{n} x {n} system: reciprocal condition number {rcond[i]:.3e} "
-        f"below {RCOND_MIN:.1e}"
-    )
+        rcond = np.float64(1.0) / norms[0] / norms[1]
+    if not rcond >= RCOND_MIN:
+        raise SingularMatrix(
+            f"{n} x {n} system: reciprocal condition number {rcond:.3e} "
+            f"below {RCOND_MIN:.1e}"
+        )
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -161,47 +139,6 @@ def solve_linear(a, b) -> np.ndarray:
     both = _guarded_solve(a, np.concatenate((columns, np.eye(n)), axis=1))
     # a copy, so that the result does not keep the inverse alive
     return both[:, :columns.shape[1]].reshape(b.shape).copy()
-
-
-def solve_sweep(coefficient, rhs, where) -> tuple:
-    """Solve the chain A_i X_i = B_i, i = 0..count-1, in which each A_i may
-    be built from the system before it: A_i = coefficient(i, X, Ainv) with
-    X = X_{i-1} and Ainv = A_{i-1}^-1 (both None for i = 0).
-
-    Each system is one LAPACK call that solves for X_i and A_i^-1 together,
-    as solve_linear does.  The guard of solve_linear runs once over the
-    stacked systems after the sweep, so a sweep of many small systems pays
-    it once.  The first failing system raises SingularMatrix named by
-    where(i), even when a later one is exactly singular.  Floating-point
-    warnings are off during the sweep: the systems after a failing one may
-    overflow, and only the guard speaks.
-
-    Args:
-        coefficient: callable (i, X, Ainv) -> the n x n matrix A_i.
-        rhs: the right-hand sides B_i stacked, shape (count, n, k); k may be
-            0, which makes the sweep a chain of inversions.
-        where: callable i -> the name of system i in an error message.
-
-    Returns:
-        (X, inverses): the solutions, shape (count, n, k), and the inverses
-        A_i^-1, shape (count, n, n).
-    """
-    count, n, k = rhs.shape
-    both = np.concatenate((rhs, np.broadcast_to(np.eye(n), (count, n, n))), axis=2)
-    pivots = np.empty((count, n, n))
-    solved = np.empty_like(both)
-    x = inv = None
-    with np.errstate(all="ignore"):
-        for i in range(count):
-            pivots[i] = coefficient(i, x, inv)
-            try:
-                solved[i] = np.linalg.solve(pivots[i], both[i])
-            except np.linalg.LinAlgError as exc:
-                _guard(pivots[:i], solved[:i], where)
-                raise SingularMatrix(f"{where(i)}: {n} x {n} system: {exc}") from None
-            x, inv = solved[i, :, :k], solved[i, :, k:]
-        _guard(pivots, solved, where)
-    return solved[:, :, :k], solved[:, :, k:]
 
 
 def solve_xa(a, b) -> np.ndarray:

@@ -10,11 +10,14 @@ finite system state by state with GTH state reduction
 evidence for both, since no intermediate quantity of the routes reaches
 the oracle's tails: the routes' tail decay only picks the depth at which
 sized_reference starts its search, and whether a depth is deep enough is
-decided from the oracle's own solve.  The level-dependent lu route folds
-with the same solver but never the same matrix: it folds a window
-censored through R_h forward, from state 0, and the oracle folds a
-truncation whose last level keeps its own upward flow backward, from its
-deepest state.  The reduction has no subtractions,
+decided from the oracle's own solve.  The level-dependent routes fold
+with the same solver but never the same matrix: they fold a window
+censored through R_h, and the oracle a truncation whose last level keeps
+its own upward flow.  The product route folds in the oracle's direction,
+from the deepest state down, on its different matrix, so the oracle checks
+what it adds to the fold, R_h and the closed remainder; the lu route folds
+forward, from state 0, so the oracle checks the fold itself from the other
+end.  The reduction has no subtractions,
 so the oracle's tails keep their relative accuracy deep into the tail,
 where they are far below machine epsilon; it works inside the band of the
 assembled matrix.  Both truncations come in band storage

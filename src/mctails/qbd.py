@@ -12,10 +12,9 @@ the level-dependent QBD (LdQbdModel: blocks A0(k), A1(k), A2(k) that vary
 with k up to a horizon) whose blocks stop changing at level 1, and
 check_tables checks the block tables of both.  The module computes the
 minimal passage matrix G by shifted logarithmic reduction and the rate
-matrix R from it, the boundary stationary pair (x0, x1) through
-censor_level_0, which the level-dependent rate sequence shares, and tail
-vectors pi_k (mass at level k or above) by three routes:
-matrix-geometric accumulation, a UL-type factorization of the level-shifted
+matrix R from it, the boundary stationary pair (x0, x1) by censoring level
+0 on itself, and tail vectors pi_k (mass at level k or above) by three
+routes: matrix-geometric accumulation, a UL-type factorization of the level-shifted
 generator, and a LU-type forward factorization whose measures vary by level.
 boundary_solve checks that R is stable and returns it with the pair and the
 censored level-1 block Phi0; the routes read them from that solution and do
@@ -370,31 +369,22 @@ def geometric_mass(r) -> np.ndarray:
     return y
 
 
-def censor_level_0(model: LdQbdModel, r) -> tuple:
-    """Level 0 censored on itself, given the rate matrix R out of level 1.
-
-    Level 1 balances when x1 = x0 R0, R0 = A0(0) (-(A1(1) + R A2(2)))^{-1};
-    level 0 censored on itself then has the generator A1(0) + R0 A2(1), whose
-    stationary row (matkernel.stationary_row, by GTH) is x0.  Returns
-    (R0, x0), x0 summing to one.
-    """
-    entry = solve_xa(-(model.diag[1] + r @ model.block_at("A2", 2)), model.up[0])
-    return entry, stationary_row(model.diag[0] + entry @ model.down[0])
-
-
 def boundary_solve(model: QbdModel, r) -> BoundarySolution:
     """Boundary stationary pair (x0, x1) given the rate matrix R, which
     geometric_mass checks for stability and the solution carries with the
     censored level-1 block Phi0 = (A0 + A1) + R A2.
 
-    censor_level_0 gives x1 = x0 R0 and x0 up to one scale; both rows are
-    then scaled by 1 / (x0 e + x1 (I-R)^{-1} e), the mass of all levels.
+    Level 1 balances when x1 = x0 R0, R0 = B0 (-(A1 + R A2))^{-1}; level 0
+    censored on itself then has the generator B1 + R0 B2, whose stationary
+    row (matkernel.stationary_row, by GTH) is x0 up to one scale.  Both
+    rows are scaled by 1 / (x0 e + x1 (I-R)^{-1} e), the mass of all levels.
     """
     r = as_matrix(r, "R")
     if not np.any(model.b0):
         raise Reducible("B0 = 0: no upward flow out of the boundary level")
     mass = geometric_mass(r)
-    entry, x0 = censor_level_0(model, r)
+    entry = solve_xa(-(model.a1 + r @ model.a2), model.b0)
+    x0 = stationary_row(model.b1 + entry @ model.b2)
     x1 = x0 @ entry
     scale = 1.0 / (x0.sum() + x1 @ mass)
     phi0 = (model.a0 + model.a1) + r @ model.a2

@@ -104,8 +104,7 @@ def _qbd_lu(model, stage, levels):
 
 
 def _ldqbd_product(model, stage, levels):
-    rates = ldqbd.solve_rate_sequence(model.payload, stage)
-    return ldqbd.stationary_product(model.payload, rates, levels)
+    return ldqbd.stationary_product(model.payload, stage, levels)
 
 
 def _ldqbd_lu(model, stage, levels):

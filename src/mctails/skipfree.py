@@ -337,13 +337,18 @@ def _check_balance(model: SkipFreeModel, rows: list) -> None:
 
 def _boundary_row(boundary_chain: np.ndarray) -> np.ndarray:
     """Stationary row of a censored boundary chain, whose rows must sum to
-    one within 1e-6; a wider miss raises SingularMatrix."""
+    one within 1e-6; a wider miss raises SingularMatrix.  The chain is
+    computed, so a negative entry that stationary_row refuses is the
+    solves' rounding, and raises SingularMatrix too."""
     stochastic_err = inf_norm(boundary_chain.sum(axis=1) - 1.0)
     if stochastic_err > 1e-6:
         raise SingularMatrix(
             f"censored boundary chain rows sum to 1 +/- {stochastic_err:.3e}"
         )
-    return stationary_row(boundary_chain, continuous=False)
+    try:
+        return stationary_row(boundary_chain, continuous=False)
+    except ValidationError as exc:
+        raise SingularMatrix(f"censored boundary chain: {exc}") from exc
 
 
 def _mg1_row(head, rows, first, blocks, k: int) -> np.ndarray:
@@ -386,8 +391,10 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     V_d = (sum_{l>=d} A_{l+1} G^{l-d})(I - kernel)^{-1}.  Summing the
     recursion over k gives the normalizer in closed form (Ramaswami 1988):
     tau = 1 / (y0 e + y0 W0 (I - W)^{-1} e) with W0 = sum_j V0_j and
-    W = sum_d V_d.  Only the rows of the balance window are materialized; a
-    balance miss beyond 1e-8 on the window raises SingularMatrix.
+    W = sum_d V_d.  I - W turns singular as the drift goes to 0, and where
+    its solve is refused the walk raises NearCritical.  Only the rows of
+    the balance window are materialized; a balance miss beyond 1e-8 on the
+    window raises SingularMatrix.
     """
     if model.kind != "MG1":
         raise ValidationError("mg1_stationary needs a MG1 model")
@@ -411,7 +418,12 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     between = _visit_blocks(above, kernel)
     w0 = sum(from_boundary, np.zeros((m0, m)))
     w = sum(between, np.zeros((m, m)))
-    tau = 1.0 / (float(y0.sum()) + float(y0 @ w0 @ solve_linear(eye - w, np.ones(m))))
+    try:
+        visits = solve_linear(eye - w, np.ones(m))
+    except SingularMatrix as exc:
+        raise NearCritical(f"mean drift {drift:.3e} is too near zero to solve the "
+                           f"normalizer: I - W: {exc}") from exc
+    tau = 1.0 / (float(y0.sum()) + float(y0 @ w0 @ visits))
     rows = np.zeros((_balance_window(model) - 1, m))
     _forward_rows(y0, from_boundary, between, rows)
     x0 = tau * y0

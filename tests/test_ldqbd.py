@@ -1,4 +1,5 @@
-"""Level-dependent QBD: rate sequences, product form, forward GTH fold."""
+"""Level-dependent QBD: the product route's fold from the horizon down, the
+lu route's fold from state 0 up."""
 
 import functools
 import json
@@ -14,7 +15,6 @@ from mctails.errors import SingularMatrix, Unstable, ValidationError
 from mctails.ldqbd import (
     LdQbdModel,
     horizon_rate,
-    solve_rate_sequence,
     stationary_product,
     tails_lu_ld,
 )
@@ -62,17 +62,14 @@ def test_embedded_level_independent_chain_matches_flat_solver():
     assert inf_norm(flat.x0 - prod.x0) < 1e-10
 
 
-def test_rate_sequence_collapses_to_the_flat_rate_matrix():
-    ld = _embedded_mm1(30)
-    rates = solve_rate_sequence(ld, horizon_rate(ld))
-    assert rates.backward_sweeps == 1
-    rs = rates.matrices
-    for l in range(len(rs) - 2):
-        residual = (ld.block_at("A0", l) + rs[l] @ ld.block_at("A1", l + 1)
-                    + rs[l] @ rs[l + 1] @ ld.block_at("A2", l + 2))
-        assert inf_norm(residual) < 1e-12
-    for r in rates.matrices:
-        assert abs(float(r[0, 0]) - 0.5) < 1e-9
+def test_product_rows_of_the_embedded_mm1_fall_by_half_per_level():
+    """On M/M/1 (arrivals 1, services 2) tabulated to horizon 30, every
+    rate R_l is 1/2, so the product route's level rows x_{l+1} = x_l R_l
+    fall by 0.5 a level, in the window of levels 0..30 and past it."""
+    series = solve_tails(_embedded_mm1(30), 40, method="product")
+    pis = np.asarray(series.pis)[:, 0]
+    rows = np.concatenate((series.x0, pis[:-1] - pis[1:]))
+    assert _max_rel(rows[1:] / rows[:-1], [0.5] * 39) < 1e-13
 
 
 def test_product_and_factored_routes_agree_on_a_ramp_chain():
@@ -100,7 +97,7 @@ def test_lu_route_folds_a_window_of_max_horizon_and_levels(count_calls):
     gives the stationary rows; the frozen levels past it are added in
     closed form, and the report carries the window width."""
     r_h = horizon_rate(RAMP2)
-    prod = stationary_product(RAMP2, solve_rate_sequence(RAMP2, r_h), 6)
+    prod = stationary_product(RAMP2, r_h, 6)
     folds = count_calls(ldqbd, "stationary_row")
     series = tails_lu_ld(RAMP2, r_h, 6)
     assert folds == [1]
@@ -112,14 +109,12 @@ def test_lu_route_folds_a_window_of_max_horizon_and_levels(count_calls):
 
 
 def test_lu_route_runs_no_rate_sweep(count_calls):
-    """The lu route reads R_h alone: it runs neither the backward sweep of
-    the rate sequence nor the product route."""
+    """The lu route reads R_h alone: it does not run the product route."""
     stage = count_calls(ldqbd, "horizon_rate")
-    calls = [count_calls(ldqbd, name)
-             for name in ("solve_rate_sequence", "solve_sweep", "stationary_product")]
+    calls = count_calls(ldqbd, "stationary_product")
     solve_tails(RAMP2, 20, method="lu")
     assert stage == [1]
-    assert calls == [[], [], []]
+    assert calls == []
 
 
 def _max_rel(got, want) -> float:
@@ -258,11 +253,10 @@ def test_validation_keeps_its_order(edits, message):
 def _stiff_chain(level: int, horizon: int = 12) -> LdQbdModel:
     """Two phases with dyadic rates, so rows sum to zero exactly.  Level
     `level` switches phase at rate c = 2^-950 and leaves up or down at
-    c 2^-50, so the pivots that hold its block have a reciprocal condition
-    number near 2^-50 and inverses near 2^998.  Arrivals at the level below
-    and services at the level above run at 2^40, so the solves overflow
-    from there on: R at the level below and the lu up factor at the level
-    above reach 2^1038, and the pivots after them are inf times 0."""
+    c 2^-50, so a GTH fold that reaches it divides by an outflow near
+    2^-1000.  Arrivals at the level below and services at the level above
+    run at 2^40, so the rates the fold carries on from there overflow,
+    folded from either end."""
     c, eps, fast = 2.0 ** -950, 2.0 ** -50, 2.0 ** 40
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -280,23 +274,11 @@ def _stiff_chain(level: int, horizon: int = 12) -> LdQbdModel:
     return LdQbdModel.from_rule(up, diag, down, horizon)
 
 
-@pytest.mark.parametrize("sweep,failure", [
-    # R_5 = -A0(5) pivot^-1 overflows in the stiff level's own solve
-    (lambda chain: solve_rate_sequence(chain, horizon_rate(chain)), "non-finite solution"),
-], ids=["rate-sequence"])
-def test_deferred_guard_names_the_near_singular_level(sweep, failure):
-    """The sweep runs on past the stiff level into overflow and NaN, yet the
-    guard after it names the stiff level, and no RuntimeWarning escapes."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SingularMatrix, match=f"^level 6: 2 x 2 system: {failure}$"):
-            sweep(_stiff_chain(6))
-
-
 @pytest.mark.parametrize("fold", [
     lambda chain: truncate_and_solve(chain, 30),
     lambda chain: solve_tails(chain, 12, method="lu"),
-], ids=["oracle", "lu"])
+    lambda chain: solve_tails(chain, 12, method="product"),
+], ids=["oracle", "lu", "product"])
 def test_a_fold_that_overflows_raises_singular_matrix(fold, each_gth_loop):
     """The stiff level's outflow is near 2^-1000, so folding it divides by
     almost nothing; the fold runs on into overflow, yet only SingularMatrix
@@ -333,27 +315,47 @@ RETRIAL_3_4_HALF = next(case for case in RETRIAL_CASES
 def test_routes_keep_the_retrial_digits_to_level_100(route):
     """Retrial chain (lam 3, mu 4, theta 0.5) with horizon 400 against its
     tails summed in 50-digit arithmetic: levels 0..100 within 2e-14
-    relative.  The rate matrices come from solves; products with explicit
-    inverses reach 2.2e-14 here."""
+    relative.  Both routes fold by GTH and stay within 1.2e-15 here;
+    products with explicit inverses reach 2.2e-14."""
     chain = retrial_chain(RetrialParams(3.0, 4.0, 0.5), 400)
     series = solve_tails(chain, 100, method=route)
     got = np.array([series.x0 + series.pis[0], *series.pis])
     assert _max_rel(got, RETRIAL_3_4_HALF["tails"]) < 2e-14
 
 
-@pytest.mark.parametrize("case", RETRIAL_CASES,
-                         ids=lambda case: f"{case['lam']}-{case['mu']}-{case['theta']}")
-def test_lu_keeps_every_retrial_literal_to_level_100(case):
-    """The lu route on the retrial chain with the closed form's horizon h,
-    slow retrials (0.9, 1, 0.1) and (1, 2, 0.001) included: levels 0..100
-    within 1e-14 relative of the tails summed in 50-digit arithmetic, with
-    a window of max(h, 100) levels."""
+def _retrial_id(route: str, case) -> str:
+    """The case's rates, led by the route's name for product: the lu cases
+    keep the ids they were pinned under first."""
+    rates = f"{case['lam']}-{case['mu']}-{case['theta']}"
+    return rates if route == "lu" else f"{route}-{rates}"
+
+
+@pytest.mark.parametrize("route,case", [
+    pytest.param(route, case, id=_retrial_id(route, case))
+    for route in ("lu", "product") for case in RETRIAL_CASES])
+def test_lu_keeps_every_retrial_literal_to_level_100(route, case):
+    """Both LDQBD routes on the retrial chain with the closed form's
+    horizon h, slow retrials (0.9, 1, 0.1) and (1, 2, 0.001) included:
+    levels 0..100 within 1e-14 relative of the tails summed in 50-digit
+    arithmetic, with max(h, 100) levels worked out."""
     params = RetrialParams(case["lam"], case["mu"], case["theta"])
     h = retrial_tails(params, 100).truncation_report["terms"]
-    series = solve_tails(retrial_chain(params, h), 100, method="lu")
+    series = solve_tails(retrial_chain(params, h), 100, method=route)
     got = np.array([series.x0 + series.pis[0], *series.pis])
     assert _max_rel(got, case["tails"]) < 1e-14
     assert series.truncation_report["terms"] == max(h, 100)
+
+
+def test_product_solves_the_slow_retrial_at_horizon_200():
+    """Retrial (0.9, 1, 0.1) at horizon 200, whose rate sweep by LAPACK
+    solves left a balance residual of 5.4e-7: the fold from the horizon
+    down is within 1e-13 relative of the oracle at levels 1..50, the
+    oracle deep enough (1,000 levels) that its truncation does not show."""
+    chain = retrial_chain(RetrialParams(0.9, 1.0, 0.1), 200)
+    series = solve_tails(chain, 50, method="product")
+    reference = truncate_and_solve(chain, 1000)
+    assert _max_rel(series.rows(1, 50), reference.rows(1, 50)) < 1e-13
+    assert _max_rel(series.x0, reference.x0) < 1e-13
 
 
 def test_row_sums_are_checked_relative_to_the_rates():

@@ -106,15 +106,15 @@ def test_lu_route_factors_each_level_once(count_calls):
 
 @pytest.mark.parametrize("name,module,solvers", [
     ("qbd22.json", qbd, ("solve_R", "boundary_solve")),
-    ("ldqbd.json", ldqbd, ("horizon_rate", "solve_rate_sequence")),
+    ("ldqbd.json", ldqbd, ("horizon_rate",)),
     ("gim1.json", skipfree, ("gim1_stationary",)),
     ("mg1.json", skipfree, ("mg1_stationary",)),
 ], ids=["qbd", "ldqbd", "gim1", "mg1"])
 def test_cross_check_solves_the_stage_once_for_every_route(count_calls, name, module,
                                                            solvers):
     """Every route reads the stage that cross_check solves once (for an
-    LDQBD, R_h, whose rate sequence only the default product route sweeps);
-    a solve call solves it once more, for its one route."""
+    LDQBD, R_h, which both routes' folds read); a solve call solves it once
+    more, for its one route."""
     calls = [count_calls(module, solver) for solver in solvers]
     assert mctails.cross_check(BUNDLED[name], 20).passed
     assert calls == [[1]] * len(solvers)
@@ -122,8 +122,8 @@ def test_cross_check_solves_the_stage_once_for_every_route(count_calls, name, mo
     assert calls == [[1, 1]] * len(solvers)
 
 
-def test_cross_check_of_a_named_ldqbd_queue_solves_r_h_and_the_sweep_once(count_calls):
-    calls = [count_calls(ldqbd, name) for name in ("horizon_rate", "solve_rate_sequence")]
+def test_cross_check_of_a_named_ldqbd_queue_solves_r_h_and_the_product_once(count_calls):
+    calls = [count_calls(ldqbd, name) for name in ("horizon_rate", "stationary_product")]
     assert mctails.cross_check(BUNDLED["mnmn1.json"], 20).passed
     assert calls == [[1], [1]]
 
@@ -164,9 +164,12 @@ def test_cross_check_checks_stability_once(count_calls, name):
 
 
 def test_cross_check_solves_the_ldqbd_level_0_row_once(count_calls):
-    rows = count_calls(ldqbd, "censor_level_0")
+    """Each LDQBD route gets its level-0 row out of one fold of its
+    window, product's from the horizon down and lu's from state 0 up, and
+    check runs each route once."""
+    folds = count_calls(ldqbd, "stationary_row")
     assert mctails.cross_check(BUNDLED["ldqbd.json"], 20).passed
-    assert len(rows) == 1
+    assert len(folds) == 2
 
 
 def test_cross_check_stacks_each_series_once(count_calls):
@@ -199,9 +202,9 @@ def test_kind_of_refuses_an_object_that_is_not_a_chain():
 @pytest.mark.parametrize("name", ["repairable.json", "vacation.json", "mnmn1.json"])
 def test_a_closed_form_route_solves_no_chain_stage(count_calls, name):
     """A named queue's own route builds no chain stage: only its chain
-    family's routes solve R or the rate sequence."""
+    family's routes solve R or run the product route."""
     calls = [count_calls(qbd, "solve_R"), count_calls(ldqbd, "horizon_rate"),
-             count_calls(ldqbd, "solve_rate_sequence")]
+             count_calls(ldqbd, "stationary_product")]
     registry.solve(BUNDLED[name], 20)
     assert calls == [[], [], []]
 

@@ -547,3 +547,51 @@ def test_mg1_drift_of_slow_switching_kernels(switching, drift):
             mg1_stationary(model)
     else:
         assert got < -1e-10
+
+
+def test_mg1_near_zero_drift_refuses_the_normalizer_as_near_critical():
+    """At drift -1e-9 and switching 1e-10, I - W is singular to working
+    precision (its mass grows like 1/|drift|): the normalizer solve raises
+    NearCritical naming the drift, chained to the refused solve."""
+    with pytest.raises(NearCritical, match=r"^mean drift -1\.000e-09") as caught:
+        mg1_stationary(_slow_switching_walk(1e-10, -1e-9))
+    assert isinstance(caught.value.__cause__, SingularMatrix)
+
+
+def test_a_computed_boundary_chain_with_a_negative_entry_is_singular():
+    """The censored boundary chain comes out of solves, so an entry below
+    zero beyond stationary_row's roundoff allowance is their rounding: it
+    raises SingularMatrix naming the chain, not ValidationError."""
+    chain = np.array([[1.0 + 1e-10, -1e-10], [0.5, 0.5]])
+    with pytest.raises(SingularMatrix, match="^censored boundary chain: stationary_row: "
+                                             "negative off-diagonal entry -1.000e-10$") as caught:
+        skipfree._boundary_row(chain)
+    assert isinstance(caught.value.__cause__, ValidationError)
+
+
+# draw 46 of the random section of .github/compare_outputs.sh (seed 2012): a
+# GI/M/1 walk whose phases switch at about 1e-7 of its level moves
+_DRAW_46 = [
+    [[0.40892353193365094, 0.0, 2.4137485278179867e-07],
+     [2.0262327843301047e-07, 0.2213755920765823, 5.9141357007133187e-08],
+     [4.180166898604037e-08, 0.0, 0.24849919238596496]],
+    [[0.06821011136798431, 0.0, 4.026230897455095e-08],
+     [3.3706267083406834e-07, 0.3682570378875565, 9.838131089249932e-08],
+     [1.4170035430752202e-10, 0.0, 0.0008423688446024361]],
+    [[0.52286576642979, 0.0, 3.086314128214815e-07],
+     [3.7560483298030416e-07, 0.410366187591476, 1.0963093526411836e-07],
+     [1.2627312083393268e-07, 0.0, 0.7506582705529425]],
+]
+
+
+def test_slow_switching_gim1_draw_solves_or_raises_a_solver_error():
+    """Its censored boundary chain carries rounding on the scale of its
+    diagonal, -1.5e-18 in one off-diagonal entry with OpenBLAS on x86-64:
+    the boundary solve either solves or raises SingularMatrix naming the
+    chain, never ValidationError, which is for bad input."""
+    a = [np.array(block) for block in _DRAW_46]
+    model = SkipFreeModel("GIM1", a, [a[0], a[1] + a[2], a[2]])
+    try:
+        gim1_stationary(model)
+    except SingularMatrix as exc:
+        assert str(exc).startswith("censored boundary chain: ")
