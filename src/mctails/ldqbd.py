@@ -14,13 +14,14 @@ the levels past h as x_h R_h^j; the LU-type route folds the window of
 levels 0..max(h, levels) from state 0 up.  Both close the levels past the
 last row n with one geometric remainder, sum_{j>n} x_j = x_n R_h (I - R_h)^{-1};
 neither has a stop rule or a cut-off.  The model class, LdQbdModel, lives
-in qbd beside check_tables, the one check of its block tables; a
+in qbd beside check_tables, the one check of its block tables, and keeps
+each table as one stack, read by block_at and blocks_at alone; a
 level-independent QBD (qbd.QbdModel) is the LdQbdModel whose blocks stop
 changing at level 1, stored as its first three levels, so both routes run
 on it as they are.  truncated_generator lays the blocks out as one
 generator on a finite range of levels, in band storage, which the oracle
 and both routes fold; each kind of block goes in for every level at once,
-through a (level, phase, level, phase) view of the band.
+from blocks_at, through a (level, phase, level, phase) view of the band.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ def truncated_generator(model: LdQbdModel, levels: int) -> Band:
     lower, upper = model.band_reach
     band = Band.zeros(m0 + levels * m, lower, upper)
     q = band.view()
-    q[:m0, :m0] = model.diag[0]
-    q[:m0, m0:m0 + m] = model.up[0]
-    q[m0:m0 + m, :m0] = model.down[0]
+    q[:m0, :m0] = model.block_at("A1", 0)
+    q[:m0, m0:m0 + m] = model.block_at("A0", 0)
+    q[m0:m0 + m, :m0] = model.block_at("A2", 1)
     # levels 1..levels as a (level, phase, level, phase) view of q
     grid = q[m0:, m0:].reshape(levels, m, levels, m)
     rows = np.arange(levels)

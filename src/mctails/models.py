@@ -99,20 +99,18 @@ class RepairableParams:
 
 def retrial_chain(params: RetrialParams, horizon: int) -> LdQbdModel:
     """Level-dependent generator of the retrial queue, orbit size as level,
-    phases (busy, idle)."""
+    phases (busy, idle), its tables laid out for all levels at once."""
     lam, mu, theta = params.lam, params.mu, params.theta
-
-    def up(k):
-        return np.array([[lam, 0.0], [0.0, 0.0]])
-
-    def diag(k):
-        retry = k * theta
-        return np.array([[-(lam + mu), mu], [lam, -(lam + retry)]])
-
-    def down(k):
-        return np.array([[0.0, 0.0], [k * theta, 0.0]])
-
-    return LdQbdModel.from_rule(up, diag, down, horizon)
+    retry = np.arange(horizon + 1) * theta
+    up = np.zeros((horizon + 1, 2, 2))
+    up[:, 0, 0] = lam
+    diag = np.empty((horizon + 1, 2, 2))
+    diag[:, 0] = -(lam + mu), mu
+    diag[:, 1, 0] = lam
+    diag[:, 1, 1] = -(lam + retry)
+    down = np.zeros((horizon, 2, 2))
+    down[:, 1, 0] = retry[1:]
+    return LdQbdModel(up, diag, down)
 
 
 def retrial_tails(params: RetrialParams, levels: int) -> TailSeries:
@@ -202,15 +200,14 @@ def mnmn1_chain(arrival, service) -> LdQbdModel:
     """Birth-death generator matching the rates of ``mn_mn_1_tails``, rates
     repeating their last entry forever.  No level past the first zero
     arrival rate is reached from level 0, so arrivals stay zero from there."""
-    arr, srv = _rates(arrival), _rates(service)
-    if 0.0 in arr:
-        arr = arr[:arr.index(0.0) + 1]
-    levels = range(max(len(arr), len(srv)) + 3)
-    up = [_rate_at(arr, k) for k in levels]
-    down = [0.0] + [_rate_at(srv, k - 1) for k in levels[1:]]
-    return LdQbdModel(tuple(np.array([[x]]) for x in up),
-                      tuple(np.array([[-(x + y)]]) for x, y in zip(up, down)),
-                      tuple(np.array([[x]]) for x in down[1:]))
+    arr, srv = np.array(_rates(arrival)), np.array(_rates(service))
+    zeros = np.flatnonzero(arr == 0.0)
+    if zeros.size:
+        arr = arr[:zeros[0] + 1]
+    levels = np.arange(max(len(arr), len(srv)) + 3)
+    up = arr[np.minimum(levels, len(arr) - 1)]
+    down = np.append(0.0, srv[np.minimum(levels[1:] - 1, len(srv) - 1)])
+    return LdQbdModel(up[:, None, None], -(up + down)[:, None, None], down[1:, None, None])
 
 
 def vacation_qbd(params: VacationParams) -> QbdModel:

@@ -60,6 +60,11 @@ MAX_DOUBLINGS = 64
 # condition number, of the blocks themselves (see tails_lu); geometric_mass
 # lets (I - R)^{-1} e fall as far below 1, relative to its largest entry.
 ROUNDOFF_FLOOR = 16
+# Steps the lu pass may take to settle its up-blocks: a few dozen on the
+# model files and benchmark chains, 7,515 seen with slowly switching phases,
+# where some never settle.  A step is one m x m inversion, about 30 us at a
+# few phases, so the cap refuses those in about 0.3 s.
+MAX_LU_STEPS = 10_000
 
 
 def _sign_defect(blocks, kind: str) -> str | None:
@@ -69,10 +74,9 @@ def _sign_defect(blocks, kind: str) -> str | None:
     (A0, A2) have no negative entry."""
     if kind != "A1":
         return "negative entry in an off-diagonal block" if (blocks < 0).any() else None
-    on = np.eye(blocks.shape[-1], dtype=bool)
-    if (blocks[..., ~on] < 0).any():
+    if ((blocks < 0) & ~np.eye(blocks.shape[-1], dtype=bool)).any():
         return "negative off-diagonal entry"
-    if (blocks[..., on] > 0).any():
+    if (np.diagonal(blocks, axis1=-2, axis2=-1) > 0).any():
         return "positive diagonal entry"
     return None
 
@@ -147,14 +151,15 @@ def check_tables(up, diag, down, name) -> tuple:
 class LdQbdModel:
     """Generator with level-varying tridiagonal blocks, frozen past `horizon`.
 
-    up[k] is the flow from level k to k+1 (k = 0..horizon), diag[k] the local
-    block at level k, down[k] the flow from level k to k-1 (k = 1..horizon).
-    Level 0 may have a different width than the repeating levels.  Requests
-    beyond the horizon clamp to the last stored block.  Construction checks
-    the table lengths here and the rest with check_tables, whose messages
-    name a block by _name(kind, level), A1(k) here, and a row by its level.
-    Models compare and hash by identity: two chains with equal blocks are
-    two models.
+    up lists the flows A0(k) from level k to k+1 (k = 0..horizon), diag the
+    local blocks A1(k), down the flows A2(k) from k to k-1 (k = 1..horizon),
+    each as blocks or one stacked array.  Level 0 may have a different width
+    than the repeating levels.  Construction checks the table lengths here
+    and the rest with check_tables, whose messages name a block by
+    _name(kind, level), A1(k) here, and a row by its level, and keeps each
+    table as it returns it: (first block, frozen stack of the rest), which
+    only block_at and blocks_at read, clamped past the horizon.  Models
+    compare and hash by identity: two chains with equal blocks are two models.
     """
 
     up: tuple
@@ -170,13 +175,13 @@ class LdQbdModel:
             raise ValidationError("A2 lists levels 1..J, one entry fewer than A1")
         up, diag, down = check_tables(self.up, self.diag, self.down, self._name)
         for name, (head, rest) in (("up", up), ("diag", diag), ("down", down)):
-            object.__setattr__(self, name, (_frozen(head), *_frozen(rest)))
+            object.__setattr__(self, name, (_frozen(head), _frozen(rest)))
 
     _name = staticmethod(lambda kind, level: f"{kind}({level})")
 
     @property
     def horizon(self) -> int:
-        return len(self.diag) - 1
+        return len(self.diag[1])
 
     @property
     def m0(self) -> int:
@@ -184,30 +189,32 @@ class LdQbdModel:
 
     @property
     def m(self) -> int:
-        return self.diag[1].shape[0]
+        return self.diag[1].shape[1]
+
+    def _table(self, name: str) -> tuple:
+        """(first block, stack of the rest, level of the first block) of a kind."""
+        tables = {"A0": (*self.up, 0), "A1": (*self.diag, 0), "A2": (*self.down, 1)}
+        if name not in tables:
+            raise ValidationError(f"unknown block kind {name!r}")
+        return tables[name]
 
     def block_at(self, name: str, level: int) -> np.ndarray:
         """Block of the given kind at a level, clamped past the horizon."""
-        h = self.horizon
-        if name == "A0":
-            return self.up[min(level, h)]
-        if name == "A1":
-            return self.diag[min(level, h)]
-        if name == "A2":
-            if level < 1:
-                raise ValidationError("A2 blocks start at level 1")
-            return self.down[min(level, h) - 1]
-        raise ValidationError(f"unknown block kind {name!r}")
+        head, stack, first = self._table(name)
+        if level < first:
+            raise ValidationError(f"{name} blocks start at level {first}")
+        k = min(level, self.horizon) - first
+        return stack[k - 1] if k else head
 
     def blocks_at(self, name: str, first: int, last: int) -> np.ndarray:
         """Blocks of the given kind at levels first..last, stacked and
         clamped as block_at does; first is at least 1 (2 for A2), so every
         block is m x m."""
-        table, base = {"A0": (self.up, 0), "A1": (self.diag, 0), "A2": (self.down, 1)}[name]
-        low = min(first, self.horizon)
-        index = np.minimum(np.arange(first, last + 1), self.horizon) - low
-        stored = table[low - base:low - base + int(index.max(initial=0)) + 1]
-        return np.array(stored).reshape(-1, self.m, self.m)[index]
+        head, stack, base = self._table(name)
+        index = np.minimum(np.arange(first, last + 1), self.horizon) - base - 1
+        if not len(stack):  # A2 at horizon 1: every level clamps to A2(1)
+            return np.repeat(head[None], len(index), axis=0)
+        return stack[index]
 
     @property
     def band_reach(self) -> tuple:
@@ -215,16 +222,6 @@ class LdQbdModel:
         generator on levels 0..L puts an entry, for any L."""
         reach = max(self.m0, self.m) + self.m - 1
         return reach, reach
-
-    @staticmethod
-    def from_rule(up_fn, diag_fn, down_fn, horizon: int) -> LdQbdModel:
-        """Tabulate per-level callables up to the horizon."""
-        if horizon < 1:
-            raise ValidationError("horizon must be at least 1")
-        up = tuple(up_fn(k) for k in range(horizon + 1))
-        diag = tuple(diag_fn(k) for k in range(horizon + 1))
-        down = tuple(down_fn(k) for k in range(1, horizon + 1))
-        return LdQbdModel(up, diag, down)
 
 
 # QbdModel's names for the blocks of level 0 and the jump down to it
@@ -247,12 +244,12 @@ class QbdModel(LdQbdModel):
 
     _name = staticmethod(lambda kind, level: _BOUNDARY.get((kind, level), kind))
 
-    b1 = property(lambda self: self.diag[0])
-    b0 = property(lambda self: self.up[0])
-    b2 = property(lambda self: self.down[0])
-    a0 = property(lambda self: self.up[1])
-    a1 = property(lambda self: self.diag[1])
-    a2 = property(lambda self: self.down[1])
+    b1 = property(lambda self: self.block_at("A1", 0))
+    b0 = property(lambda self: self.block_at("A0", 0))
+    b2 = property(lambda self: self.block_at("A2", 1))
+    a0 = property(lambda self: self.block_at("A0", 1))
+    a1 = property(lambda self: self.block_at("A1", 1))
+    a2 = property(lambda self: self.block_at("A2", 2))
 
 
 @dataclass(frozen=True)
@@ -420,7 +417,7 @@ def _lu_steps(model: QbdModel, x0):
     psi, yrow = a0 + a1, x0 @ model.b0
     heads, ups = [], [None]
     change = math.inf
-    while True:
+    for _ in range(MAX_LU_STEPS):
         minv = inverse(-psi)
         if minv.min() < -1e-9:
             raise SingularMatrix(f"level {len(heads)}: measure inverse is not nonnegative")
@@ -428,13 +425,15 @@ def _lu_steps(model: QbdModel, x0):
         up = a2 @ minv
         if len(ups) > 1:
             last, change = change, inf_norm(up - ups[-1])
-            # the roundoff one step leaves in U, relative to U
-            floor = ROUNDOFF_FLOOR * len(psi) * _EPS * inf_norm(psi) * inf_norm(minv)
-            if change <= floor * inf_norm(up) and not change < last:
-                return heads, ups, up, minv
+            if not change < last:
+                # the roundoff one step leaves in U, relative to U
+                floor = ROUNDOFF_FLOOR * len(psi) * _EPS * inf_norm(psi) * inf_norm(minv)
+                if change <= floor * inf_norm(up):
+                    return heads, ups, up, minv
         ups.append(up)
         yrow = heads[-1] @ a0
         psi = a1 + up @ a0
+    raise NoConvergence(f"lu up-blocks did not settle in {MAX_LU_STEPS} steps")
 
 
 def _deep_sum(step, up):
@@ -477,7 +476,8 @@ def tails_lu(model: QbdModel, x0, levels: int) -> TailSeries:
     e_s N^(k-s), N = A0 M (series._powers), and S_j = e_{j-1} Y with
     Y = sum_{i>=1} N^i U^i (_deep_sum): pi_j = e_{j-1} (I + Y) for j > s,
     and a backward sweep from S_{s+1} gives levels 1..s.  A chain that is
-    not positive recurrent makes Y diverge and raises TruncationFailure.
+    not positive recurrent makes Y diverge and raises TruncationFailure; up-blocks
+    that have not settled after MAX_LU_STEPS steps raise NoConvergence.
     The report's `terms` is max(levels, s).
     """
     x0 = np.asarray(x0, dtype=float)

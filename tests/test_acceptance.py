@@ -136,7 +136,8 @@ def _random_ld(rng: np.random.Generator) -> LdQbdModel:
         total = ups[i].sum(axis=1) + drop.sum(axis=1) + offs[i].sum(axis=1)
         return offs[i] - np.diag(total)
 
-    return LdQbdModel.from_rule(up, diag, down, 80)
+    return LdQbdModel([up(k) for k in range(81)], [diag(k) for k in range(81)],
+                      [down(k) for k in range(1, 81)])
 
 
 def test_criterion_04_random_ld_routes_agree():

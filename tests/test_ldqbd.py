@@ -44,13 +44,20 @@ def _ramp_diag(k):
     return _SWITCH - np.diag(total)
 
 
-RAMP2 = LdQbdModel.from_rule(_ramp_up, _ramp_diag, _ramp_down, 12)
+def _tabulate(up, diag, down, horizon):
+    """The chain whose blocks at levels 0..horizon are the rules' values."""
+    levels = range(horizon + 1)
+    return LdQbdModel([up(k) for k in levels], [diag(k) for k in levels],
+                      [down(k) for k in levels[1:]])
+
+
+RAMP2 = _tabulate(_ramp_up, _ramp_diag, _ramp_down, 12)
 
 
 def _embedded_mm1(horizon):
     """MM1 tabulated level by level up to `horizon`, its blocks repeated."""
     blocks = (functools.partial(MM1.block_at, kind) for kind in ("A0", "A1", "A2"))
-    return LdQbdModel.from_rule(*blocks, horizon)
+    return _tabulate(*blocks, horizon)
 
 
 def test_embedded_level_independent_chain_matches_flat_solver():
@@ -152,7 +159,7 @@ def test_routes_agree_on_the_retrial_chain_to_its_horizon():
 
 
 def test_chain_unstable_beyond_the_horizon_is_refused():
-    ld = LdQbdModel.from_rule(
+    ld = _tabulate(
         lambda k: np.array([[2.0]]),
         lambda k: np.array([[-3.0]]) if k else np.array([[-2.0]]),
         lambda k: np.array([[1.0]]),
@@ -169,6 +176,25 @@ def test_blocks_clamp_past_the_horizon():
         RAMP2.block_at("A2", 0)
     with pytest.raises(ValidationError):
         RAMP2.block_at("A9", 1)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 12])
+def test_a_stacked_table_reads_as_a_table_given_block_by_block(horizon):
+    """The ramp chain given one (J+1, m, m) array per table and given a
+    tuple of blocks per table read the same blocks, one at a time and
+    stacked, at levels 1..horizon + 5, clamped past the horizon."""
+    levels = range(horizon + 1)
+    tables = ([_ramp_up(k) for k in levels], [_ramp_diag(k) for k in levels],
+              [_ramp_down(k) for k in levels[1:]])
+    top = horizon + 5
+    for chain in (LdQbdModel(*map(np.array, tables)), LdQbdModel(*map(tuple, tables))):
+        assert chain.horizon == horizon
+        for kind, table, base in zip(("A0", "A1", "A2"), tables, (0, 0, 1)):
+            want = [table[min(k, horizon) - base] for k in range(1, top + 1)]
+            assert all(np.array_equal(chain.block_at(kind, k), want[k - 1])
+                       for k in range(1, top + 1))
+            first = base + 1
+            assert np.array_equal(chain.blocks_at(kind, first, top), want[first - 1:])
 
 
 def test_model_validation_rejects_mismatched_tables():
@@ -206,8 +232,8 @@ def _retrial_with(*edits):
     down (down[k] is A2(k+1)), or (table, index, entry, value) changing one
     entry."""
     chain = retrial_chain(RetrialParams(1.0, 2.0, 1.0), 200)
-    tables = {name: [np.array(b) for b in getattr(chain, name)]
-              for name in ("up", "diag", "down")}
+    tables = {name: [np.array(chain.block_at(kind, k)) for k in range(first, 201)]
+              for name, kind, first in (("up", "A0", 0), ("diag", "A1", 0), ("down", "A2", 1))}
     for table, index, *change in edits:
         if len(change) == 1:
             tables[table][index] = change[0]
@@ -271,7 +297,7 @@ def _stiff_chain(level: int, horizon: int = 12) -> LdQbdModel:
         out = up(k).sum(axis=1) + (down(k).sum(axis=1) if k else 0.0) + switch.sum(axis=1)
         return switch - np.diag(out)
 
-    return LdQbdModel.from_rule(up, diag, down, horizon)
+    return _tabulate(up, diag, down, horizon)
 
 
 @pytest.mark.parametrize("fold", [
@@ -366,8 +392,8 @@ def test_row_sums_are_checked_relative_to_the_rates():
     chain = LdQbdModel((up, up),
                        ([[-1.9, 1.0], [0.9, -0.9]], [[-1.9, 1.0], [0.9, -(0.9 + 16383.2)]]),
                        ([[0.0, 0.0], [16383.2, 0.0]],))
-    assert abs(chain.diag[1].sum(axis=1) + chain.down[0].sum(axis=1)
-               + chain.up[1].sum(axis=1)).max() > 1e-12
+    assert abs(chain.block_at("A1", 1).sum(axis=1) + chain.block_at("A2", 1).sum(axis=1)
+               + chain.block_at("A0", 1).sum(axis=1)).max() > 1e-12
     assert cross_check(registry.Model("ldqbd", chain), 5).passed
     with pytest.raises(ValidationError, match="^level-1 row: row sums deviate by 1.000e-06$"):
         LdQbdModel((up, up),

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,95 @@ def test_retrial_generator_through_the_generic_route():
     assert gap < 1e-7
 
 
+def _retrial_rules(params):
+    """The per-level block rules the retrial chain is laid out from."""
+    lam, mu, theta = params.lam, params.mu, params.theta
+
+    def up(k):
+        return np.array([[lam, 0.0], [0.0, 0.0]])
+
+    def diag(k):
+        retry = k * theta
+        return np.array([[-(lam + mu), mu], [lam, -(lam + retry)]])
+
+    def down(k):
+        return np.array([[0.0, 0.0], [k * theta, 0.0]])
+
+    return up, diag, down
+
+
+def _mnmn1_tables(arrival, service):
+    """The mnmn1 chain's tables, one rate pair a level: arrivals stop after
+    the first zero, and both rate lists repeat their last entry."""
+    arr = [float(x) for x in np.atleast_1d(arrival)]
+    srv = [float(x) for x in np.atleast_1d(service)]
+    if 0.0 in arr:
+        arr = arr[:arr.index(0.0) + 1]
+    levels = range(max(len(arr), len(srv)) + 3)
+    up = [arr[min(k, len(arr) - 1)] for k in levels]
+    down = [0.0] + [srv[min(k - 1, len(srv) - 1)] for k in levels[1:]]
+    return ([np.array([[x]]) for x in up],
+            [np.array([[-(x + y)]]) for x, y in zip(up, down)],
+            [np.array([[x]]) for x in down[1:]])
+
+
+def _assert_same_blocks(chain, tables):
+    """Every block of `chain` has the bytes of the one `tables` lists."""
+    assert chain.horizon == len(tables[1]) - 1
+    for kind, table, first in zip(("A0", "A1", "A2"), tables, (0, 0, 1)):
+        for k, block in enumerate(table, first):
+            assert chain.block_at(kind, k).tobytes() == block.tobytes(), (kind, k)
+
+
+@pytest.mark.parametrize("rates", [(1.0, 2.0, 1.0), (0.9, 1.0, 0.1), (3.0, 4.0, 0.5)])
+def test_retrial_chain_lays_out_the_blocks_of_its_level_rules(rates):
+    """The retrial chain's stacks, laid out for all levels at once, hold the
+    bytes of the blocks its per-level rules give."""
+    params = RetrialParams(*rates)
+    up, diag, down = _retrial_rules(params)
+    tables = ([up(k) for k in range(301)], [diag(k) for k in range(301)],
+              [down(k) for k in range(1, 301)])
+    _assert_same_blocks(retrial_chain(params, 300), tables)
+
+
+@pytest.mark.parametrize("arrival,service", [
+    (1.0, 2.0),
+    (0.5, 2.0),
+    ([1.0, 1.0, 0.0], 2.0),
+    ([1.0, 0.0, 1.0], 1.0),
+    ([0.3, 1.7, 0.9], [1.1, 2.3, 3.1]),
+    ([2.0, 1.5, 0.5], [1.0, 2.0, 3.0]),
+    ([1.0, 0.5], [2.0]),
+    ((1.0, 0.5), (2.0,)),
+    (np.array([1.0, 0.5]), np.array([2.0])),
+])
+def test_mnmn1_chain_lays_out_the_blocks_of_its_rate_lists(arrival, service):
+    """The mnmn1 chain's stacks, laid out from its rate lists as arrays,
+    hold the bytes of the blocks one rate pair a level gives."""
+    _assert_same_blocks(mnmn1_chain(arrival, service), _mnmn1_tables(arrival, service))
+
+
+def test_retrial_chain_keeps_only_its_three_stacks():
+    """At 20,000 levels the chain keeps its tables as three stacks of 2 x 2
+    blocks, levels 1..20,000 of A0 and A1 and 2..20,000 of A2, 59,999 blocks
+    of 32 bytes, and little else: 8 kB of slack covers the first block of
+    each table, the model object and numpy's first-call allocations (2.7 kB
+    together).  Laying the stacks out and checking them peaks at 5.6 MB,
+    below 8 MB; one 2 x 2 array a level kept 10 MB and peaked at 20 MB."""
+    horizon = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chain = retrial_chain(RetrialParams(0.9, 1.0, 0.1), horizon)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stacks = (3 * horizon - 1) * 2 * 2 * 8
+    assert chain.horizon == horizon
+    assert stacks <= kept - before <= stacks + 8_000
+    assert peak - before < 8_000_000
+
+
 def test_state_dependent_queue_with_finite_room():
     """Arrivals [1, 1, 0] against service 2 stop the chain at level 2; the
     normalizing sum is 1 + 1/2 + 1/4, so the tails are 3/7 and 1/7."""
@@ -194,7 +284,8 @@ def test_state_dependent_rule_route_matches_the_series():
     def down(k):
         return np.array([[1.0]])
 
-    chain = LdQbdModel.from_rule(up, diag, down, 40)
+    chain = LdQbdModel([up(k) for k in range(41)], [diag(k) for k in range(41)],
+                       [down(k) for k in range(1, 41)])
     product = solve_tails(chain, 10, method="product")
     series = mn_mn_1_tails([1.0 / (n + 1.0) for n in range(60)], 1.0, 10)
     gap = max(abs(float(product.level(k)[0] - series.level(k)[0]))

@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from mctails import matkernel, qbd, solve_tails
 from mctails.cli import load_model_file
-from mctails.errors import Reducible, TruncationFailure, Unstable, ValidationError
+from mctails.errors import NoConvergence, Reducible, TruncationFailure, Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm, inverse, stationary_row
 from mctails.oracle import truncate_and_solve
@@ -481,6 +482,53 @@ def test_lu_route_refuses_a_series_that_does_not_shrink():
     null = QbdModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[-2.0]], [[1.0]])
     with pytest.raises(TruncationFailure, match="not below 1"):
         tails_lu(null, [0.5], 5)
+
+
+# Draws 15 and 51 of seed 2012 in the random section of
+# .github/compare_outputs.sh: three phases switching at about 1e-6 of their
+# rates.  In draw 15 phase 2 arrives at 0.87 against a service of 0.33; in
+# draw 51 phase 1 arrives at 0.048 and is never served.
+SLOW_SWITCHING_DRAWS = {
+    15: QbdModel(
+        b1=[[-1.8350118725909557, 0.5467724647784045, 0.20855963423395313],
+            [0.42752958930650686, -0.6863815563560302, 0.2588519670495233],
+            [0.4091638469598915, 0.99017326865695, -2.268381562272805]],
+        b0=[[1.0796797735785981, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8690444466559636]],
+        b2=[[1.597885242557077, 0.0, 0.0], [0.0, 0.31511651991055434, 0.0],
+            [0.0, 0.0, 0.33435620547855294]],
+        a0=[[1.0796797735785981, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8690444466559636]],
+        a1=[[-2.6775659457205254, 9.295848498516134e-07, 0.0],
+            [4.1111945045429686e-07, -0.31511739025279173, 4.592227869497389e-07],
+            [4.0160753181417675e-07, 6.041270771132596e-07, -1.2034016578691253]],
+        a2=[[1.597885242557077, 0.0, 0.0], [0.0, 0.31511651991055434, 0.0],
+            [0.0, 0.0, 0.33435620547855294]]),
+    51: QbdModel(
+        b1=[[-0.813799189650037, 0.6357093477505286, 0.17808984189950838],
+            [0.7060721646491073, -1.463234500153786, 0.709625388730261],
+            [0.7237204419934677, 0.27852047495690024, -2.2537566213479536]],
+        b0=[[0.0, 0.0, 0.0], [0.0, 0.04753694677441783, 0.0], [0.0, 0.0, 1.2515157043975853]],
+        b2=[[1.1805469173736454, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.5766415554041082]],
+        a0=[[0.0, 0.0, 0.0], [0.0, 0.04753694677441783, 0.0], [0.0, 0.0, 1.2515157043975853]],
+        a1=[[-1.1805469999952451, 8.262159971662707e-08, 0.0],
+            [3.951419382324259e-07, -0.04753768150677584, 3.395904197784131e-07],
+            [6.565671321869956e-07, 0.0, -2.8281579163688257]],
+        a2=[[1.1805469173736454, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.5766415554041082]]),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(SLOW_SWITCHING_DRAWS))
+def test_lu_route_refuses_up_blocks_that_do_not_settle(draw):
+    """On these slowly switching chains the change of the lu up-blocks keeps
+    shrinking, so they never settle; the pass stops at MAX_LU_STEPS and
+    raises NoConvergence naming the count, within 1 s, where it once ran
+    on without end."""
+    model = SLOW_SWITCHING_DRAWS[draw]
+    x0 = solve_tails(model, 1, method="mg").x0
+    start = time.perf_counter()
+    message = f"^lu up-blocks did not settle in {qbd.MAX_LU_STEPS} steps$"
+    with pytest.raises(NoConvergence, match=message):
+        tails_lu(model, x0, 40)
+    assert time.perf_counter() - start < 1.0
 
 
 def _lu_by_full_sweep(model, x0, levels):
