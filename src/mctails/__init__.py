@@ -10,7 +10,6 @@ solver acts as a slow reference for all of them.
 
 from . import ldqbd, matkernel, models, oracle, qbd, registry, skipfree
 from .errors import (
-    Divergent,
     NearCritical,
     NoConvergence,
     Reducible,
@@ -18,7 +17,6 @@ from .errors import (
     SizeLimit,
     SolverError,
     StepUnstable,
-    TruncationFailure,
     Unstable,
     ValidationError,
 )

@@ -30,14 +30,6 @@ class Reducible(SolverError):
     """The model decouples (e.g. no upward flow) and has no proper tail structure."""
 
 
-class TruncationFailure(SolverError):
-    """An infinite series or horizon closure did not settle within its cap."""
-
-
-class Divergent(SolverError):
-    """A scalar series failed to converge."""
-
-
 class StepUnstable(SolverError):
     """An ODE trajectory left the admissible region."""
 

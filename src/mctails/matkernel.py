@@ -238,17 +238,12 @@ class Band:
                           strides=((width - 1) * item, item))
 
     def product(self, x) -> np.ndarray:
-        """The row vector x times the matrix, one pass per band column or,
-        when there are fewer rows than columns, per row.  Rows run from the
-        last up, so every entry adds its terms in the same order either way."""
+        """The row vector x times the matrix, one pass per band column, so
+        every entry adds its terms from the last row up."""
         n, width = self.cells.shape
         out = np.zeros(n + width - 1)
-        if n < width:
-            for i in range(n - 1, -1, -1):
-                out[i:i + width] += x[i] * self.cells[i]
-        else:
-            for c in range(width):
-                out[c:c + n] += x * self.cells[:, c]
+        for c in range(width):
+            out[c:c + n] += x * self.cells[:, c]
         return out[self.lower:self.lower + n]
 
 

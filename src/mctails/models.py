@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergent, StepUnstable, Unstable, ValidationError
+from .errors import StepUnstable, Unstable, ValidationError
 from .ldqbd import LdQbdModel
 from .matkernel import inf_norm
 from .qbd import QbdModel
@@ -176,7 +176,7 @@ def mn_mn_1_tails(arrival, service, levels: int) -> TailSeries:
     frozen, so the terms go on geometrically with q = arrival[-1]/service[-1]
     and sum to t_n q/(1 - q) there.  If q >= 1 while t_n > 0 that sum
     diverges: the chain has no stationary distribution and the solve raises
-    Divergent.
+    Unstable.
     """
     _check_levels(levels, 0)
     arrivals, services = _rates(arrival), _rates(service)
@@ -190,7 +190,7 @@ def mn_mn_1_tails(arrival, service, levels: int) -> TailSeries:
         terms.append(t)
     q = arrivals[-1] / services[-1]
     if t > 0 and q >= 1:
-        raise Divergent(f"rates freeze at load {q:.6g}, not below 1; the queue is not ergodic")
+        raise Unstable(f"rates freeze at load {q:.6g}, not below 1; the queue is not ergodic")
     remainder = t * q / (1.0 - q) if t > 0 else 0.0
     return _from_levels(np.reshape([1.0, *terms], (-1, 1)), levels, "closed-form",
                         {"terms": n}, past=[remainder])

@@ -82,12 +82,11 @@ def truncate_and_solve(model, levels: int) -> TailSeries:
     return TailSeries(list(_suffix_sums(rows)[:-1]), x[:m0], "truncated-oracle", report)
 
 
-def sized_reference(build, levels: int, tol: float, decay: float) -> TailSeries:
-    """Oracle tails of ``build(depth)`` at the first depth of a doubling
-    search, up to the deepest MAX_CELLS allows (else SizeLimit), whose mass
-    past it, x_L e / (1 - q) with q = x_L e / x_{L-1} e (infinite when
-    q >= 1), is at most `tol` times pi_levels e; the report adds it as
-    ``mass_past``.
+def sized_reference(chain, levels: int, tol: float, decay: float) -> TailSeries:
+    """Oracle tails of `chain` at the first depth of a doubling search, up
+    to the deepest MAX_CELLS allows (else SizeLimit), whose mass past it,
+    x_L e / (1 - q) with q = x_L e / x_{L-1} e (infinite when q >= 1), is
+    at most `tol` times pi_levels e; the report adds it as ``mass_past``.
 
     The search starts at levels + 1 + ceil(log min(`tol`, eps) / log
     `decay`), where `decay` is the slowest pi_levels e / pi_{levels-1} e
@@ -97,9 +96,7 @@ def sized_reference(build, levels: int, tol: float, decay: float) -> TailSeries:
     rounding of the tails themselves: normalizing spreads the truncated
     mass over every tail.  A `decay` outside (0, 1), such as NaN, starts at
     2 `levels`.  Either start is only a first guess; a depth that misses the
-    mass test doubles."""
-    # block sizes and band width do not change with the depth
-    chain = build(1)
+    mass test doubles, on the same `chain`."""
     width = _truncation(chain)[2]
     deepest = (MAX_CELLS // width - chain.m0) // chain.m
     if 0 < decay < 1:
@@ -109,7 +106,7 @@ def sized_reference(build, levels: int, tol: float, decay: float) -> TailSeries:
         depth = 2 * levels
     depth, mass = min(depth, deepest), np.inf
     while depth > levels:
-        series = truncate_and_solve(build(depth), depth)
+        series = truncate_and_solve(chain, depth)
         last, before = series.pis[-1].sum(), series.pis[-2].sum() - series.pis[-1].sum()
         mass = float(last / (1 - last / before)) if last < before else np.inf if last else 0.0
         if mass <= tol * float(series.level(levels).sum()):

@@ -34,7 +34,6 @@ from .errors import (
     NoConvergence,
     Reducible,
     SingularMatrix,
-    TruncationFailure,
     Unstable,
     ValidationError,
 )
@@ -297,9 +296,11 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     it), and mean_drift answers only for an A with one closed class, the A
     whose p is unique.
     On a transient, null-recurrent, non-conservative or multi-class A, Q = 0
-    and the reduction is the plain one.  Iteration stops once the added term
-    is below tol and the residual of the unshifted equation below 10 tol, and
-    raises NoConvergence after MAX_DOUBLINGS steps.
+    and the reduction is the plain one, which may overflow on slowly
+    switching phases: a step the guard refuses at positive drift raises
+    Unstable.  Iteration stops once the added term is below tol and the
+    residual of the unshifted equation below 10 tol, and raises
+    NoConvergence after MAX_DOUBLINGS steps.
     """
     a0 = as_matrix(a0, "A0")
     a1 = as_matrix(a1, "A1")
@@ -307,26 +308,34 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     m = len(a1)
     shift = np.zeros((m, m))
     phases = a0 + a1 + a2
-    if not _rowsum_defect(phases.sum(axis=1), a1).any():
-        drift = mean_drift(phases, a0.sum(axis=1) - a2.sum(axis=1))
-        if drift is not None and drift < 0.0:
-            shift[:] = 1.0 / m
+    conservative = not _rowsum_defect(phases.sum(axis=1), a1).any()
+    drift = mean_drift(phases, a0.sum(axis=1) - a2.sum(axis=1)) if conservative else None
+    if drift is not None and drift < 0.0:
+        shift[:] = 1.0 / m
     both = solve_linear(-(a1 + a0 @ shift), np.concatenate((a0, a2 - a2 @ shift), axis=1))
     up, down = both[:, :m], both[:, m:]
     g = down
     climb = up
-    for step in range(1, MAX_DOUBLINGS + 1):
-        stay = np.eye(m) - up @ down - down @ up
-        both = solve_linear(stay, np.concatenate((up @ up, down @ down), axis=1))
-        up, down = both[:, :m], both[:, m:]
-        term = climb @ down
-        g = g + term
-        climb = climb @ up
-        if inf_norm(term) < tol:
-            passage = g + shift
-            residual = inf_norm(a0 @ passage @ passage + a1 @ passage + a2)
-            if residual < 10.0 * tol:
-                return RateSolveResult(_frozen(passage), step, residual)
+    # the next solve's guard refuses an overflowed step; a warning would only precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for step in range(1, MAX_DOUBLINGS + 1):
+                stay = np.eye(m) - up @ down - down @ up
+                both = solve_linear(stay, np.concatenate((up @ up, down @ down), axis=1))
+                up, down = both[:, :m], both[:, m:]
+                term = climb @ down
+                g = g + term
+                climb = climb @ up
+                if inf_norm(term) < tol:
+                    passage = g + shift
+                    residual = inf_norm(a0 @ passage @ passage + a1 @ passage + a2)
+                    if residual < 10.0 * tol:
+                        return RateSolveResult(_frozen(passage), step, residual)
+        except SingularMatrix as exc:
+            if drift is not None and drift > 0.0:
+                raise Unstable(f"mean drift {drift:.6g} > 0: the chain is transient "
+                               f"(G reduction step {step}: {exc})") from exc
+            raise
     raise NoConvergence(f"G reduction did not reach {tol:.1e} in {MAX_DOUBLINGS} doublings")
 
 
@@ -448,7 +457,7 @@ def _deep_sum(step, up):
         if (term <= _EPS * y).all():
             return y
         step, up = step @ step, up @ up
-    raise TruncationFailure(
+    raise Unstable(
         f"lu deep terms N^j U^j did not shrink in {MAX_DOUBLINGS} doublings: "
         "their ratio is not below 1"
     )
@@ -476,7 +485,7 @@ def tails_lu(model: QbdModel, x0, levels: int) -> TailSeries:
     e_s N^(k-s), N = A0 M (series._powers), and S_j = e_{j-1} Y with
     Y = sum_{i>=1} N^i U^i (_deep_sum): pi_j = e_{j-1} (I + Y) for j > s,
     and a backward sweep from S_{s+1} gives levels 1..s.  A chain that is
-    not positive recurrent makes Y diverge and raises TruncationFailure; up-blocks
+    not positive recurrent makes Y diverge and raises Unstable; up-blocks
     that have not settled after MAX_LU_STEPS steps raise NoConvergence.
     The report's `terms` is max(levels, s).
     """

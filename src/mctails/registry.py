@@ -47,9 +47,9 @@ class Kind:
     its checked R; the routes trust it and check nothing again (None for
     the closed forms).  ``routes`` maps each route name to its function
     (model, stage, levels), the default first; ``chain`` is the function
-    (payload, depth) that builds the chain, exact to at least level depth,
-    or None; ``family``, qbd or ldqbd, is its kind when its routes solve the
-    model too, which takes the whole chain at any depth.
+    (payload, levels) that builds the chain, exact to rounding at levels
+    0..levels, or None; ``family``, qbd or ldqbd, is its kind when its
+    routes solve the model too, which takes the whole chain at any depth.
     """
 
     section: str
@@ -143,10 +143,17 @@ def _supermarket_closed(model, stage, levels):
     return models.supermarket_tails(model.payload["rho"], model.payload["d"], levels)
 
 
-# --- chain builders: (payload, depth) to the chain of a model -----------
+# --- chain builders: (payload, levels) to the chain of a model ----------
 
-def _payload(payload, depth):
+def _payload(payload, levels):
     return payload
+
+
+def _retrial_chain(params, levels):
+    """The retrial chain frozen at the level N >= `levels` where its product
+    route stops: past N every row weighs less than eps of the tails."""
+    terms = models.retrial_tails(params, levels).truncation_report["terms"]
+    return models.retrial_chain(params, terms)
 
 
 _SKIP_FREE = {"A": "matrices", "B": "matrices"}
@@ -164,17 +171,17 @@ REGISTRY = {
                 _mg1_stage, {"iterative": _mg1_iterative, "ul": _mg1_ul}, _payload),
     "retrial": Kind("params", dict.fromkeys(("lam", "mu", "theta"), "number"),
                     models.RetrialParams, None,
-                    {"product": _retrial_product}, models.retrial_chain),
+                    {"product": _retrial_product}, _retrial_chain),
     "mnmn1": Kind("params", dict.fromkeys(("arrival", "service"), "rate"),
                   None, None, {"closed": _mnmn1_closed},
-                  lambda rates, depth: models.mnmn1_chain(rates["arrival"], rates["service"]),
+                  lambda rates, levels: models.mnmn1_chain(rates["arrival"], rates["service"]),
                   "ldqbd"),
     "vacation": Kind("params", dict.fromkeys(("lam", "theta"), "number"),
                      models.VacationParams, None, {"closed": _vacation_closed},
-                     lambda params, depth: models.vacation_qbd(params), "qbd"),
+                     lambda params, levels: models.vacation_qbd(params), "qbd"),
     "repairable": Kind("params", dict.fromkeys(("lam", "mu", "alpha", "beta"), "number"),
                        models.RepairableParams, None, {"iterative": _repairable_iterative},
-                       lambda params, depth: models.repairable_qbd(params), "qbd"),
+                       lambda params, levels: models.repairable_qbd(params), "qbd"),
     "supermarket": Kind("params", {"rho": "number", "d": "integer"},
                         None, None, {"closed": _supermarket_closed}, None),
 }
@@ -314,7 +321,7 @@ def cross_check(model: Model, levels: int) -> CheckReport:
     up to `levels`.
 
     Each stage is solved once, at ``model.tol`` resolved as ``solve`` does,
-    and every route reads it; a named queue's chain is built once, for its
+    and every route reads it; the chain is built once, at `levels`, for the
     family's routes and the oracle, which picks its own depth
     (``oracle.sized_reference``), starting its search where the slowest
     route's tail decay at `levels` predicts.  The supermarket model has no
@@ -331,10 +338,9 @@ def cross_check(model: Model, levels: int) -> CheckReport:
         comparisons = [Comparison("closed form", "balance equations", 1, levels,
                                   gap, gap < CHECK_TOL)]
         return CheckReport(model.kind, CHECK_TOL, tuple(comparisons))
-    chain = kind.chain(model.payload, levels) if kind.family else None
+    chain = kind.chain(model.payload, levels)
     series = _tails(model, route_names(model.kind), levels, chain)
-    build = partial(kind.chain, model.payload) if chain is None else lambda depth: chain
-    series["oracle"] = oracle.sized_reference(build, levels, model.tol,
+    series["oracle"] = oracle.sized_reference(chain, levels, model.tol,
                                               _decay(series.values(), levels))
     names = list(series)
     # each series is stacked once and every pair slices the stacks

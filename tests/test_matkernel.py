@@ -1,13 +1,14 @@
 """Dense kernel checks: guarded solves and stationary rows."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mctails import ldqbd, qbd, registry, skipfree
-from mctails.cli import load_model_file
-from mctails.errors import SingularMatrix, ValidationError
+from mctails.cli import load_model_file, run
+from mctails.errors import SingularMatrix, Unstable, ValidationError
 from mctails.matkernel import (
     Band,
     as_matrix,
@@ -326,9 +327,13 @@ def test_mean_drift_of_slow_switching_is_the_gth_drift(switching, split):
         assert abs(got - want) <= 1e-8 * abs(want) + 1e-14
 
 
+# transient chains on which the plain reduction overflows
+OVERFLOWING = [(1e-12, 1e-5), (1e-12, 1e-7), (1e-10, 1e-5)]
+
+
 @pytest.mark.parametrize("switching,drift", [
     (1e-10, 1e-7), (1e-10, 1e-9), (1e-10, -1e-9), (1e-10, -1e-7),
-    (1e-12, 1e-9), (1e-12, -1e-9), (1e-12, -1e-7),
+    (1e-12, 1e-9), (1e-12, -1e-9), (1e-12, -1e-7), *OVERFLOWING,
 ])
 def test_shift_of_slow_switching_chains_follows_the_drift(switching, drift):
     """Near zero drift on slowly switching phases the shift follows the
@@ -336,13 +341,32 @@ def test_shift_of_slow_switching_chains_follows_the_drift(switching, drift):
     one its stochastic G.  A bordered drift that read A's own diagonal
     shifted one of these transient chains to a stochastic G, and left three
     stable ones unshifted, where the plain reduction overflows or stops at
-    a substochastic G.  (At drift 1e-7 and switching 1e-12 the plain
-    reduction overflows on the transient chain as well.)"""
-    g = qbd.solve_G(*slow_switching_blocks(switching, drift)).matrix
+    a substochastic G.  On the OVERFLOWING transient chains the next solve
+    refuses the overflowed step, which is raised as Unstable naming the
+    drift, chained to the refusal, with no overflow warning ahead of it."""
+    blocks = slow_switching_blocks(switching, drift)
+    if (switching, drift) in OVERFLOWING:
+        want = f"^mean drift {drift:g} > 0: the chain is transient"
+        with pytest.raises(Unstable, match=want) as raised:
+            qbd.solve_G(*blocks)
+        assert isinstance(raised.value.__cause__, SingularMatrix)
+        return
+    g = qbd.solve_G(*blocks).matrix
     if drift < 0:
         assert inf_norm(g.sum(axis=1) - 1.0) < 1e-12
     else:
         assert g.sum(axis=1).min() < 1.0 - 1e-4
+
+
+def test_check_of_a_transient_slow_switching_qbd_exits_three(tmp_path, capsys):
+    """The first OVERFLOWING chain as a QBD with B1 = A1 + A2, from a model file."""
+    a0, a1, a2 = slow_switching_blocks(1e-12, 1e-5)
+    blocks = {"B1": a1 + a2, "B0": a0, "B2": a2, "A0": a0, "A1": a1, "A2": a2}
+    path = tmp_path / "transient.json"
+    path.write_text(json.dumps({"kind": "qbd",
+                                "blocks": {key: block.tolist() for key, block in blocks.items()}}))
+    assert run(["check", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("solver error: mean drift 1e-05 > 0")
 
 
 def test_mean_drift_gives_the_shift_of_the_stationary_row():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mctails import models, registry, solve_tails
-from mctails.errors import Divergent, Unstable, ValidationError
+from mctails.errors import Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm
 from mctails.models import (
@@ -307,7 +307,8 @@ def test_finite_room_queue_solves_past_a_critical_last_rate():
 
 
 def test_critical_state_dependent_queue_raises():
-    with pytest.raises(Divergent):
+    want = "^rates freeze at load 1, not below 1; the queue is not ergodic$"
+    with pytest.raises(Unstable, match=want):
         mn_mn_1_tails(1.0, 1.0, 3)
 
 

@@ -2,17 +2,18 @@
 entrywise accuracy deep in the tail, and the same answer as a dense
 solve."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mctails import solve_tails
-from mctails import oracle
+from mctails import oracle, registry, solve_tails
 from mctails.cli import load_model_file
 from mctails.errors import SizeLimit, ValidationError
 from mctails.ldqbd import LdQbdModel, truncated_generator
 from mctails.matkernel import inf_norm, stationary_row
+from mctails.models import RetrialParams, retrial_chain, retrial_tails
 from mctails.oracle import MAX_CELLS, _truncation, truncate_and_solve
 from mctails.qbd import QbdModel
 from mctails.registry import REGISTRY, cross_check
@@ -218,7 +219,7 @@ def test_a_decay_too_fast_still_ends_where_the_mass_test_passes(monkeypatch):
     search starts at 27 levels and doubles until its own estimate of the
     mass past the depth is within tol of pi_20."""
     depths = _solved_depths(monkeypatch)
-    series = oracle.sized_reference(lambda depth: MM1, 20, 1e-12, 1e-3)
+    series = oracle.sized_reference(MM1, 20, 1e-12, 1e-3)
     assert depths == [27, 54, 108]
     assert series.truncation_report["mass_past"] <= 1e-12 * series.level(20).sum()
 
@@ -226,5 +227,46 @@ def test_a_decay_too_fast_still_ends_where_the_mass_test_passes(monkeypatch):
 @pytest.mark.parametrize("decay", [0.0, 1.0, float("nan")])
 def test_a_decay_outside_the_unit_interval_starts_at_twice_the_levels(monkeypatch, decay):
     depths = _solved_depths(monkeypatch)
-    oracle.sized_reference(lambda depth: MM1, 20, 1e-12, decay)
+    oracle.sized_reference(MM1, 20, 1e-12, decay)
     assert depths == [40, 80]
+
+
+def test_cross_check_builds_one_chain_for_routes_and_oracle(monkeypatch):
+    """check builds a kind's chain once, at its levels, and the oracle
+    truncates that same chain at every depth it tries."""
+    model = load_model_file(str(FILES / "retrial.json"))
+    built, handed = [], []
+    spec = REGISTRY["retrial"]
+
+    def chain(payload, levels):
+        built.append(spec.chain(payload, levels))
+        return built[-1]
+
+    def sized_reference(chain, *args):
+        handed.append(chain)
+        return original(chain, *args)
+
+    original = oracle.sized_reference
+    monkeypatch.setitem(REGISTRY, "retrial", dataclasses.replace(spec, chain=chain))
+    monkeypatch.setattr(oracle, "sized_reference", sized_reference)
+    assert cross_check(model, 20).passed
+    assert len(built) == 1
+    assert handed == built
+
+
+@pytest.mark.parametrize("lam,mu,theta", [(1.0, 2.0, 1.0), (0.9, 1.0, 0.1),
+                                          (1.0, 2.0, 0.001), (3.0, 4.0, 0.5)])
+def test_retrial_chain_frozen_where_the_rows_stop_gives_the_oracle_tails(lam, mu, theta):
+    """Past the level N where models.retrial_tails stops, every row weighs
+    less than machine epsilon of the tails, so the retrial chain frozen at
+    N gives the oracle tails of the chain exact to the oracle's depth."""
+    params = RetrialParams(lam, mu, theta)
+    frozen = REGISTRY["retrial"].chain(params, 20)
+    decay = registry._decay([retrial_tails(params, 20)], 20)
+    sized = oracle.sized_reference(frozen, 20, registry.DEFAULT_TOL, decay)
+    depth = sized.truncation_report["levels"]
+    assert frozen.horizon < depth
+    exact = truncate_and_solve(retrial_chain(params, depth), depth)
+    pairs = [(sized.x0, exact.x0), *((sized.level(k), exact.level(k)) for k in range(1, 21))]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want) / want) <= 1e-15

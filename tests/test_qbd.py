@@ -10,7 +10,7 @@ import pytest
 
 from mctails import matkernel, qbd, solve_tails
 from mctails.cli import load_model_file
-from mctails.errors import NoConvergence, Reducible, TruncationFailure, Unstable, ValidationError
+from mctails.errors import NoConvergence, Reducible, Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm, inverse, stationary_row
 from mctails.oracle import truncate_and_solve
@@ -480,7 +480,8 @@ def test_lu_route_refuses_a_series_that_does_not_shrink():
     """On a null-recurrent M/M/1 the deep terms N^j U^j do not shrink, so the
     doubling of their sum does not converge."""
     null = QbdModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[-2.0]], [[1.0]])
-    with pytest.raises(TruncationFailure, match="not below 1"):
+    with pytest.raises(Unstable, match=r"^lu deep terms N\^j U\^j did not shrink in 64 doublings: "
+                                       "their ratio is not below 1$"):
         tails_lu(null, [0.5], 5)
 
 
