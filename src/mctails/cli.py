@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 
 from .errors import SolverError, ValidationError
 from .models import meanfield_ode, supermarket_tail
@@ -191,7 +190,7 @@ def _load(args) -> Model:
         return model
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValidationError(f"--tol must be a positive finite number, got {args.tol!r}")
-    return replace(model, tol=args.tol)
+    return model._replace(tol=args.tol)
 
 
 def _cmd_solve(args) -> int:

@@ -1,6 +1,9 @@
 """Real-matrix kernel used by every solver, and the package's only user of
 numpy.linalg.  It holds linear algebra only: how level rows become tails,
-the geometric powers head R^k included, is the business of series.
+the geometric powers head R^k included, is the business of series.  Besides
+it, the package's classes share three helpers from here: _frozen for
+read-only arrays, the _ReadOnly base for read-only attributes, and the
+_ByValue mixin for equality and repr by value.
 
 Matrices are plain 2-d float64 numpy arrays; probability and rate vectors are
 1-d arrays treated as rows.  A large banded matrix, such as a chain
@@ -70,6 +73,42 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only and return it."""
     a.setflags(write=False)
     return a
+
+
+class _ByValue:
+    """Mixin for classes whose fields are their __slots__: equality with an
+    instance of the same class, and repr, by the fields' values in order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class _ReadOnly:
+    """Base of the validated model classes, whose attributes are __slots__
+    set once in __init__ through object.__setattr__ and read-only after it.
+    Equality and hash stay by identity unless a subclass defines them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """Copying and unpickling set the slots, (None, {slot: value}), as __init__ did."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def inf_norm(a) -> float:
@@ -319,7 +358,10 @@ def _gth_floats(a: np.ndarray, flat: memoryview, stride: int, lower: int,
     outflow adds its row in index order, as numpy's sum does below eight
     terms; each back-substitution step adds in index order too, which a
     strided BLAS dot need not (it may fuse a multiply and an add, or split
-    the sum)."""
+    the sum).  A column entry that is ±0.0 is left as it is, with no
+    division and no rank-one update: on finite cells these would add ±0.0
+    products, which change no value a later step reads, so the row keeps
+    its bits."""
     n = len(v)
     start = 0
     for k in range(n - 1, 0, -1):
@@ -338,7 +380,10 @@ def _gth_floats(a: np.ndarray, flat: memoryview, stride: int, lower: int,
         # cells before it
         shift = k - first_col
         for at in range(first_row * stride + lower + k, at_k + k, stride):
-            col = flat[at] / out
+            col = flat[at]
+            if col == 0.0:
+                continue
+            col /= out
             flat[at] = col
             j = at - shift
             for r in row:

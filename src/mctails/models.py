@@ -11,13 +11,13 @@ M(n)/M(n)/1 queues, with boundary state j as phase j of the queue's level 0
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import StepUnstable, Unstable, ValidationError
 from .ldqbd import LdQbdModel
-from .matkernel import inf_norm
+from .matkernel import _ByValue, _ReadOnly, inf_norm
 from .qbd import QbdModel
 from .series import TailSeries, _check_levels, _from_levels, _powers
 
@@ -33,62 +33,70 @@ def _require_positive(value: float, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RetrialParams:
+class _Params(_ByValue, _ReadOnly):
+    """Base of the queue parameters: read-only fields, the __slots__ in
+    order, kept as given; equality, hash and repr by their values."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class RetrialParams(_Params):
     """Single-server queue whose blocked arrivals retry from an orbit.
 
     lam is the arrival rate, mu the service rate, theta the per-customer
     retrial rate.  Stable when lam < mu.
     """
 
-    lam: float
-    mu: float
-    theta: float
+    __slots__ = ("lam", "mu", "theta")
 
-    def __post_init__(self):
-        _require_positive(self.lam, "lam")
-        _require_positive(self.mu, "mu")
-        _require_positive(self.theta, "theta")
+    def __init__(self, lam: float, mu: float, theta: float):
+        self._set(lam, mu, theta)
+        _require_positive(lam, "lam")
+        _require_positive(mu, "mu")
+        _require_positive(theta, "theta")
 
     @property
     def rho(self) -> float:
         return self.lam / self.mu
 
 
-@dataclass(frozen=True)
-class VacationParams:
+class VacationParams(_Params):
     """M/M/1 queue with multiple vacations, service rate scaled to one.
 
     lam is the arrival rate (utilization), theta the rate of returning from
     vacation.  Stable when lam < 1.
     """
 
-    lam: float
-    theta: float
+    __slots__ = ("lam", "theta")
 
-    def __post_init__(self):
-        _require_positive(self.lam, "lam")
-        _require_positive(self.theta, "theta")
-        if self.lam >= 1:
-            raise Unstable(f"utilization {self.lam} is not below 1")
+    def __init__(self, lam: float, theta: float):
+        self._set(lam, theta)
+        _require_positive(lam, "lam")
+        _require_positive(theta, "theta")
+        if lam >= 1:
+            raise Unstable(f"utilization {lam} is not below 1")
 
 
-@dataclass(frozen=True)
-class RepairableParams:
+class RepairableParams(_Params):
     """M/M/1 queue whose busy server fails at rate alpha and is repaired at
     rate beta; lam and mu are the arrival and service rates.  Stable when
     the effective load (lam/mu)(1 + alpha/beta) is below 1."""
 
-    lam: float
-    mu: float
-    alpha: float
-    beta: float
+    __slots__ = ("lam", "mu", "alpha", "beta")
 
-    def __post_init__(self):
-        _require_positive(self.lam, "lam")
-        _require_positive(self.mu, "mu")
-        _require_positive(self.alpha, "alpha")
-        _require_positive(self.beta, "beta")
+    def __init__(self, lam: float, mu: float, alpha: float, beta: float):
+        self._set(lam, mu, alpha, beta)
+        _require_positive(lam, "lam")
+        _require_positive(mu, "mu")
+        _require_positive(alpha, "alpha")
+        _require_positive(beta, "beta")
         if self.load >= 1.0:
             raise Unstable(f"effective load {self.load} is not below 1")
 
@@ -332,8 +340,7 @@ def supermarket_balance_residual(rho: float, d: int, k: int) -> float:
     return abs(rho * (up - mid ** d) - (mid - down))
 
 
-@dataclass(frozen=True)
-class MeanFieldResult:
+class MeanFieldResult(NamedTuple):
     """Integrated tail profile u_1..u_K with the time reached, step count,
     final derivative norm, and whether the derivative dropped below tolerance
     before t_end."""

@@ -26,7 +26,7 @@ matrix-geometric and UL routes here serve both kinds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .errors import (
 from .matkernel import (
     _EPS,
     _frozen,
+    _ReadOnly,
     as_matrix,
     inf_norm,
     inverse,
@@ -146,8 +147,11 @@ def check_tables(up, diag, down, name) -> tuple:
     return checked["A0"], checked["A1"], checked["A2"]
 
 
-@dataclass(frozen=True, eq=False)
-class LdQbdModel:
+# the attribute holding each block kind's table, and the level of its first block
+_TABLES = {"A0": ("up", 0), "A1": ("diag", 0), "A2": ("down", 1)}
+
+
+class LdQbdModel(_ReadOnly):
     """Generator with level-varying tridiagonal blocks, frozen past `horizon`.
 
     up lists the flows A0(k) from level k to k+1 (k = 0..horizon), diag the
@@ -161,19 +165,17 @@ class LdQbdModel:
     compare and hash by identity: two chains with equal blocks are two models.
     """
 
-    up: tuple
-    diag: tuple
-    down: tuple
+    __slots__ = ("up", "diag", "down")
 
-    def __post_init__(self):
-        if len(self.diag) < 2:
+    def __init__(self, up, diag, down):
+        if len(diag) < 2:
             raise ValidationError("need blocks for level 0 and at least one level above")
-        if len(self.up) != len(self.diag):
+        if len(up) != len(diag):
             raise ValidationError("A0 and A1 must list the same levels 0..J")
-        if len(self.down) != len(self.diag) - 1:
+        if len(down) != len(diag) - 1:
             raise ValidationError("A2 lists levels 1..J, one entry fewer than A1")
-        up, diag, down = check_tables(self.up, self.diag, self.down, self._name)
-        for name, (head, rest) in (("up", up), ("diag", diag), ("down", down)):
+        tables = check_tables(up, diag, down, self._name)
+        for name, (head, rest) in zip(LdQbdModel.__slots__, tables):
             object.__setattr__(self, name, (_frozen(head), _frozen(rest)))
 
     _name = staticmethod(lambda kind, level: f"{kind}({level})")
@@ -191,15 +193,15 @@ class LdQbdModel:
         return self.diag[1].shape[1]
 
     def _table(self, name: str) -> tuple:
-        """(first block, stack of the rest, level of the first block) of a kind."""
-        tables = {"A0": (*self.up, 0), "A1": (*self.diag, 0), "A2": (*self.down, 1)}
-        if name not in tables:
+        """((first block, stack of the rest), level of the first block) of a kind."""
+        if name not in _TABLES:
             raise ValidationError(f"unknown block kind {name!r}")
-        return tables[name]
+        attr, first = _TABLES[name]
+        return getattr(self, attr), first
 
     def block_at(self, name: str, level: int) -> np.ndarray:
         """Block of the given kind at a level, clamped past the horizon."""
-        head, stack, first = self._table(name)
+        (head, stack), first = self._table(name)
         if level < first:
             raise ValidationError(f"{name} blocks start at level {first}")
         k = min(level, self.horizon) - first
@@ -209,7 +211,7 @@ class LdQbdModel:
         """Blocks of the given kind at levels first..last, stacked and
         clamped as block_at does; first is at least 1 (2 for A2), so every
         block is m x m."""
-        head, stack, base = self._table(name)
+        (head, stack), base = self._table(name)
         index = np.minimum(np.arange(first, last + 1), self.horizon) - base - 1
         if not len(stack):  # A2 at horizon 1: every level clamps to A2(1)
             return np.repeat(head[None], len(index), axis=0)
@@ -238,6 +240,8 @@ class QbdModel(LdQbdModel):
     message names a block by its own name and a row by its level.
     """
 
+    __slots__ = ()
+
     def __init__(self, b1, b0, b2, a0, a1, a2):
         super().__init__((b0, a0, a0), (b1, a1, a1), (b2, a2))
 
@@ -251,15 +255,13 @@ class QbdModel(LdQbdModel):
     a2 = property(lambda self: self.block_at("A2", 2))
 
 
-@dataclass(frozen=True)
-class RateSolveResult:
+class RateSolveResult(NamedTuple):
     matrix: np.ndarray
     iterations: int
     residual: float
 
 
-@dataclass(frozen=True)
-class BoundarySolution:
+class BoundarySolution(NamedTuple):
     """The boundary pair (x0, x1), the rate matrix R they were solved with,
     which has been checked for stability, and phi0, the generator block of
     level 1 censored on itself: (A0 + A1) + R A2 for a QBD, and

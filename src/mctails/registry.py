@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ DEFAULT_TOL = 1e-12
 CHECK_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """One row of the table.
 
     ``section`` is the model-file key holding the model and ``fields`` maps
@@ -61,8 +60,7 @@ class Kind:
     family: str | None = None
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """A model of a known kind: a chain, or a queue's parameters, with the
     solver tolerance ``tol``; None takes DEFAULT_TOL."""
 
@@ -212,7 +210,7 @@ def _with_tol(model: Model) -> Model:
     value must be a positive finite number."""
     tol = model.tol
     if tol is None:
-        return replace(model, tol=DEFAULT_TOL)
+        return model._replace(tol=DEFAULT_TOL)
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
     return model
@@ -264,8 +262,7 @@ def solve(model: Model, levels: int, method: str | None = None) -> TailSeries:
     return _tails(model, [name], levels)[name]
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """Largest inf-norm gap between two tail series over the levels both
     cover, and whether it is within the check tolerance."""
 
@@ -277,8 +274,7 @@ class Comparison:
     ok: bool
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """What ``cross_check`` found: the comparisons, the oracle's depth and its mass past it."""
 
     kind: str

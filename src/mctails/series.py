@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
+from .matkernel import _ByValue
 
 
 def _check_levels(value, least: int) -> None:
@@ -77,22 +77,26 @@ def _from_levels(rows, levels: int, method: str, report: dict, x0=None, past=Non
     return TailSeries(pis, x0, method, report, first)
 
 
-@dataclass
-class TailSeries:
+class TailSeries(_ByValue):
     """Tail-probability vectors for consecutive levels of a structured chain.
 
     pis[i], a row of a list or of one stacked array, is the tail vector of
     level ``first_level + i``: componentwise mass of all states at that
     level or above.  Generic chain solvers return series starting at level 1
     together with the boundary vector x0; the closed-form queue models start
-    at level 0 (their level-0 entry sums to one) and leave x0 unset.
+    at level 0 (their level-0 entry sums to one) and leave x0 unset.  The
+    fields may be reassigned; a series made without a truncation_report
+    gets an empty dict of its own.  Series compare by value and do not hash.
     """
 
-    pis: list[np.ndarray] | np.ndarray
-    x0: np.ndarray | None = None
-    method: str = ""
-    truncation_report: dict = field(default_factory=dict)
-    first_level: int = 1
+    __slots__ = ("pis", "x0", "method", "truncation_report", "first_level")
+
+    def __init__(self, pis: list[np.ndarray] | np.ndarray, x0: np.ndarray | None = None,
+                 method: str = "", truncation_report: dict | None = None,
+                 first_level: int = 1):
+        self.pis, self.x0, self.method = pis, x0, method
+        self.truncation_report = {} if truncation_report is None else truncation_report
+        self.first_level = first_level
 
     @property
     def last_level(self) -> int:

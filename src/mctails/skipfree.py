@@ -41,7 +41,7 @@ levels (_check_balance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .errors import (
 from .matkernel import (
     Band,
     _frozen,
+    _ReadOnly,
     as_matrix,
     inf_norm,
     mean_drift,
@@ -66,8 +67,7 @@ from .qbd import ROWSUM_TOL, BoundarySolution, RateSolveResult, geometric_mass, 
 from .series import TailSeries, _from_levels, _powers, _suffix_sums
 
 
-@dataclass(frozen=True, eq=False)
-class SkipFreeModel:
+class SkipFreeModel(_ReadOnly):
     """Block lists of a skip-free transition kernel.
 
     a_blocks holds A_0, A_1, ... of the repeating part; b_blocks holds
@@ -78,15 +78,13 @@ class SkipFreeModel:
     row pattern.  Models compare and hash by identity, as LdQbdModel does.
     """
 
-    kind: str
-    a_blocks: tuple
-    b_blocks: tuple
+    __slots__ = ("kind", "a_blocks", "b_blocks")
 
-    def __post_init__(self):
-        if self.kind not in ("GIM1", "MG1"):
-            raise ValidationError(f"kind must be 'GIM1' or 'MG1', got {self.kind!r}")
-        a = [as_matrix(blk, f"A{k}") for k, blk in enumerate(self.a_blocks)]
-        b = [as_matrix(blk, f"B{k}") for k, blk in enumerate(self.b_blocks)]
+    def __init__(self, kind, a_blocks, b_blocks):
+        if kind not in ("GIM1", "MG1"):
+            raise ValidationError(f"kind must be 'GIM1' or 'MG1', got {kind!r}")
+        a = [as_matrix(blk, f"A{k}") for k, blk in enumerate(a_blocks)]
+        b = [as_matrix(blk, f"B{k}") for k, blk in enumerate(b_blocks)]
         if len(a) < 2:
             raise ValidationError("need at least blocks A0 and A1")
         if len(b) < 2:
@@ -99,7 +97,7 @@ class SkipFreeModel:
             if np.any(blk < 0):
                 raise ValidationError(f"A{k}: negative entry")
         for k, blk in enumerate(b):
-            if self.kind == "GIM1":
+            if kind == "GIM1":
                 want = (m0, m) if k == 0 else ((m0, m0) if k == 1 else (m, m0))
             else:
                 want = (m, m0) if k == 0 else ((m0, m0) if k == 1 else (m0, m))
@@ -107,12 +105,13 @@ class SkipFreeModel:
                 raise ValidationError(f"B{k}: expected shape {want}, got {blk.shape}")
             if np.any(blk < 0):
                 raise ValidationError(f"B{k}: negative entry")
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "a_blocks", tuple(_frozen(x) for x in a))
         object.__setattr__(self, "b_blocks", tuple(_frozen(x) for x in b))
         # the shallowest truncation that holds every distinct row: M/G/1
         # rows are alike from level 2 on, GI/M/1 rows from level
         # max(len(A), len(B)) - 1 on
-        depth = 2 if self.kind == "MG1" else max(len(a), len(b)) - 1
+        depth = 2 if kind == "MG1" else max(len(a), len(b)) - 1
         miss = np.abs(truncated_kernel(self, depth).cells.sum(axis=1) - 1.0)
         if np.any(miss > ROWSUM_TOL):
             state = int(np.argmax(miss > ROWSUM_TOL))
@@ -188,8 +187,7 @@ def _place_a(grid, a, first: int, mg1: bool) -> None:
         grid[kept, :, np.minimum(kept + step, last), :] += a[d]
 
 
-@dataclass(frozen=True)
-class Mg1Measures:
+class Mg1Measures(NamedTuple):
     """Solved quantities for an M/G/1-type chain.
 
     passage is the minimal solution of G = sum_k A_k G^k and local_kernel

@@ -1,8 +1,10 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
-import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -78,7 +80,8 @@ def test_check_fails_when_a_route_is_off(monkeypatch, capsys):
 
     def scaled(*args, **kwargs):
         series = original(*args, **kwargs)
-        return dataclasses.replace(series, pis=[row * (1.0 + 1e-5) for row in series.pis])
+        series.pis = [row * (1.0 + 1e-5) for row in series.pis]
+        return series
 
     monkeypatch.setattr(qbd, "tails_ul", scaled)
     assert run(["check", str(FILES / "qbd22.json")]) == 1
@@ -336,3 +339,17 @@ def test_model_file_readers_refuse_and_name_the_field(tmp_path, capsys, name, ke
         model[section] = {**model[section], key: value}
     assert run(["solve", _write(tmp_path, "bad.json", model)]) == 2
     assert f"{field}: {message}" in capsys.readouterr().err
+
+
+def test_the_command_line_runs_without_dataclasses():
+    """No class of mctails is built by dataclasses, whose generated methods
+    cost each process about 8 ms at import: a child interpreter that cannot
+    import that module still checks a model file."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import sys; sys.modules['dataclasses'] = None; "
+            "from mctails.cli import run; sys.exit(run(['check', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(FILES / "mm1.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,13 @@
 """Dense kernel checks: guarded solves and stationary rows."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mctails import ldqbd, qbd, registry, skipfree
+from mctails import ldqbd, matkernel, models, qbd, registry, skipfree
 from mctails.cli import load_model_file, run
 from mctails.errors import SingularMatrix, Unstable, ValidationError
 from mctails.matkernel import (
@@ -202,6 +203,85 @@ def test_the_two_gth_loops_agree_on_random_bands(each_gth_loop, reach):
     band = _random_band(reach, 20)
     arrays, floats = (stationary_row(band) for _ in each_gth_loop())
     assert np.all(np.abs(floats - arrays) <= 4 * np.finfo(float).eps * arrays)
+
+
+def _gth_floats_reference(a, flat, stride, lower, v, below, above):
+    """matkernel._gth_floats as it was before it skipped the zero entries of
+    a pivot column: every entry is divided by the outflow and updates its
+    row."""
+    n = len(v)
+    start = 0
+    for k in range(n - 1, 0, -1):
+        first_row = k - above if k > above else 0
+        first_col = k - below if k > below else 0
+        at_k = k * stride + lower
+        row = flat[at_k + first_col:at_k + k].tolist()
+        out = 0.0
+        for r in row:
+            out += r
+        if out == 0.0:
+            matkernel._check_closed_state(a, k, below, above)
+            start = k
+            break
+        shift = k - first_col
+        for at in range(first_row * stride + lower + k, at_k + k, stride):
+            col = flat[at] / out
+            flat[at] = col
+            j = at - shift
+            for r in row:
+                flat[j] += col * r
+                j += 1
+    row_v = memoryview(v)
+    row_v[start] = 1.0
+    for k in range(start + 1, n):
+        first_row = k - above if k > above else 0
+        mass = 0.0
+        at = first_row * stride + lower + k
+        for i in range(first_row, k):
+            mass += row_v[i] * flat[at]
+            at += stride
+        row_v[k] = mass
+        if mass > 1e250:
+            v[: k + 1] /= mass
+
+
+def _retrial_windows():
+    """The censored window of levels 0..200 of the retrial chain (1, 2, 1),
+    as stationary_product folds it and reversed, as tails_lu_ld does: in
+    both, about half of each pivot column is zero."""
+    chain = models.retrial_chain(models.RetrialParams(1.0, 2.0, 1.0), 200)
+    band = ldqbd._censored_window(chain, ldqbd.horizon_rate(chain), 200)
+    return band, Band(band.cells[::-1, ::-1], band.cells.shape[1] - 1 - band.lower)
+
+
+def _zeroed_columns(reach: int, zero: float) -> Band:
+    """_random_band(reach, 30) with every third column from column 1 on set
+    to `zero` off the diagonal: no state enters those states, so their
+    columns stay zero through the fold.  Other states step over them, as
+    the reach is at least 2."""
+    band = _random_band(reach, 30)
+    cells = band.cells
+    for j in range(1, 30, 3):
+        for d in range(-reach, reach + 1):
+            if d and 0 <= j - d < 30:
+                cells[j - d, d + reach] = zero
+    cells[:, reach] = 0.0
+    cells[:, reach] = -cells.sum(axis=1)
+    return band
+
+
+@pytest.mark.parametrize("band", [
+    *_retrial_windows(),
+    *(_zeroed_columns(reach, zero) for reach in (2, 3, 5, 8) for zero in (0.0, -0.0)),
+], ids=["retrial", "retrial-reversed",
+        *(f"reach{reach}-{zero}" for reach in (2, 3, 5, 8) for zero in ("0", "-0"))])
+def test_the_float_loop_skips_zero_column_entries_with_the_same_bits(monkeypatch, band):
+    """Dividing a ±0.0 column entry and adding its ±0.0 products changes no
+    value the fold reads later, so skipping them keeps every bit."""
+    monkeypatch.setattr(matkernel, "FLOAT_FOLD_CELLS", sys.maxsize)
+    skipped = stationary_row(band)
+    monkeypatch.setattr(matkernel, "_gth_floats", _gth_floats_reference)
+    assert np.array_equal(stationary_row(band), skipped)
 
 
 FILES = Path(__file__).resolve().parents[1] / "modelfiles"

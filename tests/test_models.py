@@ -1,8 +1,10 @@
 """Queueing models: frozen hand values, balance identities, truncation references."""
 
+import copy
 import json
 import math
 import pathlib
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -503,3 +505,26 @@ def test_repairable_closed_form_holds_its_relative_accuracy_at_depth(lam, mu, al
     got = np.array(series.pis)
     assert np.all(got >= 0)
     assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("params,values", [
+    (RETRIAL, {"lam": 1.0, "mu": 2.0, "theta": 1.0}),
+    (VACATION, {"lam": 0.5, "theta": 1.0}),
+    (REPAIRABLE, {"lam": 1.0, "mu": 4.0, "alpha": 2.0, "beta": 4.0}),
+], ids=["retrial", "vacation", "repairable"])
+def test_queue_parameters_are_read_only_values(params, values):
+    """Parameters take their fields by position or keyword, compare and hash
+    by value, refuse assignment, and survive a copy and a pickle."""
+    kind = type(params)
+    by_keyword = kind(**values)
+    assert by_keyword == params and hash(by_keyword) == hash(params)
+    assert kind(*values.values()) == params
+    assert copy.copy(params) == params == pickle.loads(pickle.dumps(params))
+    assert repr(params) == f"{kind.__name__}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+    assert params != kind(**{**values, "lam": values["lam"] / 2})
+    assert params != tuple(values.values())
+    for name in values:
+        with pytest.raises(AttributeError):
+            setattr(params, name, 0.25)
+        with pytest.raises(AttributeError):
+            delattr(params, name)

@@ -2,7 +2,6 @@
 entrywise accuracy deep in the tail, and the same answer as a dense
 solve."""
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +246,7 @@ def test_cross_check_builds_one_chain_for_routes_and_oracle(monkeypatch):
         return original(chain, *args)
 
     original = oracle.sized_reference
-    monkeypatch.setitem(REGISTRY, "retrial", dataclasses.replace(spec, chain=chain))
+    monkeypatch.setitem(REGISTRY, "retrial", spec._replace(chain=chain))
     monkeypatch.setattr(oracle, "sized_reference", sized_reference)
     assert cross_check(model, 20).passed
     assert len(built) == 1

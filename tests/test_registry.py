@@ -1,7 +1,8 @@
 """The route registry: one table of kinds, routes, defaults and chains."""
 
-import dataclasses
+import copy
 import pathlib
+import pickle
 import re
 
 import numpy as np
@@ -142,13 +143,13 @@ def test_repairable_mg_solves_its_stage_at_the_run_tol(rate_solve_tols):
     default."""
     for name in ("repairable.json", "vacation.json"):
         for route in ("mg", "ul", "lu"):
-            registry.solve(dataclasses.replace(BUNDLED[name], tol=1e-5), 5, route)
+            registry.solve(BUNDLED[name]._replace(tol=1e-5), 5, route)
     assert rate_solve_tols == [1e-5] * 6
 
 
 def test_solve_reads_its_tol_off_the_model(rate_solve_tols):
     model = BUNDLED["qbd22.json"]
-    registry.solve(dataclasses.replace(model, tol=1e-5), 6)
+    registry.solve(model._replace(tol=1e-5), 6)
     registry.solve(model, 6)
     assert rate_solve_tols == [1e-5, registry.DEFAULT_TOL]
 
@@ -254,7 +255,7 @@ def test_bad_tol_is_refused_before_the_stage(count_calls, tol):
     with pytest.raises(ValidationError, match="tol"):
         mctails.solve_tails(model.payload, 5, tol=tol)
     with pytest.raises(ValidationError, match="tol"):
-        mctails.cross_check(dataclasses.replace(model, tol=tol), 5)
+        mctails.cross_check(model._replace(tol=tol), 5)
     assert calls == []
 
 
@@ -285,6 +286,20 @@ def test_chain_models_compare_and_hash_by_identity(name):
                      for _ in range(2))
     assert first == first and first != second
     assert {first: "first", second: "second"}[second] == "second"
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_a_copied_chain_is_another_model_with_the_same_read_only_blocks(name):
+    """A copy or an unpickled chain is a model of its own, by identity, that
+    solves to the same bits and refuses assignment as the original does."""
+    chain = BUNDLED[name].payload
+    field = "a_blocks" if isinstance(chain, skipfree.SkipFreeModel) else "up"
+    for twin in (copy.copy(chain), pickle.loads(pickle.dumps(chain))):
+        assert twin != chain and type(twin) is type(chain)
+        assert np.array_equal(mctails.solve_tails(twin, 5).rows(1, 5),
+                              mctails.solve_tails(chain, 5).rows(1, 5))
+        with pytest.raises(AttributeError):
+            setattr(twin, field, getattr(chain, field))
 
 
 def test_readme_route_table_matches_the_registry():

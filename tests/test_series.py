@@ -75,3 +75,14 @@ def test_powers_of_single_row_blocks_are_the_row_by_row_bits(m, n, order):
     for _ in range(1, n):
         want.append(want[-1] @ rate)
     assert _powers(head, np.asarray(rate, order=order), n).tobytes() == np.array(want).tobytes()
+
+
+def test_a_series_owns_its_report_and_its_fields_can_be_reassigned():
+    first, second = TailSeries([np.ones(2)]), TailSeries([np.ones(2)], None, "m", None, 0)
+    first.truncation_report["terms"] = 3
+    assert second.truncation_report == {} and second.first_level == 0
+    first.pis = np.zeros((2, 2))
+    assert first.last_level == 2
+    pis = [np.ones(2)]
+    assert TailSeries(pis, method="m") == TailSeries(pis, method="m")
+    assert TailSeries(pis, method="m") != TailSeries(pis, method="n")
