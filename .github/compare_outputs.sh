@@ -21,7 +21,10 @@
 # The same goes for the product and lu routes at 100 levels on the retrial
 # chain of each case in HEAD_TREE's tests/data/retrial_tails.json,
 # built to the horizon of the closed form (models.retrial_tails), where slow
-# retrials reach the level-dependent routes.  Last, it draws seeded random
+# retrials reach the level-dependent routes.  The same goes for the oracle
+# (oracle.truncate_and_solve at 150 levels) on the chain of every qbd, gim1
+# and mg1 model file of HEAD_TREE, so that a change to how a chain is laid
+# out shows in its bytes.  Last, it draws seeded random
 # QBD, GI/M/1 and M/G/1 chains (numpy's default_rng, so both trees see the
 # same draws), with slow phase switching, zero arrival or service rates,
 # transient phases and phase classes that meet only at the boundary among
@@ -105,6 +108,7 @@ import numpy as np
 
 import mctails
 import workloads
+from mctails.cli import load_model_file
 
 
 def outputs(call):
@@ -130,6 +134,11 @@ for case in json.loads(cases.read_text())["cases"]:
         ops.append((f"retrial {params.lam:g} {params.mu:g} {params.theta:g} horizon {horizon} "
                     f"{route} 100 levels",
                     outputs(lambda: mctails.solve_tails(chain, 100, method=route))))
+for path in sorted(Path(sys.argv[1], "modelfiles").glob("*.json")):
+    model = load_model_file(str(path))
+    if model.kind in ("qbd", "gim1", "mg1"):
+        ops.append((f"oracle {path.name} 150 levels",
+                    outputs(lambda: mctails.oracle.truncate_and_solve(model.payload, 150))))
 with open(sys.argv[2], "wb") as out:
     pickle.dump(ops, out)
 PY

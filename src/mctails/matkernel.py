@@ -106,9 +106,21 @@ class _ReadOnly:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state):
-        """Copying and unpickling set the slots, (None, {slot: value}), as __init__ did."""
+        """Copying and unpickling set the slots, (None, {slot: value}), as
+        __init__ did, and freeze every array they restore, in tuples too:
+        a restored array is a writeable copy."""
         for name, value in state[1].items():
+            _freeze_all(value)
             object.__setattr__(self, name, value)
+
+
+def _freeze_all(value) -> None:
+    """Mark an array, or every array in a nest of tuples, read-only."""
+    if isinstance(value, np.ndarray):
+        _frozen(value)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze_all(item)
 
 
 def inf_norm(a) -> float:

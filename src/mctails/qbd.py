@@ -304,9 +304,11 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     residual of the unshifted equation below 10 tol, and raises
     NoConvergence after MAX_DOUBLINGS steps.
     """
-    a0 = as_matrix(a0, "A0")
-    a1 = as_matrix(a1, "A1")
-    a2 = as_matrix(a2, "A2")
+    return _reduce(as_matrix(a0, "A0"), as_matrix(a1, "A1"), as_matrix(a2, "A2"), tol)
+
+
+def _reduce(a0, a1, a2, tol: float) -> RateSolveResult:
+    """The reduction of solve_G on blocks as_matrix has coerced."""
     m = len(a1)
     shift = np.zeros((m, m))
     phases = a0 + a1 + a2
@@ -344,13 +346,14 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
 def solve_R(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     """Minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0.
 
-    R = A0 (-(A1 + A0 G))^{-1} with G from solve_G; iterations are its
-    reduction steps, and the residual is that of the R equation.
+    R = A0 (-(A1 + A0 G))^{-1} with G from solve_G's reduction, run on the
+    blocks as_matrix coerced here, once; iterations are its reduction
+    steps, and the residual is that of the R equation.
     """
     a0 = as_matrix(a0, "A0")
     a1 = as_matrix(a1, "A1")
     a2 = as_matrix(a2, "A2")
-    solved = solve_G(a0, a1, a2, tol=tol)
+    solved = _reduce(a0, a1, a2, tol)
     r = solve_xa(-(a1 + a0 @ solved.matrix), a0)
     residual = inf_norm(a0 + r @ a1 + r @ r @ a2)
     return RateSolveResult(_frozen(r), solved.iterations, residual)

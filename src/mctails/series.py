@@ -98,6 +98,19 @@ class TailSeries(_ByValue):
         self.truncation_report = {} if truncation_report is None else truncation_report
         self.first_level = first_level
 
+    def __eq__(self, other):
+        """By value, the arrays pis and x0 by np.array_equal: == on them
+        gives an array, whose truth is ambiguous."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return (np.array_equal(self.pis, other.pis)
+                and (self.x0 is None) == (other.x0 is None)
+                and (self.x0 is None or np.array_equal(self.x0, other.x0))
+                and (self.method, self.truncation_report, self.first_level)
+                == (other.method, other.truncation_report, other.first_level))
+
+    __hash__ = None
+
     @property
     def last_level(self) -> int:
         return self.first_level + len(self.pis) - 1

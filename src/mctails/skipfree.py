@@ -16,12 +16,15 @@ arbitrarily far up:
     |     A0  A1  A2 .. |
     |         A0  A1 .. |
 
-Both keep a finite list of nonzero blocks.  truncated_kernel is the one
-place that lays these blocks out by level, in band storage
-(matkernel.Band): model validation checks the row sums of its cells, the
-balance re-check of both stationary solvers multiplies by it
-(Band.product), and the oracle solves it; its A-block rule, _place_a,
-also lays out the grouped QBD of the R/G solve.  The GI/M/1 side has a
+Both keep a finite list of nonzero blocks.  _moves is the one place that
+decides which block takes which level where, as a list of moves (block,
+source levels, level step), and every consumer reads that list on the
+m x m blocks: model validation adds each level's block row sums, the
+balance re-check of both stationary solvers forms x K one stacked product
+per block, and _place_a lays out the A blocks of the grouped QBD of the
+R/G solve.  Only the oracle assembles a band (matkernel.Band), through
+truncated_kernel, which lays the same moves out by level, the A blocks
+by _place_a too.  The GI/M/1 side has a
 matrix-geometric stationary vector driven by the minimal solution of
 R = sum_k R^k A_k.  A QBD is the GI/M/1 chain with A_k = 0 for k >= 3, so
 gim1_stationary returns the qbd.BoundarySolution a QBD's boundary solve
@@ -73,9 +76,11 @@ class SkipFreeModel(_ReadOnly):
     a_blocks holds A_0, A_1, ... of the repeating part; b_blocks holds
     B_0, B_1, B_2, ... around the boundary, in the layouts drawn above.
     Blocks absent from the lists are zero.  Every row of the kernel must sum
-    to one, which ties the two lists together; construction checks the rows
-    of the kernel truncated past the longer list, which hold every distinct
-    row pattern.  Models compare and hash by identity, as LdQbdModel does.
+    to one, which ties the two lists together; construction checks the
+    rows of the levels up to just past the longer list, which hold every
+    distinct row pattern, adding up the row sums of the blocks that move
+    out of each level.  Models compare and hash by identity, as LdQbdModel
+    does.
     """
 
     __slots__ = ("kind", "a_blocks", "b_blocks")
@@ -108,11 +113,17 @@ class SkipFreeModel(_ReadOnly):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "a_blocks", tuple(_frozen(x) for x in a))
         object.__setattr__(self, "b_blocks", tuple(_frozen(x) for x in b))
-        # the shallowest truncation that holds every distinct row: M/G/1
-        # rows are alike from level 2 on, GI/M/1 rows from level
-        # max(len(A), len(B)) - 1 on
+        # levels 0..depth hold every distinct row: M/G/1 rows are alike from
+        # level 2 on, GI/M/1 rows from level max(len(A), len(B)) - 1 on; a
+        # level's row sums are the row sums of the blocks moving out of it
         depth = 2 if kind == "MG1" else max(len(a), len(b)) - 1
-        miss = np.abs(truncated_kernel(self, depth).cells.sum(axis=1) - 1.0)
+        level0, rows = np.zeros(m0), np.zeros((depth, m))
+        for blk, first, last, _ in _moves(self.a_blocks, self.b_blocks, kind == "MG1"):
+            if first == 0:
+                level0 += blk.sum(axis=1)
+            else:
+                rows[first - 1:last] += blk.sum(axis=1)
+        miss = np.abs(np.concatenate((level0, rows.ravel())) - 1.0)
         if np.any(miss > ROWSUM_TOL):
             state = int(np.argmax(miss > ROWSUM_TOL))
             level = 0 if state < m0 else (state - m0) // m + 1
@@ -141,50 +152,83 @@ class SkipFreeModel(_ReadOnly):
         return (near, far) if self.kind == "MG1" else (far, near)
 
 
+def _moves(a, b, mg1: bool) -> list:
+    """Every move of the chain as (block, first, last, step): the block takes
+    each level i of first..last (last None: every level from first on) to
+    level i + step.  This is the one place that decides which block a move
+    takes; truncated_kernel, _grouped, model validation and the balance
+    re-check all read it.
+
+    In the GI/M/1 picture B_0 and B_1 take level 0 to levels 1 and 0, B_k
+    (k >= 2) takes level k - 1 to level 0, and A_d takes level
+    i >= max(1, d) to level i + 1 - d; the M/G/1 picture is its block
+    transpose.  Either way an A move starts at the first level from which
+    it lands on level 1 or above.  The B moves come first, then the A moves
+    from the last block, the order truncated_kernel adds them in."""
+    moves = []
+    for k, blk in enumerate(b):
+        i, j = (0, 1 - k) if k < 2 else (k - 1, 0)
+        if mg1:
+            i, j = j, i
+        moves.append((blk, i, i, j - i))
+    for d in range(len(a) - 1, -1, -1):
+        step = d - 1 if mg1 else 1 - d
+        moves.append((a[d], max(1, 1 - step), None, step))
+    return moves
+
+
 def truncated_kernel(model: SkipFreeModel, levels: int) -> Band:
     """The kernel on levels 0..`levels`, drawn above, in band storage:
     level 0 takes the first m0 states and level k >= 1 the m states after
     it.  The last level absorbs every move past it, so each row keeps its
-    sum.  This is the one place that decides which block a move of the chain
-    takes.
-
-    In the GI/M/1 picture B_0 and B_1 take level 0 to levels 1 and 0,
-    B_k (k >= 2) takes level k - 1 to level 0, and A_d takes level
-    i >= max(1, d) to level i + 1 - d (put in by _place_a); the M/G/1
-    picture is its block transpose.
+    sum.  The blocks go where _moves says, the A blocks by _place_a.  Only
+    the oracle assembles it.
     """
-    a, b = model.a_blocks, model.b_blocks
     m0, m = model.m0, model.m
-    mg1 = model.kind == "MG1"
-    lower, upper = model.band_reach
-    band = Band.zeros(m0 + levels * m, lower, upper)
+    moves = _moves(model.a_blocks, model.b_blocks, model.kind == "MG1")
+    band = Band.zeros(m0 + levels * m, *model.band_reach)
     p = band.view()
 
     def states(level):
         return slice(0, m0) if level == 0 else slice(m0 + (level - 1) * m, m0 + level * m)
 
-    for k, blk in enumerate(b):
-        i, j = (0, 1 - k) if k < 2 else (k - 1, 0)
-        if mg1:
-            i, j = j, i
-        if i <= levels:
-            p[states(i), states(min(j, levels))] += blk
-    # levels 1..levels as a (level, phase, level, phase) view of p
-    _place_a(p[m0:, m0:].reshape(levels, m, levels, m), a, 0, mg1)
+    for blk, first, last, step in moves:
+        if last is not None and first <= levels:
+            p[states(first), states(min(first + step, levels))] += blk
+    # levels 1..levels as a (level, phase, level, phase) grid over the cells
+    # from entry (m0, m0) on, at flat index m0 (width - 1) + m0 + lower
+    width, item = band.cells.shape[1], band.cells.itemsize
+    strides = (m * (width - 1) * item, (width - 1) * item, m * item, item)
+    _place_a(band.cells.reshape(-1)[m0 * width + band.lower:], (levels, m, levels, m),
+             strides, moves, 0)
     return band
 
 
-def _place_a(grid, a, first: int, mg1: bool) -> None:
-    """Add the blocks A_d to a (row, phase, level, phase) grid whose row r
-    is level first + r: A_d moves a level by 1 - d (GI/M/1) or d - 1
-    (M/G/1).  A move past the last level stays on it and one below level 0
-    is dropped.  The blocks go in from the last, so a folded column adds
-    them up in the same order as their suffix sums."""
-    rows, last = np.arange(grid.shape[0]), grid.shape[2] - 1
-    for d in range(len(a) - 1, -1, -1):
-        step = first + (d - 1 if mg1 else 1 - d)
-        kept = rows[max(0, -step):]
-        grid[kept, :, np.minimum(kept + step, last), :] += a[d]
+def _place_a(buffer, shape, strides, moves, first: int) -> None:
+    """Add the A moves of a _moves list to a (row, phase, level, phase)
+    grid of the given shape and byte strides over the C-contiguous 1-d
+    `buffer`, whose item 0 is the grid's (0, 0, 0, 0); row r is level
+    first + r.  A move past the last level stays on it and one below level
+    0 is dropped.  Each block goes in through one strided view of the grid
+    diagonal its move runs along, (row, phase, phase) with row stride
+    s0 + s2, and one slice of the last level for the rows whose moves are
+    clamped onto it.  The blocks go in in the list's order, from the last,
+    so a folded column adds them up in the same order as their suffix
+    sums."""
+    rows, m, levels, _ = shape
+    s0, s1, s2, s3 = strides
+    grid = np.ndarray(shape, buffer=buffer, strides=strides)
+    for blk, _, last, step in moves:
+        if last is not None:
+            continue
+        shift = first + step  # the column row 0 moves to
+        lo, hi = max(0, -shift), min(rows, levels - shift)
+        if lo < hi:
+            diagonal = np.ndarray((hi - lo, m, m), buffer=buffer,
+                                  offset=lo * s0 + (lo + shift) * s2, strides=(s0 + s2, s1, s3))
+            diagonal += blk
+        if max(lo, hi) < rows:
+            grid[max(lo, hi):, :, levels - 1] += blk
 
 
 class Mg1Measures(NamedTuple):
@@ -217,7 +261,7 @@ def _grouped(a_blocks, mg1: bool) -> tuple:
     n = max(1, len(a) - 2)
     m = a[0].shape[0]
     grid = np.zeros((n, m, 3 * n, m))
-    _place_a(grid, a, n, mg1)
+    _place_a(grid.reshape(-1), grid.shape, grid.strides, _moves(a, (), mg1), n)
     down, local, up = (grid[:, :, g * n:(g + 1) * n].reshape(n * m, n * m) for g in range(3))
     return up, local - np.eye(n * m), down
 
@@ -270,7 +314,7 @@ def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> BoundarySolutio
     mass = float((y0 @ entry) @ level_mass)
     x0 = (1.0 / (1.0 + mass)) * y0
     x1 = x0 @ entry
-    _check_balance(model, [x0, *_powers(x1, r, _balance_window(model) - 1)])
+    _check_balance(model, x0, _powers(x1, r, _balance_window(model) - 1))
     return BoundarySolution(_frozen(x0), _frozen(x1), r, _frozen((a[0] + visit) - eye))
 
 
@@ -286,11 +330,17 @@ def _horner(blocks, p, left: bool = False) -> list:
 
 
 def _visit_blocks(sums: list, kernel: np.ndarray) -> list:
-    """The visit blocks sums[i] (I - kernel)^{-1}, in one stacked solve."""
+    """The blocks sums[i] (I - kernel)^{-1}, each of any height, in one
+    stacked solve.  Each is a row slice of the solve's transposed result,
+    so a product with it runs in the order a block solved alone gives."""
     if not sums:
         return []
     solved = solve_xa(np.eye(len(kernel)) - kernel, np.concatenate(sums))
-    return list(solved.reshape(len(sums), -1, len(kernel)))
+    blocks, start = [], 0
+    for blk in sums:
+        blocks.append(solved[start:start + len(blk)])
+        start += len(blk)
+    return blocks
 
 
 def mg1_drift(model: SkipFreeModel) -> float:
@@ -314,21 +364,31 @@ def _balance_window(model: SkipFreeModel) -> int:
     return max(len(a), len(b)) + 5 + len(a)
 
 
-def _balance_residual(model: SkipFreeModel, rows: list) -> float:
-    """Largest entry of x K - x over the window levels, where x stacks the
-    normalized rows of levels 0.._balance_window - 1 and K is the kernel
-    truncated at the last of them.  No row past it moves into the window and
-    the truncation folds only the last column, so the window's columns of
-    x K are exact."""
-    x = np.concatenate(rows)
-    width = model.m0 + (len(rows) - len(model.a_blocks)) * model.m
-    return inf_norm((truncated_kernel(model, len(rows) - 1).product(x) - x)[:width])
+def _balance_residual(model: SkipFreeModel, x0, rows) -> float:
+    """Largest entry of x K - x over the window levels 0..W, where x is the
+    boundary row x0 and the level rows `rows` of levels 1..n, with
+    W = n + 1 - len(A), and K is the kernel.  No row past level n moves
+    into the window, so its columns of x K are exact.  x K is formed from
+    the blocks: per move (_moves), the rows of its source levels that land
+    in the window, stacked, times its block, added at the target levels."""
+    n, window = len(rows), len(rows) + 1 - len(model.a_blocks)
+    out0, out = -x0, -rows[:window]
+    for blk, first, last, step in _moves(model.a_blocks, model.b_blocks, model.kind == "MG1"):
+        hi = min(n if last is None else last, window - step)
+        if hi < first:
+            continue
+        source = x0[None] if first == 0 else rows[first - 1:hi]
+        if first + step == 0:
+            out0 = out0 + source[0] @ blk
+        else:
+            out[first + step - 1:hi + step] += source @ blk
+    return max(inf_norm(out0), inf_norm(out.ravel()))
 
 
-def _check_balance(model: SkipFreeModel, rows: list) -> None:
-    """Raise SingularMatrix when the rows miss balance on the window
-    (_balance_residual) by more than 1e-8."""
-    resid = _balance_residual(model, rows)
+def _check_balance(model: SkipFreeModel, x0, rows) -> None:
+    """Raise SingularMatrix when the boundary row x0 and the level rows
+    miss balance on the window (_balance_residual) by more than 1e-8."""
+    resid = _balance_residual(model, x0, rows)
     if resid > 1e-8:
         raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
 
@@ -412,8 +472,8 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     boundary_sums = _horner(b[2:], g)
     boundary_passage = solve_linear(eye - kernel, b[0])
     y0 = _boundary_row(b[1] + boundary_sums[0] @ boundary_passage)
-    from_boundary = _visit_blocks(boundary_sums, kernel)
-    between = _visit_blocks(above, kernel)
+    blocks = _visit_blocks([*boundary_sums, *above], kernel)
+    from_boundary, between = blocks[:len(boundary_sums)], blocks[len(boundary_sums):]
     w0 = sum(from_boundary, np.zeros((m0, m)))
     w = sum(between, np.zeros((m, m)))
     try:
@@ -425,7 +485,7 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     rows = np.zeros((_balance_window(model) - 1, m))
     _forward_rows(y0, from_boundary, between, rows)
     x0 = tau * y0
-    _check_balance(model, [x0, *(tau * rows)])
+    _check_balance(model, x0, tau * rows)
     return Mg1Measures(
         passage=g,
         local_kernel=_frozen(kernel),
@@ -472,9 +532,10 @@ def mg1_ul_tails(model: SkipFreeModel, measures: Mg1Measures, levels: int) -> Ta
     eye = np.eye(model.m)
     shifted_chain, *shifted_sums = _horner(_suffix_sums(a)[1:], g)
     backward = _horner(measures.x0 @ _suffix_sums(b[2:]), g)
-    shifted_visits = _visit_blocks(shifted_sums, kernel)
-    # the sources of levels 2..len(backward) through I - kernel, in one solve
-    sources = solve_xa(eye - kernel, np.reshape(backward[1:levels], (-1, model.m)))
+    # the shifted visit blocks and the sources of levels 2..len(backward)
+    # through I - kernel, in one solve
+    *shifted_visits, sources = _visit_blocks(
+        [*shifted_sums, np.reshape(backward[1:levels], (-1, model.m))], kernel)
     pis = np.zeros((levels, model.m))
     if levels:
         pis[0] = solve_xa(eye - shifted_chain, backward[0])

@@ -288,18 +288,33 @@ def test_chain_models_compare_and_hash_by_identity(name):
     assert {first: "first", second: "second"}[second] == "second"
 
 
+def _arrays(value):
+    """Every array in a value or a nest of tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
 @pytest.mark.parametrize("name", CHAINS)
 def test_a_copied_chain_is_another_model_with_the_same_read_only_blocks(name):
-    """A copy or an unpickled chain is a model of its own, by identity, that
-    solves to the same bits and refuses assignment as the original does."""
+    """A copy, a deep copy or an unpickled chain is a model of its own, by
+    identity, that solves to the same series and refuses assignment as the
+    original does; every block array it holds, in the block tuples of a
+    skip-free chain and the (first block, stack) tables of a QBD too, is
+    read-only, though a deep copy and an unpickled array are fresh ones."""
     chain = BUNDLED[name].payload
     field = "a_blocks" if isinstance(chain, skipfree.SkipFreeModel) else "up"
-    for twin in (copy.copy(chain), pickle.loads(pickle.dumps(chain))):
+    slots = [slot for cls in type(chain).__mro__ for slot in getattr(cls, "__slots__", ())]
+    for twin in (copy.copy(chain), copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))):
         assert twin != chain and type(twin) is type(chain)
-        assert np.array_equal(mctails.solve_tails(twin, 5).rows(1, 5),
-                              mctails.solve_tails(chain, 5).rows(1, 5))
+        assert mctails.solve_tails(twin, 20) == mctails.solve_tails(chain, 20)
         with pytest.raises(AttributeError):
             setattr(twin, field, getattr(chain, field))
+        arrays = [array for slot in slots for array in _arrays(getattr(twin, slot))]
+        assert len(arrays) >= 4
+        assert not any(array.flags.writeable for array in arrays)
 
 
 def test_readme_route_table_matches_the_registry():

@@ -86,3 +86,21 @@ def test_a_series_owns_its_report_and_its_fields_can_be_reassigned():
     pis = [np.ones(2)]
     assert TailSeries(pis, method="m") == TailSeries(pis, method="m")
     assert TailSeries(pis, method="m") != TailSeries(pis, method="n")
+
+
+def test_series_compare_their_arrays_by_value():
+    """Equal but distinct arrays make equal series, in a list of rows or one
+    stack; one differing entry, or an x0 on one side only, makes them
+    differ.  Series do not hash."""
+    def series(pis, x0=None):
+        return TailSeries(pis, x0, "mg", {"terms": 3})
+
+    assert series([np.ones(2), np.ones(2)]) == series([np.ones(2), np.ones(2)])
+    assert series(np.ones((2, 2)), np.ones(3)) == series(np.ones((2, 2)), np.ones(3))
+    assert series([np.ones(2)]) != series([np.array([1.0, 0.5])])
+    assert series([np.ones(2)], np.ones(3)) != series([np.ones(2)], np.zeros(3))
+    assert series([np.ones(2)]) != series([np.ones(2)], np.ones(3))
+    assert series([np.ones(2)], np.ones(3)) != series([np.ones(2)])
+    assert series([np.ones(2)]) != TailSeries([np.ones(2)], None, "ul", {"terms": 3})
+    with pytest.raises(TypeError):
+        hash(series([np.ones(2)]))

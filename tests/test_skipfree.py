@@ -123,13 +123,14 @@ def test_rate_series_closed_forms_at_the_edges():
 def _gim1_balance_residual(model, boundary):
     """The balance residual of the rows x0, x1, x1 R, ... of a GI/M/1 stage."""
     window = skipfree._balance_window(model)
-    rows = [boundary.x0, *_powers(boundary.x1, boundary.r, window - 1)]
-    return skipfree._balance_residual(model, rows)
+    return skipfree._balance_residual(model, boundary.x0,
+                                      _powers(boundary.x1, boundary.r, window - 1))
 
 
 def _mg1_balance_residual(model, measures):
     """The balance residual of the normalized visit rows of an M/G/1 stage."""
-    return skipfree._balance_residual(model, [measures.tau * row for row in measures.visit_rows])
+    head, *rows = measures.visit_rows
+    return skipfree._balance_residual(model, measures.tau * head, measures.tau * np.array(rows))
 
 
 def test_scalar_boundary_mass_is_one_quarter():
@@ -272,29 +273,177 @@ def test_balance_residual_sees_a_moved_row(model):
     window to roundoff; adding 1e-6 to one row of the window shows."""
     x = stationary_row(skipfree.truncated_kernel(model, 200), continuous=False)
     m0, m = model.m0, model.m
-    rows = [x[:m0]] + [x[m0 + (k - 1) * m:m0 + k * m]
-                       for k in range(1, skipfree._balance_window(model))]
-    assert skipfree._balance_residual(model, rows) < 1e-14
-    rows[2] = rows[2] + 1e-6
-    assert skipfree._balance_residual(model, rows) > 5e-7
+    x0, rows = x[:m0], x[m0:m0 + (skipfree._balance_window(model) - 1) * m].reshape(-1, m)
+    assert skipfree._balance_residual(model, x0, rows) < 1e-14
+    rows[1] += 1e-6  # level 2
+    assert skipfree._balance_residual(model, x0, rows) > 5e-7
 
 
-def test_many_blocks_of_many_phases_build_in_little_memory():
-    """An M/G/1 chain of 40 blocks of 32 phases: validation reads the row
-    sums off a band two levels deep, whatever the block count, so the peak
-    is the copied blocks (0.66 MB) and little more."""
-    count, m = 40, 32
+def _many_blocks(kind, count=40, m=32):
+    """A chain of `count` A blocks of m phases, each A_d a share 1/count of
+    one random phase kernel; the GI/M/1 B_k take what the shallower A_d
+    leave of each row, the M/G/1 B_k share level 0's row alike."""
     phases = np.random.default_rng(5).random((m, m))
     phases /= phases.sum(axis=1, keepdims=True)
     a_blocks = [phases / count] * count
-    b_blocks = [phases / count] + [phases / (count - 1)] * (count - 1)
+    if kind == "MG1":
+        return a_blocks, [phases / count] + [phases / (count - 1)] * (count - 1)
+    return a_blocks, [phases / count, phases * (count - 1) / count] + [
+        phases * (count - 1 - level) / count for level in range(1, count - 1)]
+
+
+def test_many_blocks_of_many_phases_build_in_little_memory():
+    """Chains of 40 blocks of 32 phases: validation adds block row sums
+    level by level, whatever the block count, so the peak is the copied
+    blocks (0.66 MB) and little more; a band as deep as the GI/M/1 rows
+    differ peaked at 14.5 MB."""
+    for kind in ("GIM1", "MG1"):
+        a_blocks, b_blocks = _many_blocks(kind)
+        tracemalloc.start()
+        try:
+            SkipFreeModel(kind, a_blocks, b_blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, kind
+
+
+@pytest.mark.parametrize("kind", ["GIM1", "MG1"])
+def test_many_blocks_of_many_phases_check_balance_in_little_memory(kind):
+    """The balance re-check of the same chains, 85 levels of rows, forms
+    x K from the blocks: a band of its window peaked at 29 MB."""
+    model = SkipFreeModel(kind, *_many_blocks(kind))
+    rng = np.random.default_rng(6)
+    x0, rows = rng.random(model.m0), rng.random((skipfree._balance_window(model) - 1, model.m))
     tracemalloc.start()
     try:
-        SkipFreeModel("MG1", a_blocks, b_blocks)
+        skipfree._balance_residual(model, x0, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def _stochastic(rng, rows, cols):
+    p = rng.random((rows, cols))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _random_chain(rng, kind, m, m0, a_count, b_count):
+    """A random chain of the given widths and block counts whose rows sum to
+    one.  A GI/M/1 row past the B blocks has no deeper jump, so there the A
+    blocks past len(B) are zero."""
+    shares = rng.random((a_count, m))
+    if kind == "GIM1":
+        shares[b_count:] = 0.0
+    shares /= shares.sum(axis=0)
+    a = [share[:, None] * _stochastic(rng, m, m) for share in shares]
+    if kind == "GIM1":
+        split = rng.random(m0)[:, None]
+        b = [split * _stochastic(rng, m0, m), (1.0 - split) * _stochastic(rng, m0, m0)]
+        b += [sum((blk.sum(axis=1) for blk in a[k:]), np.zeros(m))[:, None]
+              * _stochastic(rng, m, m0) for k in range(2, b_count)]
+    else:
+        split = rng.random((b_count - 1, m0))
+        split /= split.sum(axis=0)
+        b = [a[0].sum(axis=1)[:, None] * _stochastic(rng, m, m0),
+             split[0][:, None] * _stochastic(rng, m0, m0)]
+        b += [share[:, None] * _stochastic(rng, m0, m) for share in split[1:]]
+    return SkipFreeModel(kind, a, b)
+
+
+def _band_residual(model, x0, rows):
+    """The balance residual as the band product gives it, the reference for
+    the block products of skipfree._balance_residual: x times the kernel
+    truncated at the last row's level, read over the window's columns."""
+    x = np.concatenate((x0, rows.ravel()))
+    width = model.m0 + (len(rows) + 1 - len(model.a_blocks)) * model.m
+    return inf_norm((skipfree.truncated_kernel(model, len(rows)).product(x) - x)[:width])
+
+
+@pytest.mark.parametrize("kind", ["GIM1", "MG1"])
+@pytest.mark.parametrize("m,m0,a_count,b_count", [
+    (2, 3, 3, 3), (3, 1, 3, 6), (2, 3, 6, 3), (3, 2, 2, 4), (1, 1, 2, 2),
+], ids=["wide-boundary", "more-B", "more-A", "two-A", "scalar"])
+def test_block_balance_residual_is_the_band_products(kind, m, m0, a_count, b_count):
+    rng = np.random.default_rng(m + 10 * m0 + 100 * a_count + 1000 * b_count)
+    model = _random_chain(rng, kind, m, m0, a_count, b_count)
+    assert (model.m0, len(model.a_blocks), len(model.b_blocks)) == (m0, a_count, b_count)
+    n = skipfree._balance_window(model) - 1
+    for _ in range(5):
+        x0, rows = rng.random(m0), rng.random((n, m))
+        want = _band_residual(model, x0, rows)
+        got = skipfree._balance_residual(model, x0, rows)
+        assert abs(got - want) <= 1e-15 * max(want, 1.0)
+
+
+def _place_a_fancy(grid, a, first, mg1):
+    """The A-block rule as one fancy-indexed += per block, the reference
+    for skipfree._place_a: row r is level first + r, A_d moves it by 1 - d
+    (GI/M/1) or d - 1 (M/G/1), a move past the last level stays on it and
+    one below level 0 is dropped; the blocks go in from the last."""
+    rows, last = np.arange(grid.shape[0]), grid.shape[2] - 1
+    for d in range(len(a) - 1, -1, -1):
+        step = first + (d - 1 if mg1 else 1 - d)
+        kept = rows[max(0, -step):]
+        grid[kept, :, np.minimum(kept + step, last), :] += a[d]
+
+
+@pytest.mark.parametrize("mg1", [False, True], ids=["gim1", "mg1"])
+def test_place_a_is_the_fancy_indexed_rule_bit_for_bit(mg1):
+    """On truncated grids, shallower than the longest jump too, and on the
+    grouped grid, inside a wider buffer so that the grid's rows are not
+    contiguous, and onto cells that already hold values."""
+    rng = np.random.default_rng(12 + mg1)
+    for count in range(2, 7):
+        for m in (1, 3):
+            a = list(rng.random((count, m, m)))
+            n = max(1, count - 2)
+            for rows, levels, first in [(1, 1, 0), (2, 2, 0), (count + 2, count + 2, 0),
+                                        (n, 3 * n, n)]:
+                base = rng.random((rows * m, levels * m + 3))
+                want = base.copy()
+                _place_a_fancy(want[:, 2:2 + levels * m].reshape(rows, m, levels, m), a, first, mg1)
+                grid = base[:, 2:2 + levels * m].reshape(rows, m, levels, m)
+                moves = skipfree._moves(a, (), mg1)
+                skipfree._place_a(base.reshape(-1)[2:], grid.shape, grid.strides, moves, first)
+                assert np.array_equal(base, want), (count, m, rows, levels, first)
+
+
+_P = np.array([[0.6, 0.4], [0.3, 0.7]])
+_Q = np.array([[0.5, 0.5]])
+
+
+def _bad_row_blocks(kind):
+    """Valid blocks of two phases and a one-state boundary, four of each
+    list but three GI/M/1 B blocks."""
+    if kind == "GIM1":
+        return ([0.1 * _P, 0.4 * _P, 0.3 * _P, 0.2 * _P],
+                [0.3 * _Q, np.array([[0.7]]), np.full((2, 1), 0.5), np.full((2, 1), 0.2)])
+    return ([0.5 * _P, 0.2 * _P, 0.2 * _P, 0.1 * _P],
+            [np.full((2, 1), 0.5), np.array([[0.4]]), 0.3 * _Q, 0.3 * _Q])
+
+
+@pytest.mark.parametrize("kind,scaled,message", [
+    ("GIM1", "A0", "level-1 row must sum to one, off by 2.500e-02"),
+    ("GIM1", "A2", "level-2 row must sum to one, off by 7.500e-02"),
+    ("GIM1", "A3", "level-3 row must sum to one, off by 5.000e-02"),
+    ("GIM1", "B1", "level-0 row must sum to one, off by 1.750e-01"),
+    ("GIM1", "B3", "level-2 row must sum to one, off by 5.000e-02"),
+    ("MG1", "A0", "level-2 row must sum to one, off by 1.250e-01"),
+    ("MG1", "A3", "level-1 row must sum to one, off by 2.500e-02"),
+    ("MG1", "B0", "level-1 row must sum to one, off by 1.250e-01"),
+    ("MG1", "B3", "level-0 row must sum to one, off by 7.500e-02"),
+])
+def test_validation_names_the_first_level_with_a_bad_row(kind, scaled, message):
+    """One block scaled by 1.25 spoils the rows of every level it moves out
+    of; the message names the shallowest of them."""
+    a, b = _bad_row_blocks(kind)
+    SkipFreeModel(kind, a, b)
+    blocks = a if scaled[0] == "A" else b
+    blocks[int(scaled[1])] = 1.25 * blocks[int(scaled[1])]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SkipFreeModel(kind, a, b)
 
 
 def test_model_validation_catches_mistakes():
@@ -421,25 +570,32 @@ MG1_EIGHT_PHASES = _mg1_walk(0.7, np.random.default_rng(8).dirichlet(np.ones(8),
 
 @pytest.mark.parametrize("model", [MG1_FILE, MG1_EIGHT_PHASES], ids=["mg1.json", "8-phase"])
 def test_stacked_visit_blocks_are_the_block_by_block_ones_bit_for_bit(model):
+    """Each list alone and the boundary and level lists stacked together, as
+    the stage solves them; a row times a block gives the same bits too, so
+    the blocks keep the orientation of a solve by solve_xa."""
     measures = mg1_stationary(model)
     g, kernel = measures.passage, measures.local_kernel
     a, b = model.a_blocks, model.b_blocks
-    for shifted in (b[2:], a[2:], _suffix_sums(a)[2:]):
-        got = skipfree._visit_blocks(skipfree._horner(shifted, g), kernel)
-        want = _visit_blocks_one_by_one(shifted, g, kernel)
-        assert len(got) == len(want) == len(shifted)
+    row = np.random.default_rng(3).random(model.m)
+    for lists in ([b[2:]], [a[2:]], [_suffix_sums(a)[2:]], [b[2:], a[2:]]):
+        got = skipfree._visit_blocks([s for shifted in lists for s in skipfree._horner(shifted, g)],
+                                     kernel)
+        want = [y for shifted in lists for y in _visit_blocks_one_by_one(shifted, g, kernel)]
+        assert len(got) == len(want) == sum(map(len, lists))
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        assert all(np.array_equal(row[:len(x)] @ x, row[:len(y)] @ y) for x, y in zip(got, want))
 
 
 def test_mg1_stage_and_ul_route_solve_each_coefficient_matrix_once(count_calls):
     """On mg1.json the stage makes two direct solves, the boundary passage
-    and the normalizer, and one solve_xa each for the boundary and the level
-    visit blocks; the ul route makes one each for its level-1 head, its
-    shifted visit blocks and the sources of its levels 2..len(B) - 1."""
+    and the normalizer, and one solve_xa for the boundary and the level
+    visit blocks together; the ul route makes one for its level-1 head and
+    one for its shifted visit blocks and the sources of its levels
+    2..len(B) - 1 together."""
     kernel_calls, skipfree_calls = (count_calls(module, "solve_linear")
                                     for module in (matkernel, skipfree))
     mg1_ul_tails(MG1_FILE, mg1_stationary(MG1_FILE), 20)
-    assert (len(kernel_calls), len(skipfree_calls)) == (5, 2)
+    assert (len(kernel_calls), len(skipfree_calls)) == (3, 2)
 
 
 def _rows_one_at_a_time(head, first, blocks, count, sources=()):
