@@ -426,7 +426,8 @@ def tails_ul(b0, boundary: BoundarySolution, levels: int) -> TailSeries:
 def _lu_steps(model: QbdModel, x0):
     """The LU-type forward factorization up to the step s at which its
     up-blocks settle: the heads [e_0, ..., e_s], the up-blocks
-    [None, U_1, ..., U_s], and the settled U = A2 M_s and M_s (see tails_lu)."""
+    [None, U_1, ..., U_s], and the settled U = A2 M_s and N = A0 M_s (see
+    tails_lu)."""
     a0, a1, a2 = model.a0, model.a1, model.a2
     psi, yrow = a0 + a1, x0 @ model.b0
     heads, ups = [], [None]
@@ -443,7 +444,7 @@ def _lu_steps(model: QbdModel, x0):
                 # the roundoff one step leaves in U, relative to U
                 floor = ROUNDOFF_FLOOR * len(psi) * _EPS * inf_norm(psi) * inf_norm(minv)
                 if change <= floor * inf_norm(up):
-                    return heads, ups, up, minv
+                    return heads, ups, up, a0 @ minv
         ups.append(up)
         yrow = heads[-1] @ a0
         psi = a1 + up @ a0
@@ -454,14 +455,21 @@ def _deep_sum(step, up):
     """Y = sum_{j>=1} N^j U^j for N = `step`, U = `up`, by Smith's doubling
     on Y = N U + N Y U: Y <- Y + N^(2^i) Y U^(2^i) doubles the terms covered.
     Every entry is a sum of nonnegative products, so no digits cancel; the
-    doubling stops once the added terms are below roundoff entrywise."""
+    doubling stops once the added terms are below roundoff entrywise.  The
+    products go in place into five m x m blocks, Y among them, however many
+    doublings it takes, since tails_lu holds its up-blocks meanwhile."""
     y = step @ up
+    step, up = step.copy(), up.copy()
+    term, spare = np.empty_like(y), np.empty_like(y)
     for _ in range(MAX_DOUBLINGS):
-        term = step @ y @ up
-        y = y + term
-        if (term <= _EPS * y).all():
+        np.matmul(np.matmul(step, y, out=spare), up, out=term)
+        y += term
+        if (term <= np.multiply(_EPS, y, out=spare)).all():
             return y
-        step, up = step @ step, up @ up
+        np.matmul(step, step, out=spare)
+        step, spare = spare, step
+        np.matmul(up, up, out=spare)
+        up, spare = spare, up
     raise Unstable(
         f"lu deep terms N^j U^j did not shrink in {MAX_DOUBLINGS} doublings: "
         "their ratio is not below 1"
@@ -495,19 +503,21 @@ def tails_lu(model: QbdModel, x0, levels: int) -> TailSeries:
     The report's `terms` is max(levels, s).
     """
     x0 = np.asarray(x0, dtype=float)
-    heads, ups, up, minv = _lu_steps(model, x0)
+    heads, ups, up, step = _lu_steps(model, x0)
     settle = len(heads) - 1
-    step = model.a0 @ minv
     deep = _deep_sum(step, up)
-    pis = np.empty((levels, len(up)))
-    if levels > settle:
-        # e_{s+i} = e_s N^i, and e_{s+i} (I + Y) is pi_{s+1+i}
-        settled = _powers(heads[settle], step, levels - settle)
-        np.matmul(settled, deep, out=pis[settle:])
-        pis[settle:] += settled
+    pis = np.empty((levels, len(step)))
     tail = heads[settle] @ deep
     for j in range(settle, 0, -1):
         tail = (heads[j] + tail) @ ups[j]
         if j <= levels:
             pis[j - 1] = heads[j - 1] + tail
+    head = heads[settle]
+    # the sweep is done with the up-blocks: the settled rows below need the room
+    del heads, ups, up
+    if levels > settle:
+        # e_{s+i} = e_s N^i, and e_{s+i} (I + Y) is pi_{s+1+i}
+        settled = _powers(head, step, levels - settle)
+        np.matmul(settled, deep, out=pis[settle:])
+        pis[settle:] += settled
     return TailSeries(pis, x0, method="lu-rg", truncation_report={"terms": max(levels, settle)})

@@ -3,6 +3,7 @@
 import inspect
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -535,9 +536,8 @@ def test_lu_route_refuses_up_blocks_that_do_not_settle(draw):
 def _lu_by_full_sweep(model, x0, levels):
     """The lu tails by the backward sweep over every level to
     top = max(levels, s), the heads past s extended one product at a time."""
-    heads, ups, up, minv = qbd._lu_steps(model, x0)
+    heads, ups, up, step = qbd._lu_steps(model, x0)
     top = max(levels, len(heads) - 1)
-    step = model.a0 @ minv
     while len(heads) <= top:
         heads.append(heads[-1] @ step)
         ups.append(up)
@@ -564,3 +564,27 @@ def test_lu_closed_form_matches_the_full_backward_sweep(name, levels):
     got = tails_lu(model, x0, levels)
     want = _lu_by_full_sweep(model, x0, levels)
     assert np.max(np.abs(got.rows(1, levels) - want) / want) < 1e-14
+
+
+@pytest.mark.parametrize("levels", [5, 100])
+def test_lu_route_holds_its_up_blocks_and_a_few_more(levels):
+    """The lu pass keeps its s up-blocks for the backward sweep; besides
+    them it peaks at eight m x m blocks on a 32-phase chain (s = 11 here),
+    since the deep sum works in five scratch blocks and the settled rows
+    are built after the sweep has let the up-blocks go.  Holding the
+    up-blocks through the settled rows peaked at s + 12.8 blocks."""
+    rng = np.random.default_rng(3)
+    rates = rng.uniform(0.2, 1.0, size=(32, 32))
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    model = modulated_mm1(0.9, rates)
+    x0 = solve_tails(model, 1, method="mg").x0
+    settle = len(qbd._lu_steps(model, x0)[0]) - 1
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tails_lu(model, x0, levels)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < (settle + 9) * rates.nbytes
