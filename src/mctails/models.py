@@ -15,9 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StepUnstable, Unstable, ValidationError
+from .errors import SizeLimit, StepUnstable, Unstable, ValidationError
 from .ldqbd import LdQbdModel
 from .matkernel import _ByValue, _ReadOnly, inf_norm
+from .oracle import MAX_CELLS
 from .qbd import QbdModel
 from .series import TailSeries, _check_levels, _from_levels, _powers
 
@@ -131,12 +132,19 @@ def retrial_tails(params: RetrialParams, levels: int) -> TailSeries:
     q_N = rho (1 + lam/((N+1) theta)), which falls toward rho, so the rows
     stop at the first N >= levels where q_N < 1 and x_N q_N/(1 - q_N) is
     below machine epsilon times the sum of rows levels..N in each phase.
+    An N0 = ceil(lam rho / ((1 - rho) theta)), where q_N first falls below
+    1, past the levels a band of MAX_CELLS cells holds raises SizeLimit.
     """
     _check_levels(levels, 0)
     lam, mu, theta = params.lam, params.mu, params.theta
     rho = params.rho
     if rho >= 1.0:
         raise Unstable(f"utilization {rho} is not below 1")
+    # 14 band cells a level: 2 states, 2 (2 + 2 - 1) + 1 cells wide
+    climb = lam * rho / ((1.0 - rho) * theta)
+    if climb > MAX_CELLS // 14:
+        raise SizeLimit(f"retrial rows climb to level {climb:.3g}, past the "
+                        f"{MAX_CELLS // 14} levels a band of {MAX_CELLS} cells holds")
     eps = np.finfo(float).eps
     busy, idle = [rho], [1.0]
     deep_busy = deep_idle = 0.0

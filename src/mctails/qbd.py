@@ -16,11 +16,10 @@ matrix R from it, the boundary stationary pair (x0, x1) by censoring level
 0 on itself, and tail vectors pi_k (mass at level k or above) by three
 routes: matrix-geometric accumulation, a UL-type factorization of the level-shifted
 generator, and a LU-type forward factorization whose measures vary by level.
-boundary_solve checks that R is stable and returns it with the pair and the
-censored level-1 block Phi0; the routes read them from that solution and do
-not check them again.  A QBD is the simplest chain of GI/M/1 type, and
-skipfree.gim1_stationary returns the same BoundarySolution, so the
-matrix-geometric and UL routes here serve both kinds.
+A QBD is the simplest chain of GI/M/1 type, so _censored_boundary solves
+the boundary of both (boundary_solve, skipfree.gim1_stationary) and checks
+R's stability; the mg and UL routes here read its BoundarySolution for
+both kinds and check nothing again.
 """
 
 from __future__ import annotations
@@ -263,14 +262,14 @@ class RateSolveResult(NamedTuple):
 
 class BoundarySolution(NamedTuple):
     """The boundary pair (x0, x1), the rate matrix R they were solved with,
-    which has been checked for stability, and phi0, the generator block of
-    level 1 censored on itself: (A0 + A1) + R A2 for a QBD, and
-    (A0 + sum_{k>=1} R^{k-1} A_k) - I for a GI/M/1-type chain."""
+    checked for stability, phi0, the generator block of level 1 censored on
+    itself, and x0 B0, the flow up from level 0 (see _censored_boundary)."""
 
     x0: np.ndarray
     x1: np.ndarray
     r: np.ndarray
     phi0: np.ndarray
+    x0_b0: np.ndarray
 
 
 def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
@@ -381,25 +380,59 @@ def geometric_mass(r) -> np.ndarray:
 
 
 def boundary_solve(model: QbdModel, r) -> BoundarySolution:
-    """Boundary stationary pair (x0, x1) given the rate matrix R, which
-    geometric_mass checks for stability and the solution carries with the
-    censored level-1 block Phi0 = (A0 + A1) + R A2.
-
-    Level 1 balances when x1 = x0 R0, R0 = B0 (-(A1 + R A2))^{-1}; level 0
-    censored on itself then has the generator B1 + R0 B2, whose stationary
-    row (matkernel.stationary_row, by GTH) is x0 up to one scale.  Both
-    rows are scaled by 1 / (x0 e + x1 (I-R)^{-1} e), the mass of all levels.
-    """
+    """Boundary solution of a QBD given its rate matrix R: _censored_boundary
+    of the blocks (A0, A1, A2) and (B0, B1, B2)."""
     r = as_matrix(r, "R")
-    if not np.any(model.b0):
+    return _censored_boundary((model.a0, model.a1, model.a2),
+                              (model.b0, model.b1, model.b2), r)
+
+
+def _censored_boundary(a, b, r) -> BoundarySolution:
+    """Boundary solution of a GI/M/1-type chain, a QBD the simplest, from
+    its block lists A_k, B_k in generator form, laid out as skipfree draws
+    them, and R, which geometric_mass checks (Neuts 1981).  With
+    L = sum_{k>=1} R^{k-1} A_k and F = sum_{k>=2} R^{k-2} B_k (_horner),
+    level 1 balances when x1 = x0 R0, R0 = B0 (-L)^{-1}, and level 0
+    censored on itself has the generator B1 + R0 F, whose checked row
+    (_boundary_row) is x0 up to the scale 1 / (x0 e + x1 (I - R)^{-1} e).
+    Phi0 is A0 + L.  B0 = 0 raises Reducible."""
+    if not np.any(b[0]):
         raise Reducible("B0 = 0: no upward flow out of the boundary level")
     mass = geometric_mass(r)
-    entry = solve_xa(-(model.a1 + r @ model.a2), model.b0)
-    x0 = stationary_row(model.b1 + entry @ model.b2)
+    local = _horner(a[1:], r, left=True)[0]
+    entry = solve_xa(-local, b[0])
+    chain = b[1] + entry @ _horner(b[2:], r, left=True)[0] if len(b) > 2 else b[1]
+    x0 = _boundary_row(chain)
     x1 = x0 @ entry
     scale = 1.0 / (x0.sum() + x1 @ mass)
-    phi0 = (model.a0 + model.a1) + r @ model.a2
-    return BoundarySolution(_frozen(scale * x0), _frozen(scale * x1), _frozen(r), _frozen(phi0))
+    x0 = scale * x0
+    return BoundarySolution(_frozen(x0), _frozen(scale * x1), _frozen(r),
+                            _frozen(a[0] + local), _frozen(x0 @ b[0]))
+
+
+def _boundary_row(chain: np.ndarray) -> np.ndarray:
+    """Stationary row of a computed boundary generator, whose rows must sum
+    to 0 within 1e-6 max(1, its largest |diagonal| entry); a wider miss, or
+    a negative entry stationary_row refuses, is the solves' rounding and
+    raises SingularMatrix."""
+    miss = inf_norm(chain.sum(axis=1))
+    if miss > 1e-6 * max(1.0, inf_norm(chain.diagonal())):
+        raise SingularMatrix(f"censored boundary chain rows sum to 0 +/- {miss:.3e}")
+    try:
+        return stationary_row(chain)
+    except ValidationError as exc:
+        raise SingularMatrix(f"censored boundary chain: {exc}") from exc
+
+
+def _horner(blocks, p, left: bool = False) -> list:
+    """Every suffix sum H_i = sum_{j>=i} X_j P^{j-i} of the blocks X_j, or
+    sum_{j>=i} P^{j-i} X_j when left, by Horner's rule from the last block:
+    H_i = X_i + H_{i+1} P, one product per block.  The blocks may be
+    matrices or 1-d vectors."""
+    sums = list(blocks)
+    for i in range(len(sums) - 2, -1, -1):
+        sums[i] = sums[i] + (p @ sums[i + 1] if left else sums[i + 1] @ p)
+    return sums
 
 
 def tails_matrix_geometric(boundary: BoundarySolution, levels: int) -> TailSeries:
@@ -409,17 +442,16 @@ def tails_matrix_geometric(boundary: BoundarySolution, levels: int) -> TailSerie
     return TailSeries(_powers(head, r, levels), boundary.x0, method="matrix-geometric")
 
 
-def tails_ul(b0, boundary: BoundarySolution, levels: int) -> TailSeries:
+def tails_ul(boundary: BoundarySolution, levels: int) -> TailSeries:
     """Tails from the UL factorization of the level-shifted generator.
 
     With Phi0 the censored level-1 block of `boundary`, a QBD's or a
     GI/M/1-type chain's (see BoundarySolution), pi_1 = x0 B0 (-Phi0)^{-1}
-    and pi_k = pi_1 R^{k-1}, where B0 is the block from level 0 up to
-    level 1.  The head equals the matrix-geometric
-    one, x1 (I-R)^{-1}, in exact arithmetic; the two routes reach it by
+    and pi_k = pi_1 R^{k-1}.  The head equals the matrix-geometric one,
+    x1 (I-R)^{-1}, in exact arithmetic; the two routes reach it by
     different solves.
     """
-    head = solve_xa(-boundary.phi0, boundary.x0 @ b0)
+    head = solve_xa(-boundary.phi0, boundary.x0_b0)
     return TailSeries(_powers(head, boundary.r, levels), boundary.x0, method="ul-rg")
 
 

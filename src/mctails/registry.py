@@ -94,7 +94,7 @@ def _qbd_mg(model, stage, levels):
 
 
 def _qbd_ul(model, stage, levels):
-    return qbd.tails_ul(model.payload.b0, stage, levels)
+    return qbd.tails_ul(stage, levels)
 
 
 def _qbd_lu(model, stage, levels):
@@ -107,10 +107,6 @@ def _ldqbd_product(model, stage, levels):
 
 def _ldqbd_lu(model, stage, levels):
     return ldqbd.tails_lu_ld(model.payload, stage, levels)
-
-
-def _gim1_ul(model, stage, levels):
-    return qbd.tails_ul(model.payload.b_blocks[0], stage, levels)
 
 
 def _mg1_iterative(model, stage, levels):
@@ -164,7 +160,7 @@ REGISTRY = {
                   ldqbd.LdQbdModel, _ldqbd_stage,
                   {"product": _ldqbd_product, "lu": _ldqbd_lu}, _payload),
     "gim1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "GIM1"),
-                 _gim1_stage, {"mg": _qbd_mg, "ul": _gim1_ul}, _payload),
+                 _gim1_stage, {"mg": _qbd_mg, "ul": _qbd_ul}, _payload),
     "mg1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "MG1"),
                 _mg1_stage, {"iterative": _mg1_iterative, "ul": _mg1_ul}, _payload),
     "retrial": Kind("params", dict.fromkeys(("lam", "mu", "theta"), "number"),

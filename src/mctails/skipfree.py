@@ -24,21 +24,17 @@ balance re-check of both stationary solvers forms x K one stacked product
 per block, and _place_a lays out the A blocks of the grouped QBD of the
 R/G solve.  Only the oracle assembles a band (matkernel.Band), through
 truncated_kernel, which lays the same moves out by level, the A blocks
-by _place_a too.  The GI/M/1 side has a
-matrix-geometric stationary vector driven by the minimal solution of
-R = sum_k R^k A_k.  A QBD is the GI/M/1 chain with A_k = 0 for k >= 3, so
-gim1_stationary returns the qbd.BoundarySolution a QBD's boundary solve
-does, with level 1 censored on itself as its Phi0, and the QBD's
-matrix-geometric and UL routes (qbd.tails_matrix_geometric, qbd.tails_ul)
-give its tails.  The M/G/1 side rests on the first-passage matrix
-G = sum_k A_k G^k and visit-count blocks fed into a forward recursion, a
-power series in their companion matrix past the boundary (_forward_rows).  Seen
-max(1, len(A) - 2) levels at a time either chain is a QBD, and R and G are
-blocks of that QBD's matrices from qbd.solve_R and qbd.solve_G.  One
-Horner rule (_horner) evaluates every block power series of both sides,
-sum_k R^{k-1} A_k, sum_k A_k G^{k-1} and the visit-block sums alike, one
-product per block.  Both stationary solvers take the stationary row of a
-censored boundary chain (_boundary_row) and re-check balance on a window of
+by _place_a too.  The GI/M/1 side has a matrix-geometric stationary
+vector driven by the minimal solution of R = sum_k R^k A_k; a QBD is the
+GI/M/1 chain with A_k = 0 for k >= 3, so both share one boundary
+(qbd._censored_boundary) and the QBD's mg and ul routes.  The M/G/1 side
+rests on the first-passage matrix G = sum_k A_k G^k and visit-count blocks
+fed into a forward recursion, a power series in their companion matrix
+past the boundary (_forward_rows).  Seen max(1, len(A) - 2) levels at a
+time either chain is a QBD, and R and G are blocks of that QBD's matrices
+from qbd.solve_R and qbd.solve_G.  qbd._horner evaluates every block power
+series of both sides, one product per block; every censored boundary row
+passes qbd._boundary_row, and both stages re-check balance on a window of
 levels (_check_balance).
 """
 
@@ -64,9 +60,17 @@ from .matkernel import (
     mean_drift,
     solve_linear,
     solve_xa,
-    stationary_row,
 )
-from .qbd import ROWSUM_TOL, BoundarySolution, RateSolveResult, geometric_mass, solve_G, solve_R
+from .qbd import (
+    ROWSUM_TOL,
+    BoundarySolution,
+    RateSolveResult,
+    _boundary_row,
+    _censored_boundary,
+    _horner,
+    solve_G,
+    solve_R,
+)
 from .series import TailSeries, _from_levels, _powers, _suffix_sums
 
 
@@ -288,45 +292,20 @@ def solve_G_series(a_blocks, tol: float = 1e-12) -> RateSolveResult:
 
 def gim1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> BoundarySolution:
     """Boundary solution of a positive recurrent GI/M/1-type chain, the
-    qbd.BoundarySolution that qbd.boundary_solve gives a QBD.
-
-    The censored boundary chain is B_1 + R_1 sum_k R^{k-1} B_{k+1} with entry
-    block R_1 = B_0 (I - sum_{k>=1} R^{k-1} A_k)^{-1}; its stationary
-    vector, scaled by the mass of the matrix-geometric levels above, gives
-    x0, and x1 = x0 R_1.  Level 1 censored on itself has the kernel
-    A_0 + sum_{k>=1} R^{k-1} A_k, and phi0 is that kernel minus I.  A
-    balance miss beyond 1e-8 on a window of levels raises SingularMatrix.
+    qbd.BoundarySolution that qbd.boundary_solve gives a QBD, by the same
+    censoring of level 0 (qbd._censored_boundary) on the blocks in
+    generator form: (A_0, A_1 - I, A_2, ...) and (B_0, B_1 - I, B_2, ...).
+    So phi0 is A_0 + sum_{k>=1} R^{k-1} A_k - I, level 1 censored on itself.
+    A balance miss beyond 1e-8 on a window of levels raises SingularMatrix.
     """
     if model.kind != "GIM1":
         raise ValidationError("gim1_stationary needs a GIM1 model")
     a, b = model.a_blocks, model.b_blocks
-    if not np.any(b[0]):
-        raise Reducible("B0 = 0: boundary cannot reach the repeating levels")
-    solved = solve_R_series(a, tol=tol)
-    r = solved.matrix
-    level_mass = geometric_mass(r)
-    m = model.m
-    eye = np.eye(m)
-    visit = _horner(a[1:], r, left=True)[0]
-    entry = solve_xa(eye - visit, b[0])
-    folded = _horner(b[2:], r, left=True)[0] if len(b) > 2 else np.zeros((m, model.m0))
-    y0 = _boundary_row(b[1] + entry @ folded)
-    mass = float((y0 @ entry) @ level_mass)
-    x0 = (1.0 / (1.0 + mass)) * y0
-    x1 = x0 @ entry
-    _check_balance(model, x0, _powers(x1, r, _balance_window(model) - 1))
-    return BoundarySolution(_frozen(x0), _frozen(x1), r, _frozen((a[0] + visit) - eye))
-
-
-def _horner(blocks, p, left: bool = False) -> list:
-    """Every suffix sum H_i = sum_{j>=i} X_j P^{j-i} of the blocks X_j, or
-    sum_{j>=i} P^{j-i} X_j when left, by Horner's rule from the last block:
-    H_i = X_i + H_{i+1} P, one product per block.  The blocks may be
-    matrices or 1-d vectors."""
-    sums = list(blocks)
-    for i in range(len(sums) - 2, -1, -1):
-        sums[i] = sums[i] + (p @ sums[i + 1] if left else sums[i + 1] @ p)
-    return sums
+    r = solve_R_series(a, tol=tol).matrix
+    solved = _censored_boundary((a[0], a[1] - np.eye(model.m), *a[2:]),
+                                (b[0], b[1] - np.eye(model.m0), *b[2:]), r)
+    _check_balance(model, solved.x0, _powers(solved.x1, r, _balance_window(model) - 1))
+    return solved
 
 
 def _visit_blocks(sums: list, kernel: np.ndarray) -> list:
@@ -393,22 +372,6 @@ def _check_balance(model: SkipFreeModel, x0, rows) -> None:
         raise SingularMatrix(f"stationary rows miss balance by {resid:.3e}")
 
 
-def _boundary_row(boundary_chain: np.ndarray) -> np.ndarray:
-    """Stationary row of a censored boundary chain, whose rows must sum to
-    one within 1e-6; a wider miss raises SingularMatrix.  The chain is
-    computed, so a negative entry that stationary_row refuses is the
-    solves' rounding, and raises SingularMatrix too."""
-    stochastic_err = inf_norm(boundary_chain.sum(axis=1) - 1.0)
-    if stochastic_err > 1e-6:
-        raise SingularMatrix(
-            f"censored boundary chain rows sum to 1 +/- {stochastic_err:.3e}"
-        )
-    try:
-        return stationary_row(boundary_chain, continuous=False)
-    except ValidationError as exc:
-        raise SingularMatrix(f"censored boundary chain: {exc}") from exc
-
-
 def _mg1_row(head, rows, first, blocks, k: int) -> np.ndarray:
     """head first[k-1] + sum_{0<i<k} rows[i-1] blocks[k-i-1], blocks past
     either list zero: on the visit blocks, row k of the forward recursion
@@ -442,11 +405,12 @@ def _forward_rows(head, first, blocks, rows, sources=()) -> None:
 def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     """Boundary row and visit measures of a positive recurrent M/G/1-type chain.
 
-    Censoring on the boundary through first passages gives the stochastic
-    boundary chain with stationary row y0; the forward recursion then builds
-    unnormalized rows v_k = y0 V0_k + sum_{0<i<k} v_i V_{k-i} out of the visit
-    blocks V0_j = (sum_{l>=j} B_{l+1} G^{l-j})(I - kernel)^{-1} and
-    V_d = (sum_{l>=d} A_{l+1} G^{l-d})(I - kernel)^{-1}.  Summing the
+    The forward recursion builds unnormalized rows
+    v_k = y0 V0_k + sum_{0<i<k} v_i V_{k-i} out of the visit blocks
+    V0_j = (sum_{l>=j} B_{l+1} G^{l-j})(I - kernel)^{-1} and
+    V_d = (sum_{l>=d} A_{l+1} G^{l-d})(I - kernel)^{-1}, and y0 is the
+    stationary row of the boundary censored through first passages, the
+    generator B_1 - I + V0_1 B_0 (qbd._boundary_row).  Summing the
     recursion over k gives the normalizer in closed form (Ramaswami 1988):
     tau = 1 / (y0 e + y0 W0 (I - W)^{-1} e) with W0 = sum_j V0_j and
     W = sum_d V_d.  I - W turns singular as the drift goes to 0, and where
@@ -470,10 +434,9 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
     eye = np.eye(m)
     kernel, *above = _horner(a[1:], g)
     boundary_sums = _horner(b[2:], g)
-    boundary_passage = solve_linear(eye - kernel, b[0])
-    y0 = _boundary_row(b[1] + boundary_sums[0] @ boundary_passage)
     blocks = _visit_blocks([*boundary_sums, *above], kernel)
     from_boundary, between = blocks[:len(boundary_sums)], blocks[len(boundary_sums):]
+    y0 = _boundary_row((b[1] - np.eye(m0)) + from_boundary[0] @ b[0])
     w0 = sum(from_boundary, np.zeros((m0, m)))
     w = sum(between, np.zeros((m, m)))
     try:

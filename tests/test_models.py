@@ -5,13 +5,14 @@ import json
 import math
 import pathlib
 import pickle
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mctails import models, registry, solve_tails
-from mctails.errors import Unstable, ValidationError
+from mctails.errors import SizeLimit, Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm
 from mctails.models import (
@@ -111,6 +112,16 @@ def test_closed_forms_refuse_a_bad_level_count(closed_form, levels):
 def test_retrial_overload_is_refused():
     with pytest.raises(Unstable):
         retrial_tails(RetrialParams(3.0, 2.0, 1.0), 4)
+
+
+@pytest.mark.parametrize("theta", [1e-8, 3.4e-6], ids=["1e-8", "past-the-budget"])
+def test_a_retrial_too_slow_for_any_oracle_band_is_refused_at_once(theta):
+    """At half load the rows climb to level 1/theta before they fall; past
+    the 285,714 levels a band of MAX_CELLS cells holds, no row is built."""
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match=r"^retrial rows climb to level .* past the 285714 levels"):
+        retrial_tails(RetrialParams(1.0, 2.0, theta), 20)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_retrial_fast_retrials_recover_the_simple_queue():

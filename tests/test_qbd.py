@@ -11,7 +11,7 @@ import pytest
 
 from mctails import matkernel, qbd, solve_tails
 from mctails.cli import load_model_file
-from mctails.errors import NoConvergence, Reducible, Unstable, ValidationError
+from mctails.errors import NoConvergence, Reducible, SingularMatrix, Unstable, ValidationError
 from mctails.ldqbd import LdQbdModel
 from mctails.matkernel import inf_norm, inverse, stationary_row
 from mctails.oracle import truncate_and_solve
@@ -338,6 +338,21 @@ def test_boundary_solve_takes_a_rate_matrix_with_roundoff_below_zero():
     assert inf_norm(got.x1 - exact.x1) < 1e-15
 
 
+@pytest.mark.parametrize("rate,refused", [(1e6, False), (1.0, True)],
+                         ids=["rates-1e6", "unit-rates"])
+def test_boundary_row_sums_are_gated_relative_to_the_rates(rate, refused):
+    """A censored boundary chain whose row misses zero by 1e-4 passes at
+    rates near 1e6, where that is rounding of the rates, and is refused at
+    unit rates."""
+    chain = np.array([[-rate, rate + 1e-4], [rate, -rate]])
+    if refused:
+        with pytest.raises(SingularMatrix, match="^censored boundary chain rows sum to 0"):
+            qbd._boundary_row(chain)
+    else:
+        x0 = qbd._boundary_row(chain)
+        assert np.allclose(x0, [0.5, 0.5], rtol=1e-9, atol=0.0)
+
+
 def test_tail_levels_decrease_and_balance_total_mass():
     series = solve_tails(TWOPHASE, 30, method="mg")
     for k in range(1, 30):
@@ -350,7 +365,7 @@ def test_ul_and_geometric_heads_agree():
     matrix-geometric one by a different solve."""
     r = solve_R(TWOPHASE.a0, TWOPHASE.a1, TWOPHASE.a2).matrix
     boundary = boundary_solve(TWOPHASE, r)
-    ul = tails_ul(TWOPHASE.b0, boundary, 10)
+    ul = tails_ul(boundary, 10)
     mg = tails_matrix_geometric(boundary, 10)
     assert inf_norm(ul.level(1) - mg.level(1)) < 1e-8
     assert ul.truncation_report == {}
@@ -368,8 +383,8 @@ def test_geometric_route_accepts_explicit_head():
     """The boundary solution of MM1 written out: both routes that read it
     give the tails 0.5^k."""
     boundary = BoundarySolution(np.array([0.5]), np.array([0.25]), np.array([[0.5]]),
-                                np.array([[-1.0]]))
-    for series in (tails_matrix_geometric(boundary, 5), tails_ul(MM1.b0, boundary, 5)):
+                                np.array([[-1.0]]), np.array([0.5]))
+    for series in (tails_matrix_geometric(boundary, 5), tails_ul(boundary, 5)):
         assert abs(float(series.level(1)[0]) - 0.5) < 1e-12
         assert abs(float(series.level(5)[0]) - 0.03125) < 1e-12
 

@@ -162,20 +162,45 @@ def test_gim1_uniformized_birth_death_is_geometric():
 
 
 def test_gim1_boundary_without_entry_is_reducible():
+    """B0 = 0 is refused by the boundary that a QBD's solve shares."""
     model = SkipFreeModel(
         "GIM1",
         [[[0.3]], [[0.3]], [[0.4]]],
         [[[0.0]], [[1.0]], [[0.4]]],
     )
-    with pytest.raises(Reducible):
+    with pytest.raises(Reducible, match="^B0 = 0: no upward flow out of the boundary level$"):
         gim1_stationary(model)
+
+
+def _uniformized(chain):
+    """The QBD `chain` as the GI/M/1-type kernel of its uniformization at
+    c = 1.05 times its largest |diagonal| entry."""
+    c = 1.05 * max(np.abs(np.diagonal(blk)).max() for blk in (chain.a1, chain.b1))
+    return SkipFreeModel("GIM1",
+                         [chain.a0 / c, np.eye(chain.m) + chain.a1 / c, chain.a2 / c],
+                         [chain.b0 / c, np.eye(chain.m0) + chain.b1 / c, chain.b2 / c])
+
+
+@pytest.mark.parametrize("name", ["mm1.json", "qbd22.json", "vacation.json", "repairable.json"])
+def test_a_qbd_is_its_uniformized_gim1_chain(name):
+    """Uniformized, a QBD is a chain of GI/M/1 type with the same law, and
+    both run through the one censored boundary: the mg and ul x0 and tails
+    agree within 1e-13 relative at levels 1..60."""
+    model = load_model_file(FILES / name)
+    chain = registry.REGISTRY[model.kind].chain(model.payload, 60)
+    for method in ("mg", "ul"):
+        want = solve_tails(chain, 60, method=method)
+        got = solve_tails(_uniformized(chain), 60, method=method)
+        assert np.all(np.abs(got.x0 - want.x0) <= 1e-13 * np.abs(want.x0)), (method, got.x0)
+        a, b = got.rows(1, 60), want.rows(1, 60)
+        assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (method, np.max(np.abs(a - b) / b))
 
 
 def test_gim1_routes_agree():
     for model in (GIM1_SCALAR, GIM1_PHASED):
         boundary = gim1_stationary(model)
         mg = tails_matrix_geometric(boundary, 12)
-        ul = tails_ul(model.b_blocks[0], boundary, 12)
+        ul = tails_ul(boundary, 12)
         gap = max(inf_norm(mg.level(k) - ul.level(k)) for k in range(1, 13))
         assert gap < 1e-9
 
@@ -540,7 +565,7 @@ def test_horner_gives_every_suffix_power_sum(left, rows):
         m = int(rng.integers(1, 6))
         p = rng.dirichlet(np.ones(m), size=m) * rng.uniform(0.1, 1.0)
         blocks = list(rng.uniform(0.0, 1.0, size=(count, m) if rows else (count, m, m)))
-        got = skipfree._horner(blocks, p, left=left)
+        got = qbd._horner(blocks, p, left=left)
         assert len(got) == count
         for i in range(count):
             want = sum(
@@ -549,7 +574,7 @@ def test_horner_gives_every_suffix_power_sum(left, rows):
                 for j in range(i, count)
             )
             assert np.all(np.abs(got[i] - want) <= 1e-14 * np.abs(want)), (i, got[i], want)
-    assert skipfree._horner([], np.eye(2)) == []
+    assert qbd._horner([], np.eye(2)) == []
 
 
 def _visit_blocks_one_by_one(shifted, g, kernel):
@@ -578,7 +603,7 @@ def test_stacked_visit_blocks_are_the_block_by_block_ones_bit_for_bit(model):
     a, b = model.a_blocks, model.b_blocks
     row = np.random.default_rng(3).random(model.m)
     for lists in ([b[2:]], [a[2:]], [_suffix_sums(a)[2:]], [b[2:], a[2:]]):
-        got = skipfree._visit_blocks([s for shifted in lists for s in skipfree._horner(shifted, g)],
+        got = skipfree._visit_blocks([s for shifted in lists for s in qbd._horner(shifted, g)],
                                      kernel)
         want = [y for shifted in lists for y in _visit_blocks_one_by_one(shifted, g, kernel)]
         assert len(got) == len(want) == sum(map(len, lists))
@@ -587,15 +612,15 @@ def test_stacked_visit_blocks_are_the_block_by_block_ones_bit_for_bit(model):
 
 
 def test_mg1_stage_and_ul_route_solve_each_coefficient_matrix_once(count_calls):
-    """On mg1.json the stage makes two direct solves, the boundary passage
-    and the normalizer, and one solve_xa for the boundary and the level
-    visit blocks together; the ul route makes one for its level-1 head and
-    one for its shifted visit blocks and the sources of its levels
-    2..len(B) - 1 together."""
+    """On mg1.json the stage makes one direct solve, the normalizer's, and
+    one solve_xa for the boundary and the level visit blocks together, whose
+    first boundary block also censors the boundary chain; the ul route makes
+    one for its level-1 head and one for its shifted visit blocks and the
+    sources of its levels 2..len(B) - 1 together."""
     kernel_calls, skipfree_calls = (count_calls(module, "solve_linear")
                                     for module in (matkernel, skipfree))
     mg1_ul_tails(MG1_FILE, mg1_stationary(MG1_FILE), 20)
-    assert (len(kernel_calls), len(skipfree_calls)) == (3, 2)
+    assert (len(kernel_calls), len(skipfree_calls)) == (3, 1)
 
 
 def _rows_one_at_a_time(head, first, blocks, count, sources=()):
@@ -714,14 +739,18 @@ def test_mg1_near_zero_drift_refuses_the_normalizer_as_near_critical():
     assert isinstance(caught.value.__cause__, SingularMatrix)
 
 
-def test_a_computed_boundary_chain_with_a_negative_entry_is_singular():
+@pytest.mark.parametrize("chain", [
+    np.array([[1.0 + 1e-10, -1e-10], [0.5, 0.5]]) - np.eye(2),
+    np.array([[-2.0, 2.0 + 1e-10, -1e-10], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]]),
+], ids=["kernel-minus-identity", "generator"])
+def test_a_computed_boundary_chain_with_a_negative_entry_is_singular(chain):
     """The censored boundary chain comes out of solves, so an entry below
     zero beyond stationary_row's roundoff allowance is their rounding: it
-    raises SingularMatrix naming the chain, not ValidationError."""
-    chain = np.array([[1.0 + 1e-10, -1e-10], [0.5, 0.5]])
+    raises SingularMatrix naming the chain, not ValidationError.  The chain
+    is a generator, a skip-free kernel minus I or a QBD's rates."""
     with pytest.raises(SingularMatrix, match="^censored boundary chain: stationary_row: "
                                              "negative off-diagonal entry -1.000e-10$") as caught:
-        skipfree._boundary_row(chain)
+        qbd._boundary_row(chain)
     assert isinstance(caught.value.__cause__, ValidationError)
 
 
