@@ -39,6 +39,7 @@ from .errors import (
 from .matkernel import (
     _EPS,
     _frozen,
+    _guarded_solve,
     _ReadOnly,
     as_matrix,
     inf_norm,
@@ -303,32 +304,50 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     residual of the unshifted equation below 10 tol, and raises
     NoConvergence after MAX_DOUBLINGS steps.
     """
-    return _reduce(as_matrix(a0, "A0"), as_matrix(a1, "A1"), as_matrix(a2, "A2"), tol)
+    return _reduce(_block(a0, "A0"), _block(a1, "A1"), _block(a2, "A2"), tol)
+
+
+def _block(a, name: str) -> np.ndarray:
+    """`a` itself if it is a finite 2-d float64 array, as a model's blocks
+    are, since the R and G solves only read it; else as_matrix's copy."""
+    plain = type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 2 and a.size
+    return a if plain and np.isfinite(a).all() else as_matrix(a, name)
 
 
 def _reduce(a0, a1, a2, tol: float) -> RateSolveResult:
-    """The reduction of solve_G on blocks as_matrix has coerced."""
+    """The reduction of solve_G on finite 2-d float64 blocks, which it only
+    reads.  It holds about a dozen m x m blocks at any step count: every
+    step writes into the same blocks and one right-hand side [U^2 | D^2 | I],
+    which the guarded LAPACK call reads as it is."""
     m = len(a1)
     shift = np.zeros((m, m))
     phases = a0 + a1 + a2
     conservative = not _rowsum_defect(phases.sum(axis=1), a1).any()
     drift = mean_drift(phases, a0.sum(axis=1) - a2.sum(axis=1)) if conservative else None
+    del phases
     if drift is not None and drift < 0.0:
         shift[:] = 1.0 / m
-    both = solve_linear(-(a1 + a0 @ shift), np.concatenate((a0, a2 - a2 @ shift), axis=1))
-    up, down = both[:, :m], both[:, m:]
-    g = down
-    climb = up
+    rhs = np.concatenate((a0, a2 - a2 @ shift, np.eye(m)), axis=1)
+    both = _guarded_solve(-(a1 + a0 @ shift), rhs)
+    g, climb = both[:, m:2 * m].copy(), both[:, :m].copy()
+    stay, prod, term = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
     # the next solve's guard refuses an overflowed step; a warning would only precede it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for step in range(1, MAX_DOUBLINGS + 1):
-                stay = np.eye(m) - up @ down - down @ up
-                both = solve_linear(stay, np.concatenate((up @ up, down @ down), axis=1))
-                up, down = both[:, :m], both[:, m:]
-                term = climb @ down
-                g = g + term
-                climb = climb @ up
+                up, down = both[:, :m], both[:, m:2 * m]
+                # stay = (I - U D) - D U, I the last block of rhs, then U^2 | D^2
+                np.matmul(up, down, out=prod)
+                np.subtract(rhs[:, 2 * m:], prod, out=stay)
+                stay -= np.matmul(down, up, out=prod)
+                np.matmul(up, up, out=rhs[:, :m])
+                np.matmul(down, down, out=rhs[:, m:2 * m])
+                del up, down, both  # the solve below takes their room
+                both = _guarded_solve(stay, rhs)
+                np.matmul(climb, both[:, m:2 * m], out=term)
+                g += term
+                np.matmul(climb, both[:, :m], out=prod)
+                climb, prod = prod, climb
                 if inf_norm(term) < tol:
                     passage = g + shift
                     residual = inf_norm(a0 @ passage @ passage + a1 @ passage + a2)
@@ -345,13 +364,11 @@ def _reduce(a0, a1, a2, tol: float) -> RateSolveResult:
 def solve_R(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     """Minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0.
 
-    R = A0 (-(A1 + A0 G))^{-1} with G from solve_G's reduction, run on the
-    blocks as_matrix coerced here, once; iterations are its reduction
-    steps, and the residual is that of the R equation.
+    R = A0 (-(A1 + A0 G))^{-1} with G from solve_G's reduction, run once on
+    the blocks, uncopied where they are finite float64 arrays (_block);
+    iterations are its reduction steps, and the residual is that of R's.
     """
-    a0 = as_matrix(a0, "A0")
-    a1 = as_matrix(a1, "A1")
-    a2 = as_matrix(a2, "A2")
+    a0, a1, a2 = _block(a0, "A0"), _block(a1, "A1"), _block(a2, "A2")
     solved = _reduce(a0, a1, a2, tol)
     r = solve_xa(-(a1 + a0 @ solved.matrix), a0)
     residual = inf_norm(a0 + r @ a1 + r @ r @ a2)
@@ -461,11 +478,11 @@ def _lu_steps(model: QbdModel, x0):
     [None, U_1, ..., U_s], and the settled U = A2 M_s and N = A0 M_s (see
     tails_lu)."""
     a0, a1, a2 = model.a0, model.a1, model.a2
-    psi, yrow = a0 + a1, x0 @ model.b0
+    psi, yrow = -(a0 + a1), x0 @ model.b0  # psi is -Psi_k, inverted as it is
     heads, ups = [], [None]
     change = math.inf
     for _ in range(MAX_LU_STEPS):
-        minv = inverse(-psi)
+        minv = inverse(psi)
         if minv.min() < -1e-9:
             raise SingularMatrix(f"level {len(heads)}: measure inverse is not nonnegative")
         heads.append(yrow @ minv)
@@ -479,7 +496,7 @@ def _lu_steps(model: QbdModel, x0):
                     return heads, ups, up, a0 @ minv
         ups.append(up)
         yrow = heads[-1] @ a0
-        psi = a1 + up @ a0
+        psi = -(a1 + up @ a0)
     raise NoConvergence(f"lu up-blocks did not settle in {MAX_LU_STEPS} steps")
 
 
@@ -487,16 +504,16 @@ def _deep_sum(step, up):
     """Y = sum_{j>=1} N^j U^j for N = `step`, U = `up`, by Smith's doubling
     on Y = N U + N Y U: Y <- Y + N^(2^i) Y U^(2^i) doubles the terms covered.
     Every entry is a sum of nonnegative products, so no digits cancel; the
-    doubling stops once the added terms are below roundoff entrywise.  The
-    products go in place into five m x m blocks, Y among them, however many
-    doublings it takes, since tails_lu holds its up-blocks meanwhile."""
+    doubling stops once the added terms are below roundoff entrywise.  As
+    tails_lu holds its up-blocks meanwhile, the products go in place into U,
+    which it drops after this, and four more blocks, N's copy and Y among them."""
     y = step @ up
-    step, up = step.copy(), up.copy()
+    step = step.copy()
     term, spare = np.empty_like(y), np.empty_like(y)
     for _ in range(MAX_DOUBLINGS):
         np.matmul(np.matmul(step, y, out=spare), up, out=term)
         y += term
-        if (term <= np.multiply(_EPS, y, out=spare)).all():
+        if np.subtract(np.multiply(_EPS, y, out=spare), term, out=spare).min() >= 0.0:
             return y
         np.matmul(step, step, out=spare)
         step, spare = spare, step
@@ -538,6 +555,7 @@ def tails_lu(model: QbdModel, x0, levels: int) -> TailSeries:
     heads, ups, up, step = _lu_steps(model, x0)
     settle = len(heads) - 1
     deep = _deep_sum(step, up)
+    del up  # squared in place by the deep sum: the rows below need its room
     pis = np.empty((levels, len(step)))
     tail = heads[settle] @ deep
     for j in range(settle, 0, -1):
@@ -546,7 +564,7 @@ def tails_lu(model: QbdModel, x0, levels: int) -> TailSeries:
             pis[j - 1] = heads[j - 1] + tail
     head = heads[settle]
     # the sweep is done with the up-blocks: the settled rows below need the room
-    del heads, ups, up
+    del heads, ups
     if levels > settle:
         # e_{s+i} = e_s N^i, and e_{s+i} (I + Y) is pi_{s+1+i}
         settled = _powers(head, step, levels - settle)

@@ -46,8 +46,9 @@ class Kind(NamedTuple):
     its checked R; the routes trust it and check nothing again (None for
     the closed forms).  ``routes`` maps each route name to its function
     (model, stage, levels), the default first; ``chain`` is the function
-    (payload, levels) that builds the chain, exact to rounding at levels
-    0..levels, or None; ``family``, qbd or ldqbd, is its kind when its
+    (payload, levels, tails=None) that builds the chain, exact to rounding
+    at levels 0..levels, given the kind's own route tails there when
+    ``cross_check`` has solved them, or None; ``family``, qbd or ldqbd, is its kind when its
     routes solve the model too, which takes the whole chain at any depth.
     """
 
@@ -139,15 +140,16 @@ def _supermarket_closed(model, stage, levels):
 
 # --- chain builders: (payload, levels) to the chain of a model ----------
 
-def _payload(payload, levels):
+def _payload(payload, *_):
     return payload
 
 
-def _retrial_chain(params, levels):
+def _retrial_chain(params, levels, tails=None):
     """The retrial chain frozen at the level N >= `levels` where its product
-    route stops: past N every row weighs less than eps of the tails."""
-    terms = models.retrial_tails(params, levels).truncation_report["terms"]
-    return models.retrial_chain(params, terms)
+    route stops: past N every row weighs less than eps of the tails, read
+    off the product route's tails when `tails` holds them."""
+    product = (tails or {}).get("product") or models.retrial_tails(params, levels)
+    return models.retrial_chain(params, product.truncation_report["terms"])
 
 
 _SKIP_FREE = {"A": "matrices", "B": "matrices"}
@@ -168,14 +170,14 @@ REGISTRY = {
                     {"product": _retrial_product}, _retrial_chain),
     "mnmn1": Kind("params", dict.fromkeys(("arrival", "service"), "rate"),
                   None, None, {"closed": _mnmn1_closed},
-                  lambda rates, levels: models.mnmn1_chain(rates["arrival"], rates["service"]),
+                  lambda rates, *_: models.mnmn1_chain(rates["arrival"], rates["service"]),
                   "ldqbd"),
     "vacation": Kind("params", dict.fromkeys(("lam", "theta"), "number"),
                      models.VacationParams, None, {"closed": _vacation_closed},
-                     lambda params, levels: models.vacation_qbd(params), "qbd"),
+                     lambda params, *_: models.vacation_qbd(params), "qbd"),
     "repairable": Kind("params", dict.fromkeys(("lam", "mu", "alpha", "beta"), "number"),
                        models.RepairableParams, None, {"iterative": _repairable_iterative},
-                       lambda params, levels: models.repairable_qbd(params), "qbd"),
+                       lambda params, *_: models.repairable_qbd(params), "qbd"),
     "supermarket": Kind("params", {"rho": "number", "d": "integer"},
                         None, None, {"closed": _supermarket_closed}, None),
 }
@@ -313,12 +315,12 @@ def cross_check(model: Model, levels: int) -> CheckReport:
     up to `levels`.
 
     Each stage is solved once, at ``model.tol`` resolved as ``solve`` does,
-    and every route reads it; the chain is built once, at `levels`, for the
-    family's routes and the oracle, which picks its own depth
-    (``oracle.sized_reference``), starting its search where the slowest
-    route's tail decay at `levels` predicts.  The supermarket model has no
-    finite chain, so its closed form is checked against its balance
-    equations instead.  A gap below CHECK_TOL passes.
+    and every route reads it; the chain is built once, at `levels` and from
+    the kind's own route tails, for the family's routes and the oracle,
+    which picks its own depth (``oracle.sized_reference``), starting its
+    search where the slowest route's tail decay at `levels` predicts.  The
+    supermarket model has no finite chain, so its closed form is checked
+    against its balance equations instead.  A gap below CHECK_TOL passes.
     """
     kind = REGISTRY[model.kind]
     _check_levels(levels, 1)
@@ -330,8 +332,10 @@ def cross_check(model: Model, levels: int) -> CheckReport:
         comparisons = [Comparison("closed form", "balance equations", 1, levels,
                                   gap, gap < CHECK_TOL)]
         return CheckReport(model.kind, CHECK_TOL, tuple(comparisons))
-    chain = kind.chain(model.payload, levels)
-    series = _tails(model, route_names(model.kind), levels, chain)
+    series = _tails(model, list(kind.routes), levels)
+    chain = kind.chain(model.payload, levels, series)
+    if kind.family:
+        series.update(_tails(model, route_names(kind.family), levels, chain))
     series["oracle"] = oracle.sized_reference(chain, levels, model.tol,
                                               _decay(series.values(), levels))
     names = list(series)

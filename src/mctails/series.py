@@ -20,19 +20,21 @@ def _check_levels(value, least: int) -> None:
         raise ValidationError(f"levels must be an integer of at least {least}, got {value!r}")
 
 
-def _powers(head, rate, levels: int) -> np.ndarray:
-    """The rows head P^k, k < levels, of P = rate, stacked: each block of
-    b ~ sqrt(2 levels) rows is one product of the row before it with
-    [P | .. | P^b], and b m <= levels keeps that stack within the rows.  It
-    is built a power at a time: squaring repeats each rounding in every
-    later power, 6x the error at level 400 of a 2-phase chain.  Where the
-    rule leaves b = 1 (levels < 2m) each row is one product of the row
-    before it with a C-ordered P, the bits the stack would give, written in
-    place with no stack to build: the blocked loop's stack, padded buffer
-    and slicing cost up to a fifth more at 10-20 levels.  Products go
-    through np.dot, whose fixed cost per call is below np.matmul's, with
-    the same bits."""
+def _powers(head, rate, levels: int, last: int | None = None) -> np.ndarray:
+    """The rows head P^k, k < levels, of P = rate, stacked, or their `last`
+    columns: each block of b ~ sqrt(2 levels) rows is one product of the
+    row before it with [P | .. | P^b], copied out of one buffer, so only
+    the columns asked for are kept, and b m <= levels keeps that stack
+    within the rows.  It is built a power at a time: squaring repeats each
+    rounding in every later power, 6x the error at level 400 of a 2-phase
+    chain.  Where the rule leaves b = 1 (levels < 2m) each row is one
+    product of the row before it with a C-ordered P, the bits the stack
+    would give, written in place with no stack to build: the blocked loop's
+    stack, buffer and copies cost up to a fifth more at 10-20 levels.
+    Products go through np.dot, whose fixed cost per call is below
+    np.matmul's, with the same bits."""
     m = len(rate)
+    first = m - (last or m)
     block = max(1, min(math.isqrt(2 * levels), levels // m))
     if block == 1:
         rate = np.ascontiguousarray(rate)
@@ -40,18 +42,19 @@ def _powers(head, rate, levels: int) -> np.ndarray:
         rows[:1] = head
         for k in range(1, levels):
             np.dot(rows[k - 1], rate, out=rows[k])
-        return rows
+        return rows[:, first:]
     width = block * m
     stack = np.empty((m, width))
     stack[:, :m] = rate
     for j in range(m, width, m):
         stack[:, j:j + m] = stack[:, j - m:j] @ rate
-    # the rows flat, padded to whole blocks, so that a block is one product in place
-    flat = np.empty(m + -(-max(levels - 1, 0) // block) * width)
-    flat[:m] = head
-    for lo in range(0, (levels - 1) * m, width):
-        np.dot(flat[lo:lo + m], stack, out=flat[lo + m:lo + m + width])
-    return flat.reshape(-1, m)[:levels]
+    rows, flat = np.empty((levels, m - first)), np.empty(m + width)
+    rows[0], flat[:m] = head[first:], head
+    for lo in range(1, levels, block):
+        np.dot(flat[:m], stack, out=flat[m:])
+        rows[lo:lo + block] = flat[m:].reshape(block, m)[:levels - lo, first:]
+        flat[:m] = flat[-m:]
+    return rows
 
 
 def _suffix_sums(rows, past=None) -> np.ndarray:

@@ -399,7 +399,7 @@ def _forward_rows(head, first, blocks, rows, sources=()) -> None:
         companion = np.eye(depth * m, k=-m)
         companion[:, -m:] = np.concatenate(blocks[::-1])
         state = rows[near - depth:near].ravel() @ companion
-        rows[near:] = _powers(state, companion, len(rows) - near)[:, -m:]
+        rows[near:] = _powers(state, companion, len(rows) - near, m)
 
 
 def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:

@@ -237,8 +237,8 @@ def test_cross_check_builds_one_chain_for_routes_and_oracle(monkeypatch):
     built, handed = [], []
     spec = REGISTRY["retrial"]
 
-    def chain(payload, levels):
-        built.append(spec.chain(payload, levels))
+    def chain(payload, levels, tails=None):
+        built.append(spec.chain(payload, levels, tails))
         return built[-1]
 
     def sized_reference(chain, *args):

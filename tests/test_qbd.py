@@ -186,6 +186,21 @@ def test_solve_r_residual_is_reported_small():
     assert inf_norm(g.sum(axis=1) - 1.0) <= 1e-15
 
 
+def test_rate_solves_read_a_users_arrays_and_a_model_owns_frozen_copies():
+    """The R and G solves read finite float64 blocks in place, with the
+    bits of their lists' copies, and leave them writeable and unchanged; a
+    model built from the same arrays holds read-only copies of its own."""
+    user = [np.array(block) for block in (TWOPHASE.a0, TWOPHASE.a1, TWOPHASE.a2)]
+    kept = [block.copy() for block in user]
+    for solver in (solve_R, solve_G):
+        got = solver(*user).matrix
+        assert got.tobytes() == solver(*(block.tolist() for block in user)).matrix.tobytes()
+    model = QbdModel(TWOPHASE.b1, TWOPHASE.b0, TWOPHASE.b2, *user)
+    for block, copied, own in zip(user, kept, (model.a0, model.a1, model.a2)):
+        assert block.flags.writeable and np.array_equal(block, copied)
+        assert not own.flags.writeable and not np.shares_memory(block, own)
+
+
 def test_rate_matrix_is_zero_without_upward_flow():
     model = QbdModel([[-1.0]], [[1.0]], [[2.0]], [[0.0]], [[-2.0]], [[2.0]])
     r = solve_R(model.a0, model.a1, model.a2).matrix
@@ -501,6 +516,14 @@ def test_lu_route_refuses_a_series_that_does_not_shrink():
         tails_lu(null, [0.5], 5)
 
 
+def test_a_deep_sum_that_overflows_is_refused():
+    """An infinite term is not below roundoff of an infinite sum: the
+    doubling refuses it rather than return infinite tails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Unstable, match="did not shrink in 64 doublings"):
+            qbd._deep_sum(np.array([[1e200]]), np.array([[1e200]]))
+
+
 # Draws 15 and 51 of seed 2012 in the random section of
 # .github/compare_outputs.sh: three phases switching at about 1e-6 of their
 # rates.  In draw 15 phase 2 arrives at 0.87 against a service of 0.33; in
@@ -550,13 +573,15 @@ def test_lu_route_refuses_up_blocks_that_do_not_settle(draw):
 
 def _lu_by_full_sweep(model, x0, levels):
     """The lu tails by the backward sweep over every level to
-    top = max(levels, s), the heads past s extended one product at a time."""
+    top = max(levels, s), the heads past s extended one product at a time;
+    _deep_sum squares its U in place, so it gets a copy of the settled U
+    that the up-blocks past s share."""
     heads, ups, up, step = qbd._lu_steps(model, x0)
     top = max(levels, len(heads) - 1)
     while len(heads) <= top:
         heads.append(heads[-1] @ step)
         ups.append(up)
-    tail = heads[top] @ qbd._deep_sum(step, up)
+    tail = heads[top] @ qbd._deep_sum(step, up.copy())
     pis = [None] * levels
     for j in range(top, 0, -1):
         tail = (heads[j] + tail) @ ups[j]
@@ -581,17 +606,46 @@ def test_lu_closed_form_matches_the_full_backward_sweep(name, levels):
     assert np.max(np.abs(got.rows(1, levels) - want) / want) < 1e-14
 
 
-@pytest.mark.parametrize("levels", [5, 100])
-def test_lu_route_holds_its_up_blocks_and_a_few_more(levels):
-    """The lu pass keeps its s up-blocks for the backward sweep; besides
-    them it peaks at eight m x m blocks on a 32-phase chain (s = 11 here),
-    since the deep sum works in five scratch blocks and the settled rows
-    are built after the sweep has let the up-blocks go.  Holding the
-    up-blocks through the settled rows peaked at s + 12.8 blocks."""
+def _thirty_two_phases():
+    """A 32-phase generator with off-diagonal rates in [0.2, 1)."""
     rng = np.random.default_rng(3)
     rates = rng.uniform(0.2, 1.0, size=(32, 32))
     np.fill_diagonal(rates, 0.0)
     np.fill_diagonal(rates, -rates.sum(axis=1))
+    return rates
+
+
+@pytest.mark.parametrize("solver", [solve_R, solve_G], ids=["R", "G"])
+def test_the_reduction_holds_a_fixed_set_of_blocks(solver):
+    """On a 32-phase chain the R and G solves peak at about 16.3 m x m
+    blocks: they read the model's blocks without copying them, and every
+    step of the reduction writes into the same blocks and one m x 3m
+    right-hand side.  Copying the blocks and concatenating a right-hand
+    side per step peaked at 21.4; the bound is that less one block, and
+    leaves room for a numpy whose products keep a temporary or two more."""
+    rates = _thirty_two_phases()
+    model = modulated_mm1(0.9, rates)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solver(model.a0, model.a1, model.a2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * rates.nbytes
+
+
+@pytest.mark.parametrize("levels", [5, 100])
+def test_lu_route_holds_its_up_blocks_and_a_few_more(levels):
+    """The lu pass keeps its s up-blocks for the backward sweep; besides
+    them it peaks at about seven m x m blocks on a 32-phase chain (s = 11
+    here), since the deep sum squares the settled U in place and works in
+    four more blocks, U is dropped before the rows are allocated, and the
+    settled rows are built after the sweep has let the up-blocks go.
+    Copying U into the deep sum peaked at s + 8.1 blocks, and holding the
+    up-blocks through the settled rows at s + 12.8; the bound, s + 8,
+    leaves one block of room."""
+    rates = _thirty_two_phases()
     model = modulated_mm1(0.9, rates)
     x0 = solve_tails(model, 1, method="mg").x0
     settle = len(qbd._lu_steps(model, x0)[0]) - 1
@@ -602,4 +656,4 @@ def test_lu_route_holds_its_up_blocks_and_a_few_more(levels):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < (settle + 9) * rates.nbytes
+    assert peak < (settle + 8) * rates.nbytes

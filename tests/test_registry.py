@@ -129,6 +129,26 @@ def test_cross_check_of_a_named_ldqbd_queue_solves_r_h_and_the_product_once(coun
     assert calls == [[1], [1]]
 
 
+@pytest.mark.parametrize("levels", [1, 20, 150])
+def test_cross_check_of_retrial_runs_its_recursion_once(monkeypatch, count_calls, levels):
+    """The product route's depth N freezes the chain the oracle solves, so
+    check runs models.retrial_tails once, and freezes the chain where a
+    separate run of it stops."""
+    calls = count_calls(models, "retrial_tails")
+    built = []
+    spec = registry.REGISTRY["retrial"]
+
+    def chain(payload, at, tails=None):
+        built.append(spec.chain(payload, at, tails))
+        return built[-1]
+
+    monkeypatch.setitem(registry.REGISTRY, "retrial", spec._replace(chain=chain))
+    assert mctails.cross_check(BUNDLED["retrial.json"], levels).passed
+    assert len(calls) == 1
+    depth = models.retrial_tails(BUNDLED["retrial.json"].payload, levels)
+    assert built[0].horizon == depth.truncation_report["terms"]
+
+
 def test_solve_checks_its_arguments_before_the_stage(count_calls):
     calls = count_calls(qbd, "solve_R")
     for levels, method in ((-1, "mg"), (6, "product")):

@@ -47,7 +47,9 @@ def test_rows_stacks_the_levels_it_is_asked_for(first_level):
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 71, 72, 73, 400])
 def test_powers_are_the_row_by_row_products(m, n):
     """The stacked, blocked rows head P^k match head, head P, ... formed one
-    product at a time, within a few n m machine epsilons of each entry."""
+    product at a time, within a few n m machine epsilons of each entry,
+    whatever P's memory order; asked for its last columns only, _powers
+    gives those columns of the full rows bit for bit."""
     rng = np.random.default_rng(m)
     rate = rng.random((m, m))
     rate *= 0.97 / rate.sum(axis=1).max()
@@ -55,26 +57,40 @@ def test_powers_are_the_row_by_row_products(m, n):
     want = [head]
     for _ in range(1, n):
         want.append(want[-1] @ rate)
-    got = _powers(head, rate, n)
-    assert got.shape == (n, m)
-    if n:
-        assert np.array_equal(got[0], head)
-        rel = np.abs(got - np.array(want)) / np.array(want)
-        assert rel.max() <= 4 * n * m * np.finfo(float).eps
+    for order in "CF":
+        ordered = np.asarray(rate, order=order)
+        got = _powers(head, ordered, n)
+        assert got.shape == (n, m)
+        if n:
+            assert np.array_equal(got[0], head)
+            rel = np.abs(got - np.array(want)) / np.array(want)
+            assert rel.max() <= 4 * n * m * np.finfo(float).eps
+        _assert_trailing_columns_are_the_full_rows_bits(head, ordered, n, got)
+
+
+def _assert_trailing_columns_are_the_full_rows_bits(head, rate, n, full):
+    m = len(rate)
+    for last in sorted({1, (m + 1) // 2, m}):
+        trailing = _powers(head, rate, n, last)
+        assert trailing.shape == (n, last)
+        assert trailing.tobytes() == full[:, m - last:].tobytes()
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (8, 10), (32, 20), (32, 63)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_powers_of_single_row_blocks_are_the_row_by_row_bits(m, n, order):
     """Below 2m levels the blocks hold one row each, and every row is the
-    row before it times P, bit for bit, whatever P's memory order."""
+    row before it times P, bit for bit, whatever P's memory order; so are
+    the last columns alone."""
     rng = np.random.default_rng(m + n)
     rate = rng.random((m, m)) / m
     head = rng.random(m)
     want = [head]
     for _ in range(1, n):
         want.append(want[-1] @ rate)
-    assert _powers(head, np.asarray(rate, order=order), n).tobytes() == np.array(want).tobytes()
+    ordered = np.asarray(rate, order=order)
+    assert _powers(head, ordered, n).tobytes() == np.array(want).tobytes()
+    _assert_trailing_columns_are_the_full_rows_bits(head, ordered, n, np.array(want))
 
 
 def test_a_series_owns_its_report_and_its_fields_can_be_reassigned():

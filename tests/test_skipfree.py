@@ -593,6 +593,22 @@ MG1_FILE = load_model_file(FILES / "mg1.json").payload
 MG1_EIGHT_PHASES = _mg1_walk(0.7, np.random.default_rng(8).dirichlet(np.ones(8), size=8))
 
 
+def test_mg1_ul_route_keeps_one_phase_row_a_level():
+    """Past the visit blocks the M/G/1 rows come out of the companion
+    matrix's power series, of which only the last m columns are levels, so
+    the 8-phase ul route to 400 levels, stage included, peaks at about
+    121 KB: the levels x D m rows of the whole series took it to 145 KB.
+    The bound leaves 15 KB of room for a numpy with more temporaries."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_tails(MG1_EIGHT_PHASES, 400, method="ul")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 136 * 1024
+
+
 @pytest.mark.parametrize("model", [MG1_FILE, MG1_EIGHT_PHASES], ids=["mg1.json", "8-phase"])
 def test_stacked_visit_blocks_are_the_block_by_block_ones_bit_for_bit(model):
     """Each list alone and the boundary and level lists stacked together, as
