@@ -264,7 +264,11 @@ class RateSolveResult(NamedTuple):
 class BoundarySolution(NamedTuple):
     """The boundary pair (x0, x1), the rate matrix R they were solved with,
     checked for stability, phi0, the generator block of level 1 censored on
-    itself, and x0 B0, the flow up from level 0 (see _censored_boundary)."""
+    itself, and x0 B0, the flow up from level 0 (see _censored_boundary).
+
+    Each route reads some of the fields, and the registry hands it only
+    those: mg reads x0, x1 and R (tails_matrix_geometric), ul x0, x0 B0, R
+    and phi0 (tails_ul), and a QBD's lu route x0 alone (tails_lu)."""
 
     x0: np.ndarray
     x1: np.ndarray
@@ -318,7 +322,10 @@ def _reduce(a0, a1, a2, tol: float) -> RateSolveResult:
     """The reduction of solve_G on finite 2-d float64 blocks, which it only
     reads.  It holds about a dozen m x m blocks at any step count: every
     step writes into the same blocks and one right-hand side [U^2 | D^2 | I],
-    which the guarded LAPACK call reads as it is."""
+    which the guarded LAPACK call reads as it is.  The m x m shift Q = q e e^T
+    is let go once A1 + A0 Q and A2 - A2 Q are formed, and G takes it back
+    from q alone, a 1 x 1 array; each step's term goes into the block that
+    the next climb product takes after it."""
     m = len(a1)
     shift = np.zeros((m, m))
     phases = a0 + a1 + a2
@@ -329,8 +336,9 @@ def _reduce(a0, a1, a2, tol: float) -> RateSolveResult:
         shift[:] = 1.0 / m
     rhs = np.concatenate((a0, a2 - a2 @ shift, np.eye(m)), axis=1)
     both = _guarded_solve(-(a1 + a0 @ shift), rhs)
+    shift = shift[:1, :1].copy()  # q, which G takes back as Q = q e e^T
     g, climb = both[:, m:2 * m].copy(), both[:, :m].copy()
-    stay, prod, term = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
+    stay, prod = np.empty((m, m)), np.empty((m, m))
     # the next solve's guard refuses an overflowed step; a warning would only precede it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -344,15 +352,16 @@ def _reduce(a0, a1, a2, tol: float) -> RateSolveResult:
                 np.matmul(down, down, out=rhs[:, m:2 * m])
                 del up, down, both  # the solve below takes their room
                 both = _guarded_solve(stay, rhs)
-                np.matmul(climb, both[:, m:2 * m], out=term)
-                g += term
-                np.matmul(climb, both[:, :m], out=prod)
-                climb, prod = prod, climb
-                if inf_norm(term) < tol:
+                # prod takes the step's term, then the next climb
+                np.matmul(climb, both[:, m:2 * m], out=prod)
+                g += prod
+                if inf_norm(prod) < tol:
                     passage = g + shift
                     residual = inf_norm(a0 @ passage @ passage + a1 @ passage + a2)
                     if residual < 10.0 * tol:
                         return RateSolveResult(_frozen(passage), step, residual)
+                np.matmul(climb, both[:, :m], out=prod)
+                climb, prod = prod, climb
         except SingularMatrix as exc:
             if drift is not None and drift > 0.0:
                 raise Unstable(f"mean drift {drift:.6g} > 0: the chain is transient "
@@ -398,8 +407,12 @@ def geometric_mass(r) -> np.ndarray:
 
 def boundary_solve(model: QbdModel, r) -> BoundarySolution:
     """Boundary solution of a QBD given its rate matrix R: _censored_boundary
-    of the blocks (A0, A1, A2) and (B0, B1, B2)."""
-    r = as_matrix(r, "R")
+    of the blocks (A0, A1, A2) and (B0, B1, B2).  An R that is a read-only
+    finite 2-d float64 array, as solve_R returns it, is read as it is (see
+    _block); any other is copied by as_matrix's rules, so that the solution
+    never freezes or shares a caller's writeable array."""
+    read_only = isinstance(r, np.ndarray) and not r.flags.writeable
+    r = _block(r, "R") if read_only else as_matrix(r, "R")
     return _censored_boundary((model.a0, model.a1, model.a2),
                               (model.b0, model.b1, model.b2), r)
 

@@ -4,15 +4,18 @@ For every kind the table gives the model-file section that describes it and
 the builder that turns that section into a model, the stage that solves
 and checks, once, what every route of the kind reads, its tail routes, the
 builder of its chain, which the banded truncation oracle solves as its
-reference, or None when the kind has no finite-state counterpart, and the
+reference, or None when the kind has no finite-state counterpart, the
 family of a named queue's chain, whose routes solve the queue too
-(``route_names``).  ``mctails.solve_tails``, the command line and
-``cross_check`` all read it.  The solver tolerance rides on the ``Model``:
-``solve`` and ``cross_check`` turn a ``tol`` of None into DEFAULT_TOL,
-check any other value, and the stages read it from there.  The stage and
-route functions call the solvers through their modules
-(``qbd.tails_lu``), so a function replaced on its module, by a tracer or a
-test, is the one that runs.
+(``route_names``), and the stage fields each route reads.  A route
+receives the stage with only those fields, the rest None, and the stage
+itself is let go before any route runs, so a QBD's ``lu`` pass, which
+reads x0 alone, runs with R and Phi0 freed.  ``mctails.solve_tails``, the
+command line and ``cross_check`` all read the table.  The solver
+tolerance rides on the ``Model``: ``solve`` and ``cross_check`` turn a
+``tol`` of None into DEFAULT_TOL, check any other value, and the stages
+read it from there.  The stage and route functions call the solvers
+through their modules (``qbd.tails_lu``), so a function replaced on its
+module, by a tracer or a test, is the one that runs.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ class Kind(NamedTuple):
     at levels 0..levels, given the kind's own route tails there when
     ``cross_check`` has solved them, or None; ``family``, qbd or ldqbd, is its kind when its
     routes solve the model too, which takes the whole chain at any depth.
+    ``reads`` maps a route name to the names of the stage fields the route
+    reads, which are all the stage it receives holds (see _read); a route
+    it does not name, or every route when it is None, receives the whole
+    stage, such as an LDQBD's R_h.
     """
 
     section: str
@@ -59,6 +66,7 @@ class Kind(NamedTuple):
     routes: dict
     chain: Callable | None
     family: str | None = None
+    reads: dict | None = None
 
 
 class Model(NamedTuple):
@@ -138,6 +146,18 @@ def _supermarket_closed(model, stage, levels):
     return models.supermarket_tails(model.payload["rho"], model.payload["d"], levels)
 
 
+def _read(stage, reads):
+    """The stage as a route that reads the fields `reads` receives it: those
+    fields and None for every other one, or the whole stage where reads is
+    None.  The fields go to _make as a list: a tuple built from a generator
+    is shrunk to its length, and every call would leave one more shrunk
+    tuple in the interpreter's free list, which tracemalloc counts."""
+    if reads is None:
+        return stage
+    return stage._make([field if name in reads else None
+                        for name, field in zip(stage._fields, stage)])
+
+
 # --- chain builders: (payload, levels) to the chain of a model ----------
 
 def _payload(payload, *_):
@@ -153,18 +173,24 @@ def _retrial_chain(params, levels, tails=None):
 
 
 _SKIP_FREE = {"A": "matrices", "B": "matrices"}
+# what the mg and ul routes read of a BoundarySolution, a QBD's or a GI/M/1-type chain's
+_BOUNDARY_READS = {"mg": ("x0", "x1", "r"), "ul": ("x0", "x0_b0", "r", "phi0")}
 
 REGISTRY = {
     "qbd": Kind("blocks", dict.fromkeys(("B1", "B0", "B2", "A0", "A1", "A2"), "matrix"),
                 qbd.QbdModel, _qbd_stage,
-                {"mg": _qbd_mg, "ul": _qbd_ul, "lu": _qbd_lu}, _payload),
+                {"mg": _qbd_mg, "ul": _qbd_ul, "lu": _qbd_lu}, _payload,
+                reads={**_BOUNDARY_READS, "lu": ("x0",)}),
     "ldqbd": Kind("blocks", dict.fromkeys(("A0", "A1", "A2"), "matrices"),
                   ldqbd.LdQbdModel, _ldqbd_stage,
                   {"product": _ldqbd_product, "lu": _ldqbd_lu}, _payload),
     "gim1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "GIM1"),
-                 _gim1_stage, {"mg": _qbd_mg, "ul": _qbd_ul}, _payload),
+                 _gim1_stage, {"mg": _qbd_mg, "ul": _qbd_ul}, _payload,
+                 reads=_BOUNDARY_READS),
     "mg1": Kind("blocks", _SKIP_FREE, partial(skipfree.SkipFreeModel, "MG1"),
-                _mg1_stage, {"iterative": _mg1_iterative, "ul": _mg1_ul}, _payload),
+                _mg1_stage, {"iterative": _mg1_iterative, "ul": _mg1_ul}, _payload,
+                reads={"iterative": ("visit_rows", "boundary_visits", "visits"),
+                       "ul": ("passage", "local_kernel", "visits", "x0")}),
     "retrial": Kind("params", dict.fromkeys(("lam", "mu", "theta"), "number"),
                     models.RetrialParams, None,
                     {"product": _retrial_product}, _retrial_chain),
@@ -230,11 +256,17 @@ def _at_level_0(tails: TailSeries, levels: int) -> TailSeries:
 
 def _tails(model: Model, names: list, levels: int, chain=None) -> dict:
     """The tails of `model` by each named route: its own read its stage, the
-    rest `chain` (None builds it) at its family's stage, solved once."""
+    rest `chain` (None builds it) at its family's stage, solved once.  Each
+    own route receives only the stage fields it reads, and the stage is let
+    go before the first runs, so no route runs beside a field it does not read."""
     kind = REGISTRY[model.kind]
     stage = kind.stage(model) if kind.stage else None
-    tails = {name: kind.routes[name](model, stage, levels)
-             for name in names if name in kind.routes}
+    reads = {}
+    for name in names:
+        if name in kind.routes:
+            reads[name] = _read(stage, kind.reads.get(name) if kind.reads else None)
+    del stage
+    tails = {name: kind.routes[name](model, read, levels) for name, read in reads.items()}
     rest = [name for name in names if name not in kind.routes]
     if rest:
         chain = kind.chain(model.payload, levels) if chain is None else chain

@@ -5,7 +5,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,17 +147,15 @@ def test_check_exits_three_when_the_oracle_cannot_be_deep_enough(tmp_path, capsy
     assert "past level 2000, over tol of pi_20" in err
 
 
-def test_deep_check_stays_small_in_memory(capsys):
+def test_deep_check_stays_small_in_memory(traced_memory, capsys):
     """check at 1,000 levels solves a 2,000-level oracle (4,002 states) as a
     band 7 wide; the dense matrix alone would take 128 MB."""
-    tracemalloc.start()
-    try:
-        assert run(["check", str(FILES / "qbd22.json"), "--levels", "1000"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert "oracle: 2000 levels" in capsys.readouterr().out
-    assert peak < 5e6
+    def check():
+        return run(["check", str(FILES / "qbd22.json"), "--levels", "1000"]), capsys.readouterr()
+
+    status, captured = traced_memory(check, 5, 1e6, "MB").result
+    assert status == 0
+    assert "oracle: 2000 levels" in captured.out
 
 
 def test_meanfield_tracks_the_fixed_point(capsys):

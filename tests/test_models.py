@@ -6,7 +6,6 @@ import math
 import pathlib
 import pickle
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,7 +210,7 @@ def test_mnmn1_chain_lays_out_the_blocks_of_its_rate_lists(arrival, service):
     _assert_same_blocks(mnmn1_chain(arrival, service), _mnmn1_tables(arrival, service))
 
 
-def test_retrial_chain_keeps_only_its_three_stacks():
+def test_retrial_chain_keeps_only_its_three_stacks(traced_memory):
     """At 20,000 levels the chain keeps its tables as three stacks of 2 x 2
     blocks, levels 1..20,000 of A0 and A1 and 2..20,000 of A2, 59,999 blocks
     of 32 bytes, and little else: 8 kB of slack covers the first block of
@@ -219,17 +218,11 @@ def test_retrial_chain_keeps_only_its_three_stacks():
     together).  Laying the stacks out and checking them peaks at 5.6 MB,
     below 8 MB; one 2 x 2 array a level kept 10 MB and peaked at 20 MB."""
     horizon = 20_000
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        chain = retrial_chain(RetrialParams(0.9, 1.0, 0.1), horizon)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    traced = traced_memory(lambda: retrial_chain(RetrialParams(0.9, 1.0, 0.1), horizon),
+                           8, 1e6, "MB")
     stacks = (3 * horizon - 1) * 2 * 2 * 8
-    assert chain.horizon == horizon
-    assert stacks <= kept - before <= stacks + 8_000
-    assert peak - before < 8_000_000
+    assert traced.result.horizon == horizon
+    assert stacks <= traced.kept <= stacks + 8_000
 
 
 def test_state_dependent_queue_with_finite_room():

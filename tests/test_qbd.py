@@ -3,7 +3,7 @@
 import inspect
 import re
 import time
-import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +199,17 @@ def test_rate_solves_read_a_users_arrays_and_a_model_owns_frozen_copies():
     for block, copied, own in zip(user, kept, (model.a0, model.a1, model.a2)):
         assert block.flags.writeable and np.array_equal(block, copied)
         assert not own.flags.writeable and not np.shares_memory(block, own)
+
+
+def test_boundary_solve_reads_a_frozen_r_as_it_is_and_copies_a_users():
+    """The read-only R that solve_R returns is the boundary solution's R
+    itself; a writeable R is copied, bit for bit, and left writeable."""
+    r = solve_R(TWOPHASE.a0, TWOPHASE.a1, TWOPHASE.a2).matrix
+    assert boundary_solve(TWOPHASE, r).r is r
+    user = np.array(r)
+    copied = boundary_solve(TWOPHASE, user).r
+    assert user.flags.writeable and not np.shares_memory(user, copied)
+    assert copied.tobytes() == r.tobytes()
 
 
 def test_rate_matrix_is_zero_without_upward_flow():
@@ -616,27 +627,21 @@ def _thirty_two_phases():
 
 
 @pytest.mark.parametrize("solver", [solve_R, solve_G], ids=["R", "G"])
-def test_the_reduction_holds_a_fixed_set_of_blocks(solver):
-    """On a 32-phase chain the R and G solves peak at about 16.3 m x m
-    blocks: they read the model's blocks without copying them, and every
-    step of the reduction writes into the same blocks and one m x 3m
-    right-hand side.  Copying the blocks and concatenating a right-hand
-    side per step peaked at 21.4; the bound is that less one block, and
-    leaves room for a numpy whose products keep a temporary or two more."""
+def test_the_reduction_holds_a_fixed_set_of_blocks(traced_memory, solver):
+    """On a 32-phase chain the R and G solves peak at about 14.3 m x m
+    blocks: they read the model's blocks without copying them, every step
+    of the reduction writes into the same blocks and one m x 3m right-hand
+    side, the m x m shift goes once the shifted blocks are formed, and each
+    step's term takes the block of its climb product.  Copying the blocks
+    and concatenating a right-hand side per step peaked at 21.4, keeping the
+    shift and a term block at 16.3; the bound leaves one block of room."""
     rates = _thirty_two_phases()
     model = modulated_mm1(0.9, rates)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        solver(model.a0, model.a1, model.a2)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * rates.nbytes
+    traced_memory(lambda: solver(model.a0, model.a1, model.a2), 15.3, rates.nbytes, "blocks")
 
 
 @pytest.mark.parametrize("levels", [5, 100])
-def test_lu_route_holds_its_up_blocks_and_a_few_more(levels):
+def test_lu_route_holds_its_up_blocks_and_a_few_more(traced_memory, levels):
     """The lu pass keeps its s up-blocks for the backward sweep; besides
     them it peaks at about seven m x m blocks on a 32-phase chain (s = 11
     here), since the deep sum squares the settled U in place and works in
@@ -649,11 +654,32 @@ def test_lu_route_holds_its_up_blocks_and_a_few_more(levels):
     model = modulated_mm1(0.9, rates)
     x0 = solve_tails(model, 1, method="mg").x0
     settle = len(qbd._lu_steps(model, x0)[0]) - 1
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tails_lu(model, x0, levels)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < (settle + 8) * rates.nbytes
+    traced_memory(lambda: tails_lu(model, x0, levels), settle + 8, rates.nbytes, "blocks")
+
+
+@pytest.mark.parametrize("name", ["qbd22", "32-phase"])
+def test_lu_route_runs_with_the_stage_r_and_phi0_freed(monkeypatch, name):
+    """The lu route reads x0 alone, so a solve by it drops the stage before
+    the pass: the R and Phi0 that the stage solved are gone when tails_lu is
+    entered, where holding them took two blocks of the 32-phase chain's
+    peak.  Weak references see it without counting bytes."""
+    if name == "qbd22":
+        model = load_model_file(str(FILES / "qbd22.json")).payload
+    else:
+        model = modulated_mm1(0.9, _thirty_two_phases())
+    refs, alive = [], []
+    solve_boundary, lu = qbd.boundary_solve, qbd.tails_lu
+
+    def solved(*args):
+        boundary = solve_boundary(*args)
+        refs.extend((weakref.ref(boundary.r), weakref.ref(boundary.phi0)))
+        return boundary
+
+    def entered(*args):
+        alive.extend(ref() is not None for ref in refs)
+        return lu(*args)
+
+    monkeypatch.setattr(qbd, "boundary_solve", solved)
+    monkeypatch.setattr(qbd, "tails_lu", entered)
+    solve_tails(model, 20, method="lu")
+    assert alive == [False, False]

@@ -361,3 +361,15 @@ def test_readme_python_blocks_run(monkeypatch):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["report"].passed
+
+
+def test_every_read_field_is_a_field_of_its_kinds_stage():
+    """Each kind lists, for routes of its own, fields of the stage it
+    solves; a route that read a field not listed would receive None for it."""
+    for model in BUNDLED.values():
+        kind = registry.REGISTRY[model.kind]
+        if kind.reads:
+            stage = kind.stage(registry._with_tol(model))
+            assert set(kind.reads) <= set(kind.routes), model.kind
+            for fields in kind.reads.values():
+                assert set(fields) <= set(stage._fields), model.kind

@@ -1,6 +1,5 @@
 """Skip-free chains: series solvers, stationary laws, both tail routes."""
 
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -317,36 +316,24 @@ def _many_blocks(kind, count=40, m=32):
         phases * (count - 1 - level) / count for level in range(1, count - 1)]
 
 
-def test_many_blocks_of_many_phases_build_in_little_memory():
+def test_many_blocks_of_many_phases_build_in_little_memory(traced_memory):
     """Chains of 40 blocks of 32 phases: validation adds block row sums
     level by level, whatever the block count, so the peak is the copied
     blocks (0.66 MB) and little more; a band as deep as the GI/M/1 rows
     differ peaked at 14.5 MB."""
     for kind in ("GIM1", "MG1"):
         a_blocks, b_blocks = _many_blocks(kind)
-        tracemalloc.start()
-        try:
-            SkipFreeModel(kind, a_blocks, b_blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6, kind
+        traced_memory(lambda: SkipFreeModel(kind, a_blocks, b_blocks), 1, 1e6, "MB", f"{kind}: ")
 
 
 @pytest.mark.parametrize("kind", ["GIM1", "MG1"])
-def test_many_blocks_of_many_phases_check_balance_in_little_memory(kind):
+def test_many_blocks_of_many_phases_check_balance_in_little_memory(traced_memory, kind):
     """The balance re-check of the same chains, 85 levels of rows, forms
     x K from the blocks: a band of its window peaked at 29 MB."""
     model = SkipFreeModel(kind, *_many_blocks(kind))
     rng = np.random.default_rng(6)
     x0, rows = rng.random(model.m0), rng.random((skipfree._balance_window(model) - 1, model.m))
-    tracemalloc.start()
-    try:
-        skipfree._balance_residual(model, x0, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+    traced_memory(lambda: skipfree._balance_residual(model, x0, rows), 1, 1e6, "MB")
 
 
 def _stochastic(rng, rows, cols):
@@ -593,20 +580,14 @@ MG1_FILE = load_model_file(FILES / "mg1.json").payload
 MG1_EIGHT_PHASES = _mg1_walk(0.7, np.random.default_rng(8).dirichlet(np.ones(8), size=8))
 
 
-def test_mg1_ul_route_keeps_one_phase_row_a_level():
+def test_mg1_ul_route_keeps_one_phase_row_a_level(traced_memory):
     """Past the visit blocks the M/G/1 rows come out of the companion
     matrix's power series, of which only the last m columns are levels, so
     the 8-phase ul route to 400 levels, stage included, peaks at about
-    121 KB: the levels x D m rows of the whole series took it to 145 KB.
-    The bound leaves 15 KB of room for a numpy with more temporaries."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        solve_tails(MG1_EIGHT_PHASES, 400, method="ul")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 136 * 1024
+    118.5 KB, 121.4 while the stage's visit rows were held beside the
+    route: the levels x D m rows of the whole series took it to 145 KB.
+    The bound leaves room for a numpy with more temporaries."""
+    traced_memory(lambda: solve_tails(MG1_EIGHT_PHASES, 400, method="ul"), 136, 1024, "KB")
 
 
 @pytest.mark.parametrize("model", [MG1_FILE, MG1_EIGHT_PHASES], ids=["mg1.json", "8-phase"])
