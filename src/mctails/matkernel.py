@@ -14,9 +14,12 @@ every solve passes one guard: an exactly singular matrix, a non-finite
 solution, or a 1-norm reciprocal condition number below RCOND_MIN raises
 SingularMatrix instead of returning digits that mean nothing.  On the 1-8
 phase blocks the solvers mostly see, numpy's fixed cost per call outweighs
-the arithmetic: a guarded 2 x 2 solve takes 19-25 us on a 2-vCPU x86-64,
-about half of it the LAPACK call and 8-10 us the guard.  A solver that
-needs one matrix for several right-hand sides stacks them into one solve.
+the arithmetic: a guarded 2 x 2 solve takes 11-15 us on a 2-vCPU x86-64,
+5-6 us of it numpy.linalg.solve, whose LAPACK arithmetic is about 1.5 us,
+and 5-7 us the guard; solve_linear adds about 4 us of set-up.  So a float64
+array is read as it is, with no coercion, and [B | I] is written into one
+zeroed buffer.  A solver that needs one matrix for several right-hand
+sides stacks them into one solve.
 A mean drift p v, for the stationary row p of a generator, is one bordered
 solve too (mean_drift), kept when the error bound the solve gives is
 within DRIFT_RTOL of the drift, which spares the shift of qbd.solve_G a
@@ -123,21 +126,39 @@ def _freeze_all(value) -> None:
             _freeze_all(item)
 
 
+def _float64(a) -> np.ndarray:
+    """a itself if it is a float64 ndarray, else np.asarray's float copy."""
+    return a if type(a) is np.ndarray and a.dtype == np.float64 else np.asarray(a, dtype=float)
+
+
 def inf_norm(a) -> float:
     """Max absolute row sum for matrices, max |entry| for vectors."""
-    a = np.asarray(a, dtype=float)
+    a = _float64(a)
     if a.size == 0:
         return 0.0
+    # the reductions that ndarray.sum and .max make, without their wrappers
     if a.ndim <= 1:
-        return float(np.abs(a).max())
-    return float(np.abs(a).sum(axis=1).max())
+        return float(np.maximum.reduce(abs(a), None))
+    return float(np.maximum.reduce(np.add.reduce(abs(a), 1), None))
 
 
 def _square(a, caller: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """a as a float64 array (_float64), refused unless square and nonempty."""
+    a = _float64(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{caller}: matrix must be square, got shape {a.shape}")
+    if not len(a):
+        raise ValidationError(f"{caller}: matrix must be nonempty, got shape {a.shape}")
     return a
+
+
+def _after_identity(n: int, k: int) -> np.ndarray:
+    """An n x (k + n) array of zeros but for the identity in its last n
+    columns: the right-hand side [B | I] of a guarded solve, B to be
+    written into its first k columns."""
+    rhs = np.zeros((n, k + n))
+    rhs.reshape(-1)[k::k + n + 1] = 1.0
+    return rhs
 
 
 def _guard(a, solved) -> None:
@@ -147,7 +168,8 @@ def _guard(a, solved) -> None:
     1-norm reciprocal condition number 1 / (||A||_1 ||A^-1||_1) is below
     RCOND_MIN."""
     n = len(a)
-    norms = [max(np.add.reduce(np.abs(m), axis=0).tolist()) for m in (a, solved[:, -n:])]
+    norms = (max(np.add.reduce(abs(a), 0).tolist()),
+             max(np.add.reduce(abs(solved[:, -n:]), 0).tolist()))
     # a finite plain sum makes every entry finite; the checks below decide
     # and name whatever this does not pass
     if (math.isfinite(np.add.reduce(solved, axis=None))
@@ -182,14 +204,16 @@ def solve_linear(a, b) -> np.ndarray:
             or the reciprocal condition number is below RCOND_MIN.
     """
     a = _square(a, "solve_linear")
-    b = np.asarray(b, dtype=float)
+    b = _float64(b)
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValidationError(f"solve_linear: B has {b.shape[0]} rows, expected {n}")
     columns = b.reshape(n, -1)
-    both = _guarded_solve(a, np.concatenate((columns, np.eye(n)), axis=1))
+    k = columns.shape[1]
+    rhs = _after_identity(n, k)
+    rhs[:, :k] = columns
     # a copy, so that the result does not keep the inverse alive
-    return both[:, :columns.shape[1]].reshape(b.shape).copy()
+    return _guarded_solve(a, rhs)[:, :k].reshape(b.shape).copy()
 
 
 def solve_xa(a, b) -> np.ndarray:
@@ -211,7 +235,7 @@ def _guarded_solve(a, rhs) -> np.ndarray:
 def inverse(a) -> np.ndarray:
     """A^-1, under the guard of solve_linear, from one solve of A X = I."""
     a = _square(a, "inverse")
-    return _guarded_solve(a, np.eye(len(a)))
+    return _guarded_solve(a, _after_identity(len(a), 0))
 
 
 def mean_drift(q, v) -> float | None:
@@ -234,15 +258,21 @@ def mean_drift(q, v) -> float | None:
     """
     q = _square(q, "mean_drift")
     n = len(q)
+    # B is built in place: q with its diagonal zeroed and clipped, then the
+    # negated row sums on that diagonal and the border of ones
+    bordered = np.empty((n + 1, n + 1))
+    off, diagonal = bordered[:n, :n], bordered.reshape(-1)[:n * (n + 2):n + 2]
+    off[...] = q
+    diagonal[...] = 0.0
     try:
-        off = _off_diagonal(q, 0, n + 1, "mean_drift")
+        _clip_off_diagonal(off, "mean_drift")
     except ValidationError:
         return None
-    bordered = np.ones((n + 1, n + 1))
-    bordered[:n, :n] = off
-    bordered.reshape(-1)[:n * (n + 2):n + 2] = -off.sum(axis=1)
+    diagonal[...] = -np.add.reduce(off, 1)
+    bordered[:n, n] = 1.0
+    bordered[n, :n] = 1.0
     bordered[n, n] = 0.0
-    rhs = np.eye(n + 1, n + 2, 1)
+    rhs = _after_identity(n + 1, 1)
     rhs[:n, 0] = v
     try:
         solved = _guarded_solve(bordered, rhs)
@@ -250,7 +280,7 @@ def mean_drift(q, v) -> float | None:
         solved = None
     if solved is not None:
         drift = float(solved[n, 0])
-        error = (n + 1) * _EPS * float(np.abs(solved[n, 1:]) @ (np.abs(bordered) @ np.abs(solved[:, 0])))
+        error = (n + 1) * _EPS * float(abs(solved[n, 1:]) @ (abs(bordered) @ abs(solved[:, 0])))
         if error <= DRIFT_RTOL * abs(drift):
             return drift
     try:
@@ -417,18 +447,23 @@ def _gth_floats(a: np.ndarray, flat: memoryview, stride: int, lower: int,
 
 def _off_diagonal(cells: np.ndarray, lower: int, stride: int, caller: str) -> np.ndarray:
     """A copy of cells with the diagonal, every stride-th cell from cell
-    lower, zeroed.  Matrices built from solves may carry roundoff below an
-    exact zero: an entry below zero by at most n machine epsilons of the
-    largest entry, n = len(cells), is clipped to 0, and one beyond that
-    raises ValidationError."""
+    lower, zeroed, and clipped by _clip_off_diagonal."""
     a = cells.copy()
     a.reshape(-1)[lower::stride] = 0.0
-    low = a.min()
+    _clip_off_diagonal(a, caller)
+    return a
+
+
+def _clip_off_diagonal(a: np.ndarray, caller: str) -> None:
+    """Clip a, whose diagonal is zeroed, in place.  Matrices built from
+    solves may carry roundoff below an exact zero: an entry below zero by
+    at most n machine epsilons of the largest entry, n = len(a), is clipped
+    to 0, and one beyond that raises ValidationError."""
+    low = np.minimum.reduce(a, None)
     if low < 0.0:
-        if low < -len(a) * _EPS * a.max():
+        if low < -len(a) * _EPS * np.maximum.reduce(a, None):
             raise ValidationError(f"{caller}: negative off-diagonal entry {low:.3e}")
         np.maximum(a, 0.0, out=a)
-    return a
 
 
 def stationary_row(m, continuous: bool = True) -> np.ndarray:
@@ -478,7 +513,8 @@ def _gth_row(m, continuous: bool) -> np.ndarray:
     # the offsets j - i of the nonzero entries (i, j); band column c holds c - lower
     rows, cols = np.nonzero(a) if dense else (lower, np.flatnonzero(a.any(axis=0)))
     offsets = cols - rows
-    below, above = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+    below = -int(np.minimum.reduce(offsets, initial=0))
+    above = int(np.maximum.reduce(offsets, initial=0))
     view = a if dense else Band(a, lower).view()
     v = np.zeros(n)
     # an outflow that underflows makes the fold overflow, which the check
@@ -488,7 +524,7 @@ def _gth_row(m, continuous: bool) -> np.ndarray:
             _gth_floats(view, memoryview(a.reshape(-1)), width - 1 + dense, lower, v, below, above)
         else:
             _gth_arrays(view, v, below, above)
-        v /= v.sum()
+        v /= np.add.reduce(v)
     if not np.isfinite(v).all():
         raise SingularMatrix("stationary solve: the fold overflowed")
     balance = cells if continuous else cells - np.eye(n if dense else 1, width, lower)

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .matkernel import (
     _EPS,
+    _after_identity,
     _frozen,
     _guarded_solve,
     _ReadOnly,
@@ -89,6 +90,17 @@ def _rowsum_defect(rowsums, local) -> np.ndarray:
     return np.abs(rowsums) > ROWSUM_TOL * scale
 
 
+def _row_sums(stack: np.ndarray) -> np.ndarray:
+    """The row sums of a stack of blocks, its columns added in order: on
+    many levels of a few phases this is several times faster than numpy's
+    sum along the short last axis, with the same bits below 8 columns,
+    where that sum adds in order too."""
+    total = stack[..., 0].copy()
+    for j in range(1, stack.shape[-1]):
+        total += stack[..., j]
+    return total
+
+
 def check_tables(up, diag, down, name) -> tuple:
     """Check the block tables of a level-dependent QBD and return them as
     (first block, stack of the rest) each, coerced by as_matrix's rules.
@@ -137,9 +149,9 @@ def check_tables(up, diag, down, name) -> tuple:
             rest = np.array(rest).reshape(-1, *shape)
         checked[kind] = (head, rest)
     (up0, ups), (diag0, diags), (down0, downs) = checked["A0"], checked["A1"], checked["A2"]
-    below = np.concatenate((down0.sum(axis=1)[None], downs.sum(axis=2)))
+    below = np.concatenate((down0.sum(axis=1)[None], _row_sums(downs)))
     level0 = diag0.sum(axis=1) + up0.sum(axis=1)
-    rowsums = below + diags.sum(axis=2) + ups.sum(axis=2)
+    rowsums = below + _row_sums(diags) + _row_sums(ups)
     if _rowsum_defect(level0, diag0).any() or _rowsum_defect(rowsums, diags).any():
         for k, (rowsum, local) in enumerate(zip([level0, *rowsums], [diag0, *diags])):
             if _rowsum_defect(rowsum, local).any():
@@ -308,7 +320,8 @@ def solve_G(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     residual of the unshifted equation below 10 tol, and raises
     NoConvergence after MAX_DOUBLINGS steps.
     """
-    return _reduce(_block(a0, "A0"), _block(a1, "A1"), _block(a2, "A2"), tol)
+    a0, a1, a2 = _block(a0, "A0"), _block(a1, "A1"), _block(a2, "A2")
+    return _reduce(a0, a1, a2, tol, _drift(a0, a1, a2))
 
 
 def _block(a, name: str) -> np.ndarray:
@@ -318,23 +331,32 @@ def _block(a, name: str) -> np.ndarray:
     return a if plain and np.isfinite(a).all() else as_matrix(a, name)
 
 
-def _reduce(a0, a1, a2, tol: float) -> RateSolveResult:
+def _drift(a0, a1, a2) -> float | None:
+    """The mean drift p (A0 - A2) e of solve_G, p the stationary row of
+    A = A0 + A1 + A2, by mean_drift; None, no verdict, where A is not
+    conservative or mean_drift gives none."""
+    phases = a0 + a1 + a2
+    if _rowsum_defect(phases.sum(axis=1), a1).any():
+        return None
+    return mean_drift(phases, a0.sum(axis=1) - a2.sum(axis=1))
+
+
+def _reduce(a0, a1, a2, tol: float, drift: float | None) -> RateSolveResult:
     """The reduction of solve_G on finite 2-d float64 blocks, which it only
-    reads.  It holds about a dozen m x m blocks at any step count: every
-    step writes into the same blocks and one right-hand side [U^2 | D^2 | I],
-    which the guarded LAPACK call reads as it is.  The m x m shift Q = q e e^T
-    is let go once A1 + A0 Q and A2 - A2 Q are formed, and G takes it back
-    from q alone, a 1 x 1 array; each step's term goes into the block that
-    the next climb product takes after it."""
+    reads, shifted where the drift, _drift's verdict or a caller's that
+    stands for it, is negative.  It holds about a dozen m x m blocks at any
+    step count: every step writes into the same blocks and one right-hand
+    side [U^2 | D^2 | I], which the guarded LAPACK call reads as it is.  The
+    m x m shift Q = q e e^T is let go once A1 + A0 Q and A2 - A2 Q are
+    formed, and G takes it back from q alone, a 1 x 1 array; each step's
+    term goes into the block that the next climb product takes after it."""
     m = len(a1)
     shift = np.zeros((m, m))
-    phases = a0 + a1 + a2
-    conservative = not _rowsum_defect(phases.sum(axis=1), a1).any()
-    drift = mean_drift(phases, a0.sum(axis=1) - a2.sum(axis=1)) if conservative else None
-    del phases
     if drift is not None and drift < 0.0:
         shift[:] = 1.0 / m
-    rhs = np.concatenate((a0, a2 - a2 @ shift, np.eye(m)), axis=1)
+    rhs = _after_identity(m, 2 * m)
+    rhs[:, :m] = a0
+    np.subtract(a2, a2 @ shift, out=rhs[:, m:2 * m])
     both = _guarded_solve(-(a1 + a0 @ shift), rhs)
     shift = shift[:1, :1].copy()  # q, which G takes back as Q = q e e^T
     g, climb = both[:, m:2 * m].copy(), both[:, :m].copy()
@@ -378,7 +400,7 @@ def solve_R(a0, a1, a2, tol: float = 1e-12) -> RateSolveResult:
     iterations are its reduction steps, and the residual is that of R's.
     """
     a0, a1, a2 = _block(a0, "A0"), _block(a1, "A1"), _block(a2, "A2")
-    solved = _reduce(a0, a1, a2, tol)
+    solved = _reduce(a0, a1, a2, tol, _drift(a0, a1, a2))
     r = solve_xa(-(a1 + a0 @ solved.matrix), a0)
     residual = inf_norm(a0 + r @ a1 + r @ r @ a2)
     return RateSolveResult(_frozen(r), solved.iterations, residual)

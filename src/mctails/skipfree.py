@@ -68,6 +68,7 @@ from .qbd import (
     _boundary_row,
     _censored_boundary,
     _horner,
+    _reduce,
     solve_G,
     solve_R,
 )
@@ -428,9 +429,11 @@ def mg1_stationary(model: SkipFreeModel, tol: float = 1e-12) -> Mg1Measures:
         raise NearCritical(f"mean drift {drift:.3e} is numerically zero")
     if drift > 0:
         raise Unstable(f"mean drift {drift:.3e} is positive")
-    solved = solve_G_series(a, tol=tol)
-    g = solved.matrix
     m, m0 = model.m, model.m0
+    # the grouped reduction of solve_G_series, shifted by the drift above:
+    # the grouped chain's drift has its sign, so a bordered solve of its
+    # own, max(1, len(A) - 2) times as wide, would only repeat the verdict
+    g = _frozen(_reduce(*_grouped(a, True), tol, drift).matrix[:m, -m:].copy())
     eye = np.eye(m)
     kernel, *above = _horner(a[1:], g)
     boundary_sums = _horner(b[2:], g)

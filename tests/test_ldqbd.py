@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mctails import cross_check, ldqbd, matkernel, registry, solve_tails
+from mctails import cross_check, ldqbd, matkernel, qbd, registry, solve_tails
 from mctails.errors import SingularMatrix, Unstable, ValidationError
 from mctails.ldqbd import (
     LdQbdModel,
@@ -399,3 +399,19 @@ def test_row_sums_are_checked_relative_to_the_rates():
         LdQbdModel((up, up),
                    ([[-1.9, 1.0], [0.9, -0.9]], [[-1.9, 1.0], [0.9, -(0.9 + 16383.2 + 1e-6)]]),
                    ([[0.0, 0.0], [16383.2, 0.0]],))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 12])
+def test_table_row_sums_add_the_columns_in_order(m):
+    """check_tables adds a stack's columns in order: numpy's sum along the
+    last axis to the bit below 8 columns, where it adds in order too, and
+    within its rounding from 8 on, where it adds pairwise."""
+    rng = np.random.default_rng(m)
+    stack = rng.standard_normal((50, m, m)) * 10.0 ** rng.integers(-6, 6, (50, m, m))
+    in_order = functools.reduce(np.add, [stack[..., j] for j in range(m)])
+    assert qbd._row_sums(stack).tobytes() == in_order.tobytes()
+    if m < 8:
+        assert qbd._row_sums(stack).tobytes() == stack.sum(axis=2).tobytes()
+    else:
+        assert (abs(qbd._row_sums(stack) - stack.sum(axis=2))
+                <= m * np.finfo(float).eps * abs(stack).sum(axis=2)).all()

@@ -87,6 +87,60 @@ def test_nonsquare_matrix_is_rejected():
         solve_linear([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("call,caller", [
+    (lambda a: solve_linear(a, np.ones(0)), "solve_linear"),
+    (lambda a: solve_xa(a, np.ones(0)), "solve_linear"),
+    (inverse, "inverse"),
+    (lambda a: mean_drift(a, np.ones(0)), "mean_drift"),
+    (stationary_row, "stationary_row"),
+], ids=["solve_linear", "solve_xa", "inverse", "mean_drift", "stationary_row"])
+def test_an_empty_matrix_is_refused_by_name(call, caller):
+    with pytest.raises(ValidationError, match=rf"^{caller}: matrix must be nonempty, got shape \(0, 0\)$"):
+        call(np.zeros((0, 0)))
+
+
+def _as_given(form, values):
+    """values, a float64 array, in one of the forms a caller may pass."""
+    if form == "list":
+        return values.tolist()
+    if form == "fortran":
+        return np.asfortranarray(values)
+    if form == "strided":
+        wide = np.zeros((values.shape[0], 2 * values.shape[1]) if values.ndim == 2 else 2 * len(values))
+        view = wide[:, ::2] if values.ndim == 2 else wide[::2]
+        view[...] = values
+        return view
+    return values.astype(int) if form == "int" else values.copy()
+
+
+@pytest.mark.parametrize("form", ["float64", "list", "int", "fortran", "strided"])
+def test_every_input_form_gives_the_bits_of_a_float64_array(form):
+    """A float64 array is read as it is and any other input coerced as
+    np.asarray(x, dtype=float) does: the same bytes in every form, and the
+    same refusals of a matrix that is not square or not finite."""
+    a = np.array([[4.0, 1.0, 2.0], [1.0, 5.0, 3.0], [2.0, 1.0, 6.0]])
+    b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+    for call, args in ((solve_linear, (a, b)), (solve_linear, (a, b[:, 0])),
+                       (solve_xa, (a, b.T.copy())), (inverse, (a,)),
+                       (inf_norm, (a,)), (inf_norm, (b[:, 1].copy(),))):
+        want = np.asarray(call(*args)).tobytes()
+        assert np.asarray(call(*(_as_given(form, x) for x in args))).tobytes() == want
+    wide = _as_given(form, np.ones((2, 3)))
+    for call, message in ((lambda: solve_linear(wide, np.ones(2)), "solve_linear: matrix must be square, got shape (2, 3)"),
+                          (lambda: solve_xa(wide, np.ones(3)), "solve_linear: matrix must be square, got shape (3, 2)"),
+                          (lambda: inverse(wide), "inverse: matrix must be square, got shape (2, 3)")):
+        with pytest.raises(ValidationError) as refused:
+            call()
+        assert str(refused.value) == message
+    if form != "int":
+        nan = _as_given(form, np.array([[1.0, np.nan], [0.0, 1.0]]))
+        for call in (lambda: solve_linear(nan, np.ones(2)), lambda: solve_xa(nan, np.ones(2)),
+                     lambda: inverse(nan)):
+            with pytest.raises(SingularMatrix, match=r"^2 x 2 system: non-finite solution$"):
+                call()
+        assert np.isnan(inf_norm(nan))
+
+
 def test_stationary_row_of_a_generator():
     v = stationary_row([[-1.0, 1.0], [2.0, -2.0]])
     assert inf_norm(v - np.array([2.0, 1.0]) / 3.0) < 1e-12

@@ -620,6 +620,16 @@ def test_mg1_stage_and_ul_route_solve_each_coefficient_matrix_once(count_calls):
     assert (len(kernel_calls), len(skipfree_calls)) == (3, 1)
 
 
+@pytest.mark.parametrize("model", [MG1_FILE, MG1_EIGHT_PHASES], ids=["mg1.json", "8-phase"])
+def test_mg1_stage_solves_its_drift_once_and_keeps_the_passage_bits(count_calls, model):
+    """The stage hands the drift it solved to the grouped reduction, whose
+    G is solve_G_series's to the byte."""
+    calls = [count_calls(module, "mean_drift") for module in (skipfree, qbd)]
+    passage = mg1_stationary(model).passage
+    assert [len(c) for c in calls] == [1, 0]
+    assert passage.tobytes() == solve_G_series(model.a_blocks).matrix.tobytes()
+
+
 def _rows_one_at_a_time(head, first, blocks, count, sources=()):
     """r_k = s_k + head F_k + sum_{0<i<k} r_i V_{k-i} for k = 1..count, one
     row and one block at a time, F_k = first[k-1], V_d = blocks[d-1] and
